@@ -195,12 +195,12 @@ def _run_threshold(spec: RunSpec) -> dict:
 
 
 def _run_envelope(spec: RunSpec) -> dict:
+    if spec.min_rate and spec.ceiling is not None:
+        raise ValueError("choose one of --min-rate and --ceiling")
     p = ingest(spec.input, spec.format)
     env = _build_envelope(p, spec)
     if spec.output:
         _write_envelope_csv(spec.output, env)
-    if spec.min_rate and spec.ceiling is not None:
-        raise ValueError("choose one of --min-rate and --ceiling")
     if spec.min_rate:
         thr = confidence_thresholds(env, None)
         rec = _threshold_record(thr)

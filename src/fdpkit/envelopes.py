@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.special import betaincinv
 
 from .estimation import _validated_pvalues, ecdf
 from .rng import standard_normal, stream
@@ -34,7 +34,6 @@ __all__ = [
 ]
 
 _W_CACHE: dict = {}
-_CRIT_CACHE: dict = {}
 
 
 def brownian_sup_quantile(
@@ -180,12 +179,12 @@ def asymptotic_envelope(
             t_min = floor
         elif t_min < floor:
             raise ValueError(
-                f"t_min={t_min!r} is below the small-t floor (log m)^4 / m = {floor!r}; "
+                f"t_min={float(t_min)!r} is below the small-t floor (log m)^4 / m = {float(floor)!r}; "
                 "the asymptotic band is not valid there (pass enforce_floor=False to override)"
             )
         if t_min >= 1.0:
             raise ValueError(
-                f"the small-t floor (log m)^4 / m = {floor!r} is not below 1 at m={m}, so no "
+                f"the small-t floor (log m)^4 / m = {float(floor)!r} is not below 1 at m={m}, so no "
                 "valid evaluation window exists; pass enforce_floor=False with an explicit t_min"
             )
     else:
@@ -228,24 +227,15 @@ def asymptotic_envelope(
 
 def uniformity_critical_value(k: int, alpha: float) -> float:
     """Critical value for the second-smallest of k uniforms: the c with
-    P{second order statistic <= c} = alpha.  Sizes 0 and 1 are never
-    rejected (returns -inf)."""
+    P{second order statistic <= c} = alpha, the alpha-quantile of its
+    Beta(2, k - 1) law.  Sizes 0 and 1 are never rejected (returns -inf)."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     if k <= 1:
         return -np.inf
-    key = (int(k), float(alpha))
-    if key in _CRIT_CACHE:
-        return _CRIT_CACHE[key]
-
-    def h(c):
-        return 1.0 - (1.0 - c) ** k - k * c * (1.0 - c) ** (k - 1) - alpha
-
-    out = float(brentq(h, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16))
-    _CRIT_CACHE[key] = out
-    return out
+    return float(betaincinv(2.0, k - 1.0, alpha))
 
 
 @dataclass(frozen=True)
@@ -316,13 +306,12 @@ def exact_confidence_set(pvalues, alpha: float) -> ExactConfidenceSet:
         raise ValueError("alpha must lie in (0, 1)")
     m = p.size
     ps = np.sort(p)
-    crit = np.full(m + 1, -np.inf)
-    for k in range(2, m + 1):
-        crit[k] = uniformity_critical_value(k, alpha)
-    feasible = np.ones(m + 1, dtype=bool)
     ks = np.arange(2, m + 1)
+    crit = np.full(m + 1, -np.inf)
+    crit[2:] = betaincinv(2.0, ks - 1.0, alpha)
+    feasible = np.ones(m + 1, dtype=bool)
     feasible[2:] = ps[m - ks + 1] > crit[2:]
-    accepted = tuple(int(k) for k in np.nonzero(feasible)[0])
+    accepted = tuple(np.flatnonzero(feasible).tolist())
     return ExactConfidenceSet(
         pvalues=p.copy(),
         sorted_pvalues=ps,
@@ -330,7 +319,7 @@ def exact_confidence_set(pvalues, alpha: float) -> ExactConfidenceSet:
         crit=crit,
         feasible=feasible,
         accepted_summaries=accepted,
-        m0_interval=(int(accepted[0]), int(accepted[-1])),
+        m0_interval=(accepted[0], accepted[-1]),
     )
 
 
@@ -339,28 +328,22 @@ def exact_envelope(confset: ExactConfidenceSet, pvalues) -> EnvelopeResult:
     achievable by an accepted candidate null-set placing j of its elements
     at or below t.
 
-    A size-k candidate with j elements at or below t is accepted exactly
-    when at least j - 1 of those elements exceed the size-k critical value;
-    taking all m - R(t) larger p-values into the candidate makes the
-    acceptance easiest, so only k = (m - R(t)) + j needs checking."""
+    A size-k candidate with j >= 2 elements at or below t is accepted
+    exactly when at least j - 1 of those elements exceed the size-k
+    critical value; taking all m - R(t) larger p-values into it makes the
+    acceptance easiest, so only k = (m - R(t)) + j needs checking, and that
+    test is ``feasible[k]`` of the confidence set, free of t.  The count
+    bound is therefore R(t) - (m - k_max), with k_max = ``m0_interval[1]``
+    and m - k_max the lower confidence bound on the number of alternatives,
+    raised to 1 (a single null below t is always accepted) wherever
+    R(t) >= 1.  Runs in O(m log m) time and O(m) memory."""
     p = _validated_pvalues(pvalues)
-    ps = np.sort(p)
-    if not np.array_equal(ps, confset.sorted_pvalues):
+    if not np.array_equal(np.sort(p), confset.sorted_pvalues):
         raise ValueError("confidence set was built from different p-values")
     m = p.size
     distinct, counts = np.unique(p, return_counts=True)
     r_at = counts.cumsum()                      # rejections at each distinct p
-    n_below = np.searchsorted(ps, confset.crit, side="right")
-
-    n = distinct.size
-    js = np.arange(2, m + 1)
-    r_col = r_at[:, None]
-    k_idx = (m - r_col) + js[None, :]
-    valid = js[None, :] <= r_col
-    k_idx = np.where(valid, k_idx, m)
-    ok = valid & ((r_col - n_below[k_idx]) >= (js[None, :] - 1))
-    best = np.where(ok, js[None, :], 0).max(axis=1)
-    j_vals = np.where(best >= 2, best, np.where(r_at >= 1, 1, 0)).astype(float)
+    j_vals = np.maximum(r_at - (m - confset.m0_interval[1]), 1).astype(float)
 
     gamma = StepFunction.from_pairs(distinct, j_vals / r_at, value_at_zero=0.0)
     j_fn = StepFunction.from_pairs(distinct, j_vals, value_at_zero=0.0)
@@ -385,19 +368,7 @@ def m10_envelope(env: EnvelopeResult, m: int):
     p-values at or below t."""
     if m != env.meta["m"]:
         raise ValueError(f"envelope was built for m={env.meta['m']}, not m={m}")
-    if env.method == "exact":
-        return env.meta["j_fn"]
-    return _AsymptoticCountScaled(env.v_fn, m)
-
-
-@dataclass(frozen=True)
-class _AsymptoticCountScaled:
-    v_fn: object
-    m: int
-
-    def __call__(self, t):
-        out = self.m * np.asarray(self.v_fn(t), dtype=float)
-        return out if out.ndim else float(out)
+    return env.count_bound_at
 
 
 def confidence_thresholds(env: EnvelopeResult, c: float | None = None) -> ThresholdResult:
@@ -433,27 +404,21 @@ def _threshold_result(env, t, z, inclusive, c) -> ThresholdResult:
 
 def _exact_thresholds(env: EnvelopeResult, c: float | None) -> ThresholdResult:
     sf: StepFunction = env.gamma_bar
-    knots = sf.knots
-    vals = sf.values
-    n = knots.size
-    lo = env.meta["domain"][0]
-    idx = [i for i in range(n) if (knots[i + 1] if i + 1 < n else 1.0) > lo and knots[i] >= lo]
-    # pieces fully inside the domain [lo, 1]; the first distinct p-value
-    # starts the domain, so piece i covers [knots[i], next) with value vals[i]
-    if not idx:
-        idx = [n - 1]
+    knots, vals = sf.knots, sf.values
+    # piece i covers [knots[i], next knot) with value vals[i]; the domain
+    # [lo, 1] starts at a knot, so its pieces are those starting at or after lo
+    idx = np.flatnonzero(knots >= env.meta["domain"][0])
     if c is None:
-        z = min(vals[i] for i in idx)
-        last = max(i for i in idx if vals[i] == z)
-        if last == n - 1:
-            return _threshold_result(env, 1.0, z, True, c)
-        return _threshold_result(env, knots[last + 1], z, False, c)
-    for i in reversed(idx):
-        if vals[i] <= c:
-            if i == n - 1:
-                return _threshold_result(env, 1.0, c, True, c)
-            return _threshold_result(env, knots[i + 1], c, False, c)
-    return _threshold_result(env, 0.0, c, True, c)
+        z = vals[idx].min()
+        i = idx[vals[idx] == z][-1]
+    else:
+        ok = idx[vals[idx] <= c]
+        if not ok.size:
+            return _threshold_result(env, 0.0, c, True, c)
+        i, z = ok[-1], c
+    if i == knots.size - 1:
+        return _threshold_result(env, 1.0, z, True, c)
+    return _threshold_result(env, knots[i + 1], z, False, c)
 
 
 def _asymptotic_thresholds(env: EnvelopeResult, c: float | None) -> ThresholdResult:

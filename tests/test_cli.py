@@ -170,6 +170,13 @@ class TestEnvelopeCommand:
         assert rc == 1
         assert "choose one" in json.loads(err)["error"]
 
+    def test_conflict_writes_no_output(self, capsys, pfile, tmp_path):
+        outfile = tmp_path / "env.csv"
+        rc, _, _ = run_cli(capsys, "envelope", "--input", pfile, "--min-rate",
+                           "--ceiling", "0.2", "--output", str(outfile))
+        assert rc == 1
+        assert not outfile.exists()
+
     def test_asymptotic_method(self, capsys, tmp_path):
         g = np.random.default_rng(3)  # content irrelevant, determinism unneeded
         p = np.clip(g.random(800) * 0.8, 1e-9, 1.0)

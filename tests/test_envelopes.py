@@ -59,6 +59,26 @@ class TestUniformityTest:
                 want = stats.beta.ppf(alpha, 2, k - 1)
                 assert uniformity_critical_value(k, alpha) == pytest.approx(want, abs=1e-12)
 
+    def test_critical_value_matches_mpmath_roots(self):
+        # 50-digit roots of 1 - (1 - c)^k - k c (1 - c)^(k - 1) = alpha,
+        # bracketed on (0, 50 / k) where the left side climbs from -alpha
+        import mpmath
+
+        for k in (2, 10, 1000, 100_000):
+            for alpha in (0.01, 0.05, 0.2):
+                with mpmath.workdps(50):
+                    a, kk = mpmath.mpf(alpha), mpmath.mpf(k)
+
+                    def h(c):
+                        return 1 - (1 - c) ** kk - kk * c * (1 - c) ** (kk - 1) - a
+
+                    root = mpmath.findroot(h, (mpmath.mpf(0), min(mpmath.mpf(1), 50 / kk)),
+                                           solver="anderson")
+                want = float(root)
+                # abs=0: the default absolute slack of 1e-12 would hide any
+                # relative error on critical values near 1e-6
+                assert uniformity_critical_value(k, alpha) == pytest.approx(want, rel=1e-13, abs=0)
+
     def test_pair_critical_value_is_root_alpha(self):
         assert uniformity_critical_value(2, 0.05) == pytest.approx(np.sqrt(0.05), abs=1e-12)
 
@@ -138,11 +158,20 @@ class TestExactConfidenceSet:
 class TestExactEnvelope:
     def test_matches_brute_enumeration(self):
         g = stream(913)
+        samples = []
         for _ in range(10):
             m = int(g.integers(4, 11))
             p = np.clip(g.random(m) * float(g.uniform(0.2, 1.0)), 1e-9, 1.0)
             if g.random() < 0.4:
                 p = np.ceil(p * 8) / 8
+            samples.append(p)
+        # edge inputs: m in {1, 2}, p-values of exactly 0 and 1, all values tied
+        samples += [np.array(v, dtype=float) for v in (
+            [0.3], [0.0], [1.0], [0.0, 1.0], [0.2, 0.2], [0.0, 0.0, 0.4, 1.0, 1.0],
+            [0.001] * 7, [1.0] * 5,
+        )]
+        for p in samples:
+            m = p.size
             cs = exact_confidence_set(p, 0.1)
             env = exact_envelope(cs, p)
             accepted = brute_accepted_labelings(p, 0.1)
@@ -341,10 +370,13 @@ class TestAsymptoticEnvelope:
 
     def test_floor_enforcement(self):
         p = np.linspace(0.01, 0.99, 1000)  # (log m)^4 / m > 1 at m = 1000
-        with pytest.raises(ValueError, match="no valid evaluation window"):
+        with pytest.raises(ValueError, match="no valid evaluation window") as window:
             asymptotic_envelope(p)
-        with pytest.raises(ValueError, match="small-t floor"):
-            asymptotic_envelope(p, t_min=0.001)
+        with pytest.raises(ValueError, match="small-t floor") as below:
+            asymptotic_envelope(p, t_min=np.float64(0.001))
+        assert "= 2.2769" in str(window.value)
+        for err in (window, below):
+            assert "np.float64" not in str(err.value)
         with pytest.raises(ValueError, match="explicit t_min"):
             asymptotic_envelope(p, enforce_floor=False)
         env = asymptotic_envelope(p, t_min=0.001, enforce_floor=False)
