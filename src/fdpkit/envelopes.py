@@ -273,17 +273,21 @@ class ExactConfidenceSet:
 
     ``feasible[k]`` says whether some size-k subset is accepted (the k
     largest p-values are the easiest to accept, so only they are checked);
-    ``accepted_summaries`` lists those k, and ``m0_interval`` is their
-    range.  ``contains(labels)`` runs the exact membership test for a full
-    labeling (1 marking the alternative)."""
+    ``accepted_summaries`` lists those k (read off ``feasible`` on each
+    access), and ``m0_interval`` is their range.  ``contains(labels)`` runs
+    the exact membership test for a full labeling (1 marking the
+    alternative)."""
 
     pvalues: np.ndarray
     sorted_pvalues: np.ndarray
     alpha: float
     crit: np.ndarray
     feasible: np.ndarray
-    accepted_summaries: tuple
     m0_interval: tuple
+
+    @property
+    def accepted_summaries(self) -> tuple:
+        return tuple(np.flatnonzero(self.feasible).tolist())
 
     def contains(self, labels) -> bool:
         lab = np.asarray(labels)
@@ -311,15 +315,14 @@ def exact_confidence_set(pvalues, alpha: float) -> ExactConfidenceSet:
     crit[2:] = betaincinv(2.0, ks - 1.0, alpha)
     feasible = np.ones(m + 1, dtype=bool)
     feasible[2:] = ps[m - ks + 1] > crit[2:]
-    accepted = tuple(np.flatnonzero(feasible).tolist())
+    accepted = np.flatnonzero(feasible)
     return ExactConfidenceSet(
         pvalues=p.copy(),
         sorted_pvalues=ps,
         alpha=alpha,
         crit=crit,
         feasible=feasible,
-        accepted_summaries=accepted,
-        m0_interval=(accepted[0], accepted[-1]),
+        m0_interval=(int(accepted[0]), int(accepted[-1])),
     )
 
 

@@ -4,8 +4,9 @@ weight, and the alternative CDF.
 The mixing-weight estimators come in three flavours: the exceedance ratio at
 a fixed cut point, a uniform-confidence lower bound built from the empirical
 CDF band, and a kernel-density plug-in for the identifiable floor.  The
-alternative CDF is recovered by a sup-norm projection of the de-uniformed
-empirical CDF onto the set of CDFs supported on the observed p-value grid.
+alternative CDF is recovered by the exact sup-norm projection of the
+de-uniformed empirical CDF onto the set of CDFs supported on the observed
+p-value grid, computed in closed form as an L-infinity isotonic regression.
 """
 
 from __future__ import annotations
@@ -279,46 +280,32 @@ def _step_targets(ghat: EcdfEstimate, ahat: float):
     """Per-interval extreme values of E(t) = Ghat(t) - (1 - ahat) t.
 
     Interval k = [x_k, x_{k+1}) (the last one closes at 1) owns the step
-    value h_k of the projected CDF; the fixed stretch [0, x_1), where the
-    projection is pinned at 0, contributes a constant term.
+    value h_k of the projected CDF; E is linear on it except at the floor
+    variant's kink b = Ghat_raw(x_k) when x_k < b < x_{k+1}.  The fixed
+    stretch [0, x_1), where the projection is pinned at 0, contributes a
+    constant term.
     """
-    grid = np.unique(ghat.base.knots[1:] if ghat.base.knots[0] == 0.0 else ghat.base.knots)
-    grid = grid[grid > 0.0]
-    if ghat.base.knots[0] == 0.0 and ghat.base.values[0] > 0.0:
-        grid = np.r_[0.0, grid]          # an observed p-value of exactly 0
-    if grid.size == 0:
-        raise ValueError("no usable p-value grid")
-    n = grid.size
+    knots = ghat.base.knots
+    # an observed p-value of exactly 0 makes 0 a grid point of its own
+    grid = knots if ghat.base.values[0] > 0.0 else knots[1:]
     one_minus_a = 1.0 - ahat
-
-    def e_right(t):
-        return float(ghat(t)) - one_minus_a * t
-
-    def e_left(t):
-        return float(ghat.left(t)) - one_minus_a * t
-
-    lo = np.empty(n)
-    hi = np.empty(n)
-    for k in range(n):
-        s = grid[k]
-        e = grid[k + 1] if k < n - 1 else 1.0
-        targets = [e_right(s)]
-        if e > s:
-            targets.append(e_left(e))
-        if k == n - 1 and e > s:
-            targets.append(e_right(1.0))
-        if ghat.variant == "floor":
-            b = float(ghat.base(s))
-            if s < b < e:
-                targets.append(b - one_minus_a * b)
-        lo[k] = min(targets)
-        hi[k] = max(targets)
-    # fixed stretch before the first breakpoint
+    e = np.r_[grid[1:], 1.0]
+    er = np.asarray(ghat(grid), dtype=float) - one_minus_a * grid
+    el = np.asarray(ghat.left(e), dtype=float) - one_minus_a * e
+    if grid[-1] == 1.0:
+        el[-1] = er[-1]      # a p-value of 1 shrinks the last interval to {1}
+    lo = np.minimum(er, el)
+    hi = np.maximum(er, el)
+    if ghat.variant == "floor":
+        b = np.asarray(ghat.base(grid), dtype=float)
+        kink = (grid < b) & (b < e)
+        eb = b - one_minus_a * b
+        lo = np.where(kink, np.minimum(lo, eb), lo)
+        hi = np.where(kink, np.maximum(hi, eb), hi)
+    # on the fixed stretch E is linear from E(0) = 0
+    fixed_dev = 0.0
     if grid[0] > 0.0:
-        fixed = [e_right(0.0), e_left(grid[0])]
-        fixed_dev = max(abs(v) for v in fixed)
-    else:
-        fixed_dev = 0.0
+        fixed_dev = abs(float(ghat.left(grid[0])) - one_minus_a * grid[0])
     return grid, lo, hi, fixed_dev
 
 
@@ -329,140 +316,59 @@ def _node_targets(ghat: EcdfEstimate, ahat: float):
     floor variant); between nodes both E and the candidate CDF are linear, so
     the sup-norm is controlled by the one-sided values at the nodes.
     """
-    base_knots = ghat.base.knots
-    nodes = set(base_knots.tolist()) | {0.0, 1.0}
+    ks = ghat.base.knots
+    parts = [ks, [0.0, 1.0]]
     if ghat.variant == "floor":
-        ks = base_knots
-        for k in range(ks.size):
-            s = ks[k]
-            e = ks[k + 1] if k + 1 < ks.size else 1.0
-            b = float(ghat.base(s))
-            if s < b < e:
-                nodes.add(b)
-    nodes = np.array(sorted(nodes))
+        b = ghat.base.values
+        parts.append(b[(ks < b) & (b < np.r_[ks[1:], 1.0])])
+    nodes = np.unique(np.concatenate(parts))
     one_minus_a = 1.0 - ahat
     er = np.asarray(ghat(nodes), dtype=float) - one_minus_a * nodes
     el = np.asarray(ghat.left(nodes), dtype=float) - one_minus_a * nodes
     lo = np.minimum(er, el)
     hi = np.maximum(er, el)
-    # node 0 is pinned at height 0
-    fixed_dev = max(abs(lo[0]), abs(hi[0]))
-    return nodes, lo[1:], hi[1:], fixed_dev
+    # node 0 is pinned at height 0, and E has no jump there
+    return nodes, lo[1:], hi[1:], abs(er[0])
 
 
-def _coordinate_minimax(lo, hi, ahat, fixed_dev, init, tol, max_iter):
-    """Minimize max(fixed_dev, max_k max(hi_k - a h_k, a h_k - lo_k)) over
-    nondecreasing h in [0, 1] by local segment moves.
-
-    Single-segment moves go to the bound-clipped midpoint (the exact local
-    minimizer of the V-shaped per-segment deviation).  When the worst
-    segment sits inside a block of equal values, the end segments of the
-    block are tried instead; sweeps over all segments handle tied chains.
-    """
-    n = lo.size
-    h = np.clip(np.asarray(init, dtype=float).copy(), 0.0, 1.0)
-    np.maximum.accumulate(h, out=h)
-    mid = (lo + hi) / (2.0 * ahat)
-
-    def devs(hh):
-        return np.maximum(hi - ahat * hh, ahat * hh - lo)
-
-    def sweep(hh):
-        changed = False
-        for k in range(n):
-            lb = hh[k - 1] if k > 0 else 0.0
-            ub = hh[k + 1] if k < n - 1 else 1.0
-            v = min(max(mid[k], lb), ub)
-            if v != hh[k]:
-                hh[k] = v
-                changed = True
-        return changed
-
-    for _ in range(100):
-        if not sweep(h):
-            break
-
-    if max_iter is None:
-        max_iter = 10 * max(n, 1)
-    stalled_sweeps = 0
-    for _ in range(int(max_iter)):
-        d = devs(h)
-        worst = float(d.max())
-        obj = max(fixed_dev, worst)
-        if worst <= fixed_dev + tol:
-            break
-        k = int(np.argmax(d))          # leftmost worst segment
-
-        def try_move(idx):
-            lb = h[idx - 1] if idx > 0 else 0.0
-            ub = h[idx + 1] if idx < n - 1 else 1.0
-            v = min(max(mid[idx], lb), ub)
-            if v == h[idx]:
-                return None
-            trial = h.copy()
-            trial[idx] = v
-            return trial, max(fixed_dev, float(devs(trial).max()))
-
-        moved = False
-        cand = try_move(k)
-        if cand is not None and cand[1] < obj - tol:
-            h = cand[0]
-            moved = True
-        if not moved:
-            # contiguous block of equal values around the worst segment
-            l = k
-            while l > 0 and h[l - 1] == h[k]:
-                l -= 1
-            r = k
-            while r < n - 1 and h[r + 1] == h[k]:
-                r += 1
-            best = None
-            for idx in {l, r}:
-                cand = try_move(idx)
-                if cand is not None and (best is None or cand[1] < best[1]):
-                    best = cand
-            if best is not None and best[1] < obj - tol:
-                h = best[0]
-                moved = True
-        if not moved:
-            if not sweep(h):
-                break
-            stalled_sweeps += 1
-            if stalled_sweeps > n + 2:
-                break
-    return h
-
-
-def project_f(
-    ghat: EcdfEstimate,
-    ahat,
-    *,
-    piecewise_linear: bool = False,
-    tol: float = 1e-12,
-    max_iter: int | None = None,
-):
+def project_f(ghat: EcdfEstimate, ahat, *, piecewise_linear: bool = False):
     """Estimate the alternative CDF by sup-norm projection.
 
-    Finds a CDF H minimizing ``||Ghat - (1 - ahat) U - ahat H||_inf`` over
-    step CDFs on the observed p-value grid (or over continuous piecewise
-    linear CDFs with nodes on that grid when ``piecewise_linear=True``,
-    a finer representation suited to smooth targets).  The minimization is
-    a descent over single-segment moves with a tied-block rule; the result
-    is a valid CDF and a local minimum of the objective under those moves.
+    Returns a CDF H minimizing ``||Ghat - (1 - ahat) U - ahat H||_inf``
+    over step CDFs on the observed p-value grid (or over continuous
+    piecewise-linear CDFs with nodes on that grid and H(0) = 0 when
+    ``piecewise_linear=True``, a finer representation suited to smooth
+    targets).  The result is the global optimum.
+
+    Each free value h_k of H faces a band [lo_k, hi_k] of values of
+    E = Ghat - (1 - ahat) U (its extremes over the k-th interval, or the
+    one-sided values at the k-th node), and the stretch where H is pinned
+    at 0 contributes a fixed deviation ``fixed_dev``.  With y = ahat h,
+    the problem is L-infinity isotonic regression on interval data, whose
+    optimal value is
+
+        D* = max(fixed_dev, max_k (cummax(hi)_k - lo_k) / 2,
+                 max_k (hi_k - ahat), max_k (-lo_k)).
+
+    Every nondecreasing y between L = clip(cummax(hi) - D*, 0, ahat) and
+    U = clip(reverse-cummin(lo + D*), 0, ahat) attains D*; the canonical
+    midpoint h = (L + U) / (2 ahat) is returned, which is nondecreasing,
+    in [0, 1] and deterministic.  Runs in O(n log n) for n p-values.
     """
     a = _ahat_value(ahat)
     if not 0.0 < a <= 1.0:
         raise ValueError("ahat must lie in (0, 1]")
+    targets = _node_targets if piecewise_linear else _step_targets
+    x, lo, hi, fixed_dev = targets(ghat, a)
+    cum_hi = np.maximum.accumulate(hi)
+    d = max(fixed_dev, float(np.max(cum_hi - lo)) / 2.0,
+            float(np.max(hi)) - a, -float(np.min(lo)))
+    lower = np.clip(cum_hi - d, 0.0, a)
+    upper = np.clip(np.minimum.accumulate((lo + d)[::-1])[::-1], 0.0, a)
+    h = (lower + upper) / (2.0 * a)
     if piecewise_linear:
-        nodes, lo, hi, fixed_dev = _node_targets(ghat, a)
-        init = np.maximum.accumulate(np.clip(hi / a, 0.0, 1.0))
-        h = _coordinate_minimax(lo, hi, a, fixed_dev, init, tol, max_iter)
-        return PiecewiseLinear(nodes, np.r_[0.0, h])
-    grid, lo, hi, fixed_dev = _step_targets(ghat, a)
-    er = np.asarray(ghat(grid), dtype=float) - (1.0 - a) * grid
-    init = np.maximum.accumulate(np.clip(er / a, 0.0, 1.0))
-    h = _coordinate_minimax(lo, hi, a, fixed_dev, init, tol, max_iter)
-    return StepFunction.from_pairs(grid, h, value_at_zero=0.0)
+        return PiecewiseLinear(x, np.r_[0.0, h])
+    return StepFunction.from_pairs(x, h, value_at_zero=0.0)
 
 
 def projection_objective(ghat: EcdfEstimate, ahat, fhat) -> float:
@@ -474,30 +380,20 @@ def projection_objective(ghat: EcdfEstimate, ahat, fhat) -> float:
     because the difference is linear in between.
     """
     a = _ahat_value(ahat)
-    xs = set(ghat.base.knots.tolist()) | {0.0, 1.0}
+    parts = [ghat.base.knots, [0.0, 1.0]]
     if ghat.variant == "lcm":
-        xs |= set(ghat.hull.x.tolist())
+        parts.append(ghat.hull.x)
     if ghat.variant == "floor":
-        xs |= set(np.clip(ghat.base.values, 0.0, 1.0).tolist())
+        parts.append(np.clip(ghat.base.values, 0.0, 1.0))
     if isinstance(fhat, StepFunction):
-        xs |= set(fhat.knots.tolist())
-
-        def f_right(t):
-            return np.asarray(fhat(t), dtype=float)
-
-        def f_left(t):
-            return np.asarray(fhat.left(t), dtype=float)
-
+        parts.append(fhat.knots)
+        f_left = fhat.left
     else:
-        xs |= set(fhat.x.tolist())
-
-        def f_right(t):
-            return np.asarray(fhat(t), dtype=float)
-
-        f_left = f_right
-    ts = np.array(sorted(xs))
+        parts.append(fhat.x)
+        f_left = fhat
+    ts = np.unique(np.concatenate(parts))
     gr = np.asarray(ghat(ts), dtype=float)
     gl = np.asarray(ghat.left(ts), dtype=float)
-    dev_right = np.abs(gr - (1.0 - a) * ts - a * f_right(ts))
-    dev_left = np.abs(gl - (1.0 - a) * ts - a * f_left(ts))
+    dev_right = np.abs(gr - (1.0 - a) * ts - a * np.asarray(fhat(ts), dtype=float))
+    dev_left = np.abs(gl - (1.0 - a) * ts - a * np.asarray(f_left(ts), dtype=float))
     return float(max(dev_right.max(), dev_left.max()))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import binom
+from scipy.special import betainc
 
 from .envelopes import asymptotic_envelope, exact_confidence_set
 from .estimation import ecdf, astar_lower, kernel_a_consistent, project_f, storey_a0
@@ -246,6 +246,8 @@ def _target_storey_degenerate(config):
     model = scen.model()
     reps = int(config.get("reps", 10_000))
     t0 = float(config.get("t0", 0.5))
+    if not 0.0 < t0 < 1.0:
+        raise ValueError("t0 must lie in (0, 1)")
     half_tol = float(config.get("half_tol", 0.02))
     hits = 0
     for p, _ in _blocks(scen, model, reps):
@@ -253,8 +255,10 @@ def _target_storey_degenerate(config):
         a0 = np.maximum((cnt / scen.m - t0) / (1.0 - t0), 0.0)
         hits += int((a0 == 0.0).sum())
     observed = hits / reps
-    # under a pure-null sample the clamp fires iff Bin(m, t0) <= m t0
-    expected = float(binom.cdf(np.floor(scen.m * t0), scen.m, t0))
+    # under a pure-null sample the clamp fires iff Bin(m, t0) <= k = floor(m t0);
+    # P(Bin(m, t0) <= k) = I_{1 - t0}(m - k, k + 1), the regularized beta
+    k = np.floor(scen.m * t0)
+    expected = float(betainc(scen.m - k, k + 1.0, 1.0 - t0))
     se = np.sqrt(expected * (1.0 - expected) / reps)
     z = abs(observed - expected) / se
     sigmas = float(config.get("sigmas", 4.0))

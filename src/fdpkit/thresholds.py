@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .estimation import NullFractionEstimate, _validated_pvalues, ecdf, kernel_density
+from .estimation import _ahat_value, _validated_pvalues, ecdf, kernel_density
 from .kernels import KernelSpec, eval_kernel
 from .model import MixtureModel, q_inverse, q_map
 
@@ -123,12 +123,6 @@ def oracle_threshold(model: MixtureModel, alpha: float) -> ThresholdResult:
     )
 
 
-def _ahat_value(ahat) -> tuple[float, str | None]:
-    if isinstance(ahat, NullFractionEstimate):
-        return float(ahat.value), ahat.method
-    return float(ahat), None
-
-
 def plugin_threshold(pvalues, ahat, alpha: float, variant: str = "plain") -> ThresholdResult:
     """Plug-in rule: the largest candidate t in {0} U {p-values} U {1} with
     estimated positive-FDR value (1 - ahat) t / Ghat(t) at or below alpha.
@@ -143,10 +137,11 @@ def plugin_threshold(pvalues, ahat, alpha: float, variant: str = "plain") -> Thr
     p = _validated_pvalues(pvalues)
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    a, a_method = _ahat_value(ahat)
+    a = _ahat_value(ahat)
     if not 0.0 <= a <= 1.0:
         raise ValueError("ahat must lie in [0, 1]")
     diag = {"ahat": a, "variant": variant}
+    a_method = getattr(ahat, "method", None)
     if a_method is not None:
         diag["ahat_method"] = a_method
     if a == 1.0:

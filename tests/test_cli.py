@@ -323,6 +323,14 @@ class TestProcessLevel:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["rejected"] == 4
 
+    def test_import_leaves_out_scipy_stats(self):
+        # scipy.stats takes about a second to import and no CLI path needs it
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, fdpkit.cli; print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_console_script(self, pfile, tmp_path):
         # Run the declared [project.scripts] entry through the wrapper that an
         # installer writes for it, so no prior install is needed.

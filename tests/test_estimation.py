@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fdpkit import (
     MixtureModel,
@@ -265,7 +267,88 @@ def brute_force_projection(p, ahat, levels=65):
     return float(alldev.max(axis=1).min())
 
 
+def lp_projection_optimum(p, g, ahat, piecewise_linear):
+    """Smallest ``||Ghat - (1 - ahat) U - ahat H||_inf`` by linear programming.
+
+    H is a step CDF with values v_k on [xs_k, xs_{k+1}) for the distinct
+    p-values xs (0 before xs_0), or a piecewise-linear CDF with H(0) = 0
+    through nodes at every breakpoint of Ghat (more nodes cannot lower the
+    optimum).  The deviation is linear between the breakpoints of Ghat
+    (ECDF jumps, hull nodes, floor kinks) and of H, so its sup norm is the
+    largest one-sided value at those points; each becomes a pair of LP rows.
+    """
+    from scipy.optimize import linprog
+
+    ts = [g.base.knots, [0.0, 1.0], np.unique(p)]
+    if g.variant == "lcm":
+        ts.append(g.hull.x)
+    if g.variant == "floor":
+        ts.append(np.clip(g.base.values, 0.0, 1.0))
+    ts = np.unique(np.concatenate(ts))
+    xs = ts if piecewise_linear else np.unique(p)
+    n = xs.size
+    if piecewise_linear:
+        w_right = np.column_stack([np.interp(ts, xs, col) for col in np.eye(n)])
+        w_left = w_right
+    else:
+        def select(idx):
+            return np.where((idx >= 0)[:, None], np.eye(n)[np.maximum(idx, 0)], 0.0)
+
+        w_right = select(np.searchsorted(xs, ts, side="right") - 1)
+        w_left = select(np.searchsorted(xs, ts, side="left") - 1)
+    inner = ts > 0.0          # a left limit at 0 is the value at 0
+    e = np.r_[np.asarray(g(ts)) - (1 - ahat) * ts,
+              np.asarray(g.left(ts[inner])) - (1 - ahat) * ts[inner]]
+    w = np.vstack([w_right, w_left[inner]])
+    one = np.ones((e.size, 1))
+    mono = np.eye(n)[:-1] - np.eye(n)[1:]
+    a_ub = np.vstack([
+        np.hstack([-ahat * w, -one]),      # E - a H <= D
+        np.hstack([ahat * w, -one]),       # a H - E <= D
+        np.hstack([mono, np.zeros((n - 1, 1))]),
+    ])
+    b_ub = np.r_[-e, e, np.zeros(n - 1)]
+    bounds = [(0.0, 1.0)] * n + [(0.0, None)]
+    if piecewise_linear:
+        bounds[0] = (0.0, 0.0)
+    res = linprog(np.r_[np.zeros(n), 1.0], A_ub=a_ub, b_ub=b_ub, bounds=bounds,
+                  method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+_pvalue = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
 class TestProjectF:
+    @given(
+        p=st.lists(_pvalue, min_size=1, max_size=40),
+        variant=st.sampled_from(["plain", "floor", "lcm"]),
+        piecewise_linear=st.booleans(),
+        ahat=st.floats(0.01, 1.0),
+    )
+    @example(p=[0.3], variant="plain", piecewise_linear=False, ahat=0.5)
+    @example(p=[0.0, 1.0], variant="floor", piecewise_linear=False, ahat=0.7)
+    @example(p=[0.0, 0.0], variant="lcm", piecewise_linear=True, ahat=1.0)
+    @example(p=[1.0, 1.0], variant="plain", piecewise_linear=True, ahat=0.2)
+    @example(p=[0.4] * 7, variant="floor", piecewise_linear=False, ahat=0.9)
+    @example(p=[0.4] * 7, variant="lcm", piecewise_linear=False, ahat=0.3)
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    def test_global_optimum_matches_lp(self, p, variant, piecewise_linear, ahat):
+        g = ecdf(p, variant)
+        f = project_f(g, ahat, piecewise_linear=piecewise_linear)
+        if piecewise_linear:
+            vals = f.y
+            assert f.x[0] == 0.0 and f.x[-1] == 1.0 and vals[0] == 0.0
+        else:
+            vals = f.values
+            xs = np.unique(p)
+            assert np.array_equal(f.knots[f.knots > 0.0], xs[xs > 0.0])
+        assert np.all(np.diff(vals) >= 0.0)
+        assert vals[0] >= 0.0 and vals[-1] <= 1.0
+        obj = projection_objective(g, ahat, f)
+        assert abs(obj - lp_projection_optimum(p, g, ahat, piecewise_linear)) <= 1e-12
+
     def test_ahat_one_reproduces_ghat(self, example1):
         g = ecdf(example1, "plain")
         f = project_f(g, 1.0)
@@ -297,8 +380,8 @@ class TestProjectF:
         ours = projection_objective(g, ahat, project_f(g, ahat))
         brute = brute_force_projection(p, ahat)
         # ours optimizes over continuous values, brute over a 1/64 value grid:
-        # ours can undercut brute, brute can undercut a local optimum by at
-        # most the grid quantization of the ahat-scaled values
+        # ours can undercut brute, and brute lies above the continuous optimum
+        # by at most the grid quantization of the ahat-scaled values
         assert ours <= brute + 1e-9
         assert brute <= ours + ahat / 64 + 1e-9
 

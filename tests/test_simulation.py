@@ -180,6 +180,19 @@ class TestValidationHarness:
         assert r["passed"] is True
         assert r["worst_abs_diff"] < 1e-10
 
+    def test_storey_degenerate_expected_mass_matches_mpmath(self):
+        # P(Bin(m, t0) <= floor(m t0)) at the target's defaults m = 1e4, t0 = 0.5
+        import mpmath
+
+        r = run_validation({"reps": 100}, "storey-degenerate")
+        m = 10_000
+        with mpmath.workdps(50):
+            half = mpmath.mpf(1) / 2
+            want = mpmath.fsum(mpmath.binomial(m, i) for i in range(m // 2 + 1)) * half**m
+        assert r["expected_mass_at_zero"] == pytest.approx(float(want), rel=1e-13, abs=0)
+        with pytest.raises(ValueError, match="t0"):
+            run_validation({"t0": 1.0}, "storey-degenerate")
+
     def test_reduced_scale_targets_pass(self):
         quick = [
             ("fdp-mean", {"reps": 2000, "m": 100}),
