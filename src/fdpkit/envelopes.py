@@ -9,7 +9,8 @@ second-smallest p-value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import betaincinv
@@ -33,9 +34,6 @@ __all__ = [
     "m10_envelope",
 ]
 
-_W_CACHE: dict = {}
-
-
 def brownian_sup_quantile(
     alpha_half: float,
     t_floor: float,
@@ -54,9 +52,13 @@ def brownian_sup_quantile(
         raise ValueError("grid_size must be at least 1")
     if reps < 10_000:
         raise ValueError("reps must be at least 10000 for a stable quantile")
-    key = (float(alpha_half), float(t_floor), int(grid_size), int(reps), int(seed))
-    if key in _W_CACHE:
-        return _W_CACHE[key]
+    return _brownian_sup_mc(float(alpha_half), float(t_floor), int(grid_size), int(reps), int(seed))
+
+
+@functools.lru_cache(maxsize=8)
+def _brownian_sup_mc(alpha_half: float, t_floor: float, grid_size: int, reps: int, seed: int) -> float:
+    # one envelope per replicate reuses the same arguments; the bound keeps
+    # a sweep over seeds or floors from growing the cache without end
     grid = np.geomspace(t_floor, 1.0, grid_size)
     grid[-1] = 1.0
     dt = np.diff(np.r_[0.0, grid])
@@ -73,47 +75,31 @@ def brownian_sup_quantile(
         stats[done : done + n] = (b / root_grid).max(axis=1)
         done += n
         chunk_idx += 1
-    out = float(np.quantile(stats, 1.0 - alpha_half, method="linear"))
-    _W_CACHE[key] = out
-    return out
+    return float(np.quantile(stats, 1.0 - alpha_half, method="linear"))
 
 
 @dataclass(frozen=True)
 class _AsymptoticCurve:
-    """The band t -> min(V(t) / Ghat(t), 1) with V(t) = (1 - a0) t
-    + delta sqrt(t / m); undefined (NaN) below the floor t_min."""
+    """The count path V(t) = (1 - a0) t + delta sqrt(t / m) or, when
+    ``ghat`` is given, the band t -> min(V(t) / Ghat(t), 1); both are
+    undefined (NaN) below the floor t_min."""
 
-    ghat: object
     one_minus_a0: float
     delta: float
     m: int
     t_min: float
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0.0) or np.any(t > 1.0):
-            raise ValueError("evaluation points must lie in [0, 1]")
-        v = self.one_minus_a0 * t + self.delta * np.sqrt(t / self.m)
-        g = np.asarray(self.ghat(t), dtype=float)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.where(g > 0.0, v / np.where(g > 0.0, g, 1.0), np.inf)
-        out = np.minimum(out, 1.0)
-        out = np.where(t < self.t_min, np.nan, out)
-        return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
-class _AsymptoticCount:
-    one_minus_a0: float
-    delta: float
-    m: int
-    t_min: float
+    ghat: object = None
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         if np.any(t < 0.0) or np.any(t > 1.0):
             raise ValueError("evaluation points must lie in [0, 1]")
         out = self.one_minus_a0 * t + self.delta * np.sqrt(t / self.m)
+        if self.ghat is not None:
+            g = np.asarray(self.ghat(t), dtype=float)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                out = np.where(g > 0.0, out / np.where(g > 0.0, g, 1.0), np.inf)
+            out = np.minimum(out, 1.0)
         out = np.where(t < self.t_min, np.nan, out)
         return out if out.ndim else float(out)
 
@@ -200,10 +186,9 @@ def asymptotic_envelope(
         )
     tail_term = np.sqrt(2.0) / (1.0 - t0) * np.sqrt(np.log(4.0 / alpha))
     delta = max(2.0 * one_minus_a0 * float(w), float(tail_term))
-    curve = _AsymptoticCurve(ghat=ghat, one_minus_a0=one_minus_a0, delta=delta, m=m, t_min=float(t_min))
-    count = _AsymptoticCount(one_minus_a0=one_minus_a0, delta=delta, m=m, t_min=float(t_min))
+    count = _AsymptoticCurve(one_minus_a0=one_minus_a0, delta=delta, m=m, t_min=float(t_min))
     return EnvelopeResult(
-        gamma_bar=curve,
+        gamma_bar=replace(count, ghat=ghat),
         level=alpha,
         method="asymptotic",
         t_min=float(t_min),
@@ -383,7 +368,14 @@ def confidence_thresholds(env: EnvelopeResult, c: float | None = None) -> Thresh
     it, the rule that rejects as much as possible at the best achievable
     rate.  ``inclusive=False`` marks a supremum approached from the left
     but not attained, in which case ``rejected`` counts p-values strictly
-    below t."""
+    below t.
+
+    Both rules are read off in one O(m) array pass over the pieces of the
+    empirical CDF, on each of which the bound rises: the minimum sits at a
+    piece start, and the ceiling is crossed in the last piece whose start is
+    feasible.  For the asymptotic band that crossing solves
+    (1 - a0) t + delta sqrt(t / m) = c Ghat in the form free of cancellation
+    t* = y^2, y = 2 c Ghat / (b + sqrt(b^2 + 4 (1 - a0) c Ghat)), b = delta / sqrt(m)."""
     if env.method == "exact":
         return _exact_thresholds(env, c)
     if env.method == "asymptotic":
@@ -426,52 +418,28 @@ def _exact_thresholds(env: EnvelopeResult, c: float | None) -> ThresholdResult:
 
 def _asymptotic_thresholds(env: EnvelopeResult, c: float | None) -> ThresholdResult:
     curve: _AsymptoticCurve = env.gamma_bar
-    ghat = curve.ghat
-    knots = ghat.base.knots
-    gvals = ghat.base.values
-    t_min = env.t_min
-    one_m = curve.one_minus_a0
-    delta = curve.delta
-    root_m = np.sqrt(curve.m)
-
-    # pieces of Ghat clipped to [t_min, 1]
-    pieces = []
-    for i in range(knots.size):
-        s = knots[i]
-        e = knots[i + 1] if i + 1 < knots.size else 1.0
-        s_eff = max(s, t_min)
-        if i + 1 == knots.size:
-            e = 1.0
-        if s_eff < e or (i + 1 == knots.size and s_eff <= 1.0):
-            pieces.append((s_eff, e, gvals[i], i + 1 == knots.size))
-
+    base = curve.ghat.base
+    # pieces [starts, ends) of Ghat clipped to [t_min, 1]; the last one, up
+    # to and including 1, is always kept.  The band rises on every piece.
+    starts = np.maximum(base.knots, env.t_min)
+    ends = np.r_[base.knots[1:], 1.0]
+    keep = starts < ends
+    keep[-1] = True
+    starts, ends, g = starts[keep], ends[keep], base.values[keep]
+    band = curve(starts)
     if c is None:
-        cand_t = np.array([s for s, _, _, _ in pieces])
-        cand_v = np.array([float(curve(s)) for s, _, _, _ in pieces])
-        z = cand_v.min()
-        t = cand_t[np.nonzero(cand_v == z)[0][-1]]
-        return _threshold_result(env, t, z, True, c)
+        z = band.min()
+        return _threshold_result(env, starts[np.flatnonzero(band == z)[-1]], z, True, c)
 
-    for s, e, v, is_last in reversed(pieces):
-        if v <= 0.0:
-            continue
-        if float(curve(s)) > c:
-            continue
-        # solve (1 - a0) t + delta sqrt(t / m) = c v for the crossing
-        target = c * v
-        if one_m > 0.0:
-            b = delta / root_m
-            y = (-b + np.sqrt(b * b + 4.0 * one_m * target)) / (2.0 * one_m)
-            tstar = y * y
-        elif delta > 0.0:
-            tstar = (target * root_m / delta) ** 2
-        else:
-            tstar = np.inf
-        if is_last:
-            if tstar >= 1.0:
-                return _threshold_result(env, 1.0, c, True, c)
-            return _threshold_result(env, max(tstar, s), c, True, c)
-        if tstar >= e:
-            return _threshold_result(env, e, c, False, c)
-        return _threshold_result(env, max(tstar, s), c, True, c)
-    return _threshold_result(env, 0.0, c, True, c)
+    ok = np.flatnonzero((g > 0.0) & (band <= c))
+    if not ok.size:
+        return _threshold_result(env, 0.0, c, True, c)
+    i = ok[-1]
+    # (1 - a0) y^2 + b y = c Ghat with y = sqrt(t), b = delta / sqrt(m) > 0,
+    # solved in the form free of cancellation (it also covers 1 - a0 = 0)
+    b = curve.delta / np.sqrt(curve.m)
+    cv = c * g[i]
+    tstar = (2.0 * cv / (b + np.sqrt(b * b + 4.0 * curve.one_minus_a0 * cv))) ** 2
+    if tstar >= ends[i]:
+        return _threshold_result(env, ends[i], c, i == starts.size - 1, c)
+    return _threshold_result(env, max(tstar, starts[i]), c, True, c)

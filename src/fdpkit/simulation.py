@@ -551,7 +551,10 @@ def _target_rate_ceiling_known_a(config):
     }
 
 
-def _target_envelope_coverage(config):
+def _asymptotic_coverage(config, kind):
+    # kind "fdp": the band covers the realized FDP at every p-value at or
+    # above t_min; kind "count": m times the count path covers the number
+    # of nulls at or below each null p-value there
     scen = _scenario(config, m=1000, a=0.25, family="one-sided-normal", params={"theta": 3.0})
     reps = int(config.get("reps", 1000))
     alpha = float(config.get("alpha", 0.05))
@@ -564,14 +567,19 @@ def _target_envelope_coverage(config):
         p = samp.pvalues
         lab = samp.labels.astype(bool)
         env = asymptotic_envelope(p, t0=t0, alpha=alpha, t_min=t_min, enforce_floor=False)
-        ps = np.sort(p)
         nulls = np.sort(p[~lab])
-        cand = np.unique(np.r_[t_min, ps[ps >= t_min]])
-        r = np.searchsorted(ps, cand, side="right")
-        n0 = np.searchsorted(nulls, cand, side="right")
-        gamma = np.where(r > 0, n0 / np.maximum(r, 1), 0.0)
-        bound = np.asarray(env.gamma_bar(cand))
-        hits += int(np.all(gamma <= bound + 1e-12))
+        if kind == "fdp":
+            ps = np.sort(p)
+            cand = np.unique(np.r_[t_min, ps[ps >= t_min]])
+            r = np.searchsorted(ps, cand, side="right")
+            n0 = np.searchsorted(nulls, cand, side="right")
+            truth = np.where(r > 0, n0 / np.maximum(r, 1), 0.0)
+            bound = env.gamma_bar(cand)
+        else:
+            cand = np.unique(np.r_[t_min, nulls[nulls >= t_min]])
+            truth = np.searchsorted(nulls, cand, side="right")
+            bound = env.count_bound_at(cand)
+        hits += int(np.all(truth <= np.asarray(bound) + 1e-12))
     coverage = hits / reps
     return {
         "passed": bool(coverage >= gate),
@@ -581,35 +589,14 @@ def _target_envelope_coverage(config):
         "alpha": alpha,
         "t_min": t_min,
     }
+
+
+def _target_envelope_coverage(config):
+    return _asymptotic_coverage(config, "fdp")
 
 
 def _target_count_envelope_coverage(config):
-    scen = _scenario(config, m=1000, a=0.25, family="one-sided-normal", params={"theta": 3.0})
-    reps = int(config.get("reps", 1000))
-    alpha = float(config.get("alpha", 0.05))
-    t0 = float(config.get("t0", 0.5))
-    t_min = float(config.get("t_min", 1e-4))
-    gate = float(config.get("gate", 0.94))
-    hits = 0
-    for i in range(reps):
-        samp = generate_sample(scen, i)
-        p = samp.pvalues
-        lab = samp.labels.astype(bool)
-        env = asymptotic_envelope(p, t0=t0, alpha=alpha, t_min=t_min, enforce_floor=False)
-        nulls = np.sort(p[~lab])
-        cand = np.unique(np.r_[t_min, nulls[nulls >= t_min]])
-        m10 = np.searchsorted(nulls, cand, side="right")
-        bound = np.asarray(env.count_bound_at(cand))
-        hits += int(np.all(m10 <= bound + 1e-12))
-    coverage = hits / reps
-    return {
-        "passed": bool(coverage >= gate),
-        "coverage": float(coverage),
-        "gate": gate,
-        "reps": reps,
-        "alpha": alpha,
-        "t_min": t_min,
-    }
+    return _asymptotic_coverage(config, "count")
 
 
 def _target_label_set_coverage(config):

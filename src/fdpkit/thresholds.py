@@ -132,7 +132,11 @@ def plugin_threshold(pvalues, ahat, alpha: float, variant: str = "plain") -> Thr
     point is returned instead.  For the step variants the exact supremum
     (which can exceed the largest feasible candidate, since the map restarts
     rising inside each flat stretch of Ghat) is reported in
-    ``diagnostics["sup_exact"]``.
+    ``diagnostics["sup_exact"]``.  The exact supremum is read in one O(m)
+    array pass: a step piece [x, e) with value v is crossed at
+    t* = alpha v / (1 - ahat), a hull segment y = s t + c at
+    t* = alpha c / (1 - ahat - alpha s), and the last piece or segment
+    feasible at or right of its start decides.
     """
     p = _validated_pvalues(pvalues)
     if not 0.0 < alpha < 1.0:
@@ -172,53 +176,48 @@ def plugin_threshold(pvalues, ahat, alpha: float, variant: str = "plain") -> Thr
 
 
 def _step_sup(ghat, one_minus: float, alpha: float) -> float:
-    """Exact sup{t : (1 - ahat) t / Ghat(t) <= alpha} for the step variants."""
+    """Exact sup{t : (1 - ahat) t / Ghat(t) <= alpha} for the step variants.
+
+    The map rises on each piece [x, e) of the step CDF with value v, so the
+    piece contributes min(e, alpha v / (1 - ahat)) when that crossing lies
+    at or right of x; the floor variant uses max(v, x) and stops at v."""
     if one_minus <= alpha:            # the map tops out at one_minus
         return 1.0
-    knots = ghat.base.knots
-    vals = ghat.base.values
-    best = 0.0
-    for j in range(knots.size):
-        x = knots[j]
-        e = knots[j + 1] if j + 1 < knots.size else 1.0
-        v = vals[j]
-        if ghat.variant == "floor":
-            v_eff = max(v, x)         # rising part uses the step value only up to t = v
-            if v_eff <= 0.0:
-                continue
-            cross = alpha * max(v, x) / one_minus
-            hi = min(e, max(v, x), cross) if v > x else min(e, cross)
-            if hi >= x:
-                best = max(best, hi)
-            continue
-        if v <= 0.0:
-            continue
+    x = ghat.base.knots
+    v = ghat.base.values
+    hi = np.r_[x[1:], 1.0]            # piece ends, capped in place
+    if ghat.variant == "floor":
+        v_eff = np.maximum(v, x)
+        np.minimum(hi, alpha * v_eff / one_minus, out=hi)
+        np.minimum(hi, v_eff, out=hi, where=v > x)
+        ok = (v_eff > 0.0) & (hi >= x)
+    else:
         cross = alpha * v / one_minus
-        if cross >= x:
-            best = max(best, min(e, cross))
-    return float(best)
+        np.minimum(hi, cross, out=hi)
+        ok = (v > 0.0) & (cross >= x)
+    return float(np.max(hi, where=ok, initial=0.0))
 
 
 def _lcm_sup(ghat, one_minus: float, alpha: float) -> float:
-    """Exact sup along the concave majorant, scanned right to left."""
+    """Exact sup along the concave majorant: the last hull segment that is
+    feasible throughout (den <= 0) or crossed at t* >= its left end."""
     if one_minus <= alpha:
         return 1.0
     xs = ghat.hull.x
     ys = ghat.hull.y
-    for i in range(xs.size - 2, -1, -1):
-        x0, x1 = xs[i], xs[i + 1]
-        y0, y1 = ys[i], ys[i + 1]
-        s = (y1 - y0) / (x1 - x0)
-        c = y0 - s * x0
-        den = one_minus - alpha * s
-        if den <= 0.0:
-            return float(x1)          # feasible on the whole segment
+    x0, x1 = xs[:-1], xs[1:]
+    s = (ys[1:] - ys[:-1]) / (x1 - x0)
+    c = ys[:-1] - s * x0
+    den = one_minus - alpha * s
+    with np.errstate(divide="ignore", invalid="ignore"):
         tstar = alpha * c / den
-        if tstar >= x1:
-            return float(x1)
-        if tstar >= x0:
-            return float(tstar)
-    return 0.0
+    hit = np.flatnonzero((den <= 0.0) | (tstar >= x0))
+    if not hit.size:
+        return 0.0
+    i = hit[-1]
+    if den[i] <= 0.0 or tstar[i] >= x1[i]:
+        return float(x1[i])
+    return float(tstar[i])
 
 
 def bayes_classifier_threshold(pvalues, bandwidth: float | None = None) -> ThresholdResult:

@@ -291,6 +291,18 @@ class TestBrownianQuantile:
     def test_bridge_pins_to_zero_at_one(self):
         assert brownian_sup_quantile(0.025, 1.0, 1, 10_000) == 0.0
 
+    def test_cache_is_bounded(self):
+        from fdpkit.envelopes import _brownian_sup_mc
+
+        first = brownian_sup_quantile(0.025, 0.01, 4, 10_000, seed=100)
+        for seed in range(101, 112):
+            brownian_sup_quantile(0.025, 0.01, 4, 10_000, seed=seed)
+            assert _brownian_sup_mc.cache_info().currsize <= 8
+        assert brownian_sup_quantile(0.025, 0.01, 4, 10_000, seed=100) == first  # evicted, recomputed
+        hits = _brownian_sup_mc.cache_info().hits
+        assert brownian_sup_quantile(0.025, 0.01, 4, 10_000, seed=100) == first
+        assert _brownian_sup_mc.cache_info().hits == hits + 1
+
     def test_validation(self):
         with pytest.raises(ValueError):
             brownian_sup_quantile(0.0, 0.001)
@@ -423,3 +435,83 @@ class TestAsymptoticThresholds:
         assert asym_env.gamma_at(r.t) == pytest.approx(r.z, rel=1e-12)
         ts = np.linspace(1e-4, 1.0, 5001)
         assert float(np.nanmin(np.asarray(asym_env.gamma_bar(ts)))) >= r.z - 1e-12
+
+    def test_crossing_matches_mpmath_root(self):
+        # every inclusive interior ceiling threshold is the root of
+        # (1 - a0) t + delta sqrt(t / m) = c Ghat(t), here solved to 50 digits
+        import mpmath
+
+        g = stream(917)
+        checked = 0
+        for _ in range(60):
+            m = int(g.choice([30, 100, 1000, 10_000]))
+            p = g.random(m) ** float(g.uniform(1.0, 6.0))
+            t_min = float(g.choice([1e-8, 1e-6, 1e-4, 1e-2]))
+            env = asymptotic_envelope(p, t_min=t_min, enforce_floor=False, w=float(g.uniform(2.0, 4.0)),
+                                      t0=float(g.uniform(0.2, 0.8)))
+            gh = ecdf(p, "plain")
+            for c in (0.01, 0.05, 0.2, 0.6):
+                r = confidence_thresholds(env, c)
+                if not (r.inclusive and t_min < r.t < 1.0) or np.any(p == r.t):
+                    continue  # not interior: 0, 1, a piece start or a jump
+                with mpmath.workdps(50):
+                    a = mpmath.mpf(env.meta["one_minus_a0"])
+                    b = mpmath.mpf(env.meta["delta"]) / mpmath.sqrt(m)
+                    rhs = mpmath.mpf(c) * mpmath.mpf(float(gh(r.t)))
+                    y = rhs / b if a == 0 else (mpmath.sqrt(b * b + 4 * a * rhs) - b) / (2 * a)
+                    want = float(y * y)
+                assert r.t == pytest.approx(want, rel=1e-14, abs=0)
+                checked += 1
+        assert checked >= 100
+
+    def test_thresholds_against_dense_grid(self):
+        # the band on a dense grid of [t_min, 1] with every jump of Ghat,
+        # plus its left limits at the jumps, as a brute-force oracle
+        g = stream(918)
+        edge = [
+            (np.array([0.3]), 0.01),
+            (np.array([0.0, 1.0]), 0.01),
+            (np.array([0.0]), 0.2),
+            (np.array([1.0]), 0.2),
+            (np.full(7, 0.4), 0.05),
+            (np.full(5, 1.0), 0.05),
+            (np.array([0.0, 0.0, 0.3, 1.0, 1.0]), 1e-6),
+            (np.linspace(0.01, 0.3, 40), 0.5),      # t_min above every p-value
+            (np.linspace(0.001, 0.4, 200), 1e-4),   # 1 - a0 = 0
+            (np.r_[np.linspace(1e-4, 0.4, 8800), np.ones(1200)], 1e-3),  # c = 0.3 feasible only at 1
+        ]
+        cases = list(edge)
+        for _ in range(40):
+            p = g.random(int(g.integers(1, 5000))) ** float(g.uniform(1.0, 8.0))
+            if g.random() < 0.5:
+                p = np.round(p, int(g.integers(2, 5)))  # ties, exact 0s and 1s
+            cases.append((p, float(g.choice([1e-6, 1e-3, 0.05, 0.3]))))
+        n = 20_001
+        for p, t_min in cases:
+            env = asymptotic_envelope(p, t_min=t_min, enforce_floor=False, w=float(g.uniform(2.0, 4.0)))
+            if p is edge[-2][0]:
+                assert env.meta["one_minus_a0"] == 0.0
+            gh = ecdf(p, "plain")
+            step = (1.0 - t_min) / (n - 1)
+            jumps = np.unique(p[p > t_min])
+            ts = np.unique(np.r_[np.linspace(t_min, 1.0, n), jumps])
+            gl = np.asarray(gh.left(jumps))
+            with np.errstate(divide="ignore"):
+                left = np.minimum(np.asarray(env.v_at(jumps)) / gl, 1.0)
+            pts = np.r_[ts, jumps]
+            vals = np.r_[np.asarray(env.gamma_bar(ts)), np.where(gl > 0, left, np.inf)]
+
+            r = confidence_thresholds(env)
+            assert r.z == pytest.approx(vals.min(), abs=1e-12)
+            assert env.gamma_at(r.t) == r.z
+            assert np.all(vals[pts > r.t] >= r.z)
+
+            for c in (0.02, 0.1, 0.3, 0.7):
+                r = confidence_thresholds(env, c)
+                feasible = pts[vals <= c]
+                last = float(feasible.max()) if feasible.size else 0.0
+                assert abs(r.t - last) <= step
+                if r.t > 0.0 and r.inclusive:
+                    assert env.gamma_at(r.t) <= c * (1 + 1e-12)
+                elif not r.inclusive:
+                    assert env.gamma_at(r.t) > c

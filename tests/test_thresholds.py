@@ -193,11 +193,16 @@ class TestPluginThreshold:
         # evaluate the estimated map on a dense grid (right limits plus
         # left limits at the jumps) and take the last feasible point
         g = stream(908)
+        g_edge = stream(909)
+        edge = [np.array([0.3]), np.array([0.0]), np.array([1.0]), np.array([0.2, 0.7]),
+                np.array([0.0, 1.0]), np.full(6, 0.4), np.full(3, 0.0), np.full(3, 1.0),
+                np.array([0.0, 0.0, 0.5, 1.0, 1.0])]
         for variant in ("plain", "floor", "lcm"):
-            for _ in range(10):
-                p = random_pvalues(g, max_m=10)
-                ahat = float(g.uniform(0.0, 0.6))
-                alpha = float(g.uniform(0.05, 0.4))
+            for k in range(10 + len(edge)):
+                gk = g if k < 10 else g_edge
+                p = random_pvalues(g, max_m=10) if k < 10 else edge[k - 10]
+                ahat = float(gk.uniform(0.0, 0.6))
+                alpha = float(gk.uniform(0.05, 0.4))
                 r = plugin_threshold(p, ahat, alpha, variant=variant)
                 sup = r.t if variant == "lcm" else r.diagnostics["sup_exact"]
                 gh = ecdf(p, variant)
