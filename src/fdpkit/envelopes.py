@@ -431,6 +431,8 @@ def _asymptotic_thresholds(env: EnvelopeResult, c: float | None) -> ThresholdRes
         z = band.min()
         return _threshold_result(env, starts[np.flatnonzero(band == z)[-1]], z, True, c)
 
+    if c >= 1.0:                      # the band, clipped at 1, never exceeds c
+        return _threshold_result(env, 1.0, c, True, c)
     ok = np.flatnonzero((g > 0.0) & (band <= c))
     if not ok.size:
         return _threshold_result(env, 0.0, c, True, c)

@@ -20,17 +20,31 @@ __all__ = [
 ]
 
 
-def _bisect_increasing(fn, target, lo=0.0, hi=1.0, iters=90):
-    """Invert a vectorized nondecreasing fn on [lo, hi] by bisection."""
-    target = np.asarray(target, dtype=float)
-    lo = np.full(target.shape, lo, dtype=float)
-    hi = np.full(target.shape, hi, dtype=float)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        below = fn(mid) < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    out = 0.5 * (lo + hi)
+def _largest_true(pred, shape=()):
+    """Largest double t in [0, 1] with ``pred(t)`` true, elementwise over
+    ``shape``, for a vectorized predicate that holds at 0 and switches off
+    at most once.
+
+    Nonnegative doubles sort like their int64 bit patterns, so bisecting
+    over the patterns ends on the exact answer in at most 62 steps, with
+    no tolerance and no step count to choose."""
+    lo = np.zeros(shape, dtype=np.int64)
+    hi = np.full(shape, np.float64(1.0).view(np.int64))
+    while np.any(lo < hi):
+        mid = lo + (hi - lo + 1) // 2
+        ok = pred(mid.view(np.float64))
+        lo = np.where(ok, mid, lo)
+        hi = np.where(ok, hi, mid - 1)
+    return lo.view(np.float64)
+
+
+def _quantile(cdf, u):
+    """Generalized inverse inf{t : cdf(t) >= u} of a vectorized CDF on
+    [0, 1]: the next double above the largest t with cdf(t) < u, and 0 at
+    u = 0."""
+    u = np.asarray(u, dtype=float)
+    t = np.nextafter(_largest_true(lambda t: cdf(t) < u, u.shape), 1.0)
+    out = np.where(u > 0.0, t, 0.0)
     return out if out.ndim else float(out)
 
 
@@ -90,7 +104,8 @@ class OneSidedNormal(AlternativeFamily):
 class TwoSidedNormal(AlternativeFamily):
     """P-values of a two-sided normal-mean test with shift ``sqrt(n) * theta``.
 
-    Density ``exp(-mu^2/2) * cosh(mu * c)`` at ``c = ndtri(1 - p/2)``; its
+    Density ``exp(-mu^2/2) * cosh(mu * c)`` at ``c = -ndtri(p/2)``, the
+    form of the critical value that does not cancel for small p; its
     infimum over (0, 1] is ``exp(-mu^2/2) > 0``, so the family is impure and
     the mixture weight is only partially identifiable.
     """
@@ -108,19 +123,19 @@ class TwoSidedNormal(AlternativeFamily):
     def cdf(self, t):
         t = np.asarray(t, dtype=float)
         tc = np.clip(t, 1e-320, 1.0)
-        c = ndtri(1.0 - tc / 2.0)
+        c = -ndtri(tc / 2.0)
         out = ndtr(self.mu - c) + ndtr(-c - self.mu)
         out = np.where(t <= 0.0, 0.0, np.where(t >= 1.0, 1.0, out))
         return out if out.ndim else float(out)
 
     def pdf(self, t):
         t = np.asarray(t, dtype=float)
-        c = ndtri(1.0 - t / 2.0)
+        c = -ndtri(t / 2.0)
         out = np.exp(-0.5 * self.mu**2) * np.cosh(self.mu * c)
         return out if out.ndim else float(out)
 
     def ppf(self, u):
-        return _bisect_increasing(self.cdf, u)
+        return _quantile(self.cdf, u)
 
 
 class BetaPower(AlternativeFamily):
@@ -177,7 +192,7 @@ class UserCdf(AlternativeFamily):
     def ppf(self):
         if self._ppf is not None:
             return self._ppf
-        return lambda u: _bisect_increasing(self._cdf, u)
+        return lambda u: _quantile(self._cdf, u)
 
 
 def make_family(name: str, params: dict | None = None) -> AlternativeFamily:

@@ -108,8 +108,8 @@ def eval_kernel(spec: KernelSpec, s, t):
     if kind == "qhat-inverse":
         if np.any(s <= 0.0) or np.any(t <= 0.0) or np.any(s >= 1.0 - a) or np.any(t >= 1.0 - a):
             raise ValueError("inverse-map kernel arguments must lie in (0, 1 - a)")
-        su = np.vectorize(lambda u: q_inverse(model, u))(s)
-        tv = np.vectorize(lambda v: q_inverse(model, v))(t)
+        su = q_inverse(model, s)
+        tv = q_inverse(model, t)
         g_su = model.pdf(su)
         g_tv = model.pdf(tv)
         num = s * t * _bridge(model, su, tv)

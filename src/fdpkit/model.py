@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .families import AlternativeFamily
+from .families import AlternativeFamily, _largest_true
 from .stepfun import StepFunction
 
 __all__ = [
@@ -247,20 +247,19 @@ def q_derivative(model: MixtureModel, t):
     return out if out.ndim else float(out)
 
 
-def q_inverse(model: MixtureModel, u: float, *, tol=1e-12) -> float:
-    """Inverse of Q by monotone bisection (valid for concave G, where Q is
-    nondecreasing).  Requires 0 < u <= Q(1) = 1 - a."""
-    if not 0.0 < u <= 1.0 - model.a:
+def q_inverse(model: MixtureModel, u):
+    """Largest t in [0, 1] with Q(t) <= u, elementwise, for the population
+    ratio Q(t) = (1-a) t / G(t).  Requires 0 < u <= Q(1) = 1 - a.
+
+    Q is nondecreasing when G is concave (every built-in family), and the
+    answer is then exact on the double grid.  A Q that falls anywhere on a
+    fixed grid of [0, 1] raises ValueError instead of returning garbage."""
+    u = np.asarray(u, dtype=float)
+    if not np.all((0.0 < u) & (u <= 1.0 - model.a)):
         raise ValueError("u outside the range of the population ratio")
     q = q_map(model)
-    lo, hi = 0.0, 1.0
-    # invariant: Q(lo) <= u, and either hi == 1 with Q(1) >= u or Q(hi) > u
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if q(mid) <= u:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    qg = q(np.sort(np.r_[np.geomspace(1e-12, 1.0, 601), np.linspace(0.0, 1.0, 1001)]))
+    if np.any(np.diff(qg) < -1e-12 * qg[1:]):
+        raise ValueError("population ratio Q decreases: G is not concave, so Q has no monotone inverse")
+    t = _largest_true(lambda t: q(t) <= u, u.shape)
+    return t if t.ndim else float(t)

@@ -80,8 +80,9 @@ def generate_sample(config: ScenarioConfig, rep_index: int) -> LabeledSample:
     model = config.model()
     rng = stream(config.seed, rep_index)
     lab = uniform_open(rng, config.m) < config.a
-    u = uniform_open(rng, config.m)
-    p = u if model.F is None else np.where(lab, model.F.ppf(u), u)
+    p = uniform_open(rng, config.m)
+    if model.F is not None:
+        p[lab] = model.F.ppf(p[lab])
     return LabeledSample(pvalues=p, labels=lab.astype(np.int8))
 
 
@@ -96,8 +97,9 @@ def _blocks(config: ScenarioConfig, model: MixtureModel, reps: int, block: int |
         n = min(block, reps - done)
         rng = stream(config.seed, idx)
         lab = uniform_open(rng, (n, config.m)) < config.a
-        u = uniform_open(rng, (n, config.m))
-        p = u if model.F is None else np.where(lab, model.F.ppf(u), u)
+        p = uniform_open(rng, (n, config.m))
+        if model.F is not None:
+            p[lab] = model.F.ppf(p[lab])
         yield p, lab
         done += n
         idx += 1
@@ -430,21 +432,16 @@ def _target_qinv_kernel_identity(config):
     model = scen.model()
     tol = float(config.get("tol", 1e-10))
     us = np.asarray(config.get("points", (0.1, 0.2, 0.3)), dtype=float)
-    spec = KernelSpec(kind="qhat-inverse", model=model)
-    qspec = KernelSpec(kind="qhat", model=model)
-    worst = 0.0
-    entries = []
-    for u in us:
-        for v in us:
-            closed = float(eval_kernel(spec, u, v))
-            s = q_inverse(model, float(u))
-            t = q_inverse(model, float(v))
-            via_map = float(eval_kernel(qspec, s, t)) / (
-                q_derivative(model, s) * q_derivative(model, t)
-            )
-            diff = abs(closed - via_map)
-            worst = max(worst, diff)
-            entries.append({"u": float(u), "v": float(v), "closed": closed, "via_map": via_map})
+    xs = q_inverse(model, us)
+    dq = q_derivative(model, xs)
+    closed = eval_kernel(KernelSpec("qhat-inverse", model), us[:, None], us[None, :])
+    via_map = eval_kernel(KernelSpec("qhat", model), xs[:, None], xs[None, :]) / np.outer(dq, dq)
+    worst = np.max(np.abs(closed - via_map), initial=0.0)
+    entries = [
+        {"u": float(u), "v": float(v), "closed": float(closed[i, j]), "via_map": float(via_map[i, j])}
+        for i, u in enumerate(us)
+        for j, v in enumerate(us)
+    ]
     return {"passed": bool(worst <= tol), "worst_abs_diff": float(worst), "tol": tol, "entries": entries}
 
 
@@ -462,37 +459,9 @@ def _bh_rows(p, lab, alphas):
     return t, istar, n0
 
 
-def _target_plugin_known_a(config):
-    scen = _scenario(config, m=5000, a=0.25, family="one-sided-normal", params={"theta": 3.0})
-    model = scen.model()
-    reps = int(config.get("reps", 2000))
-    alpha = float(config.get("alpha", 0.05))
-    tol = float(config.get("tol", 0.01))
-    level = alpha / (1.0 - scen.a)
-    total = 0.0
-    done = 0
-    spot_ok = True
-    for p, lab in _blocks(scen, model, reps):
-        t, istar, n0 = _bh_rows(p, lab, np.full(p.shape[0], level))
-        total += float(np.where(istar > 0, n0 / np.maximum(istar, 1), 0.0).sum())
-        if done == 0:
-            # the plug-in rule with known weight must agree with the fast path
-            for row in range(min(3, p.shape[0])):
-                res = plugin_threshold(p[row], scen.a, alpha)
-                spot_ok = spot_ok and res.t == t[row]
-        done += p.shape[0]
-    mean = total / reps
-    return {
-        "passed": bool(abs(mean - alpha) <= tol and spot_ok),
-        "mean_fdp": float(mean),
-        "alpha": alpha,
-        "tol": tol,
-        "reps": reps,
-        "spot_check_passed": bool(spot_ok),
-    }
-
-
-def _target_plugin_estimated_a(config):
+def _plugin_target(config, estimated):
+    # mean FDP of the plug-in rule at the known weight a, or at the
+    # exceedance-ratio estimate at t0, run per row as a step-up rule
     scen = _scenario(config, m=5000, a=0.25, family="one-sided-normal", params={"theta": 3.0})
     model = scen.model()
     reps = int(config.get("reps", 2000))
@@ -500,30 +469,41 @@ def _target_plugin_estimated_a(config):
     t0 = float(config.get("t0", 0.5))
     tol = float(config.get("tol", 0.01))
     total = 0.0
-    done = 0
     spot_ok = True
-    for p, lab in _blocks(scen, model, reps):
-        cnt = (p <= t0).sum(axis=1)
-        a0 = np.maximum((cnt / scen.m - t0) / (1.0 - t0), 0.0)
-        one_minus = 1.0 - a0
-        levels = np.where(one_minus > 0, alpha / np.where(one_minus > 0, one_minus, 1.0), np.inf)
+    for block, (p, lab) in enumerate(_blocks(scen, model, reps)):
+        if estimated:
+            cnt = (p <= t0).sum(axis=1)
+            a0 = np.maximum((cnt / scen.m - t0) / (1.0 - t0), 0.0)
+            one_minus = 1.0 - a0
+            levels = np.where(one_minus > 0, alpha / np.where(one_minus > 0, one_minus, 1.0), np.inf)
+        else:
+            levels = np.full(p.shape[0], alpha / (1.0 - scen.a))
         t, istar, n0 = _bh_rows(p, lab, levels)
         total += float(np.where(istar > 0, n0 / np.maximum(istar, 1), 0.0).sum())
-        if done == 0:
+        if block == 0:
+            # the plug-in rule itself must agree with the fast path
             for row in range(min(3, p.shape[0])):
-                res = plugin_threshold(p[row], storey_a0(p[row], t0), alpha)
-                spot_ok = spot_ok and res.t == t[row]
-        done += p.shape[0]
+                ahat = storey_a0(p[row], t0) if estimated else scen.a
+                spot_ok = spot_ok and plugin_threshold(p[row], ahat, alpha).t == t[row]
     mean = total / reps
+    ok = mean <= alpha + tol if estimated else abs(mean - alpha) <= tol
     return {
-        "passed": bool(mean <= alpha + tol and spot_ok),
+        "passed": bool(ok and spot_ok),
         "mean_fdp": float(mean),
         "alpha": alpha,
         "tol": tol,
         "reps": reps,
-        "t0": t0,
+        **({"t0": t0} if estimated else {}),
         "spot_check_passed": bool(spot_ok),
     }
+
+
+def _target_plugin_known_a(config):
+    return _plugin_target(config, estimated=False)
+
+
+def _target_plugin_estimated_a(config):
+    return _plugin_target(config, estimated=True)
 
 
 def _target_rate_ceiling_known_a(config):

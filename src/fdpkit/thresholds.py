@@ -97,29 +97,18 @@ def bh_threshold(pvalues, alpha: float) -> ThresholdResult:
 
 
 def oracle_threshold(model: MixtureModel, alpha: float) -> ThresholdResult:
-    """Largest t whose population positive-FDR value stays at or below
-    alpha.  For concave mixtures the map is nondecreasing, so bisection
-    localizes the supremum to machine precision."""
+    """Largest t whose population positive-FDR value Q(t) stays at or below
+    alpha: 1 once alpha reaches Q(1) = 1 - a, else ``q_inverse(model, alpha)``,
+    exact on the double grid for concave G (a ValueError otherwise)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    q = q_map(model)
-    if q(1.0) <= alpha:
-        t = 1.0
-    else:
-        lo, hi = 0.0, 1.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if q(mid) <= alpha:
-                lo = mid
-            else:
-                hi = mid
-        t = lo
+    t = 1.0 if alpha >= 1.0 - model.a else q_inverse(model, alpha)
     return ThresholdResult(
         t=float(t),
         rejected=None,
         method="oracle",
         alpha=alpha,
-        diagnostics={"q_at_t": float(q(t))},
+        diagnostics={"q_at_t": float(q_map(model)(t))},
     )
 
 

@@ -194,6 +194,19 @@ class TestEnvelopeCommand:
         want = confidence_thresholds(env, 0.3)
         assert rec["T"] == pytest.approx(want.t, rel=1e-12)
 
+    def test_ceiling_of_one_rejects_everything(self, capsys, tmp_path):
+        p = np.random.default_rng(5).uniform(size=50)
+        f = tmp_path / "p.txt"
+        f.write_text("".join(f"{float(v)!r}\n" for v in p))
+        asym = ["--method", "asymptotic", "--t-min", "0.01", "--no-floor-check",
+                "--reps", "10000", "--grid", "256"]
+        for extra in ([], asym):
+            rc, out, _ = run_cli(capsys, "envelope", "--input", str(f), *extra,
+                                 "--ceiling", "1", "--json")
+            assert rc == 0
+            rec = json.loads(out)
+            assert (rec["T"], rec["rejected"], rec["inclusive"]) == (1.0, 50, True)
+
     def test_floor_violation_surfaces_as_error(self, capsys, pfile):
         rc, _, err = run_cli(capsys, "envelope", "--input", pfile,
                              "--method", "asymptotic", "--t-min", "0.001")

@@ -429,6 +429,17 @@ class TestAsymptoticThresholds:
         floor_val = float(np.nanmin(np.asarray(asym_env.gamma_bar(ts))))
         assert confidence_thresholds(asym_env, floor_val / 10).t == 0.0
 
+    def test_ceiling_at_or_above_one_takes_everything(self):
+        # the band is clipped at 1, so a ceiling c >= 1 holds on all of
+        # [t_min, 1]; the crossing of the unclipped curve must not be used
+        p = np.random.default_rng(5).uniform(size=50)
+        asym = asymptotic_envelope(p, t_min=0.01, w=3.0, enforce_floor=False)
+        exact = exact_envelope(exact_confidence_set(p, 0.05), p)
+        for env in (asym, exact):
+            for c in (1.0, 2.0):
+                r = confidence_thresholds(env, c)
+                assert (r.t, r.inclusive, r.rejected, r.z) == (1.0, True, 50, c)
+
     def test_min_rate_attains_the_minimum(self, asym_env):
         r = confidence_thresholds(asym_env)
         assert r.method == "min-rate"

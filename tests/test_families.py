@@ -1,5 +1,8 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 
@@ -8,6 +11,7 @@ from fdpkit.families import (
     OneSidedNormal,
     TwoSidedNormal,
     UserCdf,
+    _largest_true,
     make_family,
 )
 
@@ -15,8 +19,9 @@ from fdpkit.families import (
 # --- independent density formulas (alternate algebraic routes) --------------
 
 def two_sided_pdf_by_sum(mu, p):
-    # exp(-mu^2/2) * cosh(mu c) written as the half-sum of two exponentials
-    c = ndtri(1.0 - p / 2.0)
+    # exp(-mu^2/2) * cosh(mu c) written as the half-sum of two exponentials;
+    # c = -ndtri(p / 2), since ndtri(1 - p / 2) cancels for small p
+    c = -ndtri(p / 2.0)
     return 0.5 * np.exp(-0.5 * mu**2) * (np.exp(-mu * c) + np.exp(mu * c))
 
 
@@ -24,6 +29,31 @@ def one_sided_cdf_by_tail(mu, t):
     # P(Z + mu exceeds the upper-t null quantile), straight from the test statistic
     z_crit = -ndtri(t)  # upper-tail cutoff: P(Z > z_crit) = t
     return 1.0 - ndtr(z_crit - mu)
+
+
+# 50-digit references for the two-sided family at mu = 3, each a bracketed
+# root on the log scale: the critical value c solves erfc(c / sqrt 2) = t,
+# and the quantile solves Phi(mu - c) + Phi(-c - mu) = u, t = erfc(c / sqrt 2)
+
+def _mp_root(fn):
+    with mpmath.workdps(50):
+        return mpmath.findroot(fn, (mpmath.mpf(0), mpmath.mpf(45)), solver="anderson")
+
+
+def _mp_two_sided(t, mu=3):
+    with mpmath.workdps(50):
+        lt = mpmath.log(mpmath.mpf(t))
+        c = _mp_root(lambda c: mpmath.log(mpmath.erfc(c / mpmath.sqrt(2))) - lt)
+        cdf = mpmath.ncdf(mu - c) + mpmath.ncdf(-c - mu)
+        pdf = mpmath.exp(-mpmath.mpf(mu) ** 2 / 2) * mpmath.cosh(mu * c)
+        return cdf, pdf
+
+
+def _mp_two_sided_ppf(u, mu=3):
+    with mpmath.workdps(50):
+        lu = mpmath.log(mpmath.mpf(u))
+        c = _mp_root(lambda c: mpmath.log(mpmath.ncdf(mu - c) + mpmath.ncdf(-c - mu)) - lu)
+        return mpmath.erfc(c / mpmath.sqrt(2))
 
 
 GRID = np.linspace(1e-6, 1 - 1e-6, 401)
@@ -115,6 +145,23 @@ class TestTwoSidedNormal:
         for u in (0.05, 0.4, 0.99):
             assert abs(fam.cdf(fam.ppf(u)) - u) < 1e-10
 
+    def test_cdf_and_pdf_match_mpmath_down_to_tiny_t(self):
+        # c = ndtri(1 - t / 2) cancels: the cdf was 0 and the pdf inf below
+        # t = 1e-16; scipy's ndtr/ndtri keep about 3e-13 at t = 1e-300
+        fam = TwoSidedNormal(3.0)
+        for t in np.r_[np.geomspace(1e-300, 0.5, 60), np.linspace(0.5, 0.999, 20)]:
+            cdf, pdf = _mp_two_sided(t)
+            assert fam.cdf(t) == pytest.approx(float(cdf), rel=5e-13, abs=0)
+            assert fam.pdf(t) == pytest.approx(float(pdf), rel=5e-13, abs=0)
+
+    def test_ppf_matches_mpmath(self):
+        fam = TwoSidedNormal(3.0)
+        us = np.geomspace(1e-200, 0.99, 60)
+        got = fam.ppf(us)
+        for u, t in zip(us, got):
+            assert t == pytest.approx(float(_mp_two_sided_ppf(u)), rel=5e-13, abs=0)
+        assert fam.ppf(0.0) == 0.0
+
 
 class TestBetaPower:
     def test_validation(self):
@@ -150,6 +197,68 @@ class TestUserCdf:
     def test_explicit_ppf_wins(self):
         fam = UserCdf(lambda t: t, ppf=lambda u: u)
         assert fam.ppf(0.3) == 0.3
+
+
+_unit = st.floats(0.0, 1.0)
+_EDGES = [0.0, 1.0, 5e-324, 2.2250738585072014e-308, 1e-310, float(np.nextafter(1.0, 0.0))]
+
+
+def _check_largest_true(pred, shape):
+    """The result satisfies pred and the next double above it does not,
+    unless it is 1."""
+    t = _largest_true(pred, shape)
+    assert t.shape == shape
+    assert np.all((0.0 <= t) & (t <= 1.0))
+    assert np.all(pred(t))
+    assert np.all(~pred(np.nextafter(t, 2.0)) | (t == 1.0))
+
+
+class TestLargestTrue:
+    @given(xs=st.lists(_unit, min_size=1, max_size=6), strict=st.booleans())
+    @example(xs=_EDGES, strict=False)
+    @example(xs=_EDGES, strict=True)
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    def test_threshold_predicates(self, xs, strict):
+        # t <= x crosses at x itself, t < x one double below it; x = 0 is
+        # left out of the strict form, which would fail at 0
+        x = np.array(xs)
+        if strict:
+            x = np.maximum(x, 5e-324)
+            _check_largest_true(lambda t: t < x, x.shape)
+            assert np.array_equal(_largest_true(lambda t: t < x, x.shape), np.nextafter(x, 0.0))
+        else:
+            _check_largest_true(lambda t: t <= x, x.shape)
+            assert np.array_equal(_largest_true(lambda t: t <= x, x.shape), x)
+
+    @given(
+        knots=st.lists(_unit, min_size=1, max_size=8),
+        levels=st.lists(st.integers(0, 8), min_size=1, max_size=5),
+    )
+    @example(knots=[0.0, 0.0, 1e-310, 0.5, 0.5, 1.0], levels=[2, 3, 4, 5, 6])
+    @example(knots=[1.0], levels=[0, 1])
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    def test_step_predicates_with_flat_stretches(self, knots, levels):
+        # f(t) = number of knots at or below t: flat between knots, ties make
+        # jumps of several units; pred(t) = f(t) <= k, which holds at 0
+        ks = np.sort(knots)
+        k = np.maximum(np.array(levels), np.count_nonzero(ks == 0.0))
+        _check_largest_true(lambda t: np.searchsorted(ks, t, side="right") <= k, k.shape)
+
+    @given(
+        slopes=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=5),
+        u=st.floats(0.0, 2.0),
+    )
+    @example(slopes=[1.0, 3.0, 1e3], u=0.0)
+    @example(slopes=[1.0, 0.5], u=1e-320)
+    @example(slopes=[1.0, 0.5, 1e-3], u=1.0)
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    def test_linear_predicates(self, slopes, u):
+        s = np.array(slopes)
+        _check_largest_true(lambda t: s * t <= u, s.shape)
+
+    def test_scalar_shape(self):
+        t = _largest_true(lambda t: t <= 0.3)
+        assert t.shape == () and float(t) == 0.3
 
 
 class TestMakeFamily:

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,7 +15,7 @@ from fdpkit import (
     q_map,
     qtilde_map,
 )
-from fdpkit.families import OneSidedNormal
+from fdpkit.families import BetaPower, OneSidedNormal
 
 
 # --- independent counting oracles -----------------------------------------
@@ -231,3 +232,43 @@ class TestPopulationMaps:
         for u in (0.05, 0.2, 0.5, 0.7):
             t = q_inverse(model, u)
             assert abs(q(t) - u) < 1e-9
+
+    def test_q_inverse_matches_mpmath_root(self):
+        # one-sided normal: Q(Phi(z)) = u solved for z to 50 digits, so no
+        # normal quantile enters the reference; beta: Q(t) = u in closed form
+        def one_sided(a, mu, u):
+            def f(z):
+                t = mpmath.ncdf(z)
+                return mpmath.log((1 - a) * t / ((1 - a) * t + a * mpmath.ncdf(mu + z)) / u)
+
+            return mpmath.ncdf(mpmath.findroot(f, (-30, 10), solver="illinois"))
+
+        def beta_power(a, beta, u):
+            return ((1 - a) * (1 - u) / (a * u)) ** (1 / (beta - 1))
+
+        us = np.array([0.01, 0.05, 0.2, 0.45])
+        cases = [
+            (MixtureModel(0.25, OneSidedNormal(3.0)), lambda u: one_sided(0.25, 3, u)),
+            (MixtureModel(0.1, OneSidedNormal(2.0)), lambda u: one_sided(0.1, 2, u)),
+            (MixtureModel(0.5, BetaPower(0.5)), lambda u: beta_power(0.5, 0.5, u)),
+            (MixtureModel(0.25, BetaPower(0.2)), lambda u: beta_power(0.25, 0.2, u)),
+        ]
+        for model, ref in cases:
+            got = q_inverse(model, us)  # array in, array out
+            assert got.shape == us.shape
+            with mpmath.workdps(50):
+                want = [float(ref(mpmath.mpf(u))) for u in us]
+            assert got == pytest.approx(want, rel=1e-14, abs=0)
+            assert q_inverse(model, 0.2) == got[2]
+
+    def test_q_inverse_is_the_largest_feasible_double(self):
+        model = MixtureModel(0.25, OneSidedNormal(3.0))
+        q = q_map(model)
+        for u in (1e-6, 0.05, 0.5, 0.75):
+            t = q_inverse(model, u)
+            assert q(t) <= u
+            assert t == 1.0 or q(np.nextafter(t, 2.0)) > u
+        with pytest.raises(ValueError, match="range"):
+            q_inverse(model, np.array([0.1, 0.8]))
+        with pytest.raises(ValueError, match="range"):
+            q_inverse(model, 0.0)

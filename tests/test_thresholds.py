@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from fdpkit.estimation import NullFractionEstimate, ecdf, storey_a0
-from fdpkit.families import make_family
-from fdpkit.model import MixtureModel, q_map
+from fdpkit.families import UserCdf, make_family
+from fdpkit.model import MixtureModel, q_inverse, q_map
 from fdpkit.rng import stream
+from fdpkit.simulation import purity_quantities
 from fdpkit.thresholds import (
     bayes_classifier_threshold,
     bh_threshold,
@@ -146,6 +147,39 @@ class TestOracleThreshold:
         assert r.rejected is None
         with pytest.raises(ValueError):
             oracle_threshold(model, 0.0)
+
+    def test_monotonicity_check_rejects_only_non_concave_g(self):
+        # every built-in family and the recentered two-sided family of the
+        # achievable-oracle target pass, and the threshold is the largest
+        # double with Q(t) <= alpha
+        concave = [
+            MixtureModel(0.25, make_family(name, params))
+            for name, params in [
+                ("one-sided-normal", {"theta": 3.0}),
+                ("one-sided-normal", {"theta": 0.5, "n": 9}),
+                ("two-sided-normal", {"theta": 3.0}),
+                ("two-sided-normal", {"theta": 0.5}),
+                ("beta", {"beta": 0.1}),
+                ("beta", {"beta": 1.0}),
+                ("square-root", {}),
+            ]
+        ]
+        pq = purity_quantities(concave[2])
+        concave.append(MixtureModel(pq.a_lower, UserCdf(pq.f_lower)))
+        for model in concave:
+            q = q_map(model)
+            for alpha in (0.01, 0.05, 0.2):
+                t = oracle_threshold(model, alpha).t
+                assert q(t) <= alpha and (t == 1.0 or q(np.nextafter(t, 2.0)) > alpha)
+        assert 0.0 < oracle_threshold(concave[-1], 0.05).t < 1.0
+        # G(t) = (t + t^2) / 2 is convex, so Q(t) = 1 / (1 + t) falls
+        model = MixtureModel(0.5, UserCdf(lambda t: np.asarray(t, dtype=float) ** 2))
+        with pytest.raises(ValueError, match="concave"):
+            q_inverse(model, 0.3)
+        with pytest.raises(ValueError, match="concave"):
+            oracle_threshold(model, 0.05)
+        with pytest.raises(ValueError, match="concave"):
+            rate_ceiling_known_a(model, 1000, 0.05, 0.05)
 
 
 class TestPluginThreshold:
