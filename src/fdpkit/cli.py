@@ -201,12 +201,7 @@ def _run_envelope(spec: RunSpec) -> dict:
     env = _build_envelope(p, spec)
     if spec.output:
         _write_envelope_csv(spec.output, env)
-    if spec.min_rate:
-        thr = confidence_thresholds(env, None)
-        rec = _threshold_record(thr)
-        rec.update({"T": thr.t, "Z": thr.z, "envelope": env.method})
-        return rec
-    if spec.ceiling is not None:
+    if spec.min_rate or spec.ceiling is not None:
         thr = confidence_thresholds(env, spec.ceiling)
         rec = _threshold_record(thr)
         rec.update({"T": thr.t, "Z": thr.z, "envelope": env.method})

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import betaincinv
 
-from .estimation import _validated_pvalues, ecdf
+from .estimation import _require_open_unit, _validated_pvalues, ecdf
 from .rng import standard_normal, stream
 from .stepfun import StepFunction
-from .thresholds import ThresholdResult
+from .thresholds import ThresholdResult, _count_rejected
 
 __all__ = [
     "brownian_sup_quantile",
@@ -44,8 +44,7 @@ def brownian_sup_quantile(
     """Upper quantile (level 1 - alpha_half) of sup over [t_floor, 1] of
     B(t) / sqrt(t) for a Brownian bridge B, by Monte Carlo on a geometric
     grid whose last point is pinned to 1."""
-    if not 0.0 < alpha_half < 1.0:
-        raise ValueError("alpha_half must lie in (0, 1)")
+    _require_open_unit("alpha_half", alpha_half)
     if not 0.0 < t_floor <= 1.0:
         raise ValueError("t_floor must lie in (0, 1]")
     if grid_size < 1:
@@ -154,10 +153,8 @@ def asymptotic_envelope(
     t_min to evaluate the band below that floor anyway.
     """
     p = _validated_pvalues(pvalues)
-    if not 0.0 < t0 < 1.0:
-        raise ValueError("t0 must lie in (0, 1)")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    _require_open_unit("t0", t0)
+    _require_open_unit("alpha", alpha)
     m = p.size
     floor = np.log(m) ** 4 / m
     if enforce_floor:
@@ -176,8 +173,7 @@ def asymptotic_envelope(
     else:
         if t_min is None:
             raise ValueError("an explicit t_min is required when the floor check is disabled")
-    if not 0.0 < t_min < 1.0:
-        raise ValueError("t_min must lie in (0, 1)")
+    _require_open_unit("t_min", t_min)
     ghat = ecdf(p, "plain")
     one_minus_a0 = (1.0 - float(ghat(t0))) / (1.0 - t0)
     if w is None:
@@ -216,8 +212,7 @@ def uniformity_critical_value(k: int, alpha: float) -> float:
     Beta(2, k - 1) law.  Sizes 0 and 1 are never rejected (returns -inf)."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    _require_open_unit("alpha", alpha)
     if k <= 1:
         return -np.inf
     return float(betaincinv(2.0, k - 1.0, alpha))
@@ -291,8 +286,7 @@ def exact_confidence_set(pvalues, alpha: float) -> ExactConfidenceSet:
     """Build the exact confidence collection by testing, for each size k,
     the k largest p-values against the second-order-statistic rule."""
     p = _validated_pvalues(pvalues)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    _require_open_unit("alpha", alpha)
     m = p.size
     ps = np.sort(p)
     ks = np.arange(2, m + 1)
@@ -332,6 +326,7 @@ def exact_envelope(confset: ExactConfidenceSet, pvalues) -> EnvelopeResult:
     distinct, counts = np.unique(p, return_counts=True)
     r_at = counts.cumsum()                      # rejections at each distinct p
     j_vals = np.maximum(r_at - (m - confset.m0_interval[1]), 1).astype(float)
+    lo = float(distinct[0]) if distinct[0] > 0.0 else 0.0   # no -0.0
 
     gamma = StepFunction.from_pairs(distinct, j_vals / r_at, value_at_zero=0.0)
     j_fn = StepFunction.from_pairs(distinct, j_vals, value_at_zero=0.0)
@@ -340,13 +335,13 @@ def exact_envelope(confset: ExactConfidenceSet, pvalues) -> EnvelopeResult:
         gamma_bar=gamma,
         level=confset.alpha,
         method="exact",
-        t_min=float(distinct[0]) if distinct[0] > 0.0 else 0.0,
+        t_min=lo,
         v_fn=v_fn,
         meta={
             "m": m,
             "pvalues": p.copy(),
             "j_fn": j_fn,
-            "domain": (float(distinct[0]) if distinct[0] > 0.0 else 0.0, 1.0),
+            "domain": (lo, 1.0),
         },
     )
 
@@ -384,11 +379,9 @@ def confidence_thresholds(env: EnvelopeResult, c: float | None = None) -> Thresh
 
 
 def _threshold_result(env, t, z, inclusive, c) -> ThresholdResult:
-    p = env.meta["pvalues"]
-    rejected = int(np.count_nonzero(p <= t if inclusive else p < t))
     return ThresholdResult(
         t=float(t),
-        rejected=rejected,
+        rejected=_count_rejected(env.meta["pvalues"], t, inclusive),
         method="rate-ceiling" if c is not None else "min-rate",
         alpha=env.level,
         z=float(z),

@@ -130,7 +130,8 @@ class TwoSidedNormal(AlternativeFamily):
 
     def pdf(self, t):
         t = np.asarray(t, dtype=float)
-        c = -ndtri(t / 2.0)
+        # t / 2 underflows to 0 at the smallest subnormal; keep it positive
+        c = -ndtri(np.where(t > 0.0, np.maximum(t / 2.0, 5e-324), t))
         out = np.exp(-0.5 * self.mu**2) * np.cosh(self.mu * c)
         return out if out.ndim else float(out)
 

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import betainc
 
 from .envelopes import asymptotic_envelope, exact_confidence_set
-from .estimation import ecdf, astar_lower, kernel_a_consistent, project_f, storey_a0
+from .estimation import _require_open_unit, astar_lower, ecdf, kernel_a_consistent, project_f, storey_a0
 from .families import TwoSidedNormal, UserCdf, make_family
 from .kernels import KernelSpec, eval_kernel
 from .model import LabeledSample, MixtureModel, expected_fdp_fnp, q_derivative, q_inverse
@@ -248,8 +248,7 @@ def _target_storey_degenerate(config):
     model = scen.model()
     reps = int(config.get("reps", 10_000))
     t0 = float(config.get("t0", 0.5))
-    if not 0.0 < t0 < 1.0:
-        raise ValueError("t0 must lie in (0, 1)")
+    _require_open_unit("t0", t0)
     half_tol = float(config.get("half_tol", 0.02))
     hits = 0
     for p, _ in _blocks(scen, model, reps):
@@ -381,13 +380,9 @@ def _kernel_target(config, kind):
             if kind == "fdp":
                 n0 = (below & ~lab).sum(axis=1)
                 vals[done : done + n, j] = np.where(r > 0, n0 / np.maximum(r, 1), 0.0)
-            elif kind == "qhat":
-                vals[done : done + n, j] = np.where(
-                    ghat_t > 0, (1.0 - scen.a) * t / np.where(ghat_t > 0, ghat_t, 1.0), 0.0
-                )
-            else:  # qhat-storey
-                cnt0 = (p <= t0).sum(axis=1)
-                one_minus = (1.0 - cnt0 / scen.m) / (1.0 - t0)
+            else:  # qhat at the known weight, or at the qhat-storey estimate
+                one_minus = 1.0 - scen.a if kind == "qhat" else (
+                    1.0 - (p <= t0).sum(axis=1) / scen.m) / (1.0 - t0)
                 vals[done : done + n, j] = np.where(
                     ghat_t > 0, one_minus * t / np.where(ghat_t > 0, ghat_t, 1.0), 0.0
                 )

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .estimation import _ahat_value, _validated_pvalues, ecdf, kernel_density
+from .estimation import _ahat_value, _bandwidth, _require_open_unit, _validated_pvalues, ecdf, kernel_density
 from .kernels import KernelSpec, eval_kernel
 from .model import MixtureModel, q_inverse, q_map
 
@@ -85,8 +85,7 @@ def bh_threshold(pvalues, alpha: float) -> ThresholdResult:
     """Step-up rule: reject the i* smallest with
     i* = max{i : p_(i) <= alpha i / m}, none when the set is empty."""
     p = _validated_pvalues(pvalues)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    _require_open_unit("alpha", alpha)
     m = p.size
     ps = np.sort(p)
     ok = np.nonzero(ps <= alpha * np.arange(1, m + 1) / m)[0]
@@ -100,8 +99,7 @@ def oracle_threshold(model: MixtureModel, alpha: float) -> ThresholdResult:
     """Largest t whose population positive-FDR value Q(t) stays at or below
     alpha: 1 once alpha reaches Q(1) = 1 - a, else ``q_inverse(model, alpha)``,
     exact on the double grid for concave G (a ValueError otherwise)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    _require_open_unit("alpha", alpha)
     t = 1.0 if alpha >= 1.0 - model.a else q_inverse(model, alpha)
     return ThresholdResult(
         t=float(t),
@@ -128,8 +126,7 @@ def plugin_threshold(pvalues, ahat, alpha: float, variant: str = "plain") -> Thr
     feasible at or right of its start decides.
     """
     p = _validated_pvalues(pvalues)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    _require_open_unit("alpha", alpha)
     a = _ahat_value(ahat)
     if not 0.0 <= a <= 1.0:
         raise ValueError("ahat must lie in [0, 1]")
@@ -213,9 +210,9 @@ def bayes_classifier_threshold(pvalues, bandwidth: float | None = None) -> Thres
     """Reject where the estimated marginal density exceeds 1 — the sample
     analogue of the optimal-classification region; the threshold is the
     largest density-grid point in that region (0 when it is empty)."""
-    p = _validated_pvalues(pvalues)
-    h = float(bandwidth) if bandwidth is not None else p.size ** (-0.2)
-    grid, dens = kernel_density(p, h)
+    grid, dens = kernel_density(pvalues, bandwidth)   # validates p and h
+    p = np.asarray(pvalues, dtype=float)
+    h = _bandwidth(bandwidth, p.size)
     above = dens > 1.0
     t = float(grid[above].max()) if np.any(above) else 0.0
     return ThresholdResult(
@@ -235,10 +232,8 @@ def rate_ceiling_known_a(model: MixtureModel, m: int, c: float, alpha: float) ->
     scaled by the slope of its mean."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    if not 0.0 < c < 1.0:
-        raise ValueError("c must lie in (0, 1)")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    _require_open_unit("c", c)
+    _require_open_unit("alpha", alpha)
     a = model.a
     t_c = 1.0 if c >= 1.0 - a else q_inverse(model, c)
     slope = (1.0 - a) - c * float(model.pdf(t_c))

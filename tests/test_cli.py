@@ -239,6 +239,14 @@ class TestEstimateCommand:
         rec = json.loads(out)
         assert rec["value"] == pytest.approx(0.4, abs=0.1)
 
+    @pytest.mark.parametrize("cmd,method", [("estimate", "kernel"), ("threshold", "bayes")])
+    def test_non_finite_bandwidth_exits_one(self, capsys, pfile, cmd, method):
+        for h in ("nan", "inf"):
+            rc, out, err = run_cli(capsys, cmd, "--input", pfile, "--method", method,
+                                   "--bandwidth", h)
+            assert rc == 1 and out == ""
+            assert "bandwidth must be positive" in json.loads(err)["error"]
+
 
 class TestSimulateCommand:
     def test_prints_json_without_flag(self, capsys):

@@ -8,6 +8,8 @@ critical values against the closed-form order-statistic law.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from fdpkit.envelopes import (
@@ -49,6 +51,33 @@ def brute_envelope_values(p, accepted, ts):
         counts.append(j)
         gammas.append(j / max(r, 1))
     return np.array(gammas), np.array(counts)
+
+
+_pvalue = st.one_of(st.sampled_from([0.0, 0.125, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@given(p=st.lists(_pvalue, min_size=1, max_size=10), alpha=st.floats(0.01, 0.5))
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+def test_exact_routes_match_label_enumeration(p, alpha):
+    # random levels, ties and p-values of exactly 0 and 1 against every
+    # labeling run through the independently coded acceptance rule
+    p = np.array(p)
+    m = p.size
+    accepted = brute_accepted_labelings(p, alpha)
+    cs = exact_confidence_set(p, alpha)
+    keys = {lab.tobytes() for lab in accepted}
+    for mask in range(2 ** m):
+        lab = np.array([(mask >> i) & 1 for i in range(m)])
+        assert cs.contains(lab) == (lab.tobytes() in keys)
+    ks = sorted(m - lab.sum() for lab in accepted)
+    assert cs.m0_interval == (ks[0], ks[-1])
+    env = exact_envelope(cs, p)
+    distinct = np.unique(p)
+    ts = np.unique(np.r_[0.0, distinct, distinct - 1e-12, (distinct[:-1] + distinct[1:]) / 2, 1.0])
+    ts = ts[(ts >= 0.0) & (ts <= 1.0)]
+    want_g, want_j = brute_envelope_values(p, accepted, ts)
+    np.testing.assert_allclose(np.asarray(env.gamma_bar(ts)), want_g, atol=1e-12)
+    np.testing.assert_allclose(np.asarray(m10_envelope(env, m)(ts)), want_j, atol=1e-12)
 
 
 class TestUniformityTest:

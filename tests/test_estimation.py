@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -53,6 +55,14 @@ def astar_dense_grid(p, alpha, n=100_001):
     kn = g.base.knots[g.base.knots < 1.0]
     lv = (np.asarray(g.left(kn)) - kn - eps) / (1.0 - kn)
     return max(0.0, float(vals.max()), float(lv.max()))
+
+
+def kernel_density_fsum(p, h, grid_size):
+    """Per-grid-point ``math.fsum`` of the dense reflected triangular kernel."""
+    grid = np.linspace(0.0, 1.0, grid_size)
+    ext = np.concatenate([p, -p, 2.0 - p])
+    sums = [math.fsum(np.clip(1.0 - np.abs(g - ext) / h, 0.0, None).tolist()) for g in grid]
+    return np.array(sums) / (p.size * h)
 
 
 # --- ecdf ------------------------------------------------------------------
@@ -179,8 +189,11 @@ class TestKernelA:
             kernel_a_consistent(np.linspace(0.1, 0.9, 5))
 
     def test_bandwidth_validated(self):
-        with pytest.raises(ValueError):
-            kernel_a_consistent(np.linspace(0.01, 0.99, 50), bandwidth=0.0)
+        p = np.linspace(0.01, 0.99, 50)
+        for h in (0.0, -1.0, np.nan, np.inf):
+            for fn in (kernel_a_consistent, kernel_density):
+                with pytest.raises(ValueError, match="bandwidth must be positive"):
+                    fn(p, h)
 
     def test_uniform_sample_near_zero(self):
         rng = stream(77, 0)
@@ -200,6 +213,26 @@ class TestKernelA:
         p = uniform_open(rng, 2000)
         grid, dens = kernel_density(p, grid_size=2001)
         assert abs(np.trapezoid(dens, grid) - 1.0) < 0.01
+
+    @pytest.mark.parametrize("h,tol", [(0.01, 1e-13), (0.05, 2e-14), (None, 2e-14), (1.5, 2e-14)])
+    def test_density_matches_dense_fsum(self, h, tol):
+        # the prefix-sum form against the dense sum over all 3m reflected
+        # points, summed exactly per grid point
+        g = stream(80, 0)
+        samples = [np.array(v, dtype=float) for v in (
+            [0.3], [0.0], [1.0], [0.0, 1.0], [0.5] * 40, [0.0] * 25, [1.0] * 25,
+        )]
+        for m in (3, 60, 500, 2000):
+            p = g.random(m) ** 3
+            samples.append(p)
+            samples.append(np.ceil(p * 20) / 20)  # ties, with some at exactly 1
+            samples.append(np.r_[np.zeros(m // 5), p, np.ones(m // 5)])
+        for p in samples:
+            bw = p.size ** (-0.2) if h is None else h
+            grid, dens = kernel_density(p, h, grid_size=257)
+            want = kernel_density_fsum(p, bw, grid_size=257)
+            assert np.all(dens >= 0.0)
+            assert np.max(np.abs(dens - want)) <= tol * want.max()
 
 
 class TestQHat:

@@ -154,6 +154,16 @@ class TestTwoSidedNormal:
             assert fam.cdf(t) == pytest.approx(float(cdf), rel=5e-13, abs=0)
             assert fam.pdf(t) == pytest.approx(float(pdf), rel=5e-13, abs=0)
 
+    def test_pdf_finite_and_nonincreasing_at_subnormals(self):
+        # t / 2 underflows to 0 at t = 5e-324, where the pdf must stay finite
+        fam = TwoSidedNormal(3.0)
+        ts = np.r_[5e-324 * np.arange(1, 40), np.geomspace(1e-320, 1.0, 400)]
+        d = np.asarray(fam.pdf(ts))
+        assert np.all(np.isfinite(d))
+        assert np.all(np.diff(d) <= 0.0)
+        assert np.isfinite(fam.pdf(5e-324))
+        assert fam.pdf(0.0) == np.inf
+
     def test_ppf_matches_mpmath(self):
         fam = TwoSidedNormal(3.0)
         us = np.geomspace(1e-200, 0.99, 60)

@@ -4,6 +4,8 @@ step-up rule."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdpkit.estimation import NullFractionEstimate, ecdf, storey_a0
 from fdpkit.families import UserCdf, make_family
@@ -224,8 +226,6 @@ class TestPluginThreshold:
             assert ts[0] <= ts[1] <= ts[2]
 
     def test_exact_sup_against_dense_grid(self):
-        # evaluate the estimated map on a dense grid (right limits plus
-        # left limits at the jumps) and take the last feasible point
         g = stream(908)
         g_edge = stream(909)
         edge = [np.array([0.3]), np.array([0.0]), np.array([1.0]), np.array([0.2, 0.7]),
@@ -237,17 +237,34 @@ class TestPluginThreshold:
                 p = random_pvalues(g, max_m=10) if k < 10 else edge[k - 10]
                 ahat = float(gk.uniform(0.0, 0.6))
                 alpha = float(gk.uniform(0.05, 0.4))
-                r = plugin_threshold(p, ahat, alpha, variant=variant)
-                sup = r.t if variant == "lcm" else r.diagnostics["sup_exact"]
-                gh = ecdf(p, variant)
-                ts = np.unique(np.r_[np.linspace(1e-9, 1.0, 200_001), p, np.clip(p - 1e-12, 1e-12, 1)])
-                gv = np.asarray(gh.hull(ts)) if variant == "lcm" else np.where(
-                    np.isin(ts, p), np.asarray(gh(ts)), np.asarray(gh.left(ts)))
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    qv = np.where(gv > 0, (1 - ahat) * ts / np.where(gv > 0, gv, 1), np.inf)
-                feasible = ts[qv <= alpha + 1e-12]
-                grid_sup = float(feasible.max()) if feasible.size else 0.0
-                assert sup == pytest.approx(grid_sup, abs=2e-5)
+                self._check_against_dense_grid(p, ahat, alpha, variant)
+
+    @given(
+        p=st.lists(st.one_of(st.sampled_from([0.0, 0.2, 0.5, 1.0]), st.floats(0.0, 1.0)),
+                   min_size=1, max_size=10),
+        ahat=st.floats(0.0, 0.6),
+        alpha=st.floats(0.05, 0.4),
+        variant=st.sampled_from(["plain", "floor", "lcm"]),
+    )
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    def test_exact_sup_against_dense_grid_property(self, p, ahat, alpha, variant):
+        self._check_against_dense_grid(np.array(p), ahat, alpha, variant)
+
+    @staticmethod
+    def _check_against_dense_grid(p, ahat, alpha, variant):
+        # evaluate the estimated map on a dense grid (right limits plus
+        # left limits at the jumps) and take the last feasible point
+        r = plugin_threshold(p, ahat, alpha, variant=variant)
+        sup = r.t if variant == "lcm" else r.diagnostics["sup_exact"]
+        gh = ecdf(p, variant)
+        ts = np.unique(np.r_[np.linspace(1e-9, 1.0, 200_001), p, np.clip(p - 1e-12, 1e-12, 1)])
+        gv = np.asarray(gh.hull(ts)) if variant == "lcm" else np.where(
+            np.isin(ts, p), np.asarray(gh(ts)), np.asarray(gh.left(ts)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            qv = np.where(gv > 0, (1 - ahat) * ts / np.where(gv > 0, gv, 1), np.inf)
+        feasible = ts[qv <= alpha + 1e-12]
+        grid_sup = float(feasible.max()) if feasible.size else 0.0
+        assert sup == pytest.approx(grid_sup, abs=2e-5)
 
     def test_validation(self, example1):
         with pytest.raises(ValueError):
@@ -326,6 +343,11 @@ class TestBayesClassifier:
         assert r.t == grid[dens > 1.0].max()
         assert r.rejected == int(np.sum(p <= r.t))
         assert r.diagnostics["bandwidth"] == 0.05
+
+    def test_bandwidth_validated(self):
+        for h in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="bandwidth must be positive"):
+                bayes_classifier_threshold(np.linspace(0.01, 0.99, 50), h)
 
 
 class TestRejectionSetNesting:
