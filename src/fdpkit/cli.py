@@ -12,6 +12,7 @@ Errors exit with status 1 and a JSON record on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -27,7 +28,7 @@ from .envelopes import (
     exact_envelope,
 )
 from .estimation import astar_lower, ecdf, kernel_a_consistent, storey_a0
-from .simulation import ScenarioConfig, generate_sample, run_validation
+from .simulation import generate_sample, run_validation
 from .thresholds import (
     ThresholdResult,
     bayes_classifier_threshold,
@@ -278,13 +279,7 @@ def _run_example(spec: RunSpec) -> dict:
             "min_rate_inclusive": mr.inclusive,
         }
     if spec.example == 2:
-        scen = ScenarioConfig(
-            m=EXAMPLE2_SCENARIO.m,
-            a=EXAMPLE2_SCENARIO.a,
-            family=EXAMPLE2_SCENARIO.family,
-            params=EXAMPLE2_SCENARIO.params,
-            seed=spec.seed,
-        )
+        scen = dataclasses.replace(EXAMPLE2_SCENARIO, seed=spec.seed)
         samp = generate_sample(scen, 0)
         p = samp.pvalues
         alpha = spec.alpha

@@ -38,6 +38,13 @@ def _largest_true(pred, shape=()):
     return lo.view(np.float64)
 
 
+def _on_unit(t, f):
+    """f(t) on [0, 1] and 0 outside it, for a density f; NaN stays NaN."""
+    t = np.asarray(t, dtype=float)
+    out = np.where((t < 0.0) | (t > 1.0), 0.0, f(np.clip(t, 0.0, 1.0)))
+    return out if out.ndim else float(out)
+
+
 def _quantile(cdf, u):
     """Generalized inverse inf{t : cdf(t) >= u} of a vectorized CDF on
     [0, 1]: the next double above the largest t with cdf(t) < u, and 0 at
@@ -91,9 +98,7 @@ class OneSidedNormal(AlternativeFamily):
         return out if out.ndim else float(out)
 
     def pdf(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.exp(-self.mu * ndtri(t) - 0.5 * self.mu**2)
-        return out if out.ndim else float(out)
+        return _on_unit(t, lambda t: np.exp(-self.mu * ndtri(t) - 0.5 * self.mu**2))
 
     def ppf(self, u):
         u = np.asarray(u, dtype=float)
@@ -129,11 +134,12 @@ class TwoSidedNormal(AlternativeFamily):
         return out if out.ndim else float(out)
 
     def pdf(self, t):
-        t = np.asarray(t, dtype=float)
-        # t / 2 underflows to 0 at the smallest subnormal; keep it positive
-        c = -ndtri(np.where(t > 0.0, np.maximum(t / 2.0, 5e-324), t))
-        out = np.exp(-0.5 * self.mu**2) * np.cosh(self.mu * c)
-        return out if out.ndim else float(out)
+        def f(t):
+            # t / 2 underflows to 0 at the smallest subnormal; keep it positive
+            c = -ndtri(np.where(t > 0.0, np.maximum(t / 2.0, 5e-324), t))
+            return np.exp(-0.5 * self.mu**2) * np.cosh(self.mu * c)
+
+        return _on_unit(t, f)
 
     def ppf(self, u):
         return _quantile(self.cdf, u)
@@ -155,15 +161,12 @@ class BetaPower(AlternativeFamily):
         self.params = {"beta": self.beta}
 
     def cdf(self, t):
-        t = np.asarray(t, dtype=float)
-        out = t**self.beta
+        out = np.clip(np.asarray(t, dtype=float), 0.0, 1.0) ** self.beta
         return out if out.ndim else float(out)
 
     def pdf(self, t):
-        t = np.asarray(t, dtype=float)
         with np.errstate(divide="ignore"):  # density diverges at 0 for beta < 1
-            out = self.beta * t ** (self.beta - 1.0)
-        return out if out.ndim else float(out)
+            return _on_unit(t, lambda t: self.beta * t ** (self.beta - 1.0))
 
     def ppf(self, u):
         u = np.asarray(u, dtype=float)

@@ -1,9 +1,13 @@
 """Deterministic random streams for simulation and Monte Carlo work.
 
 Streams are keyed by ``(seed, *path)`` through ``SeedSequence`` spawn keys on
-top of a counter-based bit generator, so every replication's draws depend only
-on its own key — never on how many other replications ran before it or on the
-execution schedule.
+top of a counter-based bit generator, so a stream's draws depend only on its
+own key — never on how many other streams ran before it or on the execution
+schedule.  What a key covers is up to the caller: ``generate_sample`` keys
+one stream per replicate, so any replicate can be regenerated alone, while
+the block-vectorized validation targets key one stream per block of rows
+whose size depends on m and ``reps``, so a row there is reproduced only by
+the same m, ``reps`` and seed.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from .envelopes import asymptotic_envelope, exact_confidence_set
 from .estimation import _require_open_unit, astar_lower, ecdf, kernel_a_consistent, project_f, storey_a0
 from .families import TwoSidedNormal, UserCdf, make_family
 from .kernels import KernelSpec, eval_kernel
-from .model import LabeledSample, MixtureModel, expected_fdp_fnp, q_derivative, q_inverse
+from .model import LabeledSample, MixtureModel, expected_fdp_fnp, fdp_process, q_derivative, q_inverse
 from .rng import stream, uniform_open
 from .thresholds import oracle_threshold, plugin_threshold, rate_ceiling_known_a
 
@@ -74,35 +74,34 @@ class ScenarioConfig:
         return MixtureModel(self.a, make_family(self.family, self.params))
 
 
+def _draw(config: ScenarioConfig, model: MixtureModel, key: int, shape):
+    """(pvalues, labels) of the given shape from the stream (seed, key):
+    labels first, then uniforms, then the alternative quantile function on
+    the labelled ones."""
+    rng = stream(config.seed, key)
+    lab = uniform_open(rng, shape) < config.a
+    p = uniform_open(rng, shape)
+    if model.F is not None:
+        p[lab] = model.F.ppf(p[lab])
+    return p, lab
+
+
 def generate_sample(config: ScenarioConfig, rep_index: int) -> LabeledSample:
     """Draw one labeled sample; reproducible per (seed, rep_index) and
     independent across rep indices."""
-    model = config.model()
-    rng = stream(config.seed, rep_index)
-    lab = uniform_open(rng, config.m) < config.a
-    p = uniform_open(rng, config.m)
-    if model.F is not None:
-        p[lab] = model.F.ppf(p[lab])
+    p, lab = _draw(config, config.model(), rep_index, config.m)
     return LabeledSample(pvalues=p, labels=lab.astype(np.int8))
 
 
 def _blocks(config: ScenarioConfig, model: MixtureModel, reps: int, block: int | None = None):
     """Yield (pvalues, labels) matrices of up to `block` rows, rows being
-    independent replications.  Streams are keyed by block index."""
+    independent replications.  Streams are keyed by block index, so a row
+    depends on the block size (and through it on m and reps) and is not the
+    sample `generate_sample` draws for the same index."""
     if block is None:
         block = max(1, min(reps, 1_000_000 // max(config.m, 1)))
-    done = 0
-    idx = 0
-    while done < reps:
-        n = min(block, reps - done)
-        rng = stream(config.seed, idx)
-        lab = uniform_open(rng, (n, config.m)) < config.a
-        p = uniform_open(rng, (n, config.m))
-        if model.F is not None:
-            p[lab] = model.F.ppf(p[lab])
-        yield p, lab
-        done += n
-        idx += 1
+    for idx, done in enumerate(range(0, reps, block)):
+        yield _draw(config, model, idx, (min(block, reps - done), config.m))
 
 
 @dataclass(frozen=True)
@@ -156,12 +155,35 @@ def _scenario(config: dict, **defaults) -> ScenarioConfig:
     return ScenarioConfig.from_dict(merged)
 
 
-def _counts_at(p, lab, t):
-    """(rejections, false rejections) per row at threshold t."""
-    below = p <= t
-    r = below.sum(axis=1)
-    n0 = (below & ~lab).sum(axis=1)
-    return r, n0
+def _rates(p, lab, t):
+    """Realized (FDP, FNP) per row of p-values `p` with 0/1 alternative
+    labels `lab` when p <= t is rejected, t being a scalar or one value per
+    row.  FDP is 0 when nothing is rejected and FNP is 0 when everything
+    is; all counts are integers, so each ratio is the correctly rounded
+    quotient."""
+    below = p <= np.asarray(t)[..., None]
+    # rejections, rejected alternatives, alternatives; int32 sums of
+    # booleans run about 1.5x faster than the default int64 ones
+    r, n1, m1 = (x.sum(axis=-1, dtype=np.int32) for x in (below, below & lab, lab))
+    m = p.shape[-1]
+    fdp = np.where(r > 0, (r - n1) / np.maximum(r, 1), 0.0)
+    fnp = np.where(r < m, (m1 - n1) / np.maximum(m - r, 1), 0.0)
+    return fdp, fnp
+
+
+def _storey_rows(p, t0):
+    """Unclamped exceedance-ratio estimate (Ghat(t0) - t0) / (1 - t0) per row."""
+    return ((p <= t0).sum(axis=1) / p.shape[1] - t0) / (1.0 - t0)
+
+
+def _coverage(config, scen, hit, **extra):
+    """Share of the `reps` samples of `scen` on which `hit(sample)` holds,
+    passed when it reaches `gate`."""
+    reps = int(config.get("reps", 1000))
+    gate = float(config.get("gate", 0.94))
+    hits = sum(bool(hit(generate_sample(scen, i))) for i in range(reps))
+    coverage = hits / reps
+    return {"passed": bool(coverage >= gate), "coverage": float(coverage), "gate": gate, "reps": reps, **extra}
 
 
 def _target_fdp_mean(config):
@@ -182,14 +204,7 @@ def _process_mean(config, which):
     sqs = np.zeros(len(ts))
     for p, lab in _blocks(scen, model, reps):
         for j, t in enumerate(ts):
-            if which == "fdp":
-                r, n0 = _counts_at(p, lab, t)
-                vals = np.where(r > 0, n0 / np.maximum(r, 1), 0.0)
-            else:
-                above = p > t
-                alt_above = (above & lab).sum(axis=1)
-                tot_above = above.sum(axis=1)
-                vals = np.where(tot_above > 0, alt_above / np.maximum(tot_above, 1), 0.0)
+            vals = _rates(p, lab, t)[0 if which == "fdp" else 1]
             sums[j] += vals.sum()
             sqs[j] += (vals**2).sum()
     means = sums / reps
@@ -199,7 +214,7 @@ def _process_mean(config, which):
     for j, t in enumerate(ts):
         ex = expected_fdp_fnp(model, scen.m, t)
         expected = ex[0] if which == "fdp" else ex[1]
-        z = abs(means[j] - expected) / ses[j] if ses[j] > 0 else np.inf * (means[j] != expected)
+        z = abs(means[j] - expected) / ses[j] if ses[j] > 0 else (0.0 if means[j] == expected else np.inf)
         rows.append(
             {"t": t, "mean": float(means[j]), "expected": float(expected), "zscore": float(z)}
         )
@@ -214,12 +229,7 @@ def _target_storey_clt(config):
     t0 = float(config.get("t0", 0.5))
     rel_tol = float(config.get("rel_tol", 0.10))
     sigmas = float(config.get("sigmas", 3.0))
-    raws = np.empty(reps)
-    done = 0
-    for p, _ in _blocks(scen, model, reps):
-        cnt = (p <= t0).sum(axis=1)
-        raws[done : done + p.shape[0]] = (cnt / scen.m - t0) / (1.0 - t0)
-        done += p.shape[0]
+    raws = np.concatenate([_storey_rows(p, t0) for p, _ in _blocks(scen, model, reps)])
     g0 = model.cdf(t0)
     a0 = (g0 - t0) / (1.0 - t0)
     mean = float(np.mean(raws))
@@ -250,11 +260,7 @@ def _target_storey_degenerate(config):
     t0 = float(config.get("t0", 0.5))
     _require_open_unit("t0", t0)
     half_tol = float(config.get("half_tol", 0.02))
-    hits = 0
-    for p, _ in _blocks(scen, model, reps):
-        cnt = (p <= t0).sum(axis=1)
-        a0 = np.maximum((cnt / scen.m - t0) / (1.0 - t0), 0.0)
-        hits += int((a0 == 0.0).sum())
+    hits = sum(int((_storey_rows(p, t0) <= 0.0).sum()) for p, _ in _blocks(scen, model, reps))
     observed = hits / reps
     # under a pure-null sample the clamp fires iff Bin(m, t0) <= k = floor(m t0);
     # P(Bin(m, t0) <= k) = I_{1 - t0}(m - k, k + 1), the regularized beta
@@ -276,34 +282,21 @@ def _target_storey_degenerate(config):
 
 def _target_null_floor_coverage(config):
     scen = _scenario(config, m=500, a=0.25, family="one-sided-normal", params={"theta": 3.0})
-    model = scen.model()
-    reps = int(config.get("reps", 1000))
     alpha = float(config.get("alpha", 0.05))
     variant = str(config.get("variant", "plain"))
-    gate = float(config.get("gate", 0.94))
-    floor = purity_quantities(model).a_lower
-    hits = 0
-    for i in range(reps):
-        samp = generate_sample(scen, i)
-        est = astar_lower(ecdf(samp.pvalues, variant), alpha)
-        hits += int(est.value <= floor + 1e-12)
-    coverage = hits / reps
-    return {
-        "passed": bool(coverage >= gate),
-        "coverage": float(coverage),
-        "gate": gate,
-        "a_lower_true": float(floor),
-        "reps": reps,
-        "alpha": alpha,
-    }
+    floor = purity_quantities(scen.model()).a_lower
+    return _coverage(
+        config, scen, lambda s: astar_lower(ecdf(s.pvalues, variant), alpha).value <= floor + 1e-12,
+        a_lower_true=float(floor), alpha=alpha,
+    )
 
 
-def _sup_step_vs_cdf(sf_vals_at, knots, cdf, extra=(0.0, 1.0)):
-    """Exact sup |step - continuous cdf| via one-sided values at the jumps."""
+def _sup_step_vs_cdf(sf, knots, cdf, extra=(0.0, 1.0)):
+    """Exact sup |step - continuous cdf| via the step function's one-sided
+    values at the jumps."""
     ts = np.unique(np.r_[knots, extra])
-    right, left = sf_vals_at(ts)
     c = cdf(ts)
-    return float(max(np.abs(right - c).max(), np.abs(left - c).max()))
+    return float(max(np.abs(np.asarray(sf(ts)) - c).max(), np.abs(np.asarray(sf.left(ts)) - c).max()))
 
 
 def _target_projection_bound(config):
@@ -317,13 +310,8 @@ def _target_projection_bound(config):
         ghat = ecdf(samp.pvalues, "plain")
         fhat = project_f(ghat, scen.a)
         knots = np.unique(np.r_[ghat.base.knots, fhat.knots, 1.0])
-        lhs = _sup_step_vs_cdf(
-            lambda ts: (np.asarray(fhat(ts)), np.asarray(fhat.left(ts))), knots, model.F.cdf
-        )
-        dist = _sup_step_vs_cdf(
-            lambda ts: (np.asarray(ghat(ts)), np.asarray(ghat.left(ts))), knots, model.cdf
-        )
-        rhs = 2.0 * dist / scen.a
+        lhs = _sup_step_vs_cdf(fhat, knots, model.F.cdf)
+        rhs = 2.0 * _sup_step_vs_cdf(ghat, knots, model.cdf) / scen.a
         holds += int(lhs <= rhs + 1e-12)
         worst_margin = max(worst_margin, lhs - rhs)
     return {
@@ -347,11 +335,7 @@ def _target_lcm_contraction(config):
         gh = ecdf(samp.pvalues, "lcm")
         ts = np.unique(np.r_[dense, gh.hull.x, gh.base.knots])
         err_lcm = float(np.abs(np.asarray(gh(ts)) - model.cdf(ts)).max())
-        err_plain = _sup_step_vs_cdf(
-            lambda q: (np.asarray(gh.base(q)), np.asarray(gh.base.left(q))),
-            gh.base.knots,
-            model.cdf,
-        )
+        err_plain = _sup_step_vs_cdf(gh.base, gh.base.knots, model.cdf)
         holds += int(err_lcm <= err_plain + cushion)
         worst = max(worst, err_lcm - err_plain)
     return {
@@ -374,13 +358,10 @@ def _kernel_target(config, kind):
     for p, lab in _blocks(scen, model, reps, block=max(1, 500_000 // scen.m)):
         n = p.shape[0]
         for j, t in enumerate(pts):
-            below = p <= t
-            r = below.sum(axis=1)
-            ghat_t = r / scen.m
             if kind == "fdp":
-                n0 = (below & ~lab).sum(axis=1)
-                vals[done : done + n, j] = np.where(r > 0, n0 / np.maximum(r, 1), 0.0)
+                vals[done : done + n, j] = _rates(p, lab, t)[0]
             else:  # qhat at the known weight, or at the qhat-storey estimate
+                ghat_t = (p <= t).sum(axis=1) / scen.m
                 one_minus = 1.0 - scen.a if kind == "qhat" else (
                     1.0 - (p <= t0).sum(axis=1) / scen.m) / (1.0 - t0)
                 vals[done : done + n, j] = np.where(
@@ -440,18 +421,15 @@ def _target_qinv_kernel_identity(config):
     return {"passed": bool(worst <= tol), "worst_abs_diff": float(worst), "tol": tol, "entries": entries}
 
 
-def _bh_rows(p, lab, alphas):
-    """Vectorized step-up rule per row at per-row levels; returns the mean
-    FDP ingredients (threshold, rejections, false rejections)."""
+def _bh_rows(p, alphas):
+    """Vectorized step-up rule per row at per-row levels; returns the
+    per-row thresholds."""
     n, m = p.shape
     ps = np.sort(p, axis=1)
     cut = np.asarray(alphas)[:, None] * np.arange(1, m + 1) / m
     ok = ps <= cut
     istar = np.where(ok, np.arange(1, m + 1)[None, :], 0).max(axis=1)
-    t = np.where(istar > 0, ps[np.arange(n), np.maximum(istar - 1, 0)], 0.0)
-    below = p <= t[:, None]
-    n0 = (below & ~lab).sum(axis=1)
-    return t, istar, n0
+    return np.where(istar > 0, ps[np.arange(n), np.maximum(istar - 1, 0)], 0.0)
 
 
 def _plugin_target(config, estimated):
@@ -467,14 +445,12 @@ def _plugin_target(config, estimated):
     spot_ok = True
     for block, (p, lab) in enumerate(_blocks(scen, model, reps)):
         if estimated:
-            cnt = (p <= t0).sum(axis=1)
-            a0 = np.maximum((cnt / scen.m - t0) / (1.0 - t0), 0.0)
-            one_minus = 1.0 - a0
+            one_minus = 1.0 - np.maximum(_storey_rows(p, t0), 0.0)
             levels = np.where(one_minus > 0, alpha / np.where(one_minus > 0, one_minus, 1.0), np.inf)
         else:
             levels = np.full(p.shape[0], alpha / (1.0 - scen.a))
-        t, istar, n0 = _bh_rows(p, lab, levels)
-        total += float(np.where(istar > 0, n0 / np.maximum(istar, 1), 0.0).sum())
+        t = _bh_rows(p, levels)
+        total += float(_rates(p, lab, t)[0].sum())
         if block == 0:
             # the plug-in rule itself must agree with the fast path
             for row in range(min(3, p.shape[0])):
@@ -509,11 +485,7 @@ def _target_rate_ceiling_known_a(config):
     alpha = float(config.get("alpha", 0.05))
     band = config.get("band", (0.93, 0.97))
     thr = rate_ceiling_known_a(model, scen.m, c, alpha)
-    hits = 0
-    for p, lab in _blocks(scen, model, reps):
-        r, n0 = _counts_at(p, lab, thr.t)
-        gamma = np.where(r > 0, n0 / np.maximum(r, 1), 0.0)
-        hits += int((gamma <= c).sum())
+    hits = sum(int((_rates(p, lab, thr.t)[0] <= c).sum()) for p, lab in _blocks(scen, model, reps))
     coverage = hits / reps
     return {
         "passed": bool(band[0] <= coverage <= band[1]),
@@ -531,39 +503,23 @@ def _asymptotic_coverage(config, kind):
     # above t_min; kind "count": m times the count path covers the number
     # of nulls at or below each null p-value there
     scen = _scenario(config, m=1000, a=0.25, family="one-sided-normal", params={"theta": 3.0})
-    reps = int(config.get("reps", 1000))
     alpha = float(config.get("alpha", 0.05))
     t0 = float(config.get("t0", 0.5))
     t_min = float(config.get("t_min", 1e-4))
-    gate = float(config.get("gate", 0.94))
-    hits = 0
-    for i in range(reps):
-        samp = generate_sample(scen, i)
+
+    def hit(samp):
         p = samp.pvalues
-        lab = samp.labels.astype(bool)
         env = asymptotic_envelope(p, t0=t0, alpha=alpha, t_min=t_min, enforce_floor=False)
-        nulls = np.sort(p[~lab])
         if kind == "fdp":
-            ps = np.sort(p)
-            cand = np.unique(np.r_[t_min, ps[ps >= t_min]])
-            r = np.searchsorted(ps, cand, side="right")
-            n0 = np.searchsorted(nulls, cand, side="right")
-            truth = np.where(r > 0, n0 / np.maximum(r, 1), 0.0)
-            bound = env.gamma_bar(cand)
+            cand = np.unique(np.r_[t_min, p[p >= t_min]])
+            truth, bound = fdp_process(samp)(cand), env.gamma_bar(cand)
         else:
+            nulls = np.sort(p[samp.labels == 0])
             cand = np.unique(np.r_[t_min, nulls[nulls >= t_min]])
-            truth = np.searchsorted(nulls, cand, side="right")
-            bound = env.count_bound_at(cand)
-        hits += int(np.all(truth <= np.asarray(bound) + 1e-12))
-    coverage = hits / reps
-    return {
-        "passed": bool(coverage >= gate),
-        "coverage": float(coverage),
-        "gate": gate,
-        "reps": reps,
-        "alpha": alpha,
-        "t_min": t_min,
-    }
+            truth, bound = np.searchsorted(nulls, cand, side="right"), env.count_bound_at(cand)
+        return np.all(truth <= np.asarray(bound) + 1e-12)
+
+    return _coverage(config, scen, hit, alpha=alpha, t_min=t_min)
 
 
 def _target_envelope_coverage(config):
@@ -576,22 +532,8 @@ def _target_count_envelope_coverage(config):
 
 def _target_label_set_coverage(config):
     scen = _scenario(config, m=50, a=0.25, family="one-sided-normal", params={"theta": 3.0})
-    reps = int(config.get("reps", 1000))
     alpha = float(config.get("alpha", 0.05))
-    gate = float(config.get("gate", 0.94))
-    hits = 0
-    for i in range(reps):
-        samp = generate_sample(scen, i)
-        cs = exact_confidence_set(samp.pvalues, alpha)
-        hits += int(cs.contains(samp.labels))
-    coverage = hits / reps
-    return {
-        "passed": bool(coverage >= gate),
-        "coverage": float(coverage),
-        "gate": gate,
-        "reps": reps,
-        "alpha": alpha,
-    }
+    return _coverage(config, scen, lambda s: exact_confidence_set(s.pvalues, alpha).contains(s.labels), alpha=alpha)
 
 
 def _target_achievable_oracle(config):
@@ -610,17 +552,9 @@ def _target_achievable_oracle(config):
     for i in range(reps):
         samp = generate_sample(scen, i)
         p = samp.pvalues
-        lab = samp.labels.astype(bool)
-        ahat = kernel_a_consistent(p).value
-        t_pi = plugin_threshold(p, ahat, alpha).t
-        for j, t in enumerate((t_pi, t_ao)):
-            below = p <= t
-            r = int(below.sum())
-            n0 = int((below & ~lab).sum())
-            miss = int((~below & lab).sum())
-            nr = scen.m - r
-            sums[2 * j] += n0 / r if r else 0.0
-            sums[2 * j + 1] += miss / nr if nr else 0.0
+        t_pi = plugin_threshold(p, kernel_a_consistent(p).value, alpha).t
+        fdp, fnp = _rates(p, samp.labels, np.array([t_pi, t_ao]))
+        sums += (fdp[0], fnp[0], fdp[1], fnp[1])
     means = sums / reps
     fdp_gap = abs(means[0] - means[2])
     fnp_gap = abs(means[1] - means[3])
@@ -667,6 +601,10 @@ def run_validation(config: dict, target: str) -> dict:
     if target not in VALIDATION_TARGETS:
         known = ", ".join(sorted(VALIDATION_TARGETS))
         raise ValueError(f"unknown validation target {target!r}; known targets: {known}")
+    if "reps" in config:
+        reps = config["reps"]
+        if isinstance(reps, bool) or not isinstance(reps, (int, np.integer)) or reps < 2:
+            raise ValueError(f"reps must be an integer >= 2, got {reps!r}")
     report = VALIDATION_TARGETS[target](dict(config))
     report["target"] = target
     return report

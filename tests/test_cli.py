@@ -271,6 +271,13 @@ class TestSimulateCommand:
         assert json.loads(out) == json.loads(outfile.read_text())
         assert json.loads(out)["reps"] == 25
 
+    @pytest.mark.parametrize("reps", ["0", "1", "-3"])
+    def test_reps_below_two_exits_one(self, capsys, reps):
+        rc, out, err = run_cli(capsys, "simulate", "--target", "projection-bound",
+                               "--reps", reps)
+        assert rc == 1 and out == ""
+        assert "reps must be an integer >= 2" in json.loads(err)["error"]
+
     def test_bad_config_and_target(self, capsys, tmp_path):
         rc, _, err = run_cli(capsys, "simulate", "--target", "nope")
         assert rc == 1

@@ -194,6 +194,21 @@ class TestBetaPower:
         assert np.allclose(fam.cdf(GRID), GRID, atol=0)
 
 
+class TestSupport:
+    """Every built-in family is a law on [0, 1]: its CDF is 0 below 0 and 1
+    above 1, and its density is 0 outside [0, 1]."""
+
+    @pytest.mark.parametrize("fam", [OneSidedNormal(2.0), TwoSidedNormal(2.0),
+                                     BetaPower(0.5), BetaPower(1.0)], ids=repr)
+    def test_outside_unit_interval(self, fam):
+        out = np.array([-1.0, -0.1, -1e-300, 1.0 + 1e-15, 1.5, 7.0])
+        assert np.array_equal(fam.cdf(out), (out > 1.0).astype(float))
+        assert np.array_equal(fam.pdf(out), np.zeros(out.size))
+        assert fam.cdf(-0.1) == 0.0 and fam.cdf(1.5) == 1.0
+        assert fam.pdf(-0.1) == 0.0 and fam.pdf(1.5) == 0.0
+        assert fam.cdf(0.0) == 0.0 and fam.cdf(1.0) == 1.0
+
+
 class TestUserCdf:
     def test_wraps_callables(self):
         fam = UserCdf(lambda t: t**2)

@@ -8,10 +8,12 @@ from scipy import integrate, stats
 
 from fdpkit.estimation import dkw_epsilon
 from fdpkit.families import UserCdf, make_family
-from fdpkit.model import MixtureModel
+from fdpkit.model import LabeledSample, MixtureModel, fdp_process, fnp_process
 from fdpkit.simulation import (
     VALIDATION_TARGETS,
     ScenarioConfig,
+    _blocks,
+    _rates,
     generate_sample,
     purity_quantities,
     pvalue_density_two_sided_normal,
@@ -85,6 +87,59 @@ class TestGenerateSample:
         lab = generate_sample(cfg, 0).labels
         se = np.sqrt(0.3 * 0.7 / lab.size)
         assert abs(lab.mean() - 0.3) < 5 * se
+
+
+class TestSharedParts:
+    @staticmethod
+    def _rows():
+        rng = np.random.default_rng(4)
+        p = np.round(rng.uniform(size=(6, 40)), 1)  # heavy ties
+        p[0, :3] = 0.0
+        p[1, -3:] = 1.0
+        lab = rng.uniform(size=p.shape) < 0.4
+        lab[2] = False  # all null
+        lab[3] = True  # all alternative
+        return p, lab
+
+    def _by_process(self, p, lab, ts):
+        fdp, fnp = [], []
+        for row, h, t in zip(p, lab, ts):
+            s = LabeledSample(row, h.astype(np.int8))
+            fdp.append(fdp_process(s)(t))
+            fnp.append(fnp_process(s)(t))
+        return np.array(fdp), np.array(fnp)
+
+    @pytest.mark.parametrize("t", [0.0, 1.0, 0.3, 0.35, 0.7])
+    def test_rates_match_processes_at_scalar_t(self, t):
+        p, lab = self._rows()
+        want = self._by_process(p, lab, [t] * p.shape[0])
+        got = _rates(p, lab, t)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+    def test_rates_match_processes_at_per_row_t(self):
+        p, lab = self._rows()
+        ts = np.array([0.0, 1.0, p[2, 5], p[3, 0], 0.45, p[5, 17]])  # some exactly a p-value
+        want = self._by_process(p, lab, ts)
+        got = _rates(p, lab, ts)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+    def test_rates_on_one_row(self):
+        p, lab = self._rows()
+        for t in (0.0, p[4, 9], 1.0):
+            got = _rates(p[4], lab[4].astype(np.int8), t)  # as LabeledSample holds them
+            want = self._by_process(p[4:5], lab[4:5], [t])
+            assert np.shape(got[0]) == ()
+            np.testing.assert_array_equal([got[0], got[1]], [want[0][0], want[1][0]])
+
+    def test_generate_sample_is_first_row_of_a_one_row_block(self):
+        scen = ScenarioConfig(m=300, a=0.3, params={"theta": 3.0}, seed=12)
+        p, lab = next(_blocks(scen, scen.model(), 1))
+        samp = generate_sample(scen, 0)
+        assert p.shape == (1, 300)
+        np.testing.assert_array_equal(samp.pvalues, p[0])
+        np.testing.assert_array_equal(samp.labels, lab[0].astype(np.int8))
 
 
 class TestPurityQuantities:
@@ -192,6 +247,23 @@ class TestValidationHarness:
         assert r["expected_mass_at_zero"] == pytest.approx(float(want), rel=1e-13, abs=0)
         with pytest.raises(ValueError, match="t0"):
             run_validation({"t0": 1.0}, "storey-degenerate")
+
+    @pytest.mark.parametrize("reps", [0, 1, -5, 2.5, 10.0, True, "100", None])
+    def test_reps_must_be_an_integer_of_at_least_two(self, reps):
+        for name in ("projection-bound", "fdp-mean", "storey-clt"):
+            with pytest.raises(ValueError, match="reps must be an integer >= 2"):
+                run_validation({"reps": reps, "m": 60}, name)
+
+    def test_two_reps_run(self):
+        assert run_validation({"reps": 2, "m": 60}, "projection-bound")["reps"] == 2
+
+    @pytest.mark.parametrize("cfg, name", [({"a": 1.0}, "fdp-mean"), ({"a": 0.0}, "fnp-mean")])
+    def test_zero_variance_mean_scores_zero(self, cfg, name):
+        # every replicate's rate is exactly 0, and so is the expected mean
+        r = run_validation({**cfg, "reps": 200}, name)
+        assert r["passed"] is True
+        for pt in r["points"]:
+            assert pt["mean"] == pt["expected"] == 0.0 and pt["zscore"] == 0.0
 
     def test_reduced_scale_targets_pass(self):
         quick = [
