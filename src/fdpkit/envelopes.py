@@ -13,7 +13,6 @@ import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .estimation import _require_open_unit, _validated_pvalues, ecdf
 from .rng import standard_normal, stream
@@ -210,6 +209,8 @@ def uniformity_critical_value(k: int, alpha: float) -> float:
     """Critical value for the second-smallest of k uniforms: the c with
     P{second order statistic <= c} = alpha, the alpha-quantile of its
     Beta(2, k - 1) law.  Sizes 0 and 1 are never rejected (returns -inf)."""
+    from scipy.special import betaincinv
+
     if k < 0:
         raise ValueError("k must be nonnegative")
     _require_open_unit("alpha", alpha)
@@ -285,6 +286,8 @@ class ExactConfidenceSet:
 def exact_confidence_set(pvalues, alpha: float) -> ExactConfidenceSet:
     """Build the exact confidence collection by testing, for each size k,
     the k largest p-values against the second-order-statistic rule."""
+    from scipy.special import betaincinv
+
     p = _validated_pvalues(pvalues)
     _require_open_unit("alpha", alpha)
     m = p.size

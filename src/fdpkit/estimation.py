@@ -11,6 +11,7 @@ p-value grid, computed in closed form as an L-infinity isotonic regression.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,20 +96,78 @@ class EcdfEstimate:
         return self.hull(t)
 
 
+# Candidate points a round of the hull's searches tests in all, over the
+# block pairs; the search over R takes its square root and leaves the rest to
+# the searches over L inside it.  Large enough that small hulls need one
+# round per search, small enough that a round costs less than the Python
+# steps it saves.
+_SEARCH_ROUND = 1024
+
+
+def _lift(lo, last, ok, width):
+    """Largest i in [lo, last] with ``ok(i)``, elementwise, for ``ok`` true at
+    lo and switching off at most once.  Each round tests up to ``width``
+    evenly spaced candidates per element, so a span of s takes about
+    log(s) / log(width + 1) rounds."""
+    span = int((last - lo).max(initial=0))
+    q = np.arange(1, max(1, min(width, span)) + 1)
+    steps = []
+    s = 1
+    while s <= span:
+        steps.insert(0, s)
+        s *= q.size + 1
+    for s in steps:
+        cand = np.minimum(lo[..., None] + s * q, last[..., None])
+        lo = np.where(ok(cand), cand, lo[..., None]).max(axis=-1)
+    return lo
+
+
 def _concave_majorant(xs: np.ndarray, ys: np.ndarray) -> PiecewiseLinear:
-    """Upper concave hull of the graph points, scanned left to right."""
-    hx, hy = [], []
-    for x, y in zip(xs, ys):
-        while len(hx) >= 2:
-            cross = (hx[-1] - hx[-2]) * (y - hy[-2]) - (hy[-1] - hy[-2]) * (x - hx[-2])
-            if cross >= 0.0:
-                hx.pop()
-                hy.pop()
-            else:
-                break
-        hx.append(x)
-        hy.append(y)
-    return PiecewiseLinear(np.array(hx), np.array(hy))
+    """Upper concave hull of graph points with strictly increasing xs;
+    points on a hull edge are not vertices.
+
+    Bottom-up divide and conquer.  At width w the surviving points of each
+    block of w input indices form that block's hull, and each pair of
+    adjacent blocks (L, R) is joined by its upper bridge: the first R point
+    that stays a vertex is a search over R, each of whose tests takes the
+    tangent from an R point to L, a search over L.  The points strictly
+    between the bridge's ends are dropped.  A level takes O(m) array work
+    plus O(log^2 w) search steps per pair: O(m log m) in all."""
+    x, y = xs, ys
+    n = x.size
+    pos = np.arange(n)                   # input index of each surviving point
+    w = 1
+    while w < n:
+        # where each block of w input indices starts among the survivors
+        edges = np.append(np.searchsorted(pos, np.arange(0, n, w)), pos.size)
+        ls, mid, re = edges[:-2:2], edges[1:-1:2], edges[2::2]
+
+        def tangent(j, first, last):
+            # last L point strictly above the line from its predecessor to j
+            xj, yj = x[j][..., None], y[j][..., None]
+
+            def above(i):
+                xa, ya = x[i - 1], y[i - 1]
+                return (x[i] - xa) * (yj - ya) < (y[i] - ya) * (xj - xa)
+
+            return _lift(first, last, above, _SEARCH_ROUND // j.size)
+
+        def hidden(j):
+            # R point j - 1 on or below the line from its tangent to j
+            c = j - 1
+            a = tangent(c, ls[:, None], mid[:, None] - 1)
+            return (x[c] - x[a]) * (y[j] - y[a]) >= (y[c] - y[a]) * (x[j] - x[a])
+
+        j = _lift(mid, re - 1, hidden, math.isqrt(_SEARCH_ROUND // ls.size))
+        t = tangent(j, ls, mid - 1)
+        if np.any(t + 1 < j):
+            d = np.zeros(pos.size + 1, dtype=np.int64)
+            d[t + 1] += 1
+            d[j] -= 1
+            alive = d.cumsum()[:-1] == 0
+            x, y, pos = x[alive], y[alive], pos[alive]
+        w *= 2
+    return PiecewiseLinear(x, y)
 
 
 def ecdf(pvalues, variant: str = "plain") -> EcdfEstimate:

@@ -8,7 +8,6 @@ all built-in families provide the full triple.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 __all__ = [
     "AlternativeFamily",
@@ -93,14 +92,22 @@ class OneSidedNormal(AlternativeFamily):
         self.params = {"theta": self.theta, "n": self.n}
 
     def cdf(self, t):
+        from scipy.special import ndtr, ndtri
+
         t = np.asarray(t, dtype=float)
         out = np.where(t <= 0.0, 0.0, np.where(t >= 1.0, 1.0, ndtr(self.mu + ndtri(np.clip(t, 1e-320, 1.0)))))
         return out if out.ndim else float(out)
 
     def pdf(self, t):
+        from scipy.special import ndtri
+
+        if self.mu == 0.0:  # uniform; the formula is 0 * inf at the endpoints
+            return _on_unit(t, np.ones_like)
         return _on_unit(t, lambda t: np.exp(-self.mu * ndtri(t) - 0.5 * self.mu**2))
 
     def ppf(self, u):
+        from scipy.special import ndtr, ndtri
+
         u = np.asarray(u, dtype=float)
         out = ndtr(ndtri(u) - self.mu)
         return out if out.ndim else float(out)
@@ -126,6 +133,8 @@ class TwoSidedNormal(AlternativeFamily):
         self.params = {"theta": self.theta, "n": self.n}
 
     def cdf(self, t):
+        from scipy.special import ndtr, ndtri
+
         t = np.asarray(t, dtype=float)
         tc = np.clip(t, 1e-320, 1.0)
         c = -ndtri(tc / 2.0)
@@ -134,6 +143,11 @@ class TwoSidedNormal(AlternativeFamily):
         return out if out.ndim else float(out)
 
     def pdf(self, t):
+        from scipy.special import ndtri
+
+        if self.mu == 0.0:  # uniform; the formula is 0 * inf at t = 0
+            return _on_unit(t, np.ones_like)
+
         def f(t):
             # t / 2 underflows to 0 at the smallest subnormal; keep it positive
             c = -ndtri(np.where(t > 0.0, np.maximum(t / 2.0, 5e-324), t))

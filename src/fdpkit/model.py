@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .families import AlternativeFamily, _largest_true
+from .families import AlternativeFamily, _largest_true, _on_unit
 from .stepfun import StepFunction
 
 __all__ = [
@@ -58,23 +58,20 @@ class MixtureModel:
             raise ValueError("an alternative family is required when a > 0")
 
     def cdf(self, t):
-        """Marginal CDF G(t)."""
-        t = np.asarray(t, dtype=float)
+        """Marginal CDF G(t): 0 below 0 and 1 above 1."""
+        t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
         alt = self.F.cdf(t) if self.a > 0.0 else 0.0
         out = (1.0 - self.a) * t + self.a * alt
         return out if out.ndim else float(out)
 
     def pdf(self, t):
-        """Marginal density g(t) = (1-a) + a f(t); requires the family density."""
+        """Marginal density g(t) = (1-a) + a f(t) on [0, 1] and 0 outside it;
+        requires the family density."""
         if self.a == 0.0:
-            t = np.asarray(t, dtype=float)
-            out = np.ones_like(t)
-            return out if out.ndim else 1.0
+            return _on_unit(t, np.ones_like)
         if self.F.pdf is None:
             raise ValueError("alternative family has no density")
-        t = np.asarray(t, dtype=float)
-        out = (1.0 - self.a) + self.a * np.asarray(self.F.pdf(t), dtype=float)
-        return out if out.ndim else float(out)
+        return _on_unit(t, lambda t: (1.0 - self.a) + self.a * np.asarray(self.F.pdf(t), dtype=float))
 
     @property
     def has_density(self) -> bool:

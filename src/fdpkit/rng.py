@@ -13,7 +13,6 @@ the same m, ``reps`` and seed.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 __all__ = ["stream", "uniform_open", "standard_normal"]
 
@@ -34,6 +33,8 @@ def uniform_open(rng: np.random.Generator, size=None) -> np.ndarray:
 
 
 def standard_normal(rng: np.random.Generator, size=None) -> np.ndarray:
+    from scipy.special import ndtri
+
     # Inverse-CDF sampling: identical bytes for a given stream on any
     # platform, unlike rejection-based samplers.
     return ndtri(uniform_open(rng, size))

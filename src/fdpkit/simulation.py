@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betainc
 
 from .envelopes import asymptotic_envelope, exact_confidence_set
 from .estimation import _require_open_unit, astar_lower, ecdf, kernel_a_consistent, project_f, storey_a0
@@ -121,7 +120,7 @@ def purity_quantities(model: MixtureModel) -> PurityQuantities:
         raise ValueError("alternative family has no density")
     grid = np.unique(np.r_[np.linspace(0.0, 1.0, 10_001), 1.0 - np.geomspace(1e-12, 1e-4, 200)])
     f = np.asarray(fam.pdf(grid), dtype=float)
-    inf_f = float(np.nanmin(np.r_[f, fam.pdf(1.0)]))
+    inf_f = float(np.min(np.r_[f, fam.pdf(1.0)]))
     zeta = float(np.clip(1.0 - inf_f, 0.0, 1.0))
     a_lower = model.a * zeta
     if zeta <= 0.0:
@@ -254,6 +253,8 @@ def _target_storey_clt(config):
 
 
 def _target_storey_degenerate(config):
+    from scipy.special import betainc
+
     scen = _scenario(config, m=10_000, a=0.0)
     model = scen.model()
     reps = int(config.get("reps", 10_000))

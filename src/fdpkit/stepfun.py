@@ -58,13 +58,16 @@ class StepFunction:
 
         Duplicate x entries collapse to the last y given (useful for tied
         p-values where the cumulative count at the tie is what survives).
+        Strictly increasing xs, such as the output of ``np.unique``, are
+        taken as they are.
         """
         xs = _as_float_array(xs)
         ys = _as_float_array(ys)
-        order = np.argsort(xs, kind="stable")
-        xs, ys = xs[order], ys[order]
-        keep = np.r_[xs[1:] != xs[:-1], True]
-        xs, ys = xs[keep], ys[keep]
+        if np.any(xs[1:] <= xs[:-1]):
+            order = np.argsort(xs, kind="stable")
+            xs, ys = xs[order], ys[order]
+            keep = np.r_[xs[1:] != xs[:-1], True]
+            xs, ys = xs[keep], ys[keep]
         if xs.size == 0 or xs[0] != 0.0:
             xs = np.r_[0.0, xs]
             ys = np.r_[float(value_at_zero), ys]

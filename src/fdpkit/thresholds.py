@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .estimation import _ahat_value, _bandwidth, _require_open_unit, _validated_pvalues, ecdf, kernel_density
 from .kernels import KernelSpec, eval_kernel
@@ -230,6 +229,8 @@ def rate_ceiling_known_a(model: MixtureModel, m: int, c: float, alpha: float) ->
     Starts from the population point t_c where the positive-FDR map hits c
     and backs off by a normal quantile of the rejection-balance fluctuation
     scaled by the slope of its mean."""
+    from scipy.special import ndtri
+
     if m < 1:
         raise ValueError("m must be at least 1")
     _require_open_unit("c", c)

@@ -8,8 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from fdpkit.cli import RunSpec, ingest, main, read_envelope_csv, run
+from fdpkit.cli import RunSpec, _ingest_lines, ingest, main, read_envelope_csv, run
 from fdpkit.datasets import EXAMPLE1_PVALUES, EXAMPLE2_SCENARIO
 from fdpkit.envelopes import (
     asymptotic_envelope,
@@ -77,6 +79,41 @@ class TestIngest:
     def test_unknown_format(self, pfile):
         with pytest.raises(ValueError, match="format"):
             ingest(pfile, "tsv")
+
+    _number = st.one_of(
+        st.sampled_from(["1", "-0", "+.5", "1e-3", "2.5E-300", "5e-324", "2e-320", "1e400",
+                         "inf", "-Infinity", "nan", "NaN", "-nan", "\t0.75 "]),
+        st.floats().map(repr),
+        st.floats(0.0, 1.0).map("{:.6g}".format),
+    )
+    _junk = st.sampled_from(["0.1 0.2", "1_0", "0x1p-3", "", " ", "x", "# 0.5", '"0.5"', "0.5#"])
+    _cell = st.one_of(_number, _number, _number, _junk)
+    _row = st.one_of(_cell, _cell, st.lists(_cell, min_size=2, max_size=3).map(",".join))
+
+    @given(rows=st.lists(_row, max_size=8), fmt=st.sampled_from(["lines", "csv"]),
+           newline=st.sampled_from(["\n", "\r\n"]), last=st.booleans())
+    @example(rows=[], fmt="lines", newline="\n", last=True)
+    @example(rows=["p,id"], fmt="csv", newline="\n", last=True)
+    @example(rows=["0.1 0.2"], fmt="lines", newline="\n", last=True)
+    @example(rows=["p", "0.5,", "0.25,1,2", "0.125"], fmt="csv", newline="\r\n", last=False)
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_same_floats_or_error_as_the_line_reader(self, tmp_path, rows, fmt, newline, last):
+        # Blank lines, CRLF, exponents, subnormals, inf/nan, trailing commas,
+        # two tokens on a line, '#' and quoted fields, ragged rows, empty
+        # files and a header-only CSV.
+        f = tmp_path / "p.txt"
+        f.write_bytes((newline.join(rows) + (newline if last else "")).encode())
+        try:
+            want = _ingest_lines(str(f), fmt)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                ingest(str(f), fmt)
+            assert str(got.value) == str(exc)
+        else:
+            got = ingest(str(f), fmt)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestThresholdCommand:
@@ -352,12 +389,49 @@ class TestProcessLevel:
         assert json.loads(proc.stdout)["rejected"] == 4
 
     def test_import_leaves_out_scipy_stats(self):
-        # scipy.stats takes about a second to import and no CLI path needs it
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, fdpkit.cli; print('scipy.stats' in sys.modules)"],
-            capture_output=True, text=True)
+        # scipy.special alone takes about 0.3 s to import; the calls that
+        # need it import it themselves
+        for module in ("fdpkit", "fdpkit.cli"):
+            proc = subprocess.run(
+                [sys.executable, "-c", f"import sys, {module}; "
+                 "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
+                capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == "[]", module
+
+    def test_screen_calls_run_without_scipy(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        f = tmp_path / "p.txt"
+        f.write_text("".join(f"{v:.6g}\n" for v in rng.random(400) ** 2))
+        calls = [
+            ["threshold", "--method", "bh"],
+            ["threshold", "--method", "plugin"],
+            ["threshold", "--method", "plugin", "--variant", "lcm"],
+            ["threshold", "--method", "bayes"],
+            ["estimate", "--method", "storey"],
+            ["estimate", "--method", "astar"],
+            ["estimate", "--method", "kernel"],
+        ]
+        calls = [c + ["--input", str(f)] for c in calls]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from fdpkit.cli import main\n"
+            "out = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    buf = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(buf):\n"
+            "        rc = main(argv)\n"
+            "    out.append([rc, buf.getvalue()])\n"
+            "print(json.dumps(out))\n")
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(calls)],
+                              capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        blocked = json.loads(proc.stdout)
+        for argv, (rc, out) in zip(calls, blocked):
+            want_rc, want_out, _ = run_cli(capsys, *argv)
+            assert rc == want_rc == 0, argv
+            assert out == want_out, argv
 
     def test_console_script(self, pfile, tmp_path):
         # Run the declared [project.scripts] entry through the wrapper that an

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -44,6 +45,36 @@ def hull_by_gift_wrapping(xs, ys):
         hy.append(pts[j][1])
         i = j
     return np.array(hx), np.array(hy)
+
+
+def hull_by_monotone_chain(xs, ys):
+    """Upper concave hull by one left-to-right scan that pops every point on
+    or below the chord to the next: the scan ``ecdf`` used before its array
+    passes.  Exact when given Fractions."""
+    hx, hy = [], []
+    for x, y in zip(xs, ys):
+        while len(hx) >= 2:
+            cross = (hx[-1] - hx[-2]) * (y - hy[-2]) - (hy[-1] - hy[-2]) * (x - hx[-2])
+            if cross >= 0:
+                hx.pop()
+                hy.pop()
+            else:
+                break
+        hx.append(x)
+        hy.append(y)
+    return hx, hy
+
+
+def lcm_points(p):
+    """The graph points ``ecdf(p, "lcm")`` takes the majorant of."""
+    distinct, counts = np.unique(p, return_counts=True)
+    xs, ys = distinct, counts.cumsum() / len(p)
+    if xs[0] != 0.0:
+        xs, ys = np.r_[0.0, xs], np.r_[0.0, ys]
+    if xs[-1] != 1.0:
+        xs, ys = np.r_[xs, 1.0], np.r_[ys, 1.0]
+    ys[-1] = 1.0
+    return xs, ys
 
 
 def astar_dense_grid(p, alpha, n=100_001):
@@ -102,6 +133,67 @@ class TestEcdf:
             hx, hy = hull_by_gift_wrapping(xs, ys)
             probe = np.linspace(0, 1, 257)
             assert np.allclose(g(probe), np.interp(probe, hx, hy), atol=1e-12)
+
+    @given(
+        p=st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                   min_size=1, max_size=60),
+        decimals=st.sampled_from([1, 2, 3, None]),
+        ones=st.integers(0, 20),
+    )
+    @example(p=[0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 0.0, 0.0], decimals=None, ones=0)
+    @example(p=[0.5], decimals=None, ones=0)
+    @example(p=[0.0], decimals=None, ones=3)
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    def test_lcm_against_exact_hull(self, p, decimals, ones):
+        # Rounding makes ties and near-collinear points; ``ones`` puts an
+        # atom at 1.  Floating-point hulls may differ from the exact one in
+        # which near-collinear points they keep, so compare values.
+        p = np.r_[p if decimals is None else np.round(p, decimals), np.ones(ones)]
+        hull = ecdf(p, "lcm").hull
+        xs, ys = lcm_points(p)
+        fx, fy = hull_by_monotone_chain([Fraction(v) for v in xs], [Fraction(v) for v in ys])
+        seg = np.searchsorted(np.array([float(v) for v in fx]), xs, side="right").clip(1, len(fx) - 1)
+        for x, y, got, k in zip(xs, ys, hull(xs), seg):
+            x0, x1, y0, y1 = fx[k - 1], fx[k], fy[k - 1], fy[k]
+            exact = y0 + (y1 - y0) * (Fraction(x) - x0) / (x1 - x0)
+            assert abs(Fraction(got) - exact) <= 4.5e-16
+            assert got >= y - 4.5e-16
+
+    @pytest.mark.parametrize("p, vertices", [
+        (np.r_[np.arange(1, 769) / 1024, np.ones(256)], [0.0, 1.0]),
+        (np.r_[np.arange(1, 513) / 2048, np.ones(512)], [0.0, 0.25, 1.0]),
+        ([0.125] * 4 + [0.25, 0.375, 0.5, 1.0], [0.0, 0.125, 0.5, 1.0]),
+    ])
+    def test_lcm_drops_collinear_points(self, p, vertices):
+        # dyadic inputs, so every cross product is exact and the collinear
+        # points are exactly on the hull's edges
+        assert ecdf(p, "lcm").hull.x.tolist() == vertices
+
+    @pytest.mark.parametrize("curve", ["log-spaced", "squares"])
+    def test_lcm_when_every_point_is_a_vertex(self, curve):
+        m = 20_000
+        u = (np.arange(m) + 0.5) / m
+        p = 10.0 ** (-300.0 * u) if curve == "log-spaced" else u**2
+        hull = ecdf(p, "lcm").hull
+        hx, hy = hull_by_monotone_chain(*lcm_points(p))
+        np.testing.assert_array_equal(hull.x, hx)
+        np.testing.assert_array_equal(hull.y, hy)
+        assert hull.x.size > 0.99 * m
+
+    def test_lcm_on_a_rounded_screen_matches_the_scan(self):
+        # the CLI benchmark's kind of input: a normal-mean mixture written
+        # with six significant digits, so heavily tied
+        from scipy.special import ndtr, ndtri
+
+        rng = np.random.default_rng(7)
+        m = 100_000
+        u = rng.random(m)
+        p = np.where(rng.random(m) < 0.1, ndtr(ndtri(u) - 3.0), u)
+        p = np.array(["%.6g" % v for v in p], dtype=float)
+        hull = ecdf(p, "lcm").hull
+        hx, hy = hull_by_monotone_chain(*lcm_points(p))
+        np.testing.assert_array_equal(hull.x, hx)
+        np.testing.assert_array_equal(hull.y, hy)
 
     def test_lcm_is_concave_majorant(self):
         rng = np.random.default_rng(11)

@@ -82,6 +82,8 @@ class TestOneSidedNormal:
         fam = OneSidedNormal(0.0)
         assert np.allclose(fam.cdf(GRID), GRID, atol=1e-12)
         assert np.allclose(fam.pdf(GRID), 1.0, atol=1e-12)
+        # the density formula meets 0 * inf at the endpoints
+        assert np.array_equal(fam.pdf([0.0, 1.0]), [1.0, 1.0])
 
     def test_pdf_integrates_to_one(self):
         fam = OneSidedNormal(3.0)
@@ -134,6 +136,8 @@ class TestTwoSidedNormal:
     def test_zero_shift_is_uniform(self):
         fam = TwoSidedNormal(0.0)
         assert np.allclose(fam.cdf(GRID), GRID, atol=1e-12)
+        assert np.array_equal(fam.pdf(np.r_[0.0, GRID, 1.0]), np.ones(GRID.size + 2))
+        assert fam.pdf(0.0) == 1.0
 
     def test_dominance_and_endpoints(self):
         fam = TwoSidedNormal(3.0)

@@ -96,6 +96,16 @@ class TestMixtureModel:
         assert isinstance(v, float)
         assert np.allclose(m.pdf(np.array([0.5])), [v])
 
+    def test_outside_unit_interval(self):
+        # G is 0 below 0 and 1 above 1, and g is 0 outside [0, 1], as for
+        # the families
+        out = np.array([-1.0, -0.1, -1e-300, 1.0 + 1e-15, 1.5])
+        for m in (MixtureModel(0.25, OneSidedNormal(3.0)), MixtureModel(0.0, None)):
+            assert np.array_equal(m.cdf(out), (out > 1.0).astype(float))
+            assert np.array_equal(m.pdf(out), np.zeros(out.size))
+            assert m.cdf(1.5) == 1.0 and m.cdf(-0.1) == 0.0
+            assert m.pdf(1.5) == 0.0 and m.pdf(-0.1) == 0.0
+
     def test_pdf_requires_density(self):
         m = MixtureModel(0.5, UserCdf(tricdf))
         assert not m.has_density
