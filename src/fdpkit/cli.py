@@ -71,14 +71,15 @@ class RunSpec:
 
 def ingest(path: str, format: str = "lines") -> np.ndarray:
     """Read p-values from a file: one float per nonblank line, or the first
-    column of a CSV whose header row is always skipped."""
+    column of a CSV whose header row is always skipped.  A leading UTF-8
+    byte-order mark, as spreadsheet exports write, is dropped."""
     if format not in ("lines", "csv"):
         raise ValueError(f"unknown input format: {format!r}")
     csv = {"delimiter": ",", "usecols": 0, "skiprows": 1} if format == "csv" else {}
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an empty file only warns
-            p = np.loadtxt(path, dtype=float, comments=None, ndmin=2, **csv)
+            p = np.loadtxt(path, dtype=float, comments=None, ndmin=2, encoding="utf-8-sig", **csv)
     except (OSError, ValueError, Warning):
         pass
     else:
@@ -92,7 +93,7 @@ def _ingest_lines(path: str, format: str) -> np.ndarray:
     """The line-by-line reader behind ``ingest``; it runs when ``np.loadtxt``
     does not return one column, and words every parse error."""
     out = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -381,8 +382,10 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--t0", type=float, default=0.5)
     sp.add_argument("--t-min", dest="t_min", type=float)
     sp.add_argument("--no-floor-check", dest="no_floor_check", action="store_true")
-    sp.add_argument("--reps", type=int, help="quantile simulation replications")
-    sp.add_argument("--grid", type=int, help="quantile simulation grid size")
+    sp.add_argument("--reps", type=int, help="replicates of the Brownian quantile; given, it asks for a "
+                    "fresh Monte Carlo, seeded by --seed, instead of the committed table")
+    sp.add_argument("--grid", type=int, help="grid size of the Brownian quantile; given, it asks for a "
+                    "fresh Monte Carlo, seeded by --seed, instead of the committed table")
 
     sp = sub.add_parser("estimate", help="mixing-weight estimators")
     common(sp)

@@ -9,6 +9,7 @@ second-smallest p-value.
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass, field, replace
 
@@ -36,44 +37,116 @@ __all__ = [
 def brownian_sup_quantile(
     alpha_half: float,
     t_floor: float,
-    grid_size: int = 2048,
-    reps: int = 20000,
+    grid_size: int | None = None,
+    reps: int | None = None,
     seed: int = 0,
 ) -> float:
     """Upper quantile (level 1 - alpha_half) of sup over [t_floor, 1] of
-    B(t) / sqrt(t) for a Brownian bridge B, by Monte Carlo on a geometric
-    grid whose last point is pinned to 1."""
+    B(t) / sqrt(t) for a Brownian bridge B.
+
+    With ``grid_size`` and ``reps`` left at None, the value is read from
+    the committed table (``fdpkit._brownian_table``, built by
+    ``tools/brownian_table.py`` from one seeded 200000-replicate simulation)
+    at the largest stored floor at or below ``t_floor``.  A longer window
+    has a larger supremum, so reading a lower floor errs toward a wider
+    band: the band stays conservative.  Explicit ``grid_size``/``reps``,
+    a level outside the table or a floor below its first one run a fresh
+    Monte Carlo, seeded by ``seed``, on a geometric grid of ``grid_size``
+    points (default 2048) whose last point is pinned to 1, with ``reps``
+    replicates (default 20000)."""
+    return _sup_quantile(alpha_half, t_floor, grid_size, reps, seed)[0]
+
+
+def _sup_quantile(alpha_half, t_floor, grid_size, reps, seed) -> tuple[float, float, str]:
+    """``brownian_sup_quantile`` with its order-statistic standard error and
+    its source, "table" or "monte-carlo"."""
     _require_open_unit("alpha_half", alpha_half)
     if not 0.0 < t_floor <= 1.0:
         raise ValueError("t_floor must lie in (0, 1]")
+    if grid_size is None and reps is None:
+        row = _table_row(float(alpha_half), float(t_floor))
+        if row is not None:
+            return (*row, "table")
+    grid_size = 2048 if grid_size is None else grid_size
+    reps = 20000 if reps is None else reps
     if grid_size < 1:
         raise ValueError("grid_size must be at least 1")
     if reps < 10_000:
         raise ValueError("reps must be at least 10000 for a stable quantile")
-    return _brownian_sup_mc(float(alpha_half), float(t_floor), int(grid_size), int(reps), int(seed))
+    w, se = _brownian_sup_mc(float(alpha_half), float(t_floor), int(grid_size), int(reps), int(seed))
+    return w, se, "monte-carlo"
+
+
+def _table_row(alpha_half: float, t_floor: float) -> tuple[float, float] | None:
+    """(w, standard error) from the committed table at the largest floor at
+    or below ``t_floor``; None when the level or the floor is not covered."""
+    from ._brownian_table import ALPHA_HALF, ROWS
+
+    if alpha_half not in ALPHA_HALF or t_floor < ROWS[0][0]:
+        return None
+    _, ws, ses = ROWS[bisect.bisect_right(ROWS, t_floor, key=lambda row: row[0]) - 1]
+    j = ALPHA_HALF.index(alpha_half)
+    return ws[j], ses[j]
 
 
 @functools.lru_cache(maxsize=8)
-def _brownian_sup_mc(alpha_half: float, t_floor: float, grid_size: int, reps: int, seed: int) -> float:
-    # one envelope per replicate reuses the same arguments; the bound keeps
-    # a sweep over seeds or floors from growing the cache without end
-    grid = np.geomspace(t_floor, 1.0, grid_size)
+def _brownian_sup_mc(alpha_half: float, t_floor: float, grid_size: int, reps: int, seed: int):
+    # envelopes built in a loop with the same explicit Monte Carlo arguments
+    # share one simulation; the bound keeps a sweep over seeds or floors
+    # from growing the cache without end
+    sups = _bridge_sups(_geometric_grid(t_floor, grid_size), [0], reps, seed)
+    return _order_quantile(np.sort(sups[:, 0]), 1.0 - alpha_half)
+
+
+def _geometric_grid(t_floor: float, size: int) -> np.ndarray:
+    grid = np.geomspace(t_floor, 1.0, size)
     grid[-1] = 1.0
-    dt = np.diff(np.r_[0.0, grid])
-    root_dt = np.sqrt(dt)
+    return grid
+
+
+_ROWS_PER_STREAM = 1024   # replicates drawn from one ``stream(seed, chunk)``
+_CELLS = 1 << 21          # normals drawn at once: 1024 rows of a 2048-point grid
+
+
+def _bridge_sups(grid: np.ndarray, starts, reps: int, seed: int) -> np.ndarray:
+    """Simulate ``reps`` Brownian bridges on ``grid`` (increasing, ending at
+    1) and return, for each replicate (row) and each grid index k in the
+    increasing ``starts`` (column), the maximum of B(t) / sqrt(t) over the
+    grid points t >= grid[k].
+
+    Replicates come in chunks of 1024 rows, each from its own stream keyed
+    by (seed, chunk), so a row depends only on the seed and its index.  A
+    chunk is drawn in blocks of at most 2**21 normals: the blocks read one
+    stream in order and give the same bits as one draw, in bounded memory
+    on fine grids."""
+    starts = np.asarray(starts, dtype=np.intp)
+    root_dt = np.sqrt(np.diff(np.r_[0.0, grid]))
     root_grid = np.sqrt(grid)
-    stats = np.empty(reps)
-    done = 0
-    chunk_idx = 0
-    while done < reps:
-        n = min(1024, reps - done)
-        rng = stream(seed, chunk_idx)
-        w = np.cumsum(standard_normal(rng, (n, grid.size)) * root_dt, axis=1)
-        b = w - grid * w[:, -1:]
-        stats[done : done + n] = (b / root_grid).max(axis=1)
-        done += n
-        chunk_idx += 1
-    return float(np.quantile(stats, 1.0 - alpha_half, method="linear"))
+    rows = max(1, min(_ROWS_PER_STREAM, _CELLS // grid.size))
+    out = np.empty((reps, starts.size))
+    for chunk, lo in enumerate(range(0, reps, _ROWS_PER_STREAM)):
+        rng = stream(seed, chunk)
+        hi = min(lo + _ROWS_PER_STREAM, reps)
+        for a in range(lo, hi, rows):
+            b = min(a + rows, hi)
+            w = np.cumsum(standard_normal(rng, (b - a, grid.size)) * root_dt, axis=1)
+            x = (w - grid * w[:, -1:]) / root_grid
+            seg = np.maximum.reduceat(x, starts, axis=1)   # max over [starts[i], starts[i + 1])
+            out[a:b] = np.maximum.accumulate(seg[:, ::-1], axis=1)[:, ::-1]
+    return out
+
+
+def _order_quantile(sorted_stats: np.ndarray, q: float) -> tuple[float, float]:
+    """The linear-interpolation q-quantile of a sorted sample and its
+    standard error sqrt(q (1 - q) / n) / f, with the density f read from
+    the order statistics that bound a 95 % distribution-free interval for
+    the quantile."""
+    n = sorted_stats.size
+    w = float(np.quantile(sorted_stats, q, method="linear"))
+    spread = np.sqrt(n * q * (1.0 - q))
+    lo = max(int(np.floor((n - 1) * q - 1.96 * spread)), 0)
+    hi = min(int(np.ceil((n - 1) * q + 1.96 * spread)), n - 1)
+    return w, float(spread * (sorted_stats[hi] - sorted_stats[lo]) / (hi - lo))
 
 
 @dataclass(frozen=True)
@@ -138,8 +211,8 @@ def asymptotic_envelope(
     w: float | None = None,
     *,
     enforce_floor: bool = True,
-    quantile_grid_size: int = 2048,
-    quantile_reps: int = 20000,
+    quantile_grid_size: int | None = None,
+    quantile_reps: int | None = None,
     quantile_seed: int = 0,
 ) -> EnvelopeResult:
     """Asymptotic FDP confidence band at level 1 - alpha on [t_min, 1].
@@ -150,6 +223,18 @@ def asymptotic_envelope(
     plain empirical CDF.  Validity needs t_min above the small-t floor
     (log m)^4 / m; pass ``enforce_floor=False`` together with an explicit
     t_min to evaluate the band below that floor anyway.
+
+    Unless ``w`` is given, the quantile term uses
+    ``brownian_sup_quantile(alpha / 2, t_min, quantile_grid_size,
+    quantile_reps, quantile_seed)``: with the grid size and replicates left
+    at None it is read from the committed table at the largest stored floor
+    at or below t_min, whose longer window errs toward a wider band, so the
+    band stays conservative; explicit ``quantile_grid_size``/
+    ``quantile_reps``, a level alpha outside {0.01, 0.05, 0.1, 0.2} or t_min
+    below 1e-8 run a fresh Monte Carlo seeded by ``quantile_seed``.
+    ``meta["w_source"]`` says
+    which ("table", "monte-carlo" or "given") and ``meta["w_se"]`` holds
+    the order-statistic standard error of w (None when w is given).
     """
     p = _validated_pvalues(pvalues)
     _require_open_unit("t0", t0)
@@ -176,9 +261,13 @@ def asymptotic_envelope(
     ghat = ecdf(p, "plain")
     one_minus_a0 = (1.0 - float(ghat(t0))) / (1.0 - t0)
     if w is None:
-        w = brownian_sup_quantile(
-            alpha / 2.0, t_min, quantile_grid_size, quantile_reps, quantile_seed
-        )
+        args = (alpha / 2.0, t_min, quantile_grid_size, quantile_reps, quantile_seed)
+        w = brownian_sup_quantile(*args)
+        # asked again for its standard error and source: a table read, or a
+        # hit of the Monte Carlo's cache
+        _, w_se, w_source = _sup_quantile(*args)
+    else:
+        w_se, w_source = None, "given"
     tail_term = np.sqrt(2.0) / (1.0 - t0) * np.sqrt(np.log(4.0 / alpha))
     delta = max(2.0 * one_minus_a0 * float(w), float(tail_term))
     count = _AsymptoticCurve(one_minus_a0=one_minus_a0, delta=delta, m=m, t_min=float(t_min))
@@ -193,6 +282,8 @@ def asymptotic_envelope(
             "t0": t0,
             "one_minus_a0": one_minus_a0,
             "w": float(w),
+            "w_se": w_se,
+            "w_source": w_source,
             "delta": delta,
             "floor": float(floor),
             "pvalues": p.copy(),
@@ -361,7 +452,9 @@ def confidence_thresholds(env: EnvelopeResult, c: float | None = None) -> Thresh
     """Thresholds read off an FDP envelope.
 
     With ``c`` given: the largest t in the envelope's domain where the
-    bound stays at or below c (0 when there is none), a rate-ceiling rule.
+    bound stays at or below c, a rate-ceiling rule; when there is none, t = 0
+    with ``inclusive=False``, so nothing is rejected, not even p-values of
+    exactly 0.
     With ``c=None``: the minimum of the bound and the largest t attaining
     it, the rule that rejects as much as possible at the best achievable
     rate.  ``inclusive=False`` marks a supremum approached from the left
@@ -405,7 +498,7 @@ def _exact_thresholds(env: EnvelopeResult, c: float | None) -> ThresholdResult:
     else:
         ok = idx[vals[idx] <= c]
         if not ok.size:
-            return _threshold_result(env, 0.0, c, True, c)
+            return _threshold_result(env, 0.0, c, False, c)
         i, z = ok[-1], c
     if i == knots.size - 1:
         return _threshold_result(env, 1.0, z, True, c)
@@ -431,7 +524,7 @@ def _asymptotic_thresholds(env: EnvelopeResult, c: float | None) -> ThresholdRes
         return _threshold_result(env, 1.0, c, True, c)
     ok = np.flatnonzero((g > 0.0) & (band <= c))
     if not ok.size:
-        return _threshold_result(env, 0.0, c, True, c)
+        return _threshold_result(env, 0.0, c, False, c)
     i = ok[-1]
     # (1 - a0) y^2 + b y = c Ghat with y = sqrt(t), b = delta / sqrt(m) > 0,
     # solved in the form free of cancellation (it also covers 1 - a0 = 0)

@@ -76,6 +76,15 @@ class TestIngest:
         with pytest.raises(ValueError, match="no p-values"):
             ingest(str(headonly), "csv")
 
+    @pytest.mark.parametrize("fmt, text", [("lines", "0.5\n0.01\n0.2\n"),
+                                           ("csv", "p,id\n0.5,a\n0.01,b\n0.2,c\n")])
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path, fmt, text):
+        # spreadsheet exports often start the file with the UTF-8 mark
+        f = tmp_path / "p.txt"
+        f.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        for reader in (ingest, _ingest_lines):
+            np.testing.assert_array_equal(reader(str(f), fmt), [0.5, 0.01, 0.2])
+
     def test_unknown_format(self, pfile):
         with pytest.raises(ValueError, match="format"):
             ingest(pfile, "tsv")
@@ -244,6 +253,33 @@ class TestEnvelopeCommand:
             rec = json.loads(out)
             assert (rec["T"], rec["rejected"], rec["inclusive"]) == (1.0, 50, True)
 
+    def test_unmet_ceiling_rejects_nothing(self, capsys, tmp_path):
+        # no t meets the ceiling, and the p-values of exactly 0 are not
+        # certified either: t = 0, exclusive
+        f = tmp_path / "p.txt"
+        f.write_text("0\n0\n0\n1\n1\n.5\n.9\n.8\n.7\n.6\n")
+        asym = ["--method", "asymptotic", "--t-min", "0.1", "--no-floor-check",
+                "--reps", "10000", "--grid", "16"]
+        for extra in ([], asym):
+            rc, out, _ = run_cli(capsys, "envelope", "--input", str(f), *extra,
+                                 "--ceiling", "0.01", "--json")
+            assert rc == 0
+            rec = json.loads(out)
+            assert (rec["T"], rec["rejected"], rec["inclusive"]) == (0.0, 0, False)
+
+    def test_asymptotic_text_names_the_quantile_source(self, capsys, tmp_path):
+        f = tmp_path / "p.txt"
+        f.write_text("".join(f"{v!r}\n" for v in np.linspace(0.001, 0.999, 300).tolist()))
+        base = ["envelope", "--input", str(f), "--method", "asymptotic", "--t-min", "0.01",
+                "--no-floor-check"]
+        for seed in ([], ["--seed", "5"]):   # a seed alone keeps the table
+            rc, out, _ = run_cli(capsys, *base, *seed)
+            rec = parse_text(out)
+            assert rc == 0 and rec["meta_w_source"] == "table"
+            assert float(rec["meta_w_se"]) > 0.0
+        rc, out, _ = run_cli(capsys, *base, "--reps", "10000", "--grid", "64")
+        assert rc == 0 and parse_text(out)["meta_w_source"] == "monte-carlo"
+
     def test_floor_violation_surfaces_as_error(self, capsys, pfile):
         rc, _, err = run_cli(capsys, "envelope", "--input", pfile,
                              "--method", "asymptotic", "--t-min", "0.001")
@@ -399,6 +435,14 @@ class TestProcessLevel:
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout.strip() == "[]", module
 
+    def test_import_leaves_out_the_quantile_table(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, fdpkit.cli; "
+             "print('fdpkit._brownian_table' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_screen_calls_run_without_scipy(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
         f = tmp_path / "p.txt"
@@ -411,6 +455,11 @@ class TestProcessLevel:
             ["estimate", "--method", "storey"],
             ["estimate", "--method", "astar"],
             ["estimate", "--method", "kernel"],
+            # the asymptotic envelope reads its Brownian quantile from the table
+            ["envelope", "--method", "asymptotic", "--t-min", "0.01", "--no-floor-check",
+             "--ceiling", "0.5"],
+            ["envelope", "--method", "asymptotic", "--t-min", "0.01", "--no-floor-check",
+             "--min-rate"],
         ]
         calls = [c + ["--input", str(f)] for c in calls]
         script = (

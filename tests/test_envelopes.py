@@ -6,13 +6,22 @@ acceptance rule, the asymptotic band against its defining algebra, and the
 critical values against the closed-form order-statistic law.
 """
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from fdpkit import _brownian_table as table
+from fdpkit import envelopes
 from fdpkit.envelopes import (
+    _bridge_sups,
+    _geometric_grid,
+    _order_quantile,
+    _sup_quantile,
     asymptotic_envelope,
     brownian_sup_quantile,
     confidence_thresholds,
@@ -275,7 +284,7 @@ class TestExactThresholds:
         everything = confidence_thresholds(env, 1.0)
         assert everything.t == 1.0 and everything.inclusive and everything.rejected == 15
         nothing = confidence_thresholds(env, 0.05)
-        assert nothing.t == 0.0 and nothing.rejected == 0
+        assert nothing.t == 0.0 and not nothing.inclusive and nothing.rejected == 0
 
     def test_degenerate_sample_keeps_rate_one(self):
         p = np.full(10, 0.9)
@@ -343,6 +352,124 @@ class TestBrownianQuantile:
             brownian_sup_quantile(0.025, 0.001, 256, 5000)
 
 
+def _generator():
+    path = Path(__file__).resolve().parents[1] / "tools" / "brownian_table.py"
+    spec = importlib.util.spec_from_file_location("brownian_table", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+FLOORS = np.array([row[0] for row in table.ROWS])
+W = np.array([row[1] for row in table.ROWS])        # floors x levels
+W_SE = np.array([row[2] for row in table.ROWS])
+
+
+class TestBrownianTable:
+    def test_recorded_parameters_match_the_generator(self):
+        gen = _generator()
+        assert (table.SEED, table.REPS, table.GRID_LO, table.GRID_SIZE, table.FLOOR_STEP,
+                table.ALPHA_HALF) == (gen.SEED, gen.REPS, gen.GRID_LO, gen.GRID_SIZE,
+                                      gen.FLOOR_STEP, gen.ALPHA_HALF)
+        assert table.REPS >= 200_000
+        grid = _geometric_grid(table.GRID_LO, table.GRID_SIZE)
+        assert np.diff(np.log(grid)).max() <= 1e-3
+        np.testing.assert_array_equal(FLOORS, grid[:: table.FLOOR_STEP])
+        assert FLOORS[-1] == 1.0
+        # the committed text is exactly what the generator writes
+        assert gen.render(table.ROWS) == Path(table.__file__).read_text()
+
+    def test_monotone_in_floor_and_level(self):
+        assert np.all(np.diff(W, axis=0) <= 0.0)      # a later floor, a shorter window
+        assert np.all(np.diff(W[:-1], axis=1) < 0.0)  # ALPHA_HALF rises, so w falls
+        assert np.all(W[-1] == 0.0)                   # the bridge is pinned at 1
+
+    def test_standard_error_is_under_half_that_of_20000_replicates(self):
+        # An order-statistic standard error is sqrt(q (1 - q) / n) / f, so the
+        # table's should be sqrt(20000 / REPS) = 0.32 times that of a
+        # 20000-replicate estimate at every floor and level.  The latter is
+        # taken from independent 20000-replicate simulations with the same
+        # floors, four grid points apart, averaged over four seeds: one
+        # seed's estimate varies by about 16 % at alpha = 0.01 (its interval
+        # spans 39 order statistics), too much to hold each floor to 0.5.
+        step = 4
+        size = (table.GRID_SIZE - 1) // table.FLOOR_STEP * step + 1
+        grid = _geometric_grid(table.GRID_LO, size)
+        fresh = np.zeros_like(W_SE)
+        for seed in range(1, 5):
+            sups = np.sort(_bridge_sups(grid, np.arange(0, size, step), 20_000, seed), axis=0)
+            fresh += [[_order_quantile(col, 1.0 - a)[1] for a in table.ALPHA_HALF]
+                      for col in sups.T]
+        ratio = W_SE[:-1] / (fresh[:-1] / 4)    # the last floor, t = 1, has w = 0 exactly
+        assert np.all(ratio <= 0.5), ratio.max(axis=0)
+        med = np.median(ratio, axis=0)
+        assert np.all((0.25 <= med) & (med <= 0.4)), med
+
+    @pytest.mark.parametrize("t_min", [1e-4, 0.0364, 0.176])
+    def test_agrees_with_a_fresh_monte_carlo(self, t_min):
+        w, se, source = _sup_quantile(0.025, t_min, None, None, 0)
+        assert source == "table"
+        assert w == brownian_sup_quantile(0.025, t_min)
+        w_mc, se_mc, source_mc = _sup_quantile(0.025, t_min, 2048, 20_000, 0)
+        assert source_mc == "monte-carlo"
+        assert abs(w - w_mc) <= 3.0 * np.hypot(se, se_mc)
+
+    def test_between_floors_reads_the_lower_one(self):
+        for k in (0, 96, 150, 191):
+            lo, hi = FLOORS[k], FLOORS[k + 1]
+            for t in (np.sqrt(lo * hi), np.nextafter(hi, 0.0)):
+                assert brownian_sup_quantile(0.025, t) == W[k, 1]
+                assert _sup_quantile(0.005, t, None, None, 0)[1] == W_SE[k, 0]
+            assert brownian_sup_quantile(0.1, hi) == W[k + 1, 3]
+        assert brownian_sup_quantile(0.025, 1.0) == 0.0
+
+    def test_every_fallback_runs_the_monte_carlo(self, monkeypatch):
+        calls = []
+
+        def fake(*args):
+            calls.append(args)
+            return 1.5, 0.25
+
+        monkeypatch.setattr(envelopes, "_brownian_sup_mc", fake)
+        cases = [
+            ((0.03, 1e-3, None, None, 0), (0.03, 1e-3, 2048, 20000, 0)),      # another level
+            ((0.025, 5e-9, None, None, 0), (0.025, 5e-9, 2048, 20000, 0)),    # below the first floor
+            ((0.025, 1e-3, 512, None, 0), (0.025, 1e-3, 512, 20000, 0)),      # explicit grid
+            ((0.025, 1e-3, None, 30_000, 7), (0.025, 1e-3, 2048, 30000, 7)),  # explicit reps
+        ]
+        for args, want in cases:
+            assert _sup_quantile(*args) == (1.5, 0.25, "monte-carlo")
+            assert calls[-1] == want
+        for seed in (0, 7):                     # a seed alone keeps the table
+            assert _sup_quantile(0.025, 1e-3, None, None, seed)[2] == "table"
+        assert len(calls) == len(cases)
+        p = np.linspace(0.01, 0.99, 100)
+        env = asymptotic_envelope(p, t_min=1e-3, enforce_floor=False,
+                                  quantile_grid_size=512, quantile_seed=3)
+        assert (env.meta["w"], env.meta["w_se"], env.meta["w_source"]) == (1.5, 0.25, "monte-carlo")
+        assert calls[-1] == (0.025, 1e-3, 512, 20000, 3)
+        env = asymptotic_envelope(p, t_min=1e-3, enforce_floor=False, quantile_seed=3)
+        assert env.meta["w_source"] == "table"
+
+    def test_envelope_reads_w_through_the_public_quantile(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return brownian_sup_quantile(*args)
+
+        monkeypatch.setattr(envelopes, "brownian_sup_quantile", spy)
+        env = asymptotic_envelope(np.linspace(0.01, 0.99, 100), t_min=1e-3, enforce_floor=False)
+        assert calls == [(0.025, 1e-3, None, None, 0)]
+        assert env.meta["w"] == brownian_sup_quantile(0.025, 1e-3)
+
+    def test_generator_at_tiny_size_reproduces_the_monte_carlo(self):
+        rows = _generator().build(grid_lo=1e-4, grid_size=256, floor_step=256, reps=10_000,
+                                  seed=0, alpha_half=(0.025,))
+        assert len(rows) == 1 and rows[0][0] == 1e-4
+        assert rows[0][1][0] == brownian_sup_quantile(0.025, 1e-4, 256, 10_000, seed=0)
+
+
 @pytest.fixture(scope="module")
 def asym_sample():
     cfg = ScenarioConfig(m=5000, a=0.25, family="one-sided-normal",
@@ -408,6 +535,14 @@ class TestAsymptoticEnvelope:
         v1 = np.asarray(env1.gamma_bar(ts))
         v4 = np.asarray(env4.gamma_bar(ts))
         assert np.all(v4 <= v1 + 1e-12)
+
+    def test_meta_records_where_w_came_from(self, asym_sample, asym_env):
+        row = table.ROWS[np.searchsorted(FLOORS, 1e-4, side="right") - 1]
+        assert row[0] == 1e-4
+        assert asym_env.meta["w_source"] == "table"
+        assert (asym_env.meta["w"], asym_env.meta["w_se"]) == (row[1][1], row[2][1])
+        given = asymptotic_envelope(asym_sample, t_min=1e-4, enforce_floor=False, w=3.0)
+        assert (given.meta["w"], given.meta["w_se"], given.meta["w_source"]) == (3.0, None, "given")
 
     def test_floor_enforcement(self):
         p = np.linspace(0.01, 0.99, 1000)  # (log m)^4 / m > 1 at m = 1000
@@ -551,7 +686,9 @@ class TestAsymptoticThresholds:
                 feasible = pts[vals <= c]
                 last = float(feasible.max()) if feasible.size else 0.0
                 assert abs(r.t - last) <= step
-                if r.t > 0.0 and r.inclusive:
+                if r.t == 0.0:          # no t meets c: nothing is rejected
+                    assert (r.inclusive, r.rejected) == (False, 0)
+                elif r.inclusive:
                     assert env.gamma_at(r.t) <= c * (1 + 1e-12)
-                elif not r.inclusive:
+                else:
                     assert env.gamma_at(r.t) > c
