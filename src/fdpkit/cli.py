@@ -219,10 +219,12 @@ def _run_envelope(spec: RunSpec) -> dict:
         raise ValueError("choose one of --min-rate and --ceiling")
     p = ingest(spec.input, spec.format)
     env = _build_envelope(p, spec)
+    thr = None
+    if spec.min_rate or spec.ceiling is not None:
+        thr = confidence_thresholds(env, spec.ceiling)   # may refuse c, so before any file
     if spec.output:
         _write_envelope_csv(spec.output, env)
-    if spec.min_rate or spec.ceiling is not None:
-        thr = confidence_thresholds(env, spec.ceiling)
+    if thr is not None:
         rec = _threshold_record(thr)
         rec.update({"T": thr.t, "Z": thr.z, "envelope": env.method})
         return rec

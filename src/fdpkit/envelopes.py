@@ -243,16 +243,17 @@ def asymptotic_envelope(
     floor = np.log(m) ** 4 / m
     if enforce_floor:
         if t_min is None:
+            if not 0.0 < floor < 1.0:     # 0 at m = 1, at least 1 for 2 <= m <= 5500
+                raise ValueError(
+                    f"the small-t floor (log m)^4 / m = {float(floor)!r} is not in (0, 1) at m={m}, "
+                    "so no valid evaluation window exists; pass an explicit t_min in (0, 1), "
+                    "with enforce_floor=False if it lies below the floor"
+                )
             t_min = floor
         elif t_min < floor:
             raise ValueError(
                 f"t_min={float(t_min)!r} is below the small-t floor (log m)^4 / m = {float(floor)!r}; "
                 "the asymptotic band is not valid there (pass enforce_floor=False to override)"
-            )
-        if t_min >= 1.0:
-            raise ValueError(
-                f"the small-t floor (log m)^4 / m = {float(floor)!r} is not below 1 at m={m}, so no "
-                "valid evaluation window exists; pass enforce_floor=False with an explicit t_min"
             )
     else:
         if t_min is None:
@@ -300,14 +301,29 @@ def uniformity_critical_value(k: int, alpha: float) -> float:
     """Critical value for the second-smallest of k uniforms: the c with
     P{second order statistic <= c} = alpha, the alpha-quantile of its
     Beta(2, k - 1) law.  Sizes 0 and 1 are never rejected (returns -inf)."""
-    from scipy.special import betaincinv
-
     if k < 0:
         raise ValueError("k must be nonnegative")
     _require_open_unit("alpha", alpha)
     if k <= 1:
         return -np.inf
-    return float(betaincinv(2.0, k - 1.0, alpha))
+    return float(_critical_values(k, alpha))
+
+
+def _critical_values(ks, alpha: float):
+    """The alpha-quantile of Beta(2, k - 1), elementwise over sizes k >= 2."""
+    from scipy.special import betaincinv
+
+    return betaincinv(2.0, ks - 1.0, alpha)
+
+
+def _second_order_check(values: np.ndarray, crit: float) -> tuple[float | None, bool]:
+    """The acceptance rule for one subset: its second-smallest value (None
+    below size 2) and whether the subset is accepted, always at sizes 0 and
+    1, else when that value exceeds ``crit``."""
+    if values.size <= 1:
+        return None, True
+    stat = float(np.sort(values)[1])
+    return stat, bool(stat > crit)
 
 
 @dataclass(frozen=True)
@@ -330,12 +346,8 @@ def uniformity_test_second_order(subset_pvalues, alpha: float) -> UniformityTest
         raise ValueError("p-values must lie in [0, 1]")
     k = p.size
     crit = uniformity_critical_value(k, alpha)
-    if k <= 1:
-        return UniformityTestResult(accept=True, statistic=None, critical=crit, k=k, alpha=alpha)
-    stat = float(np.sort(p)[1])
-    return UniformityTestResult(
-        accept=bool(stat > crit), statistic=stat, critical=crit, k=k, alpha=alpha
-    )
+    stat, accept = _second_order_check(p, crit)
+    return UniformityTestResult(accept=accept, statistic=stat, critical=crit, k=k, alpha=alpha)
 
 
 @dataclass(frozen=True)
@@ -368,24 +380,19 @@ class ExactConfidenceSet:
         if not np.all((lab == 0) | (lab == 1)):
             raise ValueError("labels must be 0 (null) or 1 (alternative)")
         nulls = self.pvalues[lab == 0]
-        k = nulls.size
-        if k <= 1:
-            return True
-        return bool(np.sort(nulls)[1] > self.crit[k])
+        return _second_order_check(nulls, self.crit[nulls.size])[1]
 
 
 def exact_confidence_set(pvalues, alpha: float) -> ExactConfidenceSet:
     """Build the exact confidence collection by testing, for each size k,
     the k largest p-values against the second-order-statistic rule."""
-    from scipy.special import betaincinv
-
     p = _validated_pvalues(pvalues)
     _require_open_unit("alpha", alpha)
     m = p.size
     ps = np.sort(p)
     ks = np.arange(2, m + 1)
     crit = np.full(m + 1, -np.inf)
-    crit[2:] = betaincinv(2.0, ks - 1.0, alpha)
+    crit[2:] = _critical_values(ks, alpha)
     feasible = np.ones(m + 1, dtype=bool)
     feasible[2:] = ps[m - ks + 1] > crit[2:]
     accepted = np.flatnonzero(feasible)
@@ -451,10 +458,10 @@ def m10_envelope(env: EnvelopeResult, m: int):
 def confidence_thresholds(env: EnvelopeResult, c: float | None = None) -> ThresholdResult:
     """Thresholds read off an FDP envelope.
 
-    With ``c`` given: the largest t in the envelope's domain where the
-    bound stays at or below c, a rate-ceiling rule; when there is none, t = 0
-    with ``inclusive=False``, so nothing is rejected, not even p-values of
-    exactly 0.
+    With ``c`` given (a NaN or infinite c is a ValueError): the largest t
+    in the envelope's domain where the bound stays at or below c, a
+    rate-ceiling rule; when there is none, t = 0 with ``inclusive=False``,
+    so nothing is rejected, not even p-values of exactly 0.
     With ``c=None``: the minimum of the bound and the largest t attaining
     it, the rule that rejects as much as possible at the best achievable
     rate.  ``inclusive=False`` marks a supremum approached from the left
@@ -467,6 +474,8 @@ def confidence_thresholds(env: EnvelopeResult, c: float | None = None) -> Thresh
     feasible.  For the asymptotic band that crossing solves
     (1 - a0) t + delta sqrt(t / m) = c Ghat in the form free of cancellation
     t* = y^2, y = 2 c Ghat / (b + sqrt(b^2 + 4 (1 - a0) c Ghat)), b = delta / sqrt(m)."""
+    if c is not None and not np.isfinite(c):
+        raise ValueError(f"the rate ceiling c must be finite, not {float(c)!r}")
     if env.method == "exact":
         return _exact_thresholds(env, c)
     if env.method == "asymptotic":

@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimation import _ahat_value, _bandwidth, _require_open_unit, _validated_pvalues, ecdf, kernel_density
+from .estimation import (_ahat_value, _bandwidth, _normalize_variant, _require_open_unit,
+                         _validated_pvalues, ecdf, kernel_density)
 from .kernels import KernelSpec, eval_kernel
 from .model import MixtureModel, q_inverse, q_map
 
@@ -80,18 +81,23 @@ def simple_thresholds(
     )
 
 
+def _step_up(p: np.ndarray, level: float) -> tuple[np.ndarray, int, float]:
+    """The sorted p-values, r = max{i : p_(i) <= level i / m} (0 when the
+    set is empty) and t = p_(r) (0 when r = 0)."""
+    m = p.size
+    ps = np.sort(p)
+    ok = np.nonzero(ps <= level * np.arange(1, m + 1) / m)[0]
+    r = int(ok[-1]) + 1 if ok.size else 0
+    return ps, r, float(ps[r - 1]) if r else 0.0
+
+
 def bh_threshold(pvalues, alpha: float) -> ThresholdResult:
     """Step-up rule: reject the i* smallest with
     i* = max{i : p_(i) <= alpha i / m}, none when the set is empty."""
     p = _validated_pvalues(pvalues)
     _require_open_unit("alpha", alpha)
-    m = p.size
-    ps = np.sort(p)
-    ok = np.nonzero(ps <= alpha * np.arange(1, m + 1) / m)[0]
-    if ok.size == 0:
-        return ThresholdResult(t=0.0, rejected=0, method="bh", alpha=alpha)
-    istar = int(ok[-1]) + 1
-    return ThresholdResult(t=float(ps[istar - 1]), rejected=istar, method="bh", alpha=alpha)
+    _, istar, t = _step_up(p, alpha)
+    return ThresholdResult(t=t, rejected=istar, method="bh", alpha=alpha)
 
 
 def oracle_threshold(model: MixtureModel, alpha: float) -> ThresholdResult:
@@ -113,81 +119,56 @@ def plugin_threshold(pvalues, ahat, alpha: float, variant: str = "plain") -> Thr
     """Plug-in rule: the largest candidate t in {0} U {p-values} U {1} with
     estimated positive-FDR value (1 - ahat) t / Ghat(t) at or below alpha.
 
+    On the p-values this is the step-up rule at level alpha / (1 - ahat):
+    Benjamini-Hochberg at ahat = 0, Storey's rescaled level otherwise, and
+    t = 1 (every p-value rejected) once 1 - ahat <= alpha.  The ``floor``
+    variant gives the same threshold as ``plain``: its value
+    (1 - ahat) t / max(Ghat(t), t) is at most alpha exactly when
+    (1 - ahat) t <= alpha Ghat(t) or 1 - ahat <= alpha.
+
     With the concave-majorant variant the estimated map is monotone and the
     exact supremum over [0, 1] is solvable segment by segment, so that exact
     point is returned instead.  For the step variants the exact supremum
     (which can exceed the largest feasible candidate, since the map restarts
     rising inside each flat stretch of Ghat) is reported in
-    ``diagnostics["sup_exact"]``.  The exact supremum is read in one O(m)
-    array pass: a step piece [x, e) with value v is crossed at
-    t* = alpha v / (1 - ahat), a hull segment y = s t + c at
-    t* = alpha c / (1 - ahat - alpha s), and the last piece or segment
-    feasible at or right of its start decides.
+    ``diagnostics["sup_exact"]``: the map rises on the piece of Ghat
+    starting at t, with value v = rejected / m, until it crosses alpha at
+    alpha v / (1 - ahat) or the piece ends at the next p-value (or 1).  A
+    hull segment y = s t + c is crossed at t* = alpha c / (1 - ahat - alpha s),
+    and the last segment feasible at or right of its start decides.
     """
     p = _validated_pvalues(pvalues)
     _require_open_unit("alpha", alpha)
     a = _ahat_value(ahat)
     if not 0.0 <= a <= 1.0:
         raise ValueError("ahat must lie in [0, 1]")
+    kind = _normalize_variant(variant)
     diag = {"ahat": a, "variant": variant}
     a_method = getattr(ahat, "method", None)
     if a_method is not None:
         diag["ahat_method"] = a_method
-    if a == 1.0:
-        diag["sup_exact"] = 1.0
-        return ThresholdResult(
-            t=1.0, rejected=p.size, method="plugin", alpha=alpha, diagnostics=diag
-        )
-    ghat = ecdf(p, variant)
+    m = p.size
     one_minus = 1.0 - a
-
-    if ghat.variant == "lcm":
-        t = _lcm_sup(ghat, one_minus, alpha)
-        diag["sup_exact"] = t
-        return ThresholdResult(
-            t=t, rejected=_count_rejected(p, t), method="plugin", alpha=alpha, diagnostics=diag
-        )
-
-    cand = np.unique(np.r_[0.0, p, 1.0])
-    g = np.asarray(ghat(cand), dtype=float)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        qv = np.where(g > 0.0, one_minus * cand / np.where(g > 0, g, 1.0), np.inf)
-    qv[cand == 0.0] = 0.0
-    t = float(cand[qv <= alpha].max())
-    diag["sup_exact"] = _step_sup(ghat, one_minus, alpha)
-    return ThresholdResult(
-        t=t, rejected=_count_rejected(p, t), method="plugin", alpha=alpha, diagnostics=diag
-    )
-
-
-def _step_sup(ghat, one_minus: float, alpha: float) -> float:
-    """Exact sup{t : (1 - ahat) t / Ghat(t) <= alpha} for the step variants.
-
-    The map rises on each piece [x, e) of the step CDF with value v, so the
-    piece contributes min(e, alpha v / (1 - ahat)) when that crossing lies
-    at or right of x; the floor variant uses max(v, x) and stops at v."""
-    if one_minus <= alpha:            # the map tops out at one_minus
-        return 1.0
-    x = ghat.base.knots
-    v = ghat.base.values
-    hi = np.r_[x[1:], 1.0]            # piece ends, capped in place
-    if ghat.variant == "floor":
-        v_eff = np.maximum(v, x)
-        np.minimum(hi, alpha * v_eff / one_minus, out=hi)
-        np.minimum(hi, v_eff, out=hi, where=v > x)
-        ok = (v_eff > 0.0) & (hi >= x)
+    if one_minus <= alpha:            # the map tops out at 1 - ahat
+        t, rejected, sup = 1.0, m, 1.0
+    elif kind == "lcm":
+        t = sup = _lcm_sup(ecdf(p, kind), one_minus, alpha)
+        rejected = _count_rejected(p, t)
     else:
-        cross = alpha * v / one_minus
-        np.minimum(hi, cross, out=hi)
-        ok = (v > 0.0) & (cross >= x)
-    return float(np.max(hi, where=ok, initial=0.0))
+        # r ends a run of tied p-values, so it counts the p-values <= t; the
+        # crossing is at least t, which the step-up comparison found feasible
+        ps, rejected, t = _step_up(p, alpha / one_minus)
+        nxt = float(ps[rejected]) if rejected < m else 1.0
+        sup = min(nxt, max(t, alpha * (rejected / m) / one_minus))
+    diag["sup_exact"] = sup
+    return ThresholdResult(
+        t=t, rejected=rejected, method="plugin", alpha=alpha, diagnostics=diag
+    )
 
 
 def _lcm_sup(ghat, one_minus: float, alpha: float) -> float:
     """Exact sup along the concave majorant: the last hull segment that is
     feasible throughout (den <= 0) or crossed at t* >= its left end."""
-    if one_minus <= alpha:
-        return 1.0
     xs = ghat.hull.x
     ys = ghat.hull.y
     x0, x1 = xs[:-1], xs[1:]

@@ -1,6 +1,7 @@
 """End-to-end command-line checks: ingestion, each subcommand against the
 library route, file outputs, seeds, and error signaling."""
 
+import itertools
 import json
 import subprocess
 import sys
@@ -280,11 +281,26 @@ class TestEnvelopeCommand:
         rc, out, _ = run_cli(capsys, *base, "--reps", "10000", "--grid", "64")
         assert rc == 0 and parse_text(out)["meta_w_source"] == "monte-carlo"
 
-    def test_floor_violation_surfaces_as_error(self, capsys, pfile):
+    def test_floor_violation_surfaces_as_error(self, capsys, pfile, tmp_path):
         rc, _, err = run_cli(capsys, "envelope", "--input", pfile,
                              "--method", "asymptotic", "--t-min", "0.001")
         assert rc == 1
         assert "floor" in json.loads(err)["error"]
+        one = tmp_path / "one.txt"
+        one.write_text("0.3\n")
+        rc, out, err = run_cli(capsys, "envelope", "--input", str(one), "--method", "asymptotic")
+        assert rc == 1 and out == ""
+        assert "small-t floor (log m)^4 / m = 0.0 " in json.loads(err)["error"]
+
+    def test_non_finite_ceiling_exits_one(self, capsys, pfile, tmp_path):
+        asym = ["--method", "asymptotic", "--t-min", "0.01", "--no-floor-check"]
+        out_csv = tmp_path / "env.csv"
+        for extra, c in itertools.product(([], asym), ("nan", "inf")):
+            rc, out, err = run_cli(capsys, "envelope", "--input", pfile, *extra,
+                                   "--ceiling", c, "--json", "--output", str(out_csv))
+            assert rc == 1 and out == ""
+            assert "must be finite" in json.loads(err)["error"]
+            assert not out_csv.exists()
 
 
 class TestEstimateCommand:
@@ -450,6 +466,7 @@ class TestProcessLevel:
         calls = [
             ["threshold", "--method", "bh"],
             ["threshold", "--method", "plugin"],
+            ["threshold", "--method", "plugin", "--variant", "floor"],
             ["threshold", "--method", "plugin", "--variant", "lcm"],
             ["threshold", "--method", "bayes"],
             ["estimate", "--method", "storey"],

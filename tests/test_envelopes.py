@@ -557,6 +557,13 @@ class TestAsymptoticEnvelope:
             asymptotic_envelope(p, enforce_floor=False)
         env = asymptotic_envelope(p, t_min=0.001, enforce_floor=False)
         assert env.t_min == 0.001
+        # at m = 1 the floor is 0: the error names it, not a t_min never given
+        with pytest.raises(ValueError, match=r"small-t floor \(log m\)\^4 / m = 0\.0 "):
+            asymptotic_envelope([0.3])
+        assert asymptotic_envelope([0.3], t_min=0.01, w=3.0).t_min == 0.01
+        # a floor below 1 with a given t_min of 1 or more: the error names t_min
+        with pytest.raises(ValueError, match=r"^t_min must lie in \(0, 1\)$"):
+            asymptotic_envelope(np.linspace(0.001, 1.0, 10_000), t_min=1.5)
 
     def test_floor_default_when_attainable(self):
         g = stream(916)
@@ -603,6 +610,15 @@ class TestAsymptoticThresholds:
             for c in (1.0, 2.0):
                 r = confidence_thresholds(env, c)
                 assert (r.t, r.inclusive, r.rejected, r.z) == (1.0, True, 50, c)
+
+    def test_non_finite_ceiling_is_refused(self):
+        p = np.random.default_rng(5).uniform(size=50)
+        asym = asymptotic_envelope(p, t_min=0.01, w=3.0, enforce_floor=False)
+        exact = exact_envelope(exact_confidence_set(p, 0.05), p)
+        for env in (asym, exact):
+            for c in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValueError, match="must be finite"):
+                    confidence_thresholds(env, c)
 
     def test_min_rate_attains_the_minimum(self, asym_env):
         r = confidence_thresholds(asym_env)

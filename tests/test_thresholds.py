@@ -2,6 +2,8 @@
 plus the documented equivalences between the plug-in family and the
 step-up rule."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -200,9 +202,17 @@ class TestPluginThreshold:
             p = random_pvalues(g)
             ahat = float(g.uniform(0.0, 0.7))
             alpha = 0.05
-            pl = plugin_threshold(p, ahat, alpha)
-            su = bh_threshold(p, alpha / (1 - ahat))
-            assert pl.t == su.t and pl.rejected == su.rejected
+            for q in (p, np.r_[p, 0.0, 1.0, 1.0]):    # also ties at 0 and at 1
+                su = bh_threshold(q, alpha / (1 - ahat))
+                plain = plugin_threshold(q, ahat, alpha)
+                floor = plugin_threshold(q, ahat, alpha, variant="floor")
+                assert plain.t == su.t and plain.rejected == su.rejected
+                assert (floor.t, floor.rejected, floor.diagnostics["sup_exact"]) == (
+                    plain.t, plain.rejected, plain.diagnostics["sup_exact"])
+                # 1 - ahat <= alpha: the level reaches 1 and every p-value goes
+                for big, variant in itertools.product((0.96, 1.0), ("plain", "floor", "lcm")):
+                    r = plugin_threshold(q, big, alpha, variant=variant)
+                    assert (r.t, r.rejected, r.diagnostics["sup_exact"]) == (1.0, q.size, 1.0)
 
     def test_example_pin_with_exceedance_estimate(self, example1):
         ah = storey_a0(example1)
@@ -265,6 +275,7 @@ class TestPluginThreshold:
         feasible = ts[qv <= alpha + 1e-12]
         grid_sup = float(feasible.max()) if feasible.size else 0.0
         assert sup == pytest.approx(grid_sup, abs=2e-5)
+        assert r.diagnostics["sup_exact"] >= r.t
 
     def test_validation(self, example1):
         with pytest.raises(ValueError):
@@ -274,6 +285,9 @@ class TestPluginThreshold:
         est = NullFractionEstimate(value=1.2, method="bogus")
         with pytest.raises(ValueError):
             plugin_threshold(example1, est, 0.05)
+        for ahat in (0.5, 1.0):
+            with pytest.raises(ValueError, match="unknown ECDF variant"):
+                plugin_threshold(example1, ahat, 0.05, variant="bogus")
 
 
 class TestRateCeiling:
