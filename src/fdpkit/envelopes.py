@@ -18,7 +18,7 @@ import numpy as np
 from .estimation import _require_open_unit, _validated_pvalues, ecdf
 from .rng import standard_normal, stream
 from .stepfun import StepFunction
-from .thresholds import ThresholdResult, _count_rejected
+from .thresholds import ThresholdResult, _count_rejected, _last_crossing
 
 __all__ = [
     "brownian_sup_quantile",
@@ -469,77 +469,49 @@ def confidence_thresholds(env: EnvelopeResult, c: float | None = None) -> Thresh
     below t.
 
     Both rules are read off in one O(m) array pass over the pieces of the
-    empirical CDF, on each of which the bound rises: the minimum sits at a
-    piece start, and the ceiling is crossed in the last piece whose start is
-    feasible.  For the asymptotic band that crossing solves
+    envelope's steps (the empirical CDF for the asymptotic band) clipped to
+    its domain, on each of which the bound rises: the last piece feasible
+    at its start decides, with the crossing kept inside it.  The minimum
+    sits at the start of the last piece attaining it.  The exact envelope
+    is flat on each piece, so a feasible piece is feasible up to its end.
+    For the asymptotic band the crossing solves
     (1 - a0) t + delta sqrt(t / m) = c Ghat in the form free of cancellation
     t* = y^2, y = 2 c Ghat / (b + sqrt(b^2 + 4 (1 - a0) c Ghat)), b = delta / sqrt(m)."""
     if c is not None and not np.isfinite(c):
         raise ValueError(f"the rate ceiling c must be finite, not {float(c)!r}")
-    if env.method == "exact":
-        return _exact_thresholds(env, c)
-    if env.method == "asymptotic":
-        return _asymptotic_thresholds(env, c)
-    raise ValueError(f"unknown envelope method: {env.method!r}")
-
-
-def _threshold_result(env, t, z, inclusive, c) -> ThresholdResult:
+    if env.method not in ("exact", "asymptotic"):
+        raise ValueError(f"unknown envelope method: {env.method!r}")
+    exact = env.method == "exact"
+    steps: StepFunction = env.gamma_bar if exact else env.gamma_bar.ghat.base
+    # pieces [starts, ends) of the steps clipped to [t_min, 1]; the last
+    # one, up to and including 1, is always kept
+    starts = np.maximum(steps.knots, env.t_min)
+    ends = np.r_[steps.knots[1:], 1.0]
+    keep = starts < ends
+    keep[-1] = True
+    starts, ends, vals = starts[keep], ends[keep], steps.values[keep]
+    bound = vals if exact else env.gamma_bar(starts)
+    if c is None:
+        z = bound.min()
+        feasible, cross = bound == z, np.inf if exact else starts
+    else:
+        z, feasible, cross = c, bound <= c, np.inf
+        if not exact and c < 1.0:     # the band, clipped at 1, never exceeds a c >= 1
+            # (1 - a0) y^2 + b y = c Ghat with y = sqrt(t), b = delta / sqrt(m) > 0,
+            # solved in the form free of cancellation (it also covers 1 - a0 = 0);
+            # the root is NaN only for a c < 0, which no piece meets
+            curve: _AsymptoticCurve = env.gamma_bar
+            b = curve.delta / np.sqrt(curve.m)
+            cv = c * vals
+            with np.errstate(invalid="ignore"):
+                cross = (2.0 * cv / (b + np.sqrt(b * b + 4.0 * curve.one_minus_a0 * cv))) ** 2
+    _, t, inclusive = _last_crossing(starts, ends, feasible, cross)
     return ThresholdResult(
-        t=float(t),
+        t=t,
         rejected=_count_rejected(env.meta["pvalues"], t, inclusive),
         method="rate-ceiling" if c is not None else "min-rate",
         alpha=env.level,
         z=float(z),
-        inclusive=bool(inclusive),
+        inclusive=inclusive,
         diagnostics={"envelope": env.method},
     )
-
-
-def _exact_thresholds(env: EnvelopeResult, c: float | None) -> ThresholdResult:
-    sf: StepFunction = env.gamma_bar
-    knots, vals = sf.knots, sf.values
-    # piece i covers [knots[i], next knot) with value vals[i]; the domain
-    # [lo, 1] starts at a knot, so its pieces are those starting at or after lo
-    idx = np.flatnonzero(knots >= env.meta["domain"][0])
-    if c is None:
-        z = vals[idx].min()
-        i = idx[vals[idx] == z][-1]
-    else:
-        ok = idx[vals[idx] <= c]
-        if not ok.size:
-            return _threshold_result(env, 0.0, c, False, c)
-        i, z = ok[-1], c
-    if i == knots.size - 1:
-        return _threshold_result(env, 1.0, z, True, c)
-    return _threshold_result(env, knots[i + 1], z, False, c)
-
-
-def _asymptotic_thresholds(env: EnvelopeResult, c: float | None) -> ThresholdResult:
-    curve: _AsymptoticCurve = env.gamma_bar
-    base = curve.ghat.base
-    # pieces [starts, ends) of Ghat clipped to [t_min, 1]; the last one, up
-    # to and including 1, is always kept.  The band rises on every piece.
-    starts = np.maximum(base.knots, env.t_min)
-    ends = np.r_[base.knots[1:], 1.0]
-    keep = starts < ends
-    keep[-1] = True
-    starts, ends, g = starts[keep], ends[keep], base.values[keep]
-    band = curve(starts)
-    if c is None:
-        z = band.min()
-        return _threshold_result(env, starts[np.flatnonzero(band == z)[-1]], z, True, c)
-
-    if c >= 1.0:                      # the band, clipped at 1, never exceeds c
-        return _threshold_result(env, 1.0, c, True, c)
-    ok = np.flatnonzero((g > 0.0) & (band <= c))
-    if not ok.size:
-        return _threshold_result(env, 0.0, c, False, c)
-    i = ok[-1]
-    # (1 - a0) y^2 + b y = c Ghat with y = sqrt(t), b = delta / sqrt(m) > 0,
-    # solved in the form free of cancellation (it also covers 1 - a0 = 0)
-    b = curve.delta / np.sqrt(curve.m)
-    cv = c * g[i]
-    tstar = (2.0 * cv / (b + np.sqrt(b * b + 4.0 * curve.one_minus_a0 * cv))) ** 2
-    if tstar >= ends[i]:
-        return _threshold_result(env, ends[i], c, i == starts.size - 1, c)
-    return _threshold_result(env, max(tstar, starts[i]), c, True, c)

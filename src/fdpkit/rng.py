@@ -24,12 +24,14 @@ def stream(seed: int, *path: int) -> np.random.Generator:
 
 
 def uniform_open(rng: np.random.Generator, size=None) -> np.ndarray:
-    """Uniform draws strictly inside (0, 1).
+    """Uniform draws k 2**-53 + 2**-54 for 53-bit integers k.
 
-    Built from 53-bit integers offset by one half, so the endpoints are
-    unreachable and inverse-CDF transforms never see 0 or 1.
+    The same bits as ``(k + 0.5) * 2**-53`` with k drawn by
+    ``integers(0, 2**53)``, which reads the generator identically.  The
+    draws are never 0, so inverse-CDF transforms never see it; the top k
+    rounds (to even) to exactly 1, a chance of 2**-53 per draw.
     """
-    return (rng.integers(0, 1 << 53, size=size, dtype=np.uint64) + 0.5) * 2.0**-53
+    return rng.random(size) + 2.0**-54
 
 
 def standard_normal(rng: np.random.Generator, size=None) -> np.ndarray:

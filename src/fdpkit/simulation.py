@@ -18,7 +18,7 @@ from .families import TwoSidedNormal, UserCdf, make_family
 from .kernels import KernelSpec, eval_kernel
 from .model import LabeledSample, MixtureModel, expected_fdp_fnp, fdp_process, q_derivative, q_inverse
 from .rng import stream, uniform_open
-from .thresholds import oracle_threshold, plugin_threshold, rate_ceiling_known_a
+from .thresholds import _step_up, oracle_threshold, plugin_threshold, rate_ceiling_known_a
 
 __all__ = [
     "ScenarioConfig",
@@ -422,17 +422,6 @@ def _target_qinv_kernel_identity(config):
     return {"passed": bool(worst <= tol), "worst_abs_diff": float(worst), "tol": tol, "entries": entries}
 
 
-def _bh_rows(p, alphas):
-    """Vectorized step-up rule per row at per-row levels; returns the
-    per-row thresholds."""
-    n, m = p.shape
-    ps = np.sort(p, axis=1)
-    cut = np.asarray(alphas)[:, None] * np.arange(1, m + 1) / m
-    ok = ps <= cut
-    istar = np.where(ok, np.arange(1, m + 1)[None, :], 0).max(axis=1)
-    return np.where(istar > 0, ps[np.arange(n), np.maximum(istar - 1, 0)], 0.0)
-
-
 def _plugin_target(config, estimated):
     # mean FDP of the plug-in rule at the known weight a, or at the
     # exceedance-ratio estimate at t0, run per row as a step-up rule
@@ -450,7 +439,7 @@ def _plugin_target(config, estimated):
             levels = np.where(one_minus > 0, alpha / np.where(one_minus > 0, one_minus, 1.0), np.inf)
         else:
             levels = np.full(p.shape[0], alpha / (1.0 - scen.a))
-        t = _bh_rows(p, levels)
+        t = _step_up(p, levels)[2]
         total += float(_rates(p, lab, t)[0].sum())
         if block == 0:
             # the plug-in rule itself must agree with the fast path

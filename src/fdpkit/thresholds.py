@@ -81,14 +81,17 @@ def simple_thresholds(
     )
 
 
-def _step_up(p: np.ndarray, level: float) -> tuple[np.ndarray, int, float]:
-    """The sorted p-values, r = max{i : p_(i) <= level i / m} (0 when the
-    set is empty) and t = p_(r) (0 when r = 0)."""
-    m = p.size
-    ps = np.sort(p)
-    ok = np.nonzero(ps <= level * np.arange(1, m + 1) / m)[0]
-    r = int(ok[-1]) + 1 if ok.size else 0
-    return ps, r, float(ps[r - 1]) if r else 0.0
+def _step_up(p: np.ndarray, level: float | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Along the last axis of ``p``, at one level per row: the sorted
+    p-values, r = max{i : p_(i) <= level i / m} (0 when the set is empty)
+    and t = p_(r) (0 when r = 0)."""
+    ps = np.sort(p, axis=-1)
+    m = ps.shape[-1]
+    # compared from i = m down, so the first hit is the last feasible i
+    down = ps[..., ::-1] <= np.expand_dims(level, -1) * np.arange(m, 0, -1) / m
+    r = np.where(down.any(axis=-1), m - down.argmax(axis=-1), 0)
+    t = np.take_along_axis(ps, np.expand_dims(r - 1, -1), axis=-1)[..., 0]
+    return ps, r, np.where(r > 0, t, 0.0)
 
 
 def bh_threshold(pvalues, alpha: float) -> ThresholdResult:
@@ -97,7 +100,7 @@ def bh_threshold(pvalues, alpha: float) -> ThresholdResult:
     p = _validated_pvalues(pvalues)
     _require_open_unit("alpha", alpha)
     _, istar, t = _step_up(p, alpha)
-    return ThresholdResult(t=t, rejected=istar, method="bh", alpha=alpha)
+    return ThresholdResult(t=float(t), rejected=int(istar), method="bh", alpha=alpha)
 
 
 def oracle_threshold(model: MixtureModel, alpha: float) -> ThresholdResult:
@@ -134,8 +137,9 @@ def plugin_threshold(pvalues, ahat, alpha: float, variant: str = "plain") -> Thr
     ``diagnostics["sup_exact"]``: the map rises on the piece of Ghat
     starting at t, with value v = rejected / m, until it crosses alpha at
     alpha v / (1 - ahat) or the piece ends at the next p-value (or 1).  A
-    hull segment y = s t + c is crossed at t* = alpha c / (1 - ahat - alpha s),
-    and the last segment feasible at or right of its start decides.
+    hull segment y = s t + c is crossed at t* = alpha c / (1 - ahat - alpha s).
+    Both are read like every data-driven threshold: the last piece feasible
+    at its start decides, with the crossing kept inside that piece.
     """
     p = _validated_pvalues(pvalues)
     _require_open_unit("alpha", alpha)
@@ -157,7 +161,8 @@ def plugin_threshold(pvalues, ahat, alpha: float, variant: str = "plain") -> Thr
     else:
         # r ends a run of tied p-values, so it counts the p-values <= t; the
         # crossing is at least t, which the step-up comparison found feasible
-        ps, rejected, t = _step_up(p, alpha / one_minus)
+        ps, r, t = _step_up(p, alpha / one_minus)
+        rejected, t = int(r), float(t)
         nxt = float(ps[rejected]) if rejected < m else 1.0
         sup = min(nxt, max(t, alpha * (rejected / m) / one_minus))
     diag["sup_exact"] = sup
@@ -166,24 +171,37 @@ def plugin_threshold(pvalues, ahat, alpha: float, variant: str = "plain") -> Thr
     )
 
 
+def _last_crossing(starts, ends, feasible, cross) -> tuple[int | None, float, bool]:
+    """Read a threshold sup{t : rate(t) <= level} off pieces [starts, ends]
+    on each of which the rate rises: the last piece i whose start is
+    feasible decides, and t is its crossing ``cross[i]`` (a scalar serves
+    every piece) kept inside [starts[i], ends[i]].  ``inclusive`` is False
+    when t is the open end of a piece other than the last one, a supremum
+    not attained.  (None, 0.0, False) when no piece is feasible."""
+    hit = np.flatnonzero(feasible)
+    if not hit.size:
+        return None, 0.0, False
+    i = int(hit[-1])
+    end = float(ends[i])
+    t = min(max(float(np.broadcast_to(cross, starts.shape)[i]), float(starts[i])), end)
+    return i, t, t < end or i == starts.size - 1
+
+
 def _lcm_sup(ghat, one_minus: float, alpha: float) -> float:
-    """Exact sup along the concave majorant: the last hull segment that is
-    feasible throughout (den <= 0) or crossed at t* >= its left end."""
+    """Exact sup along the concave majorant: the segment y = s t + c is
+    crossed at alpha c / (1 - ahat - alpha s), and is feasible throughout
+    when that denominator is at most 0."""
     xs = ghat.hull.x
     ys = ghat.hull.y
     x0, x1 = xs[:-1], xs[1:]
-    s = (ys[1:] - ys[:-1]) / (x1 - x0)
-    c = ys[:-1] - s * x0
-    den = one_minus - alpha * s
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tstar = alpha * c / den
-    hit = np.flatnonzero((den <= 0.0) | (tstar >= x0))
-    if not hit.size:
-        return 0.0
-    i = hit[-1]
-    if den[i] <= 0.0 or tstar[i] >= x1[i]:
-        return float(x1[i])
-    return float(tstar[i])
+    # a segment over a subnormal gap has an infinite slope and a NaN
+    # intercept; its denominator is -inf, so it is feasible throughout
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        s = (ys[1:] - ys[:-1]) / (x1 - x0)
+        c = ys[:-1] - s * x0
+        den = one_minus - alpha * s
+        cross = np.where(den > 0.0, alpha * c / den, np.inf)
+    return _last_crossing(x0, x1, cross >= x0, cross)[1]
 
 
 def bayes_classifier_threshold(pvalues, bandwidth: float | None = None) -> ThresholdResult:

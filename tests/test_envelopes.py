@@ -7,6 +7,8 @@ critical values against the closed-form order-statistic law.
 """
 
 import importlib.util
+import itertools
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -610,6 +612,18 @@ class TestAsymptoticThresholds:
             for c in (1.0, 2.0):
                 r = confidence_thresholds(env, c)
                 assert (r.t, r.inclusive, r.rejected, r.z) == (1.0, True, 50, c)
+
+    def test_ceiling_at_or_below_zero_rejects_nothing(self):
+        # the band is positive, so no piece meets c <= 0; at c < 0 the
+        # root has no real solution and must stay silent
+        p = np.random.default_rng(5).uniform(size=50)
+        asym = asymptotic_envelope(p, t_min=0.01, w=3.0, enforce_floor=False)
+        exact = exact_envelope(exact_confidence_set(p, 0.05), p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for env, c in itertools.product((asym, exact), (-0.1, 0.0)):
+                r = confidence_thresholds(env, c)
+                assert (r.t, r.inclusive, r.rejected, r.z) == (0.0, False, 0, c)
 
     def test_non_finite_ceiling_is_refused(self):
         p = np.random.default_rng(5).uniform(size=50)

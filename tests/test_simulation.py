@@ -9,6 +9,7 @@ from scipy import integrate, stats
 from fdpkit.estimation import dkw_epsilon
 from fdpkit.families import UserCdf, make_family
 from fdpkit.model import LabeledSample, MixtureModel, fdp_process, fnp_process
+from fdpkit.rng import stream, uniform_open
 from fdpkit.simulation import (
     VALIDATION_TARGETS,
     ScenarioConfig,
@@ -87,6 +88,21 @@ class TestGenerateSample:
         lab = generate_sample(cfg, 0).labels
         se = np.sqrt(0.3 * 0.7 / lab.size)
         assert abs(lab.mean() - 0.3) < 5 * se
+
+
+class TestUniformOpen:
+    @pytest.mark.parametrize("size", [None, 1000, (40, 25)])
+    def test_bits_and_stream_position_match_the_integer_form(self, size):
+        # the integer form it replaced, (k + 0.5) 2^-53 with k drawn by
+        # integers(0, 2^53), is the reference; both streams must stay in step
+        for key in ((0,), (7, 3), (2024, 1, 5)):
+            a, b = stream(*key), stream(*key)
+            for _ in range(3):
+                got = uniform_open(a, size)
+                want = (b.integers(0, 1 << 53, size=size, dtype=np.uint64) + 0.5) * 2.0**-53
+                assert np.shape(got) == np.shape(want)
+                assert np.array_equal(got, want)
+            assert a.random() == b.random()
 
 
 class TestSharedParts:

@@ -3,6 +3,7 @@ plus the documented equivalences between the plug-in family and the
 step-up rule."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from fdpkit.model import MixtureModel, q_inverse, q_map
 from fdpkit.rng import stream
 from fdpkit.simulation import purity_quantities
 from fdpkit.thresholds import (
+    _last_crossing,
+    _step_up,
     bayes_classifier_threshold,
     bh_threshold,
     oracle_threshold,
@@ -119,6 +122,29 @@ class TestStepUpRule:
     def test_alpha_validation(self, example1):
         with pytest.raises(ValueError):
             bh_threshold(example1, 1.0)
+
+    def test_rows_match_the_one_sample_rule(self):
+        # one level per row, as the validation targets run it: r = 0, ties,
+        # p-values of 0 and 1, an infinite level (1 - ahat = 0) and levels
+        # above 1 (alpha / (1 - ahat))
+        g = stream(910)
+        p = np.round(g.random((7, 30)), 1)
+        p[0] = np.linspace(0.5, 1.0, 30)           # nothing feasible
+        p[1, :10] = 0.0
+        p[2, -10:] = 1.0
+        p[3] = 1.0
+        levels = np.array([0.05, 0.05, 0.2, 0.3, np.inf, 1.5, 0.01])
+        for rows, lv in ((p, levels), (p[1:2], levels[1:2])):
+            ps, r, t = _step_up(rows, lv)
+            assert ps.shape == rows.shape and r.shape == t.shape == (rows.shape[0],)
+            for row, level, ri, ti in zip(rows, lv, r, t):
+                want_t, want_r = naive_step_up(row, level)
+                assert (ri, ti) == (want_r, want_t)
+                if level < 1.0:
+                    one = bh_threshold(row, level)
+                    assert (ri, ti) == (one.rejected, one.t)
+        assert r.dtype.kind == "i" and np.array_equal(ps, np.sort(p[1:2], axis=1))
+        assert (_step_up(p, levels)[1][[0, 3, 4]] == [0, 0, 30]).all()
 
 
 class TestOracleThreshold:
@@ -276,6 +302,24 @@ class TestPluginThreshold:
         grid_sup = float(feasible.max()) if feasible.size else 0.0
         assert sup == pytest.approx(grid_sup, abs=2e-5)
         assert r.diagnostics["sup_exact"] >= r.t
+
+    def test_hull_over_a_subnormal_gap_warns_nothing(self):
+        # the first hull segment spans 5e-324: an infinite slope and a NaN
+        # intercept, which the segment's feasibility must absorb silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = plugin_threshold(np.array([5e-324, 1e-300, 0.5]), 0.3, 0.05, "lcm")
+        assert (r.t, r.rejected) == (0.05, 2)
+
+    def test_last_crossing_reads_the_last_feasible_piece(self):
+        starts, ends = np.array([0.0, 0.2, 0.5]), np.array([0.2, 0.5, 1.0])
+        assert _last_crossing(starts, ends, np.zeros(3, bool), 0.3) == (None, 0.0, False)
+        # the crossing is kept inside the piece, and its open end is not attained
+        assert _last_crossing(starts, ends, [True, True, False], np.array([9.0, 0.3, 9.0])) == (1, 0.3, True)
+        assert _last_crossing(starts, ends, [True, True, False], np.array([9.0, 0.1, 9.0])) == (1, 0.2, True)
+        assert _last_crossing(starts, ends, [True, True, False], np.inf) == (1, 0.5, False)
+        # the last piece runs up to and including its end
+        assert _last_crossing(starts, ends, [False, False, True], np.inf) == (2, 1.0, True)
 
     def test_validation(self, example1):
         with pytest.raises(ValueError):
