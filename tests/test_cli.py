@@ -459,10 +459,11 @@ class TestProcessLevel:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
-    def test_screen_calls_run_without_scipy(self, tmp_path, capsys):
+    def test_numpy_only_calls_run_without_scipy(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
         f = tmp_path / "p.txt"
         f.write_text("".join(f"{v:.6g}\n" for v in rng.random(400) ** 2))
+        csv = tmp_path / "exact.csv"
         calls = [
             ["threshold", "--method", "bh"],
             ["threshold", "--method", "plugin"],
@@ -477,8 +478,12 @@ class TestProcessLevel:
              "--ceiling", "0.5"],
             ["envelope", "--method", "asymptotic", "--t-min", "0.01", "--no-floor-check",
              "--min-rate"],
+            # the exact envelope solves for its Beta(2, k - 1) critical values
+            ["envelope", "--ceiling", "0.1"],
+            ["envelope", "--min-rate"],
+            ["envelope", "--min-rate", "--output", str(csv)],
         ]
-        calls = [c + ["--input", str(f)] for c in calls]
+        calls = [c + ["--input", str(f)] for c in calls] + [["reproduce-example", "1"]]
         script = (
             "import contextlib, io, json, sys\n"
             "sys.modules['scipy'] = None\n"
@@ -494,10 +499,12 @@ class TestProcessLevel:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         blocked = json.loads(proc.stdout)
+        blocked_csv = csv.read_text()
         for argv, (rc, out) in zip(calls, blocked):
             want_rc, want_out, _ = run_cli(capsys, *argv)
             assert rc == want_rc == 0, argv
             assert out == want_out, argv
+        assert csv.read_text() == blocked_csv
 
     def test_console_script(self, pfile, tmp_path):
         # Run the declared [project.scripts] entry through the wrapper that an

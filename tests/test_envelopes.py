@@ -101,11 +101,14 @@ class TestUniformityTest:
 
     def test_critical_value_matches_mpmath_roots(self):
         # 50-digit roots of 1 - (1 - c)^k - k c (1 - c)^(k - 1) = alpha,
-        # bracketed on (0, 50 / k) where the left side climbs from -alpha
+        # bracketed on (0, min(1, 50 / k)) where the left side climbs from
+        # -alpha (an unbracketed search can wander off to a complex root, and
+        # Anderson's bracketed one stalls at alpha = 0.9); alpha = 1e-10 is
+        # where n log1p(-c) + log1p(n c), whose n c terms cancel, is 8e-12 off
         import mpmath
 
-        for k in (2, 10, 1000, 100_000):
-            for alpha in (0.01, 0.05, 0.2):
+        for k in (2, 3, 10, 1000, 100_000, 1_000_000):
+            for alpha in (1e-10, 0.01, 0.05, 0.2, 0.5, 0.9):
                 with mpmath.workdps(50):
                     a, kk = mpmath.mpf(alpha), mpmath.mpf(k)
 
@@ -113,11 +116,40 @@ class TestUniformityTest:
                         return 1 - (1 - c) ** kk - kk * c * (1 - c) ** (kk - 1) - a
 
                     root = mpmath.findroot(h, (mpmath.mpf(0), min(mpmath.mpf(1), 50 / kk)),
-                                           solver="anderson")
+                                           solver="illinois")
                 want = float(root)
                 # abs=0: the default absolute slack of 1e-12 would hide any
                 # relative error on critical values near 1e-6
                 assert uniformity_critical_value(k, alpha) == pytest.approx(want, rel=1e-13, abs=0)
+
+    def test_critical_value_at_tiny_alpha_is_the_quadratic_root(self):
+        # 1 - S(c) = n (n + 1) c^2 / 2 + O(n^3 c^3), so at alpha <= 1e-100 the
+        # root is sqrt(2 alpha / (n (n + 1))) to far below double precision
+        # (taken as a quotient of roots: 2 alpha / n^2 is subnormal at 1e-300)
+        for alpha in (1e-100, 1e-200, 1e-300):
+            for k in (2, 10, 1000, 1_000_000):
+                n = k - 1
+                want = np.sqrt(2.0 * alpha) / np.sqrt(n * (n + 1.0))
+                assert uniformity_critical_value(k, alpha) == pytest.approx(want, rel=1e-13, abs=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(2, 1_000_000), min_size=2, max_size=2, unique=True),
+           st.lists(st.integers(1, 999), min_size=2, max_size=2, unique=True),
+           st.integers(0, 12))
+    def test_critical_value_falls_in_k_and_rises_in_alpha(self, ks, levels, scale):
+        # distinct k differ by a relative 1e-6 or more in c_k, distinct
+        # alphas on this grid by 1e-3: far beyond the 1e-15 error
+        k1, k2 = sorted(ks)
+        a1, a2 = (v / 1000 * 10.0**-scale for v in sorted(levels))
+        assert uniformity_critical_value(k2, a1) < uniformity_critical_value(k1, a1)
+        assert uniformity_critical_value(k1, a1) < uniformity_critical_value(k1, a2)
+
+    def test_scalar_critical_value_is_the_confidence_set_entry(self):
+        p = stream(5).random(600)
+        for alpha in (1e-10, 0.05, 0.5, 0.9):
+            crit = exact_confidence_set(p, alpha).crit
+            scalar = [uniformity_critical_value(k, alpha) for k in range(p.size + 1)]
+            assert np.array_equal(crit, scalar)
 
     def test_pair_critical_value_is_root_alpha(self):
         assert uniformity_critical_value(2, 0.05) == pytest.approx(np.sqrt(0.05), abs=1e-12)
@@ -146,6 +178,8 @@ class TestUniformityTest:
             uniformity_critical_value(-1, 0.05)
         with pytest.raises(ValueError):
             uniformity_critical_value(5, 1.0)
+        with pytest.raises(ValueError, match="smallest normal"):
+            uniformity_critical_value(5, 5e-324)
         with pytest.raises(ValueError):
             uniformity_test_second_order(np.array([[0.1]]), 0.05)
         with pytest.raises(ValueError):

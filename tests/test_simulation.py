@@ -9,7 +9,7 @@ from scipy import integrate, stats
 from fdpkit.estimation import dkw_epsilon
 from fdpkit.families import UserCdf, make_family
 from fdpkit.model import LabeledSample, MixtureModel, fdp_process, fnp_process
-from fdpkit.rng import stream, uniform_open
+from fdpkit.rng import standard_normal, stream, uniform_open
 from fdpkit.simulation import (
     VALIDATION_TARGETS,
     ScenarioConfig,
@@ -103,6 +103,26 @@ class TestUniformOpen:
                 assert np.shape(got) == np.shape(want)
                 assert np.array_equal(got, want)
             assert a.random() == b.random()
+
+
+class TestStandardNormal:
+    def test_top_draw_gives_a_finite_normal(self):
+        # random() at its top double, 1 - 2^-53, makes uniform_open exactly 1;
+        # standard_normal clips that to 1 - 2^-53 instead of returning inf
+        class Top:
+            def random(self, size=None):
+                return np.full(size, 1.0 - 2.0**-53)
+
+        assert np.array_equal(uniform_open(Top(), 3), np.ones(3))
+        z = standard_normal(Top(), (2, 3))
+        assert np.all(z == pytest.approx(8.2095361516013868))
+
+    def test_bits_are_the_inverse_cdf_of_uniform_open(self):
+        from scipy.special import ndtri
+
+        for size in (None, 1000, (40, 25)):
+            assert np.array_equal(standard_normal(stream(9, 2), size),
+                                  ndtri(uniform_open(stream(9, 2), size)))
 
 
 class TestSharedParts:
