@@ -152,10 +152,11 @@ def _write_envelope_csv(path: str, env) -> None:
     gam = np.asarray(env.gamma_bar(ts), dtype=float)
     v = np.asarray(env.v_fn(ts), dtype=float)
     cnt = np.asarray(env.count_bound_at(ts), dtype=float)
+    # Python floats, whose repr re-ingests exactly
+    cols = (ts.tolist(), gam.tolist(), v.tolist(), cnt.tolist())
     with open(path, "w") as fh:
         fh.write("t,gamma_bar,v,count_bound\n")
-        for row in zip(ts, gam, v, cnt):
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        fh.writelines(f"{a!r},{b!r},{c!r},{d!r}\n" for a, b, c, d in zip(*cols))
 
 
 def read_envelope_csv(path: str) -> dict:
@@ -179,19 +180,15 @@ def _build_envelope(p: np.ndarray, spec: RunSpec):
         confset = exact_confidence_set(p, spec.alpha)
         return exact_envelope(confset, p)
     if method == "asymptotic":
-        kwargs = {}
-        if spec.grid is not None:
-            kwargs["quantile_grid_size"] = spec.grid
-        if spec.reps is not None:
-            kwargs["quantile_reps"] = spec.reps
         return asymptotic_envelope(
             p,
             t0=spec.t0,
             alpha=spec.alpha,
             t_min=spec.t_min,
             enforce_floor=not spec.no_floor_check,
+            quantile_grid_size=spec.grid,
+            quantile_reps=spec.reps,
             quantile_seed=spec.seed,
-            **kwargs,
         )
     raise ValueError(f"unknown envelope method: {method!r}")
 
@@ -266,8 +263,7 @@ def _run_simulate(spec: RunSpec) -> dict:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise ValueError("config file must hold a JSON object")
-    if spec.seed is not None:
-        cfg.setdefault("seed", spec.seed)
+    cfg.setdefault("seed", spec.seed)
     if spec.reps is not None:
         cfg.setdefault("reps", spec.reps)
     report = run_validation(cfg, spec.target)

@@ -71,7 +71,20 @@ class AlternativeFamily:
         return f"{type(self).__name__}({inner})"
 
 
-class OneSidedNormal(AlternativeFamily):
+class _NormalMean(AlternativeFamily):
+    """P-values of a normal-mean test with effect ``theta`` and ``n``
+    observations, so standardized shift ``mu = sqrt(n) * theta``."""
+
+    def __init__(self, theta: float, n: int = 1):
+        if theta < 0 or n < 1:
+            raise ValueError("need theta >= 0 and n >= 1")
+        self.theta = float(theta)
+        self.n = int(n)
+        self.mu = np.sqrt(self.n) * self.theta
+        self.params = {"theta": self.theta, "n": self.n}
+
+
+class OneSidedNormal(_NormalMean):
     """P-values of a one-sided normal-mean test with standardized shift
     ``sqrt(n) * theta``.
 
@@ -82,14 +95,6 @@ class OneSidedNormal(AlternativeFamily):
     """
 
     name = "one-sided-normal"
-
-    def __init__(self, theta: float, n: int = 1):
-        if theta < 0 or n < 1:
-            raise ValueError("need theta >= 0 and n >= 1")
-        self.theta = float(theta)
-        self.n = int(n)
-        self.mu = np.sqrt(self.n) * self.theta
-        self.params = {"theta": self.theta, "n": self.n}
 
     def cdf(self, t):
         from scipy.special import ndtr, ndtri
@@ -113,7 +118,7 @@ class OneSidedNormal(AlternativeFamily):
         return out if out.ndim else float(out)
 
 
-class TwoSidedNormal(AlternativeFamily):
+class TwoSidedNormal(_NormalMean):
     """P-values of a two-sided normal-mean test with shift ``sqrt(n) * theta``.
 
     Density ``exp(-mu^2/2) * cosh(mu * c)`` at ``c = -ndtri(p/2)``, the
@@ -123,14 +128,6 @@ class TwoSidedNormal(AlternativeFamily):
     """
 
     name = "two-sided-normal"
-
-    def __init__(self, theta: float, n: int = 1):
-        if theta < 0 or n < 1:
-            raise ValueError("need theta >= 0 and n >= 1")
-        self.theta = float(theta)
-        self.n = int(n)
-        self.mu = np.sqrt(self.n) * self.theta
-        self.params = {"theta": self.theta, "n": self.n}
 
     def cdf(self, t):
         from scipy.special import ndtr, ndtri

@@ -8,7 +8,9 @@ truth they estimate — and returns a small JSON-friendly report.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -148,10 +150,13 @@ def pvalue_density_two_sided_normal(theta: float, n: int, p) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _scenario(config: dict, **defaults) -> ScenarioConfig:
-    merged = dict(defaults)
-    merged.update({k: config[k] for k in ("m", "a", "family", "params", "seed") if k in config})
-    return ScenarioConfig.from_dict(merged)
+_SCENARIO_KEYS = ("m", "a", "family", "params", "seed")
+
+
+def _standard(m: int) -> ScenarioConfig:
+    """The standard scenario: a quarter of m p-values from a one-sided
+    normal test at theta = 3."""
+    return ScenarioConfig(m, 0.25, "one-sided-normal", {"theta": 3.0})
 
 
 def _rates(p, lab, t):
@@ -175,30 +180,17 @@ def _storey_rows(p, t0):
     return ((p <= t0).sum(axis=1) / p.shape[1] - t0) / (1.0 - t0)
 
 
-def _coverage(config, scen, hit, **extra):
+def _coverage(scen, hit, reps, gate, **extra):
     """Share of the `reps` samples of `scen` on which `hit(sample)` holds,
     passed when it reaches `gate`."""
-    reps = int(config.get("reps", 1000))
-    gate = float(config.get("gate", 0.94))
     hits = sum(bool(hit(generate_sample(scen, i))) for i in range(reps))
     coverage = hits / reps
     return {"passed": bool(coverage >= gate), "coverage": float(coverage), "gate": gate, "reps": reps, **extra}
 
 
-def _target_fdp_mean(config):
-    return _process_mean(config, which="fdp")
-
-
-def _target_fnp_mean(config):
-    return _process_mean(config, which="fnp")
-
-
-def _process_mean(config, which):
-    scen = _scenario(config, m=100, a=0.25, family="one-sided-normal", params={"theta": 3.0})
+def _process_mean(which, scen=_standard(100), *, reps=100_000, ts=(0.01, 0.05, 0.2), sigmas=3.0):
     model = scen.model()
-    reps = int(config.get("reps", 100_000))
-    ts = [float(t) for t in config.get("ts", (0.01, 0.05, 0.2))]
-    sigmas = float(config.get("sigmas", 3.0))
+    ts = [float(t) for t in ts]
     sums = np.zeros(len(ts))
     sqs = np.zeros(len(ts))
     for p, lab in _blocks(scen, model, reps):
@@ -221,13 +213,8 @@ def _process_mean(config, which):
     return {"passed": bool(ok), "sigmas": sigmas, "reps": reps, "points": rows}
 
 
-def _target_storey_clt(config):
-    scen = _scenario(config, m=5000, a=0.25, family="one-sided-normal", params={"theta": 3.0})
+def _target_storey_clt(scen=_standard(5000), *, reps=2000, t0=0.5, rel_tol=0.10, sigmas=3.0):
     model = scen.model()
-    reps = int(config.get("reps", 2000))
-    t0 = float(config.get("t0", 0.5))
-    rel_tol = float(config.get("rel_tol", 0.10))
-    sigmas = float(config.get("sigmas", 3.0))
     raws = np.concatenate([_storey_rows(p, t0) for p, _ in _blocks(scen, model, reps)])
     g0 = model.cdf(t0)
     a0 = (g0 - t0) / (1.0 - t0)
@@ -252,15 +239,13 @@ def _target_storey_clt(config):
     }
 
 
-def _target_storey_degenerate(config):
+def _target_storey_degenerate(
+    scen=ScenarioConfig(10_000, 0.0), *, reps=10_000, t0=0.5, half_tol=0.02, sigmas=4.0
+):
     from scipy.special import betainc
 
-    scen = _scenario(config, m=10_000, a=0.0)
     model = scen.model()
-    reps = int(config.get("reps", 10_000))
-    t0 = float(config.get("t0", 0.5))
     _require_open_unit("t0", t0)
-    half_tol = float(config.get("half_tol", 0.02))
     hits = sum(int((_storey_rows(p, t0) <= 0.0).sum()) for p, _ in _blocks(scen, model, reps))
     observed = hits / reps
     # under a pure-null sample the clamp fires iff Bin(m, t0) <= k = floor(m t0);
@@ -269,7 +254,6 @@ def _target_storey_degenerate(config):
     expected = float(betainc(scen.m - k, k + 1.0, 1.0 - t0))
     se = np.sqrt(expected * (1.0 - expected) / reps)
     z = abs(observed - expected) / se
-    sigmas = float(config.get("sigmas", 4.0))
     return {
         "passed": bool(z <= sigmas and abs(observed - 0.5) <= half_tol),
         "observed_mass_at_zero": float(observed),
@@ -281,13 +265,10 @@ def _target_storey_degenerate(config):
     }
 
 
-def _target_null_floor_coverage(config):
-    scen = _scenario(config, m=500, a=0.25, family="one-sided-normal", params={"theta": 3.0})
-    alpha = float(config.get("alpha", 0.05))
-    variant = str(config.get("variant", "plain"))
+def _target_null_floor_coverage(scen=_standard(500), *, alpha=0.05, variant="plain", reps=1000, gate=0.94):
     floor = purity_quantities(scen.model()).a_lower
     return _coverage(
-        config, scen, lambda s: astar_lower(ecdf(s.pvalues, variant), alpha).value <= floor + 1e-12,
+        scen, lambda s: astar_lower(ecdf(s.pvalues, variant), alpha).value <= floor + 1e-12, reps, gate,
         a_lower_true=float(floor), alpha=alpha,
     )
 
@@ -300,10 +281,8 @@ def _sup_step_vs_cdf(sf, knots, cdf, extra=(0.0, 1.0)):
     return float(max(np.abs(np.asarray(sf(ts)) - c).max(), np.abs(np.asarray(sf.left(ts)) - c).max()))
 
 
-def _target_projection_bound(config):
-    scen = _scenario(config, m=2000, a=0.5, family="square-root")
+def _target_projection_bound(scen=ScenarioConfig(2000, 0.5, "square-root"), *, reps=100):
     model = scen.model()
-    reps = int(config.get("reps", 100))
     worst_margin = -np.inf
     holds = 0
     for i in range(reps):
@@ -323,11 +302,8 @@ def _target_projection_bound(config):
     }
 
 
-def _target_lcm_contraction(config):
-    scen = _scenario(config, m=500, a=0.5, family="square-root")
+def _target_lcm_contraction(scen=ScenarioConfig(500, 0.5, "square-root"), *, reps=100, cushion=1e-6):
     model = scen.model()
-    reps = int(config.get("reps", 100))
-    cushion = float(config.get("cushion", 1e-6))
     dense = np.linspace(0.0, 1.0, 4001)
     holds = 0
     worst = -np.inf
@@ -347,13 +323,9 @@ def _target_lcm_contraction(config):
     }
 
 
-def _kernel_target(config, kind):
-    scen = _scenario(config, m=5000, a=0.25, family="one-sided-normal", params={"theta": 3.0})
+def _kernel_target(kind, scen=_standard(5000), *, reps=2000, points=(0.05, 0.1, 0.2), rel_tol=0.15, t0=0.5):
     model = scen.model()
-    reps = int(config.get("reps", 2000))
-    pts = np.asarray(config.get("points", (0.05, 0.1, 0.2)), dtype=float)
-    rel_tol = float(config.get("rel_tol", 0.15))
-    t0 = float(config.get("t0", 0.5))
+    pts = np.asarray(points, dtype=float)
     vals = np.empty((reps, pts.size))
     done = 0
     for p, lab in _blocks(scen, model, reps, block=max(1, 500_000 // scen.m)):
@@ -392,23 +364,9 @@ def _kernel_target(config, kind):
     return {"passed": bool(ok), "rel_tol": rel_tol, "reps": reps, "entries": entries}
 
 
-def _target_fdp_kernel(config):
-    return _kernel_target(config, "fdp")
-
-
-def _target_qhat_kernel(config):
-    return _kernel_target(config, "qhat")
-
-
-def _target_storey_kernel(config):
-    return _kernel_target(config, "qhat-storey")
-
-
-def _target_qinv_kernel_identity(config):
-    scen = _scenario(config, m=100, a=0.25, family="one-sided-normal", params={"theta": 3.0})
+def _target_qinv_kernel_identity(scen=_standard(100), *, tol=1e-10, points=(0.1, 0.2, 0.3)):
     model = scen.model()
-    tol = float(config.get("tol", 1e-10))
-    us = np.asarray(config.get("points", (0.1, 0.2, 0.3)), dtype=float)
+    us = np.asarray(points, dtype=float)
     xs = q_inverse(model, us)
     dq = q_derivative(model, xs)
     closed = eval_kernel(KernelSpec("qhat-inverse", model), us[:, None], us[None, :])
@@ -422,15 +380,10 @@ def _target_qinv_kernel_identity(config):
     return {"passed": bool(worst <= tol), "worst_abs_diff": float(worst), "tol": tol, "entries": entries}
 
 
-def _plugin_target(config, estimated):
+def _plugin_target(estimated, scen=_standard(5000), *, reps=2000, alpha=0.05, t0=0.5, tol=0.01):
     # mean FDP of the plug-in rule at the known weight a, or at the
     # exceedance-ratio estimate at t0, run per row as a step-up rule
-    scen = _scenario(config, m=5000, a=0.25, family="one-sided-normal", params={"theta": 3.0})
     model = scen.model()
-    reps = int(config.get("reps", 2000))
-    alpha = float(config.get("alpha", 0.05))
-    t0 = float(config.get("t0", 0.5))
-    tol = float(config.get("tol", 0.01))
     total = 0.0
     spot_ok = True
     for block, (p, lab) in enumerate(_blocks(scen, model, reps)):
@@ -459,21 +412,8 @@ def _plugin_target(config, estimated):
     }
 
 
-def _target_plugin_known_a(config):
-    return _plugin_target(config, estimated=False)
-
-
-def _target_plugin_estimated_a(config):
-    return _plugin_target(config, estimated=True)
-
-
-def _target_rate_ceiling_known_a(config):
-    scen = _scenario(config, m=10_000, a=0.25, family="one-sided-normal", params={"theta": 3.0})
+def _target_rate_ceiling_known_a(scen=_standard(10_000), *, reps=5000, c=0.05, alpha=0.05, band=(0.93, 0.97)):
     model = scen.model()
-    reps = int(config.get("reps", 5000))
-    c = float(config.get("c", 0.05))
-    alpha = float(config.get("alpha", 0.05))
-    band = config.get("band", (0.93, 0.97))
     thr = rate_ceiling_known_a(model, scen.m, c, alpha)
     hits = sum(int((_rates(p, lab, thr.t)[0] <= c).sum()) for p, lab in _blocks(scen, model, reps))
     coverage = hits / reps
@@ -488,14 +428,10 @@ def _target_rate_ceiling_known_a(config):
     }
 
 
-def _asymptotic_coverage(config, kind):
+def _asymptotic_coverage(kind, scen=_standard(1000), *, alpha=0.05, t0=0.5, t_min=1e-4, reps=1000, gate=0.94):
     # kind "fdp": the band covers the realized FDP at every p-value at or
     # above t_min; kind "count": m times the count path covers the number
     # of nulls at or below each null p-value there
-    scen = _scenario(config, m=1000, a=0.25, family="one-sided-normal", params={"theta": 3.0})
-    alpha = float(config.get("alpha", 0.05))
-    t0 = float(config.get("t0", 0.5))
-    t_min = float(config.get("t_min", 1e-4))
 
     def hit(samp):
         p = samp.pvalues
@@ -509,32 +445,22 @@ def _asymptotic_coverage(config, kind):
             truth, bound = np.searchsorted(nulls, cand, side="right"), env.count_bound_at(cand)
         return np.all(truth <= np.asarray(bound) + 1e-12)
 
-    return _coverage(config, scen, hit, alpha=alpha, t_min=t_min)
+    return _coverage(scen, hit, reps, gate, alpha=alpha, t_min=t_min)
 
 
-def _target_envelope_coverage(config):
-    return _asymptotic_coverage(config, "fdp")
+def _target_label_set_coverage(scen=_standard(50), *, alpha=0.05, reps=1000, gate=0.94):
+    return _coverage(
+        scen, lambda s: exact_confidence_set(s.pvalues, alpha).contains(s.labels), reps, gate, alpha=alpha
+    )
 
 
-def _target_count_envelope_coverage(config):
-    return _asymptotic_coverage(config, "count")
-
-
-def _target_label_set_coverage(config):
-    scen = _scenario(config, m=50, a=0.25, family="one-sided-normal", params={"theta": 3.0})
-    alpha = float(config.get("alpha", 0.05))
-    return _coverage(config, scen, lambda s: exact_confidence_set(s.pvalues, alpha).contains(s.labels), alpha=alpha)
-
-
-def _target_achievable_oracle(config):
+def _target_achievable_oracle(
+    scen=ScenarioConfig(2000, 0.25, "two-sided-normal", {"theta": 3.0}), *, reps=300, alpha=0.05, tol=0.02
+):
     # nonidentifiable two-sided family: the plug-in rule driven by a
     # consistent estimate of the weight floor should track the achievable
     # oracle threshold t(a_lower, G) in both mean FDP and mean FNP
-    scen = _scenario(config, m=2000, a=0.25, family="two-sided-normal", params={"theta": 3.0})
     model = scen.model()
-    reps = int(config.get("reps", 300))
-    alpha = float(config.get("alpha", 0.05))
-    tol = float(config.get("tol", 0.02))
     pq = purity_quantities(model)
     achievable = MixtureModel(pq.a_lower, UserCdf(pq.f_lower))
     t_ao = oracle_threshold(achievable, alpha).t
@@ -563,23 +489,27 @@ def _target_achievable_oracle(config):
     }
 
 
+# Each target is a callable f(scen, **settings).  Its signature declares
+# everything a config may set: the default scenario is the default of its
+# one positional parameter, and the settings with their defaults are its
+# keyword-only parameters.
 VALIDATION_TARGETS = {
-    "fdp-mean": _target_fdp_mean,
-    "fnp-mean": _target_fnp_mean,
+    "fdp-mean": partial(_process_mean, "fdp"),
+    "fnp-mean": partial(_process_mean, "fnp"),
     "storey-clt": _target_storey_clt,
     "storey-degenerate": _target_storey_degenerate,
     "null-floor-coverage": _target_null_floor_coverage,
     "projection-bound": _target_projection_bound,
     "lcm-contraction": _target_lcm_contraction,
-    "fdp-kernel": _target_fdp_kernel,
-    "qhat-kernel": _target_qhat_kernel,
+    "fdp-kernel": partial(_kernel_target, "fdp"),
+    "qhat-kernel": partial(_kernel_target, "qhat"),
     "qinv-kernel-identity": _target_qinv_kernel_identity,
-    "storey-kernel": _target_storey_kernel,
-    "plugin-known-a": _target_plugin_known_a,
-    "plugin-estimated-a": _target_plugin_estimated_a,
+    "storey-kernel": partial(_kernel_target, "qhat-storey"),
+    "plugin-known-a": partial(_plugin_target, False),
+    "plugin-estimated-a": partial(_plugin_target, True),
     "rate-ceiling-known-a": _target_rate_ceiling_known_a,
-    "envelope-coverage": _target_envelope_coverage,
-    "count-envelope-coverage": _target_count_envelope_coverage,
+    "envelope-coverage": partial(_asymptotic_coverage, "fdp"),
+    "count-envelope-coverage": partial(_asymptotic_coverage, "count"),
     "label-set-coverage": _target_label_set_coverage,
     "achievable-oracle": _target_achievable_oracle,
 }
@@ -587,14 +517,38 @@ VALIDATION_TARGETS = {
 
 def run_validation(config: dict, target: str) -> dict:
     """Run one named validation target with the given configuration and
-    return its JSON-friendly report (identical bytes for identical input)."""
+    return its JSON-friendly report (identical bytes for identical input).
+
+    Every target accepts the scenario keys ``m``, ``a``, ``family``,
+    ``params`` and ``seed`` plus its own settings (see the README table);
+    a scalar setting is converted to the type of its default.  Any other
+    key is an error, raised before anything is sampled: ``reps``, for one,
+    is refused by ``qinv-kernel-identity``, which draws no samples.
+    """
     if target not in VALIDATION_TARGETS:
         known = ", ".join(sorted(VALIDATION_TARGETS))
         raise ValueError(f"unknown validation target {target!r}; known targets: {known}")
+    fn = VALIDATION_TARGETS[target]
+    scen_param, *params = inspect.signature(fn).parameters.values()
+    settings = {q.name: q.default for q in params}
+    unknown = [k for k in config if k not in settings and k not in _SCENARIO_KEYS]
+    if unknown:
+        accepted = ", ".join([*_SCENARIO_KEYS, *settings])
+        raise ValueError(
+            f"validation target {target!r} takes no key {', '.join(map(repr, unknown))}; it accepts {accepted}"
+        )
     if "reps" in config:
         reps = config["reps"]
         if isinstance(reps, bool) or not isinstance(reps, (int, np.integer)) or reps < 2:
             raise ValueError(f"reps must be an integer >= 2, got {reps!r}")
-    report = VALIDATION_TARGETS[target](dict(config))
+    scen = ScenarioConfig.from_dict(
+        {**scen_param.default.to_dict(), **{k: config[k] for k in _SCENARIO_KEYS if k in config}}
+    )
+    kwargs = {
+        k: type(settings[k])(v) if isinstance(settings[k], (int, float, str)) else v
+        for k, v in config.items()
+        if k in settings
+    }
+    report = fn(scen, **kwargs)
     report["target"] = target
     return report

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from fdpkit.cli import RunSpec, _ingest_lines, ingest, main, read_envelope_csv, run
+from fdpkit.cli import RunSpec, _envelope_grid, _ingest_lines, ingest, main, read_envelope_csv, run
 from fdpkit.datasets import EXAMPLE1_PVALUES, EXAMPLE2_SCENARIO
 from fdpkit.envelopes import (
     asymptotic_envelope,
@@ -205,6 +205,26 @@ class TestEnvelopeCommand:
         assert np.array_equal(cols["v"], np.asarray(env.v_fn(ts)))
         assert np.array_equal(cols["count_bound"], np.asarray(env.count_bound_at(ts)))
 
+    @pytest.mark.parametrize("method", ["exact", "asymptotic"])
+    def test_csv_bytes_are_the_repr_of_each_cell(self, capsys, tmp_path, method):
+        p = generate_sample(ScenarioConfig(m=400, a=0.25, params={"theta": 3.0}, seed=2), 0).pvalues
+        f = tmp_path / "p.txt"
+        f.write_text("".join(f"{float(v)!r}\n" for v in p))
+        outfile = tmp_path / "env.csv"
+        rc, _, _ = run_cli(capsys, "envelope", "--input", str(f), "--method", method,
+                           "--t-min", "0.001", "--no-floor-check", "--output", str(outfile))
+        assert rc == 0
+        if method == "exact":
+            env = exact_envelope(exact_confidence_set(p, 0.05), p)
+        else:
+            env = asymptotic_envelope(p, t_min=0.001, enforce_floor=False)
+        ts = _envelope_grid(env)
+        cols = (ts, env.gamma_bar(ts), env.v_fn(ts), env.count_bound_at(ts))
+        want = "t,gamma_bar,v,count_bound\n" + "".join(
+            ",".join(repr(float(x)) for x in row) + "\n" for row in zip(*cols))
+        assert len(ts) > 100
+        assert outfile.read_bytes() == want.encode()
+
     def test_read_back_rejects_foreign_header(self, tmp_path):
         f = tmp_path / "bad.csv"
         f.write_text("a,b\n1,2\n")
@@ -359,6 +379,12 @@ class TestSimulateCommand:
         assert rc == 0
         assert json.loads(out) == json.loads(outfile.read_text())
         assert json.loads(out)["reps"] == 25
+        # a JSON integer for a float setting is read, and reported, as a float
+        cfg.write_text(json.dumps({"gate": 1, "reps": 20}))
+        rc, out, _ = run_cli(capsys, "simulate", "--target", "label-set-coverage",
+                             "--config", str(cfg))
+        assert rc == 0
+        assert '"gate": 1.0' in out and json.loads(out)["reps"] == 20
 
     @pytest.mark.parametrize("reps", ["0", "1", "-3"])
     def test_reps_below_two_exits_one(self, capsys, reps):
@@ -366,6 +392,12 @@ class TestSimulateCommand:
                                "--reps", reps)
         assert rc == 1 and out == ""
         assert "reps must be an integer >= 2" in json.loads(err)["error"]
+
+    def test_reps_is_refused_where_nothing_is_sampled(self, capsys):
+        rc, out, err = run_cli(capsys, "simulate", "--target", "qinv-kernel-identity",
+                               "--reps", "100")
+        assert rc == 1 and out == ""
+        assert "takes no key 'reps'" in json.loads(err)["error"]
 
     def test_bad_config_and_target(self, capsys, tmp_path):
         rc, _, err = run_cli(capsys, "simulate", "--target", "nope")

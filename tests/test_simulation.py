@@ -2,6 +2,9 @@
 the generator against classical bounds, closed-form purity quantities, and
 the named validation registry."""
 
+import functools
+import inspect
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -10,6 +13,7 @@ from fdpkit.estimation import dkw_epsilon
 from fdpkit.families import UserCdf, make_family
 from fdpkit.model import LabeledSample, MixtureModel, fdp_process, fnp_process
 from fdpkit.rng import standard_normal, stream, uniform_open
+from fdpkit import simulation
 from fdpkit.simulation import (
     VALIDATION_TARGETS,
     ScenarioConfig,
@@ -244,6 +248,34 @@ class TestPvalueDensity:
                 pvalue_density_two_sided_normal(2.0, 1, bad)
 
 
+_COVERAGE = {"alpha": 0.05, "t0": 0.5, "t_min": 1e-4, "reps": 1000, "gate": 0.94}
+_KERNEL = {"reps": 2000, "points": (0.05, 0.1, 0.2), "rel_tol": 0.15, "t0": 0.5}
+_PLUGIN = {"reps": 2000, "alpha": 0.05, "t0": 0.5, "tol": 0.01}
+_MEAN = {"reps": 100_000, "ts": (0.01, 0.05, 0.2), "sigmas": 3.0}
+# each target's own settings with their defaults, in signature order; every
+# target also takes the scenario keys m, a, family, params and seed
+SETTINGS = {
+    "fdp-mean": _MEAN,
+    "fnp-mean": _MEAN,
+    "storey-clt": {"reps": 2000, "t0": 0.5, "rel_tol": 0.10, "sigmas": 3.0},
+    "storey-degenerate": {"reps": 10_000, "t0": 0.5, "half_tol": 0.02, "sigmas": 4.0},
+    "null-floor-coverage": {"alpha": 0.05, "variant": "plain", "reps": 1000, "gate": 0.94},
+    "projection-bound": {"reps": 100},
+    "lcm-contraction": {"reps": 100, "cushion": 1e-6},
+    "fdp-kernel": _KERNEL,
+    "qhat-kernel": _KERNEL,
+    "storey-kernel": _KERNEL,
+    "qinv-kernel-identity": {"tol": 1e-10, "points": (0.1, 0.2, 0.3)},
+    "plugin-known-a": _PLUGIN,
+    "plugin-estimated-a": _PLUGIN,
+    "rate-ceiling-known-a": {"reps": 5000, "c": 0.05, "alpha": 0.05, "band": (0.93, 0.97)},
+    "envelope-coverage": _COVERAGE,
+    "count-envelope-coverage": _COVERAGE,
+    "label-set-coverage": {"alpha": 0.05, "reps": 1000, "gate": 0.94},
+    "achievable-oracle": {"reps": 300, "alpha": 0.05, "tol": 0.02},
+}
+
+
 class TestValidationHarness:
     def test_registry_names(self):
         assert set(VALIDATION_TARGETS) == {
@@ -259,6 +291,36 @@ class TestValidationHarness:
     def test_unknown_target(self):
         with pytest.raises(ValueError, match="unknown validation target"):
             run_validation({}, "no-such-check")
+
+    @pytest.mark.parametrize("name", sorted(VALIDATION_TARGETS))
+    def test_signature_declares_the_settings_and_other_keys_raise(self, monkeypatch, name):
+        scen, *params = inspect.signature(VALIDATION_TARGETS[name]).parameters.values()
+        assert isinstance(scen.default, ScenarioConfig)
+        assert all(q.kind is q.KEYWORD_ONLY for q in params)
+        assert {q.name: q.default for q in params} == SETTINGS[name]
+        # the registry entry wrapped the way a profiler wraps it
+        calls = []
+        body = VALIDATION_TARGETS[name]
+
+        @functools.wraps(body)
+        def wrapped(*args, **kwargs):
+            calls.append(args)
+            return body(*args, **kwargs)
+
+        monkeypatch.setitem(VALIDATION_TARGETS, name, wrapped)
+        monkeypatch.setattr(simulation, "stream", None)  # any sampling fails
+        accepted = ", ".join(["m", "a", "family", "params", "seed", *SETTINGS[name]])
+        with pytest.raises(ValueError) as info:
+            run_validation({"seed": 1, "tolerance": 0.0}, name)
+        msg = str(info.value)
+        assert f"{name!r} takes no key 'tolerance'; it accepts {accepted}" in msg
+        assert calls == []
+
+    def test_reps_is_refused_where_nothing_is_sampled(self):
+        with pytest.raises(ValueError, match="'qinv-kernel-identity' takes no key 'reps'"):
+            run_validation({"reps": 3}, "qinv-kernel-identity")
+        with pytest.raises(ValueError, match="takes no key 'rep', 'tolerance';"):
+            run_validation({"rep": 5, "tolerance": 0.0}, "qinv-kernel-identity")
 
     def test_deterministic_reports(self):
         cfg = {"reps": 30, "m": 300}
