@@ -5,8 +5,9 @@ Subcommands: ``threshold`` (rejection rules on a p-value file),
 ``estimate`` (mixing-weight estimators), ``simulate`` (named Monte Carlo
 validation targets), and ``reproduce-example`` (the two worked examples).
 
-The environment variable ``FDP_SEED`` overrides ``--seed`` everywhere.
-Errors exit with status 1 and a JSON record on stderr.
+The environment variable ``FDP_SEED`` overrides ``--seed`` wherever a
+subcommand reads it.  Errors, a bad command line among them, exit with
+status 1 and a JSON record on stderr; ``--help`` exits 0.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ __all__ = ["RunSpec", "ingest", "run", "main", "read_envelope_csv"]
 
 @dataclass
 class RunSpec:
-    """A fully resolved CLI invocation; ``run`` executes it."""
+    """A CLI invocation; ``run`` executes it.  Its field defaults are the CLI's only defaults."""
 
     command: str
     input: str | None = None
@@ -319,21 +320,6 @@ def _run_example(spec: RunSpec) -> dict:
     raise ValueError("example must be 1 or 2")
 
 
-def run(spec: RunSpec) -> dict:
-    """Execute a resolved invocation and return its result record."""
-    if spec.command == "threshold":
-        return _run_threshold(spec)
-    if spec.command == "envelope":
-        return _run_envelope(spec)
-    if spec.command == "estimate":
-        return _run_estimate(spec)
-    if spec.command == "simulate":
-        return _run_simulate(spec)
-    if spec.command == "reproduce-example":
-        return _run_example(spec)
-    raise ValueError(f"unknown command: {spec.command!r}")
-
-
 def _fmt(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -346,79 +332,87 @@ def _fmt(v) -> str:
     return str(v)
 
 
+# Each option once: its flag and how argparse reads it.  None has a default
+# here: an option left off the command line is left out of the RunSpec, whose
+# fields and the runners' method fallbacks hold every default.
+_OPTIONS = {
+    "--input": {"required": True, "help": "p-value file"},
+    "--format": {"choices": ["lines", "csv"]},
+    "--alpha": {"type": float},
+    "--seed": {"type": int},
+    "--output": {"help": "write result file (CSV/JSON by command)"},
+    "--json": {"dest": "as_json", "action": "store_true", "help": "print JSON"},
+    "--t": {"type": float, "help": "threshold for --method fixed"},
+    "--r": {"type": int, "help": "count for --method first-r"},
+    "--t0": {"type": float, "help": "cut point of the tail-count estimate of the mixing weight"},
+    "--variant": {"choices": ["plain", "floor", "lcm"]},
+    "--bandwidth": {"type": float},
+    "--ceiling": {"type": float, "help": "largest t with bound at or below this rate"},
+    "--min-rate": {"action": "store_true"},
+    "--t-min": {"type": float},
+    "--no-floor-check": {"action": "store_true"},
+    "--reps": {"type": int, "help": "Monte Carlo replicates; on envelope, of a fresh Brownian quantile "
+               "simulation seeded by --seed, which then replaces the committed table"},
+    "--grid": {"type": int, "help": "grid size of the Brownian quantile simulation, as for --reps"},
+    "--target": {"required": True},
+    "--config": {"help": "JSON config file"},
+    "example": {"type": int, "choices": [1, 2]},
+}
+
+# Each subcommand: its runner, its help, its --method choices and the
+# options it reads.
+_COMMANDS = {
+    "threshold": (_run_threshold, "rejection thresholds",
+                  ["uncorrected", "bonferroni", "fixed", "first-r", "bh", "plugin", "bayes"],
+                  "--input --format --alpha --output --json --t --r --t0 --variant --bandwidth"),
+    "envelope": (_run_envelope, "FDP confidence envelopes", ["exact", "asymptotic"],
+                 "--input --format --alpha --seed --output --json --ceiling --min-rate --t0 --t-min "
+                 "--no-floor-check --reps --grid"),
+    "estimate": (_run_estimate, "mixing-weight estimators", ["storey", "astar", "kernel"],
+                 "--input --format --alpha --json --t0 --variant --bandwidth"),
+    "simulate": (_run_simulate, "named validation targets", None,
+                 "--seed --output --json --target --config --reps"),
+    "reproduce-example": (_run_example, "worked examples", None,
+                          "example --alpha --seed --json --ceiling --t0 --t-min"),
+}
+
+
+def run(spec: RunSpec) -> dict:
+    """Execute a resolved invocation and return its result record."""
+    if spec.command not in _COMMANDS:
+        raise ValueError(f"unknown command: {spec.command!r}")
+    return _COMMANDS[spec.command][0](spec)
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises a bad command line as a ValueError, so that it takes the one
+    error path of ``main``."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="fdpkit", description="False-discovery control toolkit")
+    ap = _ArgumentParser(prog="fdpkit", description="False-discovery control toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(sp, with_input=True):
-        if with_input:
-            sp.add_argument("--input", required=True, help="p-value file")
-            sp.add_argument("--format", default="lines", choices=["lines", "csv"])
-        sp.add_argument("--alpha", type=float, default=0.05)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--output", help="write result file (CSV/JSON by command)")
-        sp.add_argument("--json", dest="as_json", action="store_true", help="print JSON")
-
-    sp = sub.add_parser("threshold", help="rejection thresholds")
-    common(sp)
-    sp.add_argument(
-        "--method",
-        default="bh",
-        choices=["uncorrected", "bonferroni", "fixed", "first-r", "bh", "plugin", "bayes"],
-    )
-    sp.add_argument("--t", type=float, help="threshold for --method fixed")
-    sp.add_argument("--r", type=int, help="count for --method first-r")
-    sp.add_argument("--t0", type=float, default=0.5, help="cut point for the plug-in weight")
-    sp.add_argument("--variant", default="plain", choices=["plain", "floor", "lcm"])
-    sp.add_argument("--bandwidth", type=float)
-
-    sp = sub.add_parser("envelope", help="FDP confidence envelopes")
-    common(sp)
-    sp.add_argument("--method", default="exact", choices=["exact", "asymptotic"])
-    sp.add_argument("--ceiling", type=float, help="largest t with bound at or below this rate")
-    sp.add_argument("--min-rate", dest="min_rate", action="store_true")
-    sp.add_argument("--t0", type=float, default=0.5)
-    sp.add_argument("--t-min", dest="t_min", type=float)
-    sp.add_argument("--no-floor-check", dest="no_floor_check", action="store_true")
-    sp.add_argument("--reps", type=int, help="replicates of the Brownian quantile; given, it asks for a "
-                    "fresh Monte Carlo, seeded by --seed, instead of the committed table")
-    sp.add_argument("--grid", type=int, help="grid size of the Brownian quantile; given, it asks for a "
-                    "fresh Monte Carlo, seeded by --seed, instead of the committed table")
-
-    sp = sub.add_parser("estimate", help="mixing-weight estimators")
-    common(sp)
-    sp.add_argument("--method", default="storey", choices=["storey", "astar", "kernel"])
-    sp.add_argument("--t0", type=float, default=0.5)
-    sp.add_argument("--variant", default="plain", choices=["plain", "floor", "lcm"])
-    sp.add_argument("--bandwidth", type=float)
-
-    sp = sub.add_parser("simulate", help="named validation targets")
-    common(sp, with_input=False)
-    sp.add_argument("--target", required=True)
-    sp.add_argument("--config", help="JSON config file")
-    sp.add_argument("--reps", type=int)
-
-    sp = sub.add_parser("reproduce-example", help="worked examples")
-    common(sp, with_input=False)
-    sp.add_argument("example", type=int, choices=[1, 2])
-    sp.add_argument("--ceiling", type=float)
-    sp.add_argument("--t0", type=float, default=0.5)
-    sp.add_argument("--t-min", dest="t_min", type=float)
-
+    for name, (_, text, methods, flags) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
+        if methods:
+            sp.add_argument("--method", choices=methods)
+        for flag in flags.split():
+            sp.add_argument(flag, **_OPTIONS[flag])
     return ap
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    fields = {f: getattr(args, f) for f in RunSpec.__dataclass_fields__ if hasattr(args, f)}
-    spec = RunSpec(**fields)
-    if "FDP_SEED" in os.environ:
-        try:
-            spec.seed = int(os.environ["FDP_SEED"])
-        except ValueError:
-            print(json.dumps({"error": "FDP_SEED must be an integer"}), file=sys.stderr)
-            return 1
     try:
+        args = vars(_parser().parse_args(argv))
+        if "FDP_SEED" in os.environ:
+            try:
+                args["seed"] = int(os.environ["FDP_SEED"])
+            except ValueError:
+                raise ValueError("FDP_SEED must be an integer") from None
+        spec = RunSpec(**args)
         result = run(spec)
     except Exception as exc:  # deliberate: CLI boundary
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)

@@ -163,7 +163,7 @@ class _AsymptoticCurve:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0.0) or np.any(t > 1.0):
+        if not np.all((t >= 0.0) & (t <= 1.0)):
             raise ValueError("evaluation points must lie in [0, 1]")
         out = self.one_minus_a0 * t + self.delta * np.sqrt(t / self.m)
         if self.ghat is not None:

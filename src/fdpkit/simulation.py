@@ -14,7 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from .envelopes import asymptotic_envelope, exact_confidence_set
+from .envelopes import _critical_values, _second_order_check, asymptotic_envelope
 from .estimation import _require_open_unit, astar_lower, ecdf, kernel_a_consistent, project_f, storey_a0
 from .families import TwoSidedNormal, UserCdf, make_family
 from .kernels import KernelSpec, eval_kernel
@@ -188,6 +188,20 @@ def _coverage(scen, hit, reps, gate, **extra):
     return {"passed": bool(coverage >= gate), "coverage": float(coverage), "gate": gate, "reps": reps, **extra}
 
 
+def _zscore(observed, expected, se):
+    """|observed - expected| / se; at se = 0, 0 if the two agree and inf if not."""
+    return abs(observed - expected) / se if se > 0 else (0.0 if observed == expected else np.inf)
+
+
+def _bound_holds(scen, reps, sides, cushion):
+    """Whether lhs <= rhs + cushion on every one of the `reps` samples of
+    `scen`, `sides(sample)` giving (lhs, rhs), with the worst lhs - rhs."""
+    pairs = [sides(generate_sample(scen, i)) for i in range(reps)]
+    holds = sum(int(lhs <= rhs + cushion) for lhs, rhs in pairs)
+    worst = max(-np.inf, *(lhs - rhs for lhs, rhs in pairs))
+    return {"passed": bool(holds == reps), "holds": holds, "reps": reps, "worst_margin": float(worst)}
+
+
 def _process_mean(which, scen=_standard(100), *, reps=100_000, ts=(0.01, 0.05, 0.2), sigmas=3.0):
     model = scen.model()
     ts = [float(t) for t in ts]
@@ -205,7 +219,7 @@ def _process_mean(which, scen=_standard(100), *, reps=100_000, ts=(0.01, 0.05, 0
     for j, t in enumerate(ts):
         ex = expected_fdp_fnp(model, scen.m, t)
         expected = ex[0] if which == "fdp" else ex[1]
-        z = abs(means[j] - expected) / ses[j] if ses[j] > 0 else (0.0 if means[j] == expected else np.inf)
+        z = _zscore(means[j], expected, ses[j])
         rows.append(
             {"t": t, "mean": float(means[j]), "expected": float(expected), "zscore": float(z)}
         )
@@ -220,7 +234,7 @@ def _target_storey_clt(scen=_standard(5000), *, reps=2000, t0=0.5, rel_tol=0.10,
     a0 = (g0 - t0) / (1.0 - t0)
     mean = float(np.mean(raws))
     mean_se = float(np.std(raws, ddof=1) / np.sqrt(reps))
-    mean_z = abs(mean - a0) / mean_se
+    mean_z = _zscore(mean, a0, mean_se)
     expected = g0 * (1.0 - g0) / (1.0 - t0) ** 2
     observed = float(scen.m * np.var(raws, ddof=1))
     rel = abs(observed - expected) / expected
@@ -253,7 +267,7 @@ def _target_storey_degenerate(
     k = np.floor(scen.m * t0)
     expected = float(betainc(scen.m - k, k + 1.0, 1.0 - t0))
     se = np.sqrt(expected * (1.0 - expected) / reps)
-    z = abs(observed - expected) / se
+    z = _zscore(observed, expected, se)
     return {
         "passed": bool(z <= sigmas and abs(observed - 0.5) <= half_tol),
         "observed_mass_at_zero": float(observed),
@@ -283,44 +297,28 @@ def _sup_step_vs_cdf(sf, knots, cdf, extra=(0.0, 1.0)):
 
 def _target_projection_bound(scen=ScenarioConfig(2000, 0.5, "square-root"), *, reps=100):
     model = scen.model()
-    worst_margin = -np.inf
-    holds = 0
-    for i in range(reps):
-        samp = generate_sample(scen, i)
+
+    def sides(samp):
         ghat = ecdf(samp.pvalues, "plain")
         fhat = project_f(ghat, scen.a)
         knots = np.unique(np.r_[ghat.base.knots, fhat.knots, 1.0])
         lhs = _sup_step_vs_cdf(fhat, knots, model.F.cdf)
-        rhs = 2.0 * _sup_step_vs_cdf(ghat, knots, model.cdf) / scen.a
-        holds += int(lhs <= rhs + 1e-12)
-        worst_margin = max(worst_margin, lhs - rhs)
-    return {
-        "passed": bool(holds == reps),
-        "holds": holds,
-        "reps": reps,
-        "worst_margin": float(worst_margin),
-    }
+        return lhs, 2.0 * _sup_step_vs_cdf(ghat, knots, model.cdf) / scen.a
+
+    return _bound_holds(scen, reps, sides, 1e-12)
 
 
 def _target_lcm_contraction(scen=ScenarioConfig(500, 0.5, "square-root"), *, reps=100, cushion=1e-6):
     model = scen.model()
     dense = np.linspace(0.0, 1.0, 4001)
-    holds = 0
-    worst = -np.inf
-    for i in range(reps):
-        samp = generate_sample(scen, i)
+
+    def sides(samp):
         gh = ecdf(samp.pvalues, "lcm")
         ts = np.unique(np.r_[dense, gh.hull.x, gh.base.knots])
         err_lcm = float(np.abs(np.asarray(gh(ts)) - model.cdf(ts)).max())
-        err_plain = _sup_step_vs_cdf(gh.base, gh.base.knots, model.cdf)
-        holds += int(err_lcm <= err_plain + cushion)
-        worst = max(worst, err_lcm - err_plain)
-    return {
-        "passed": bool(holds == reps),
-        "holds": holds,
-        "reps": reps,
-        "worst_margin": float(worst),
-    }
+        return err_lcm, _sup_step_vs_cdf(gh.base, gh.base.knots, model.cdf)
+
+    return _bound_holds(scen, reps, sides, cushion)
 
 
 def _kernel_target(kind, scen=_standard(5000), *, reps=2000, points=(0.05, 0.1, 0.2), rel_tol=0.15, t0=0.5):
@@ -449,9 +447,15 @@ def _asymptotic_coverage(kind, scen=_standard(1000), *, alpha=0.05, t0=0.5, t_mi
 
 
 def _target_label_set_coverage(scen=_standard(50), *, alpha=0.05, reps=1000, gate=0.94):
-    return _coverage(
-        scen, lambda s: exact_confidence_set(s.pvalues, alpha).contains(s.labels), reps, gate, alpha=alpha
-    )
+    # the rule of ExactConfidenceSet.contains, with the critical values (of m and alpha) solved once
+    _require_open_unit("alpha", alpha)
+    crit = np.r_[-np.inf, -np.inf, _critical_values(np.arange(2, scen.m + 1), alpha)]
+
+    def hit(samp):
+        nulls = samp.pvalues[samp.labels == 0]
+        return _second_order_check(nulls, crit[nulls.size])[1]
+
+    return _coverage(scen, hit, reps, gate, alpha=alpha)
 
 
 def _target_achievable_oracle(

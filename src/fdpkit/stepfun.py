@@ -30,8 +30,8 @@ class StepFunction:
 
     Notes
     -----
-    Evaluation outside [0, 1] raises: paths and envelopes in this package
-    have no meaning there.
+    Evaluation outside [0, 1], or at NaN, raises: paths and envelopes in
+    this package have no meaning there.
     """
 
     __slots__ = ("knots", "values")
@@ -75,7 +75,7 @@ class StepFunction:
 
     def __call__(self, t):
         t = _as_float_array(t)
-        if np.any(t < 0.0) or np.any(t > 1.0):
+        if not np.all((t >= 0.0) & (t <= 1.0)):   # False for NaN too
             raise ValueError("evaluation points must lie in [0, 1]")
         idx = np.searchsorted(self.knots, t, side="right") - 1
         out = self.values[idx]
@@ -84,7 +84,7 @@ class StepFunction:
     def left(self, t):
         """Left limit at ``t``; at 0 this is the value at 0."""
         t = _as_float_array(t)
-        if np.any(t < 0.0) or np.any(t > 1.0):
+        if not np.all((t >= 0.0) & (t <= 1.0)):
             raise ValueError("evaluation points must lie in [0, 1]")
         idx = np.maximum(np.searchsorted(self.knots, t, side="left") - 1, 0)
         out = self.values[idx]
@@ -123,7 +123,7 @@ class PiecewiseLinear:
 
     def __call__(self, t):
         t = _as_float_array(t)
-        if np.any(t < self.x[0]) or np.any(t > self.x[-1]):
+        if not np.all((t >= self.x[0]) & (t <= self.x[-1])):
             raise ValueError("evaluation points outside the node range")
         out = np.interp(t, self.x, self.y)
         return out if out.ndim else float(out)

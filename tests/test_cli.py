@@ -12,7 +12,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from fdpkit.cli import RunSpec, _envelope_grid, _ingest_lines, ingest, main, read_envelope_csv, run
+from fdpkit.cli import (
+    RunSpec, _envelope_grid, _ingest_lines, _parser, ingest, main, read_envelope_csv, run,
+)
 from fdpkit.datasets import EXAMPLE1_PVALUES, EXAMPLE2_SCENARIO
 from fdpkit.envelopes import (
     asymptotic_envelope,
@@ -379,12 +381,14 @@ class TestSimulateCommand:
         assert rc == 0
         assert json.loads(out) == json.loads(outfile.read_text())
         assert json.loads(out)["reps"] == 25
-        # a JSON integer for a float setting is read, and reported, as a float
-        cfg.write_text(json.dumps({"gate": 1, "reps": 20}))
+        # a JSON integer for a float setting is read, and reported, as a
+        # float; alpha, which simulate has no flag for, comes from the config
+        cfg.write_text(json.dumps({"gate": 1, "reps": 20, "alpha": 0.2}))
         rc, out, _ = run_cli(capsys, "simulate", "--target", "label-set-coverage",
                              "--config", str(cfg))
         assert rc == 0
         assert '"gate": 1.0' in out and json.loads(out)["reps"] == 20
+        assert json.loads(out)["alpha"] == 0.2
 
     @pytest.mark.parametrize("reps", ["0", "1", "-3"])
     def test_reps_below_two_exits_one(self, capsys, reps):
@@ -457,6 +461,70 @@ class TestReproduceExamples:
         rc, _, err = run_cli(capsys, "reproduce-example", "2", "--json")
         assert rc == 1
         assert "FDP_SEED" in json.loads(err)["error"]
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("argv, flag", [
+        (["threshold", "--seed", "3"], "--seed"),
+        (["estimate", "--seed", "3"], "--seed"),
+        (["estimate", "--output", "OUT"], "--output"),
+        (["reproduce-example", "1", "--output", "OUT"], "--output"),
+        (["simulate", "--target", "label-set-coverage", "--reps", "20", "--alpha", "0.2"], "--alpha"),
+    ])
+    def test_flags_no_subcommand_reads_are_refused(self, capsys, tmp_path, argv, flag):
+        # the input file does not exist: the flag is refused before it is read
+        missing = str(tmp_path / "missing.txt")
+        outfile = tmp_path / "out"
+        argv = [str(outfile) if a == "OUT" else a for a in argv]
+        if argv[0] in ("threshold", "estimate"):
+            argv += ["--input", missing]
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"].startswith(f"unrecognized arguments: {flag}")
+        assert not outfile.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+        ([], "the following arguments are required: command"),
+        (["threshold", "--method", "nope"], "argument --method: invalid choice: 'nope'"),
+        (["estimate", "--alpha", "abc"], "argument --alpha: invalid float value: 'abc'"),
+        (["envelope", "--json"], "the following arguments are required: --input"),
+        (["simulate"], "the following arguments are required: --target"),
+        (["reproduce-example", "3"], "argument example: invalid choice: 3"),
+    ])
+    def test_bad_command_line_is_a_json_error(self, capsys, pfile, argv, message):
+        if argv[:1] in (["threshold"], ["estimate"]):
+            argv = argv + ["--input", pfile]
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"].startswith(message)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["envelope", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        assert "usage: fdpkit" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, spec", [
+        (["threshold"], {}),
+        (["envelope"], {}),
+        (["estimate"], {}),
+        (["simulate", "--target", "fnp-mean", "--reps", "200"], {"target": "fnp-mean", "reps": 200}),
+        (["reproduce-example", "1"], {"example": 1}),
+        (["reproduce-example", "2"], {"example": 2}),
+    ])
+    def test_default_flags_give_the_run_spec_defaults(self, capsys, pfile, argv, spec):
+        # the parser holds no defaults: main and run read the same ones
+        if argv in (["threshold"], ["envelope"], ["estimate"]):
+            argv, spec = argv + ["--input", pfile], {"input": pfile}
+        argv = argv + ["--json"]
+        assert vars(_parser().parse_args(argv)) == {"command": argv[0], **spec, "as_json": True}
+        rc, out, _ = run_cli(capsys, *argv)
+        assert rc == 0
+        assert out == json.dumps(run(RunSpec(command=argv[0], **spec)), sort_keys=True) + "\n"
 
 
 class TestProcessLevel:

@@ -551,6 +551,12 @@ class TestAsymptoticEnvelope:
         with pytest.raises(ValueError):
             asym_env.gamma_at(1.5)
 
+    def test_band_and_count_path_refuse_nan(self, asym_env):
+        for evaluate in (asym_env.gamma_bar, asym_env.v_fn, asym_env.count_bound_at):
+            for t in (np.nan, [0.01, np.nan]):
+                with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+                    evaluate(t)
+
     def test_count_path_identity(self, asym_sample, asym_env):
         m = asym_sample.size
         meta = asym_env.meta

@@ -363,6 +363,14 @@ class TestValidationHarness:
         for pt in r["points"]:
             assert pt["mean"] == pt["expected"] == 0.0 and pt["zscore"] == 0.0
 
+    @pytest.mark.parametrize("seed", [0, 2, 3])
+    def test_storey_clt_with_equal_replicates(self, seed):
+        # at m = 1 both replicates give the same estimate, so the standard
+        # error of their mean is 0 and the mean, 1.0, is infinitely far off
+        r = run_validation({"m": 1, "reps": 2, "seed": seed}, "storey-clt")
+        assert r["observed_variance"] == 0.0 and r["observed_mean"] == 1.0
+        assert r["mean_zscore"] == np.inf and r["passed"] is False
+
     def test_reduced_scale_targets_pass(self):
         quick = [
             ("fdp-mean", {"reps": 2000, "m": 100}),

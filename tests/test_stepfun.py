@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fdpkit import PiecewiseLinear, StepFunction
+from fdpkit import LabeledSample, PiecewiseLinear, StepFunction, ecdf, fdp_process
+from fdpkit.envelopes import exact_confidence_set, exact_envelope
 
 
 def naive_step_eval(knots, values, t):
@@ -54,6 +55,11 @@ class TestStepFunction:
             f(1.5)
         with pytest.raises(ValueError):
             f.left(-0.1)
+        # searchsorted would put a NaN past the last knot
+        for t in (np.nan, [0.2, np.nan], [np.nan, np.nan]):
+            for evaluate in (f, f.left):
+                with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+                    evaluate(t)
 
     def test_matches_naive_scan(self):
         rng = np.random.default_rng(5)
@@ -112,9 +118,33 @@ class TestPiecewiseLinear:
         with pytest.raises(ValueError):
             PiecewiseLinear([0.0, 1.0], [0.0])
 
+    @pytest.mark.parametrize("t", [0.1, 0.9, np.nan, [0.5, np.nan]])
+    def test_rejects_points_off_the_nodes_and_nan(self, t):
+        f = PiecewiseLinear([0.2, 0.8], [0.0, 1.0])
+        with pytest.raises(ValueError, match="outside the node range"):
+            f(t)
+
     def test_equality(self):
         f = PiecewiseLinear([0.0, 1.0], [0.0, 1.0])
         g = PiecewiseLinear([0.0, 1.0], [0.0, 1.0])
         assert f == g
         assert hash(f) == hash(g)
         assert f != PiecewiseLinear([0.0, 1.0], [0.0, 0.9])
+
+
+P = [0.1, 0.3, 0.5]
+
+
+@pytest.mark.parametrize("evaluate", [
+    ecdf(P),
+    ecdf(P).left,
+    ecdf(P, "floor"),
+    ecdf(P, "lcm"),
+    exact_envelope(exact_confidence_set(P, 0.05), P).gamma_bar,
+    exact_envelope(exact_confidence_set(P, 0.05), P).count_bound_at,
+    fdp_process(LabeledSample(P, [0, 1, 0])),
+], ids=["ecdf", "ecdf-left", "ecdf-floor", "ecdf-lcm", "exact-gamma-bar", "exact-count-bound", "fdp-path"])
+def test_paths_refuse_nan(evaluate):
+    # searchsorted places NaN past the last knot, so an unchecked NaN reads the last value
+    with pytest.raises(ValueError):
+        evaluate(np.nan)
