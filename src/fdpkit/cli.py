@@ -5,9 +5,9 @@ Subcommands: ``threshold`` (rejection rules on a p-value file),
 ``estimate`` (mixing-weight estimators), ``simulate`` (named Monte Carlo
 validation targets), and ``reproduce-example`` (the two worked examples).
 
-The environment variable ``FDP_SEED`` overrides ``--seed`` wherever a
-subcommand reads it.  Errors, a bad command line among them, exit with
-status 1 and a JSON record on stderr; ``--help`` exits 0.
+``FDP_SEED`` overrides ``--seed`` where a subcommand reads it, and JSON
+output writes a non-finite number as null.  Errors, a bad command line among
+them, exit with status 1 and a JSON record on stderr; ``--help`` exits 0.
 """
 
 from __future__ import annotations
@@ -270,7 +270,7 @@ def _run_simulate(spec: RunSpec) -> dict:
     report = run_validation(cfg, spec.target)
     if spec.output:
         with open(spec.output, "w") as fh:
-            fh.write(json.dumps(report, sort_keys=True) + "\n")
+            fh.write(_json(report) + "\n")
     return report
 
 
@@ -318,6 +318,11 @@ def _run_example(spec: RunSpec) -> dict:
             "min_rate_Z": mr.z,
         }
     raise ValueError("example must be 1 or 2")
+
+
+def _json(record: dict) -> str:
+    """Strict JSON of a result record: the parse maps Infinity and NaN to null."""
+    return json.dumps(json.loads(json.dumps(record), parse_constant=lambda _: None), sort_keys=True, allow_nan=False)
 
 
 def _fmt(v) -> str:
@@ -407,7 +412,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = vars(_parser().parse_args(argv))
-        if "FDP_SEED" in os.environ:
+        if "FDP_SEED" in os.environ and "--seed" in _COMMANDS[args["command"]][3].split():
             try:
                 args["seed"] = int(os.environ["FDP_SEED"])
             except ValueError:
@@ -418,7 +423,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         return 1
     if spec.as_json or spec.command == "simulate":
-        print(json.dumps(result, sort_keys=True))
+        print(_json(result))
     else:
         for k, v in result.items():
             if v is not None:

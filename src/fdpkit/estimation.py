@@ -284,6 +284,8 @@ def kernel_density(pvalues, bandwidth: float | None = None, grid_size: int = 512
     p = _validated_pvalues(pvalues)
     m = p.size
     h = _bandwidth(bandwidth, m)
+    if m < 10:
+        raise ValueError("need at least 10 p-values for the kernel estimate")
     grid = np.linspace(0.0, 1.0, grid_size)
     x = np.sort(np.concatenate([p, -p, 2.0 - p]))
     # prefix sums of x split exactly into multiples of 2^-10 (summed without
@@ -304,8 +306,6 @@ def kernel_a_consistent(pvalues, bandwidth: float | None = None) -> NullFraction
     minimum of the kernel density estimate."""
     grid, dens = kernel_density(pvalues, bandwidth)
     m = np.size(pvalues)
-    if m < 10:
-        raise ValueError("need at least 10 p-values for the kernel estimate")
     k = int(np.argmin(dens))
     value = float(np.clip(1.0 - dens[k], 0.0, 1.0))
     return NullFractionEstimate(

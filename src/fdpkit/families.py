@@ -19,16 +19,18 @@ __all__ = [
 ]
 
 
-def _largest_true(pred, shape=()):
-    """Largest double t in [0, 1] with ``pred(t)`` true, elementwise over
-    ``shape``, for a vectorized predicate that holds at 0 and switches off
-    at most once.
+def _largest_true(pred, shape=(), lo=0.0, hi=1.0):
+    """Largest double t in [lo, hi] (by default [0, 1]) with ``pred(t)``
+    true, elementwise over ``shape``, for a vectorized predicate true at lo.
 
     Nonnegative doubles sort like their int64 bit patterns, so bisecting
-    over the patterns ends on the exact answer in at most 62 steps, with
-    no tolerance and no step count to choose."""
-    lo = np.zeros(shape, dtype=np.int64)
-    hi = np.full(shape, np.float64(1.0).view(np.int64))
+    over the patterns ends in at most 62 steps, with no tolerance and no
+    step count to choose, on a t where pred holds and fails one double up
+    (or t = hi).  Where pred switches off more than once, as ``cdf(t) < u``
+    does for the rounded ``TwoSidedNormal.cdf`` (not monotone at the ulp
+    level), t is one such switch, and which one depends on the bracket."""
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), shape).view(np.int64)
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), shape).view(np.int64)
     while np.any(lo < hi):
         mid = lo + (hi - lo + 1) // 2
         ok = pred(mid.view(np.float64))
@@ -44,12 +46,12 @@ def _on_unit(t, f):
     return out if out.ndim else float(out)
 
 
-def _quantile(cdf, u):
+def _quantile(cdf, u, lo=0.0, hi=1.0):
     """Generalized inverse inf{t : cdf(t) >= u} of a vectorized CDF on
-    [0, 1]: the next double above the largest t with cdf(t) < u, and 0 at
-    u = 0."""
+    [0, 1]: the next double above a largest t with cdf(t) < u, searched in
+    [lo, hi] (which must hold cdf(lo) < u), and 0 at u = 0."""
     u = np.asarray(u, dtype=float)
-    t = np.nextafter(_largest_true(lambda t: cdf(t) < u, u.shape), 1.0)
+    t = np.nextafter(_largest_true(lambda t: cdf(t) < u, u.shape, lo, hi), 1.0)
     out = np.where(u > 0.0, t, 0.0)
     return out if out.ndim else float(out)
 
@@ -114,8 +116,9 @@ class OneSidedNormal(_NormalMean):
         from scipy.special import ndtr, ndtri
 
         u = np.asarray(u, dtype=float)
-        out = ndtr(ndtri(u) - self.mu)
-        return out if out.ndim else float(out)
+        x = ndtri(u, out=np.empty_like(u))  # ndtr(ndtri(u) - mu) in one buffer
+        x -= self.mu
+        return ndtr(x, out=x) if x.ndim else float(ndtr(x))
 
 
 class TwoSidedNormal(_NormalMean):
@@ -153,7 +156,21 @@ class TwoSidedNormal(_NormalMean):
         return _on_unit(t, f)
 
     def ppf(self, u):
-        return _quantile(self.cdf, u)
+        from scipy.special import ndtr, ndtri
+
+        # Newton in c on ndtr(mu - c) + ndtr(-mu - c) = u from the first tail's root (below c), then
+        # bisection within 2^12 patterns of t = 2 ndtr(-c) where cdf(lo) < u <= cdf(hi), else on [0, 1].
+        # Of 200k uniform u per mu in 0.5-8, 3, 4 and 40 steps leave 158k, 37 and 37 rows to [0, 1] (5 keep
+        # a step in hand); widths 2^10, 2^12 and 2^14 leave 137, 37 and 7, where the cdf is flat near u = 1.
+        u, mu, one = np.asarray(u, dtype=float), self.mu, np.float64(1.0).view(np.int64)
+        with np.errstate(all="ignore"):  # a NaN iterate fails the check
+            c = np.maximum(mu - ndtri(u), 0.0)
+            for _ in range(5):
+                c += (ndtr(mu - c) + ndtr(-mu - c) - u) * np.sqrt(2.0 * np.pi) / (np.exp(-0.5 * (mu - c) ** 2) + np.exp(-0.5 * (mu + c) ** 2))
+            bits = (2.0 * ndtr(-c)).view(np.int64)
+        lo, hi = (np.clip(bits + w, 0, one).view(np.float64) for w in (-(2**12), 2**12))
+        ok = (self.cdf(lo) < u) & (self.cdf(hi) >= u)
+        return _quantile(self.cdf, u, np.where(ok, lo, 0.0), np.where(ok, hi, 1.0))
 
 
 class BetaPower(AlternativeFamily):
@@ -205,9 +222,7 @@ class UserCdf(AlternativeFamily):
 
     @property
     def ppf(self):
-        if self._ppf is not None:
-            return self._ppf
-        return lambda u: _quantile(self._cdf, u)
+        return self._ppf if self._ppf is not None else lambda u: _quantile(self._cdf, u)
 
 
 def make_family(name: str, params: dict | None = None) -> AlternativeFamily:

@@ -7,7 +7,8 @@ schedule.  What a key covers is up to the caller: ``generate_sample`` keys
 one stream per replicate, so any replicate can be regenerated alone, while
 the block-vectorized validation targets key one stream per block of rows
 whose size depends on m and ``reps``, so a row there is reproduced only by
-the same m, ``reps`` and seed.
+the same m, ``reps`` and seed.  At a = 0 the sampler advances a stream past
+its label uniforms (all False) rather than generating them.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ def uniform_open(rng: np.random.Generator, size=None) -> np.ndarray:
     chance of 2**-53 per draw: harmless for labels (``u < a``) and null
     p-values, while ``standard_normal`` clips it before its inverse CDF.
     """
-    return rng.random(size) + 2.0**-54
+    u = rng.random(size)
+    u += 2.0**-54  # in place: one buffer
+    return u
 
 
 def standard_normal(rng: np.random.Generator, size=None) -> np.ndarray:

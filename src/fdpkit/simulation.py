@@ -80,10 +80,16 @@ def _draw(config: ScenarioConfig, model: MixtureModel, key: int, shape):
     labels first, then uniforms, then the alternative quantile function on
     the labelled ones."""
     rng = stream(config.seed, key)
-    lab = uniform_open(rng, shape) < config.a
+    if config.a == 0.0:  # every label is False (a uniform is never 0): skip their draws, 4 doubles per Philox step
+        lab = np.zeros(shape, dtype=bool)
+        rng.bit_generator.advance(lab.size // 4)
+        rng.random(lab.size % 4)
+    else:
+        lab = uniform_open(rng, shape) < config.a
     p = uniform_open(rng, shape)
     if model.F is not None:
-        p[lab] = model.F.ppf(p[lab])
+        flat, idx = p.reshape(-1), np.flatnonzero(lab)  # an index scatters faster than a mask
+        flat[idx] = model.F.ppf(flat[idx])
     return p, lab
 
 

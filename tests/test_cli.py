@@ -22,7 +22,7 @@ from fdpkit.envelopes import (
     exact_confidence_set,
     exact_envelope,
 )
-from fdpkit.simulation import ScenarioConfig, generate_sample
+from fdpkit.simulation import ScenarioConfig, generate_sample, run_validation
 
 
 @pytest.fixture
@@ -358,6 +358,18 @@ class TestEstimateCommand:
             assert rc == 1 and out == ""
             assert "bandwidth must be positive" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("cmd,method", [("estimate", "kernel"), ("threshold", "bayes")])
+    def test_kernel_density_needs_ten_pvalues(self, capsys, tmp_path, cmd, method):
+        f = tmp_path / "one.txt"
+        f.write_text("0.3\n")
+        rc, out, err = run_cli(capsys, cmd, "--input", str(f), "--method", method)
+        assert rc == 1 and out == ""
+        assert json.loads(err) == {"error": "need at least 10 p-values for the kernel estimate"}
+
+
+def _refuse_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
 
 class TestSimulateCommand:
     def test_prints_json_without_flag(self, capsys):
@@ -414,6 +426,20 @@ class TestSimulateCommand:
         assert rc == 1
         assert "JSON object" in json.loads(err)["error"]
 
+    def test_reports_are_strict_json(self, capsys, tmp_path):
+        # equal replicates at m = 1 give se = 0 and a mean off a0: an
+        # infinite z-score, which the report file and stdout write as null
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"m": 1, "reps": 2, "seed": 0}))
+        outfile = tmp_path / "report.json"
+        rc, out, _ = run_cli(capsys, "simulate", "--target", "storey-clt",
+                             "--config", str(cfg), "--output", str(outfile))
+        assert rc == 0
+        for text in (out, outfile.read_text()):
+            rec = json.loads(text, parse_constant=_refuse_constant)
+            assert rec["mean_zscore"] is None and rec["passed"] is False
+        assert run_validation({"m": 1, "reps": 2, "seed": 0}, "storey-clt")["mean_zscore"] == np.inf
+
     def test_target_required_at_run_level(self):
         with pytest.raises(ValueError, match="target"):
             run(RunSpec(command="simulate"))
@@ -461,6 +487,17 @@ class TestReproduceExamples:
         rc, _, err = run_cli(capsys, "reproduce-example", "2", "--json")
         assert rc == 1
         assert "FDP_SEED" in json.loads(err)["error"]
+
+    def test_seed_env_var_read_only_where_a_seed_is(self, capsys, monkeypatch, pfile):
+        monkeypatch.setenv("FDP_SEED", "x")
+        for argv in (["threshold", "--input", pfile], ["estimate", "--input", pfile]):
+            rc, out, err = run_cli(capsys, *argv)
+            assert rc == 0 and err == "" and out
+        for argv in (["simulate", "--target", "qinv-kernel-identity"],
+                     ["envelope", "--input", pfile]):
+            rc, out, err = run_cli(capsys, *argv)
+            assert rc == 1 and out == ""
+            assert json.loads(err) == {"error": "FDP_SEED must be an integer"}
 
 
 class TestCommandLine:

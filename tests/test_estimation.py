@@ -277,8 +277,11 @@ class TestAstarLower:
 
 class TestKernelA:
     def test_minimum_sample_size(self):
-        with pytest.raises(ValueError):
-            kernel_a_consistent(np.linspace(0.1, 0.9, 5))
+        for m in (1, 5, 9):
+            for fn in (kernel_a_consistent, kernel_density):
+                with pytest.raises(ValueError, match="at least 10 p-values"):
+                    fn(np.linspace(0.1, 0.9, m))
+        assert kernel_density(np.linspace(0.1, 0.9, 10))[1].size == 512
 
     def test_bandwidth_validated(self):
         p = np.linspace(0.01, 0.99, 50)
@@ -311,10 +314,12 @@ class TestKernelA:
         # the prefix-sum form against the dense sum over all 3m reflected
         # points, summed exactly per grid point
         g = stream(80, 0)
+        # ten copies of the one- and two-point samples (the same density at
+        # a given bandwidth) reach the minimum size of 10
         samples = [np.array(v, dtype=float) for v in (
-            [0.3], [0.0], [1.0], [0.0, 1.0], [0.5] * 40, [0.0] * 25, [1.0] * 25,
+            [0.3] * 10, [0.0] * 10, [1.0] * 10, [0.0, 1.0] * 5, [0.5] * 40, [0.0] * 25, [1.0] * 25,
         )]
-        for m in (3, 60, 500, 2000):
+        for m in (10, 60, 500, 2000):
             p = g.random(m) ** 3
             samples.append(p)
             samples.append(np.ceil(p * 20) / 20)  # ties, with some at exactly 1

@@ -6,14 +6,17 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 
+from fdpkit import families
 from fdpkit.families import (
     BetaPower,
     OneSidedNormal,
     TwoSidedNormal,
     UserCdf,
     _largest_true,
+    _quantile,
     make_family,
 )
+from fdpkit.rng import stream, uniform_open
 
 
 # --- independent density formulas (alternate algebraic routes) --------------
@@ -177,6 +180,67 @@ class TestTwoSidedNormal:
         assert fam.ppf(0.0) == 0.0
 
 
+def _assert_generalized_inverse(fam, u, t):
+    """t = inf{s : cdf(s) >= u}: cdf(t) >= u > cdf(prev(t)), and t = 0 at u = 0."""
+    assert np.all((0.0 <= t) & (t <= 1.0))
+    pos = u > 0.0
+    assert np.all(t[~pos] == 0.0)
+    assert np.all(fam.cdf(t[pos]) >= u[pos])
+    assert np.all(fam.cdf(np.nextafter(t[pos], 0.0)) < u[pos])
+
+
+_DENSE_U = np.unique(np.r_[
+    0.0, 5e-324, 1e-310, 1e-300, np.geomspace(1e-300, 1e-3, 600), np.linspace(0.0, 1.0, 2001),
+    1.0 - np.geomspace(1e-16, 1e-3, 400), np.nextafter(1.0, 0.0) - 2.0**-53 * np.arange(5), 1.0,
+])
+
+
+class TestTwoSidedQuantile:
+    """ppf bisects within a bracket around a Newton estimate, or over all of
+    [0, 1] where the bracket fails its check; either way it returns a
+    generalized inverse of the rounded cdf."""
+
+    @pytest.fixture
+    def brackets(self, monkeypatch):
+        seen = []
+
+        def spy(cdf, u, lo=0.0, hi=1.0):
+            seen.append((np.asarray(u), np.asarray(lo), np.asarray(hi)))
+            return _quantile(cdf, u, lo, hi)
+
+        monkeypatch.setattr(families, "_quantile", spy)
+        return seen
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0, 3.0, 8.0])
+    def test_generalized_inverse_on_a_dense_set(self, theta):
+        fam = TwoSidedNormal(theta)
+        _assert_generalized_inverse(fam, _DENSE_U, fam.ppf(_DENSE_U))
+        assert fam.ppf(0.0) == 0.0 and fam.ppf(1.0) <= 1.0
+
+    def test_rows_that_fail_the_bracket_take_the_full_range(self, brackets):
+        # near u = 1 at mu = 8 the rounded cdf is flat over more ulps of t
+        # than the bracket spans, and u = 0 leaves Newton with NaN
+        fam = TwoSidedNormal(8.0)
+        u = np.r_[0.0, 1.0 - np.geomspace(1e-6, 1e-2, 4000)]
+        t = fam.ppf(u)
+        _assert_generalized_inverse(fam, u, t)
+        (_, lo, hi), = brackets
+        full = (lo == 0.0) & (hi == 1.0)
+        assert full[0] and 1000 < np.count_nonzero(full) < 3000
+        np.testing.assert_array_equal(t[full], _quantile(fam.cdf, u[full]))
+        assert np.all(hi[~full] - lo[~full] > 0.0)
+
+    def test_draws_of_the_achievable_oracle_target(self, brackets):
+        # 500 alternative draws like the target's: every row is bracketed
+        rng = stream(0, 0)
+        fam = TwoSidedNormal(3.0)
+        u = uniform_open(rng, 500)
+        t = fam.ppf(u)
+        _assert_generalized_inverse(fam, u, t)
+        (_, lo, hi), = brackets
+        assert np.all(lo > 0.0) and np.all(hi < 1.0)
+
+
 class TestBetaPower:
     def test_validation(self):
         for bad in (0.0, -0.5, 1.5):
@@ -288,6 +352,28 @@ class TestLargestTrue:
     def test_scalar_shape(self):
         t = _largest_true(lambda t: t <= 0.3)
         assert t.shape == () and float(t) == 0.3
+
+    @given(xs=st.lists(_unit, min_size=1, max_size=6), w=st.integers(0, 1 << 20))
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    def test_bracket_holding_the_crossing(self, xs, w):
+        # a bracket of w bit patterns on each side of x, clipped to [0, 1]
+        x = np.array(xs)
+        bits = x.view(np.int64)
+        one = np.float64(1.0).view(np.int64)
+        lo = np.clip(bits - w, 0, one).view(np.float64)
+        hi = np.clip(bits + w, 0, one).view(np.float64)
+        assert np.array_equal(_largest_true(lambda t: t <= x, x.shape, lo, hi), x)
+
+    def test_several_crossings_answer_by_bracket(self):
+        # a predicate that switches off twice: each bracket ends on a
+        # crossing, and which one depends on the bracket
+        def pred(t):
+            return (t <= 0.25) | ((t >= 0.5) & (t <= 0.75))
+
+        whole = _largest_true(pred)
+        first = _largest_true(pred, (), 0.0, 0.4)
+        assert float(first) == 0.25 and float(whole) in (0.25, 0.75)
+        assert float(_largest_true(pred, (), 0.6, 1.0)) == 0.75
 
 
 class TestMakeFamily:

@@ -3,6 +3,7 @@ the generator against classical bounds, closed-form purity quantities, and
 the named validation registry."""
 
 import functools
+import hashlib
 import inspect
 
 import numpy as np
@@ -18,6 +19,7 @@ from fdpkit.simulation import (
     VALIDATION_TARGETS,
     ScenarioConfig,
     _blocks,
+    _draw,
     _rates,
     generate_sample,
     purity_quantities,
@@ -92,6 +94,38 @@ class TestGenerateSample:
         lab = generate_sample(cfg, 0).labels
         se = np.sqrt(0.3 * 0.7 / lab.size)
         assert abs(lab.mean() - 0.3) < 5 * se
+
+
+class TestDraw:
+    @pytest.mark.parametrize("shape", [1, 4, 5, 6, 7, 1000, 1001, 1002, 1003, (3, 5), (2, 7), (4, 3)])
+    def test_pure_null_skips_the_label_draws_in_step(self, shape):
+        # every label is False at a = 0, so the stream moves past the label
+        # uniforms without drawing them; the p-values that follow are the
+        # ones a drawn label block leaves (size % 4 in {0, 1, 2, 3} above)
+        cfg = ScenarioConfig(m=10, a=0.0, seed=6)
+        rng = stream(6, 2)
+        want_lab = uniform_open(rng, shape) < 0.0
+        want_p = uniform_open(rng, shape)
+        p, lab = _draw(cfg, cfg.model(), 2, shape)
+        assert lab.dtype == bool and lab.shape == want_lab.shape and not lab.any()
+        assert p.shape == want_p.shape
+        np.testing.assert_array_equal(p, want_p)
+
+    # SHA-256 of the p-value and label bytes of a block of 3 rows of m, as
+    # recorded with the sampler that drew the labels at a = 0, scattered the
+    # alternatives through a boolean mask and found the two-sided quantile
+    # by bisection over all of [0, 1]
+    @pytest.mark.parametrize("cfg, digest", [
+        (ScenarioConfig(1003, 0.0, seed=4),
+         "7a6bc7169cae931469fe6683498f5f016d77ad8c94ffc873cd35a5f866920500"),
+        (ScenarioConfig(1000, 0.25, "one-sided-normal", {"theta": 3.0}, seed=4),
+         "8940746026d2aef07439070f747c46ea343a3ed3129c5dcf265e1f60905ffe47"),
+        (ScenarioConfig(1000, 0.25, "two-sided-normal", {"theta": 3.0}, seed=4),
+         "8b66a258a216584d771191692710987dfee179e72c0400b04160b441a49e2e3c"),
+    ], ids=["pure-null", "one-sided", "two-sided"])
+    def test_block_bits_are_pinned(self, cfg, digest):
+        p, lab = _draw(cfg, cfg.model(), 5, (3, cfg.m))
+        assert hashlib.sha256(p.tobytes() + lab.tobytes()).hexdigest() == digest
 
 
 class TestUniformOpen:
