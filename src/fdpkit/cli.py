@@ -428,7 +428,7 @@ def main(argv=None) -> int:
         for k, v in result.items():
             if v is not None:
                 print(f"{k} {_fmt(v)}")
-    return 0
+    return 1 if spec.command == "simulate" and not result["passed"] else 0  # a failed check, after its report
 
 
 if __name__ == "__main__":

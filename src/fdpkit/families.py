@@ -170,7 +170,9 @@ class TwoSidedNormal(_NormalMean):
             bits = (2.0 * ndtr(-c)).view(np.int64)
         lo, hi = (np.clip(bits + w, 0, one).view(np.float64) for w in (-(2**12), 2**12))
         ok = (self.cdf(lo) < u) & (self.cdf(hi) >= u)
-        return _quantile(self.cdf, u, np.where(ok, lo, 0.0), np.where(ok, hi, 1.0))
+        q = np.empty_like(u)  # the rows that fail their bracket bisect apart, so the others keep their few steps
+        q[ok], q[~ok] = _quantile(self.cdf, u[ok], lo[ok], hi[ok]), _quantile(self.cdf, u[~ok])
+        return q if q.ndim else float(q)
 
 
 class BetaPower(AlternativeFamily):

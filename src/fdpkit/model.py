@@ -94,7 +94,7 @@ class LabeledSample:
         object.__setattr__(self, "pvalues", p)
         if self.labels is not None:
             h = np.asarray(self.labels)
-            if h.shape != p.shape or not np.isin(h, (0, 1)).all():
+            if h.shape != p.shape or not ((h == 0) | (h == 1)).all():
                 raise ValueError("labels must be 0/1 and aligned with pvalues")
             object.__setattr__(self, "labels", h.astype(np.int8))
 

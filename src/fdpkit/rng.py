@@ -1,21 +1,21 @@
 """Deterministic random streams for simulation and Monte Carlo work.
 
 Streams are keyed by ``(seed, *path)`` through ``SeedSequence`` spawn keys on
-top of a counter-based bit generator, so a stream's draws depend only on its
-own key — never on how many other streams ran before it or on the execution
-schedule.  What a key covers is up to the caller: ``generate_sample`` keys
-one stream per replicate, so any replicate can be regenerated alone, while
-the block-vectorized validation targets key one stream per block of rows
-whose size depends on m and ``reps``, so a row there is reproduced only by
-the same m, ``reps`` and seed.  At a = 0 the sampler advances a stream past
-its label uniforms (all False) rather than generating them.
+top of Philox, a counter-based bit generator, so a stream's draws depend only
+on its own key, never on other streams, and any point of a stream is reached
+in O(1).  ``uniform_open_at`` draws a block's rows in parts, in parallel,
+each from its own copy of the stream moved to the part's first double, so the
+bits depend neither on the CPU count nor on the schedule.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 
-__all__ = ["stream", "uniform_open", "standard_normal"]
+__all__ = ["stream", "uniform_open", "uniform_open_at", "standard_normal"]
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:
@@ -35,6 +35,32 @@ def uniform_open(rng: np.random.Generator, size=None) -> np.ndarray:
     """
     u = rng.random(size)
     u += 2.0**-54  # in place: one buffer
+    return u
+
+
+def uniform_open_at(seed: int, key: int, shape, offset: int = 0) -> np.ndarray:
+    """``uniform_open`` draws of ``shape`` from ``stream(seed, key)`` after its
+    first ``offset`` doubles, the rows cut into one part per CPU (see above)."""
+    u = np.empty(shape)
+    rows = u.reshape(-1, u.shape[-1])
+    k = min(len(rows), len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    cuts = [len(rows) * i // k for i in range(k + 1)]
+    jobs = [(stream(seed, key), rows[lo:hi], offset + lo * rows.shape[1]) for lo, hi in zip(cuts, cuts[1:])]
+
+    def fill(rng, part, n):  # on k - 1 threads and this one
+        rng.bit_generator.advance(n // 4)  # four doubles per Philox counter step
+        rng.random(n % 4)
+        rng.random(out=part)  # releases the GIL
+        part += 2.0**-54
+
+    threads = [threading.Thread(target=fill, args=job) for job in jobs[1:]]
+    for t in threads:
+        t.start()
+    try:
+        fill(*jobs[0])
+    finally:
+        for t in threads:
+            t.join()
     return u
 
 

@@ -19,7 +19,7 @@ from .estimation import _require_open_unit, astar_lower, ecdf, kernel_a_consiste
 from .families import TwoSidedNormal, UserCdf, make_family
 from .kernels import KernelSpec, eval_kernel
 from .model import LabeledSample, MixtureModel, expected_fdp_fnp, fdp_process, q_derivative, q_inverse
-from .rng import stream, uniform_open
+from .rng import stream, uniform_open, uniform_open_at
 from .thresholds import _step_up, oracle_threshold, plugin_threshold, rate_ceiling_known_a
 
 __all__ = [
@@ -78,15 +78,14 @@ class ScenarioConfig:
 def _draw(config: ScenarioConfig, model: MixtureModel, key: int, shape):
     """(pvalues, labels) of the given shape from the stream (seed, key):
     labels first, then uniforms, then the alternative quantile function on
-    the labelled ones."""
-    rng = stream(config.seed, key)
-    if config.a == 0.0:  # every label is False (a uniform is never 0): skip their draws, 4 doubles per Philox step
-        lab = np.zeros(shape, dtype=bool)
-        rng.bit_generator.advance(lab.size // 4)
-        rng.random(lab.size % 4)
-    else:
+    the labelled ones.  A block's rows are drawn in parts over the CPUs."""
+    if np.ndim(shape) == 0 and config.a != 0.0:  # one sample reads one stream: another costs about 27 us
+        rng = stream(config.seed, key)
         lab = uniform_open(rng, shape) < config.a
-    p = uniform_open(rng, shape)
+        p = uniform_open(rng, shape)
+    else:  # at a = 0 every label is False (a uniform is never 0), so the p-values start n doubles in
+        lab = np.zeros(shape, dtype=bool) if config.a == 0.0 else uniform_open_at(config.seed, key, shape) < config.a
+        p = uniform_open_at(config.seed, key, shape, lab.size)
     if model.F is not None:
         flat, idx = p.reshape(-1), np.flatnonzero(lab)  # an index scatters faster than a mask
         flat[idx] = model.F.ppf(flat[idx])

@@ -382,7 +382,7 @@ class TestSimulateCommand:
         rc, out, _ = run_cli(capsys, "simulate", "--target", "fdp-mean",
                              "--reps", "500")
         rec = json.loads(out)
-        assert rec["reps"] == 500 and rec["passed"] is True
+        assert rc == 0 and rec["reps"] == 500 and rec["passed"] is True
 
     def test_config_file_and_output(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -396,9 +396,11 @@ class TestSimulateCommand:
         # a JSON integer for a float setting is read, and reported, as a
         # float; alpha, which simulate has no flag for, comes from the config
         cfg.write_text(json.dumps({"gate": 1, "reps": 20, "alpha": 0.2}))
-        rc, out, _ = run_cli(capsys, "simulate", "--target", "label-set-coverage",
-                             "--config", str(cfg))
-        assert rc == 0
+        rc, out, err = run_cli(capsys, "simulate", "--target", "label-set-coverage",
+                               "--config", str(cfg))
+        # a gate of 1.0 fails the check: exit 1, with the report printed
+        # and no error line
+        assert rc == 1 and err == "" and json.loads(out)["passed"] is False
         assert '"gate": 1.0' in out and json.loads(out)["reps"] == 20
         assert json.loads(out)["alpha"] == 0.2
 
@@ -432,9 +434,9 @@ class TestSimulateCommand:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"m": 1, "reps": 2, "seed": 0}))
         outfile = tmp_path / "report.json"
-        rc, out, _ = run_cli(capsys, "simulate", "--target", "storey-clt",
-                             "--config", str(cfg), "--output", str(outfile))
-        assert rc == 0
+        rc, out, err = run_cli(capsys, "simulate", "--target", "storey-clt",
+                               "--config", str(cfg), "--output", str(outfile))
+        assert rc == 1 and err == ""  # the check fails; the report is still written
         for text in (out, outfile.read_text()):
             rec = json.loads(text, parse_constant=_refuse_constant)
             assert rec["mean_zscore"] is None and rec["passed"] is False

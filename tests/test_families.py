@@ -197,8 +197,8 @@ _DENSE_U = np.unique(np.r_[
 
 class TestTwoSidedQuantile:
     """ppf bisects within a bracket around a Newton estimate, or over all of
-    [0, 1] where the bracket fails its check; either way it returns a
-    generalized inverse of the rounded cdf."""
+    [0, 1] where the bracket fails its check, in a call of its own; either
+    way it returns a generalized inverse of the rounded cdf."""
 
     @pytest.fixture
     def brackets(self, monkeypatch):
@@ -224,11 +224,33 @@ class TestTwoSidedQuantile:
         u = np.r_[0.0, 1.0 - np.geomspace(1e-6, 1e-2, 4000)]
         t = fam.ppf(u)
         _assert_generalized_inverse(fam, u, t)
-        (_, lo, hi), = brackets
-        full = (lo == 0.0) & (hi == 1.0)
+        (u_in, lo, hi), (u_out, lo_out, hi_out) = brackets
+        full = np.isin(u, u_out)
+        assert lo_out == 0.0 and hi_out == 1.0 and u_in.size + u_out.size == u.size
         assert full[0] and 1000 < np.count_nonzero(full) < 3000
         np.testing.assert_array_equal(t[full], _quantile(fam.cdf, u[full]))
-        assert np.all(hi[~full] - lo[~full] > 0.0)
+        assert np.all(hi - lo > 0.0)
+
+    def test_failed_brackets_leave_the_other_rows_at_their_steps(self, brackets):
+        # rows near u = 1 at mu = 8 fail their bracket; the ordinary rows
+        # must still be evaluated only at the bracket check and at most 14
+        # bisection steps (2^13 patterns), not at the 62 of the full range
+        fam = TwoSidedNormal(8.0)
+        ordinary = uniform_open(stream(0, 1), 500) * 0.9
+        failing = 1.0 - np.linspace(1e-5, 1e-4, 40)
+        u = np.r_[ordinary[:250], failing, ordinary[250:]]
+        sizes, cdf = [], fam.cdf
+        fam.cdf = lambda t: sizes.append(np.size(t)) or cdf(t)
+        t = fam.ppf(u)
+        (u_in, lo, hi), (u_out, _, _) = brackets
+        assert np.isin(ordinary, u_in).all() and 30 <= u_out.size <= 40
+        assert sum(sizes) <= 2 * u.size + 14 * u_in.size + 62 * u_out.size
+        # each row's bisection is its own, so the doubles are those of one
+        # call over all rows with the failed rows' brackets set to [0, 1]
+        ok = np.isin(u, u_in)
+        LO, HI = np.zeros(u.size), np.ones(u.size)
+        LO[ok], HI[ok] = lo, hi
+        np.testing.assert_array_equal(t, _quantile(cdf, u, LO, HI))
 
     def test_draws_of_the_achievable_oracle_target(self, brackets):
         # 500 alternative draws like the target's: every row is bracketed
@@ -237,8 +259,8 @@ class TestTwoSidedQuantile:
         u = uniform_open(rng, 500)
         t = fam.ppf(u)
         _assert_generalized_inverse(fam, u, t)
-        (_, lo, hi), = brackets
-        assert np.all(lo > 0.0) and np.all(hi < 1.0)
+        (_, lo, hi), (u_out, _, _) = brackets
+        assert np.all(lo > 0.0) and np.all(hi < 1.0) and u_out.size == 0
 
 
 class TestBetaPower:

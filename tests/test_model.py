@@ -144,6 +144,12 @@ class TestClassify:
             classify(s, 0.5)
         with pytest.raises(ValueError):
             classify(LabeledSample(np.array([0.1]), np.array([0])), 1.5)
+        # labels are 0/1 (bool, int or float) and aligned with the p-values
+        for h in ([0, 1], [True, False], [1.0, 0.0], np.array([0, 1], dtype=np.int8)):
+            assert LabeledSample(np.array([0.1, 0.2]), h).labels.dtype == np.int8
+        for h in ([0, 2], [-1, 0], [0.5, 1], [np.nan, 0], [0, 1, 0], [[0, 1]], [0]):
+            with pytest.raises(ValueError, match="labels must be 0/1 and aligned"):
+                LabeledSample(np.array([0.1, 0.2]), h)
 
 
 class TestProcessPaths:

@@ -5,6 +5,8 @@ the named validation registry."""
 import functools
 import hashlib
 import inspect
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from scipy import integrate, stats
 from fdpkit.estimation import dkw_epsilon
 from fdpkit.families import UserCdf, make_family
 from fdpkit.model import LabeledSample, MixtureModel, fdp_process, fnp_process
-from fdpkit.rng import standard_normal, stream, uniform_open
+from fdpkit.rng import standard_normal, stream, uniform_open, uniform_open_at
 from fdpkit import simulation
 from fdpkit.simulation import (
     VALIDATION_TARGETS,
@@ -126,6 +128,44 @@ class TestDraw:
     def test_block_bits_are_pinned(self, cfg, digest):
         p, lab = _draw(cfg, cfg.model(), 5, (3, cfg.m))
         assert hashlib.sha256(p.tobytes() + lab.tobytes()).hexdigest() == digest
+
+    # a block's rows are drawn in parts, one per CPU: k parts must give the
+    # bits of one stream read in turn, for blocks with fewer rows than k and
+    # for sizes and part starts at every position in a Philox step of four
+    SHAPES = [(1, 9), (2, 7), (3, 5), (4, 3), (5, 5), (7, 4), (9, 13), (10, 6)]
+
+    @staticmethod
+    def _cpus(monkeypatch, k):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7])
+    @pytest.mark.parametrize("offset", [0, 1, 2, 3, 4, 45])
+    def test_parts_read_one_stream(self, monkeypatch, k, offset):
+        self._cpus(monkeypatch, k)
+        for shape in self.SHAPES:
+            want = uniform_open(stream(8, 3), offset + shape[0] * shape[1])[offset:].reshape(shape)
+            np.testing.assert_array_equal(uniform_open_at(8, 3, shape, offset), want)
+
+    @pytest.mark.parametrize("cfg", [
+        ScenarioConfig(10, 0.0, seed=4),
+        ScenarioConfig(10, 0.25, "one-sided-normal", {"theta": 3.0}, seed=4),
+        ScenarioConfig(10, 0.25, "two-sided-normal", {"theta": 3.0}, seed=4),
+    ], ids=["pure-null", "one-sided", "two-sided"])
+    def test_block_bits_do_not_depend_on_the_cpu_count(self, monkeypatch, cfg):
+        model = cfg.model()
+        for shape in self.SHAPES:
+            rng = stream(cfg.seed, 2)  # the labels, then the p-values, from one stream
+            lab = uniform_open(rng, shape) < cfg.a
+            p = uniform_open(rng, shape)
+            if cfg.a:
+                p[lab] = model.F.ppf(p[lab])
+            for k in (1, 2, 3, 7):
+                self._cpus(monkeypatch, k)
+                threads = threading.active_count()
+                got_p, got_lab = _draw(cfg, model, 2, shape)
+                assert threading.active_count() == threads  # every part's thread is joined
+                np.testing.assert_array_equal(got_lab, lab)
+                np.testing.assert_array_equal(got_p, p)
 
 
 class TestUniformOpen:
