@@ -217,15 +217,21 @@ class NullFractionEstimate:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _storey(p: np.ndarray, t0: float):
+    """Along the last axis of ``p``: Ghat(t0) = count / m, the exceedance
+    ratio raw = (Ghat(t0) - t0) / (1 - t0), and its positive part."""
+    _require_open_unit("t0", t0)
+    ghat_t0 = np.count_nonzero(p <= t0, axis=-1) / p.shape[-1]
+    raw = (ghat_t0 - t0) / (1.0 - t0)
+    return ghat_t0, raw, np.maximum(raw, 0.0)
+
+
 def storey_a0(pvalues, t0: float = 0.5) -> NullFractionEstimate:
     """Exceedance-ratio estimate: positive part of
     (Ghat(t0) - t0) / (1 - t0)."""
-    p = _validated_pvalues(pvalues)
-    _require_open_unit("t0", t0)
-    ghat_t0 = np.count_nonzero(p <= t0) / p.size
-    raw = (ghat_t0 - t0) / (1.0 - t0)
+    ghat_t0, raw, value = _storey(_validated_pvalues(pvalues), t0)
     return NullFractionEstimate(
-        value=max(0.0, float(raw)),
+        value=float(value),
         method="storey",
         t0=t0,
         diagnostics={"raw": float(raw), "ghat_t0": float(ghat_t0)},
@@ -335,9 +341,15 @@ class QHat:
         bad = (t > 0.0) & (g <= 0.0)
         if np.any(bad):
             raise ValueError("estimated CDF is 0 at a positive evaluation point")
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.where(t > 0.0, (1.0 - self.ahat) * t / np.where(g > 0, g, 1.0), 0.0)
+        out = _qhat(g, t, 1.0 - self.ahat)
         return out if out.ndim else float(out)
+
+
+def _qhat(g, t, one_minus):
+    """The map (1 - a) t / G(t), elementwise from G(t) = g and 1 - a =
+    ``one_minus``, 0 where g = 0: Qhat from Ghat and ahat, or Q itself."""
+    with np.errstate(invalid="ignore"):
+        return np.where(g > 0.0, one_minus * t / np.where(g > 0.0, g, 1.0), 0.0)
 
 
 def q_hat(pvalues, ahat, variant: str = "plain") -> QHat:

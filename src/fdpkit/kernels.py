@@ -47,7 +47,7 @@ class KernelSpec:
         if self.kind == "rejection-balance" and not (self.c is not None and 0.0 < self.c < 1.0):
             raise ValueError("rejection-balance kernel needs c in (0, 1)")
         if self.kind == "qhat-storey" and not (self.t0 is not None and 0.0 < self.t0 < 1.0):
-            raise ValueError("qhat-storey kernel needs t0 in (0, 1)")
+            raise ValueError("t0 must lie in (0, 1)")
 
 
 def _r(model: MixtureModel, i: int, j: int, s, t):

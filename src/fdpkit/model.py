@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .estimation import _qhat
 from .families import AlternativeFamily, _largest_true, _on_unit
 from .stepfun import StepFunction
 
@@ -191,9 +192,7 @@ def q_map(model: MixtureModel):
 
     def q(t):
         t = np.asarray(t, dtype=float)
-        g = model.cdf(t)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.where(t > 0.0, (1.0 - model.a) * t / np.where(g > 0, g, 1.0), 0.0)
+        out = _qhat(model.cdf(t), t, 1.0 - model.a)
         return out if out.ndim else float(out)
 
     return q

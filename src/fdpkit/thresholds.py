@@ -94,6 +94,15 @@ def _step_up(p: np.ndarray, level: float | np.ndarray) -> tuple[np.ndarray, np.n
     return ps, r, np.where(r > 0, t, 0.0)
 
 
+def _plugin(p: np.ndarray, one_minus, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The plug-in rule on the p-values along the last axis of ``p``, at one
+    1 - ahat per row: ``_step_up`` at level alpha / (1 - ahat), with t = 1
+    (every p-value rejected) where 1 - ahat <= alpha."""
+    whole = one_minus <= alpha
+    ps, r, t = _step_up(p, np.where(whole, np.inf, alpha / np.where(whole, 1.0, one_minus)))
+    return ps, r, np.where(whole, 1.0, t)
+
+
 def bh_threshold(pvalues, alpha: float) -> ThresholdResult:
     """Step-up rule: reject the i* smallest with
     i* = max{i : p_(i) <= alpha i / m}, none when the set is empty."""
@@ -153,18 +162,17 @@ def plugin_threshold(pvalues, ahat, alpha: float, variant: str = "plain") -> Thr
         diag["ahat_method"] = a_method
     m = p.size
     one_minus = 1.0 - a
-    if one_minus <= alpha:            # the map tops out at 1 - ahat
-        t, rejected, sup = 1.0, m, 1.0
-    elif kind == "lcm":
+    if kind == "lcm" and one_minus > alpha:
         t = sup = _lcm_sup(ecdf(p, kind), one_minus, alpha)
         rejected = _count_rejected(p, t)
     else:
         # r ends a run of tied p-values, so it counts the p-values <= t; the
         # crossing is at least t, which the step-up comparison found feasible
-        ps, r, t = _step_up(p, alpha / one_minus)
+        ps, r, t = _plugin(p, one_minus, alpha)
         rejected, t = int(r), float(t)
         nxt = float(ps[rejected]) if rejected < m else 1.0
-        sup = min(nxt, max(t, alpha * (rejected / m) / one_minus))
+        # where 1 - ahat <= alpha the map tops out at 1 - ahat: t = sup = 1
+        sup = min(nxt, max(t, alpha * (rejected / m) / one_minus)) if one_minus > alpha else 1.0
     diag["sup_exact"] = sup
     return ThresholdResult(
         t=t, rejected=rejected, method="plugin", alpha=alpha, diagnostics=diag

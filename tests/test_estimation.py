@@ -18,6 +18,7 @@ from fdpkit import (
     q_hat,
     storey_a0,
 )
+from fdpkit.estimation import _qhat, _storey
 from fdpkit.families import BetaPower
 from fdpkit.rng import stream, uniform_open
 from fdpkit.stepfun import PiecewiseLinear
@@ -252,6 +253,54 @@ class TestStoreyA0:
         for bad in (0.0, 1.0, -0.2):
             with pytest.raises(ValueError):
                 storey_a0([0.5], t0=bad)
+
+
+def core_block(g, m):
+    """A block of 60 rows of m p-values mixing uniforms with ties at 0.5
+    and with 0, 5e-324 and 1."""
+    p = g.random((60, m))
+    atoms = np.array([0.0, 5e-324, 0.25, 0.5, 1.0])
+    pick = g.random((60, m)) < 0.4
+    p[pick] = atoms[g.integers(0, atoms.size, pick.sum())]
+    p[0] = 0.5                                 # every p-value tied at t0
+    p[1] = 1.0
+    return p
+
+
+class TestRowCores:
+    """The row-wise cores behind storey_a0 and QHat, which the validation
+    targets run on blocks, agree with the one-sample functions row by row."""
+
+    @pytest.mark.parametrize("m", [1, 2, 9, 200])
+    def test_storey_rows_are_storey_a0(self, m):
+        p = core_block(stream(920, m), m)
+        for t0 in (0.25, 0.5, 0.9):
+            ghat_t0, raw, value = _storey(p, t0)
+            for i, row in enumerate(p):
+                est = storey_a0(row, t0)
+                assert (ghat_t0[i], raw[i], value[i]) == (
+                    est.diagnostics["ghat_t0"], est.diagnostics["raw"], est.value)
+
+    def test_storey_rows_check_t0(self):
+        for bad in (0.0, 1.0, 1.5):
+            with pytest.raises(ValueError, match=r"t0 must lie in \(0, 1\)"):
+                _storey(np.full((2, 3), 0.5), bad)
+
+    @pytest.mark.parametrize("m", [1, 2, 9, 200])
+    def test_qhat_rows_are_q_hat(self, m):
+        p = core_block(stream(921, m), m)
+        pts = np.array([0.0, 5e-324, 0.05, 0.25, 0.5, 0.9, 1.0])
+        ahat = np.r_[0.0, 1.0, stream(922).random(p.shape[0] - 2)]
+        g = np.count_nonzero(p[:, :, None] <= pts, axis=1) / m
+        got = _qhat(g, pts, 1.0 - ahat[:, None])
+        for i, row in enumerate(p):
+            qh = q_hat(row, ahat[i])
+            ok = (pts == 0.0) | (g[i] > 0.0)   # QHat refuses Ghat(t) = 0 at t > 0
+            assert np.array_equal(got[i, ok], qh(pts[ok]))
+            assert np.all(got[i, ~ok] == 0.0)
+            for t in pts[~ok]:
+                with pytest.raises(ValueError, match="estimated CDF is 0"):
+                    qh(t)
 
 
 class TestAstarLower:

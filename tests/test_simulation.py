@@ -5,6 +5,7 @@ the named validation registry."""
 import functools
 import hashlib
 import inspect
+import json
 import os
 import threading
 
@@ -350,6 +351,66 @@ SETTINGS = {
 }
 
 
+def no_sampling(monkeypatch):
+    """Make any draw of a sample or of a block fail."""
+    monkeypatch.setattr(simulation, "stream", None)
+    monkeypatch.setattr(simulation, "uniform_open_at", None)
+
+
+# the targets that run the library's Storey, Qhat and plug-in cores, with
+# the cores each one calls
+REWIRED = {
+    "storey-clt": {"_storey"},
+    "storey-degenerate": {"_storey"},
+    "qhat-kernel": {"_qhat"},
+    "storey-kernel": {"_storey", "_qhat"},
+    "plugin-known-a": {"_plugin"},
+    "plugin-estimated-a": {"_storey", "_plugin"},
+}
+
+# SHA-256 of json.dumps(report, sort_keys=True) at {"reps": 40, "m": 300,
+# "seed": 3}, recorded before the targets ran the library's cores (the
+# plug-in reports then also carried a "spot_check_passed" key, left out here)
+PINNED = {
+    "storey-clt": "15335460cf9f46d5dc8384ffe6924549a4e2814841953ab409de09a4b581642a",
+    "storey-degenerate": "93bae77e52fe9da4700d225701bf1d7f8fc4c93fd85d8a7d31d7ef534e103639",
+    "qhat-kernel": "9d27f965414827ba1fc0877d70f2303e23cee7147fa6071b478f5dfe6507b769",
+    "storey-kernel": "963d52c0dc7c636def33969a3febfcde1b2af92957c999734f7bb4e22533af81",
+    "plugin-known-a": "5c57167e9522c2d5bc16a1b7fe97b9ef1ca80cefec8aa140b93bc4afda9877a3",
+    "plugin-estimated-a": "15de43358a95805d0fc26d9654375d87aa118728370380da23f3e6f83a7953d7",
+}
+
+
+class TestRewiredTargets:
+    @pytest.mark.parametrize("name", sorted(REWIRED))
+    def test_target_calls_the_library_cores(self, monkeypatch, name):
+        called = set()
+        for core in ("_storey", "_qhat", "_plugin"):
+            body = getattr(simulation, core)
+
+            def spy(*args, _core=core, _body=body):
+                called.add(_core)
+                return _body(*args)
+
+            monkeypatch.setattr(simulation, core, spy)
+        assert run_validation({"reps": 4, "m": 50}, name)["reps"] == 4
+        assert called == REWIRED[name]
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_report_bytes_are_pinned(self, name):
+        report = run_validation({"reps": 40, "m": 300, "seed": 3}, name)
+        assert "spot_check_passed" not in report
+        digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+        assert digest == PINNED[name]
+
+    @pytest.mark.parametrize("t0", [0.0, 1.0, 1.5])
+    @pytest.mark.parametrize("name", ["storey-clt", "storey-degenerate", "storey-kernel", "plugin-estimated-a"])
+    def test_t0_is_checked_before_sampling(self, monkeypatch, name, t0):
+        no_sampling(monkeypatch)
+        with pytest.raises(ValueError, match=r"^t0 must lie in \(0, 1\)$"):
+            run_validation({"t0": t0, "reps": 20, "m": 200}, name)
+
+
 class TestValidationHarness:
     def test_registry_names(self):
         assert set(VALIDATION_TARGETS) == {
@@ -382,7 +443,7 @@ class TestValidationHarness:
             return body(*args, **kwargs)
 
         monkeypatch.setitem(VALIDATION_TARGETS, name, wrapped)
-        monkeypatch.setattr(simulation, "stream", None)  # any sampling fails
+        no_sampling(monkeypatch)
         accepted = ", ".join(["m", "a", "family", "params", "seed", *SETTINGS[name]])
         with pytest.raises(ValueError) as info:
             run_validation({"seed": 1, "tolerance": 0.0}, name)

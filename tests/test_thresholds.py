@@ -17,6 +17,7 @@ from fdpkit.rng import stream
 from fdpkit.simulation import purity_quantities
 from fdpkit.thresholds import (
     _last_crossing,
+    _plugin,
     _step_up,
     bayes_classifier_threshold,
     bh_threshold,
@@ -239,6 +240,24 @@ class TestPluginThreshold:
                 for big, variant in itertools.product((0.96, 1.0), ("plain", "floor", "lcm")):
                     r = plugin_threshold(q, big, alpha, variant=variant)
                     assert (r.t, r.rejected, r.diagnostics["sup_exact"]) == (1.0, q.size, 1.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 9, 200])
+    def test_rows_match_the_one_sample_rule(self, m):
+        # the validation targets run the rule on blocks: every row of a block
+        # with ties, p-values of 0, 5e-324 and 1, and rows with 1 - ahat <= alpha
+        g = stream(911, m)
+        p = g.random((60, m))
+        atoms = np.array([0.0, 5e-324, 0.05, 0.5, 1.0])
+        pick = g.random((60, m)) < 0.4
+        p[pick] = atoms[g.integers(0, atoms.size, pick.sum())]
+        alpha = 0.05
+        ahat = np.r_[0.0, 0.95, 0.96, 1.0, storey_a0(p[4]).value, g.uniform(0.0, 1.0, 55)]
+        ps, r, t = _plugin(p, 1.0 - ahat, alpha)
+        assert np.array_equal(ps, np.sort(p, axis=1))
+        for i, row in enumerate(p):
+            for variant in ("plain", "floor"):
+                one = plugin_threshold(row, ahat[i], alpha, variant)
+                assert (t[i], r[i]) == (one.t, one.rejected)
 
     def test_example_pin_with_exceedance_estimate(self, example1):
         ah = storey_a0(example1)
