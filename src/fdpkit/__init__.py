@@ -3,141 +3,19 @@ discovery proportion: mixture-model primitives, estimators, thresholds,
 confidence envelopes, and Monte Carlo validation targets.
 """
 
-from .datasets import EXAMPLE1_PVALUES, EXAMPLE2_SCENARIO
-from .envelopes import (
-    EnvelopeResult,
-    ExactConfidenceSet,
-    UniformityTestResult,
-    asymptotic_envelope,
-    brownian_sup_quantile,
-    confidence_thresholds,
-    exact_confidence_set,
-    exact_envelope,
-    m10_envelope,
-    uniformity_critical_value,
-    uniformity_test_second_order,
-)
-from .estimation import (
-    EcdfEstimate,
-    NullFractionEstimate,
-    QHat,
-    astar_lower,
-    dkw_epsilon,
-    ecdf,
-    kernel_a_consistent,
-    kernel_density,
-    project_f,
-    projection_objective,
-    q_hat,
-    storey_a0,
-)
-from .families import (
-    AlternativeFamily,
-    BetaPower,
-    OneSidedNormal,
-    TwoSidedNormal,
-    UserCdf,
-    make_family,
-)
-from .kernels import KernelSpec, eval_kernel, storey_population_q
-from .model import (
-    CountsTable,
-    LabeledSample,
-    MixtureModel,
-    classify,
-    expected_fdp_fnp,
-    fdp_process,
-    fnp_process,
-    q_derivative,
-    q_inverse,
-    q_map,
-    qtilde_map,
-)
-from .rng import stream
-from .simulation import (
-    PurityQuantities,
-    ScenarioConfig,
-    VALIDATION_TARGETS,
-    generate_sample,
-    purity_quantities,
-    pvalue_density_two_sided_normal,
-    run_validation,
-)
-from .stepfun import PiecewiseLinear, StepFunction
-from .thresholds import (
-    ThresholdResult,
-    bayes_classifier_threshold,
-    bh_threshold,
-    oracle_threshold,
-    plugin_threshold,
-    rate_ceiling_known_a,
-    simple_thresholds,
-)
+from . import datasets, envelopes, estimation, families, kernels, model, simulation, stepfun, thresholds
+from .datasets import *
+from .envelopes import *
+from .estimation import *
+from .families import *
+from .kernels import *
+from .model import *
+from .rng import stream   # rng's other public names are helpers the package does not export
+from .simulation import *
+from .stepfun import *
+from .thresholds import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EXAMPLE1_PVALUES",
-    "EXAMPLE2_SCENARIO",
-    "EnvelopeResult",
-    "ExactConfidenceSet",
-    "UniformityTestResult",
-    "asymptotic_envelope",
-    "brownian_sup_quantile",
-    "confidence_thresholds",
-    "exact_confidence_set",
-    "exact_envelope",
-    "m10_envelope",
-    "uniformity_critical_value",
-    "uniformity_test_second_order",
-    "EcdfEstimate",
-    "NullFractionEstimate",
-    "QHat",
-    "astar_lower",
-    "dkw_epsilon",
-    "ecdf",
-    "kernel_a_consistent",
-    "kernel_density",
-    "project_f",
-    "projection_objective",
-    "q_hat",
-    "storey_a0",
-    "AlternativeFamily",
-    "BetaPower",
-    "OneSidedNormal",
-    "TwoSidedNormal",
-    "UserCdf",
-    "make_family",
-    "KernelSpec",
-    "eval_kernel",
-    "storey_population_q",
-    "CountsTable",
-    "LabeledSample",
-    "MixtureModel",
-    "classify",
-    "expected_fdp_fnp",
-    "fdp_process",
-    "fnp_process",
-    "q_derivative",
-    "q_inverse",
-    "q_map",
-    "qtilde_map",
-    "stream",
-    "PurityQuantities",
-    "ScenarioConfig",
-    "VALIDATION_TARGETS",
-    "generate_sample",
-    "purity_quantities",
-    "pvalue_density_two_sided_normal",
-    "run_validation",
-    "PiecewiseLinear",
-    "StepFunction",
-    "ThresholdResult",
-    "bayes_classifier_threshold",
-    "bh_threshold",
-    "oracle_threshold",
-    "plugin_threshold",
-    "rate_ceiling_known_a",
-    "simple_thresholds",
-    "__version__",
-]
+_MODULES = (datasets, envelopes, estimation, families, kernels, model, simulation, stepfun, thresholds)
+__all__ = [name for module in _MODULES for name in module.__all__] + ["stream", "__version__"]

@@ -10,7 +10,6 @@ second-smallest p-value.
 from __future__ import annotations
 
 import bisect
-import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -73,8 +72,8 @@ def _sup_quantile(alpha_half, t_floor, grid_size, reps, seed) -> tuple[float, fl
         raise ValueError("grid_size must be at least 1")
     if reps < 10_000:
         raise ValueError("reps must be at least 10000 for a stable quantile")
-    w, se = _brownian_sup_mc(float(alpha_half), float(t_floor), int(grid_size), int(reps), int(seed))
-    return w, se, "monte-carlo"
+    sups = _bridge_sups(_geometric_grid(float(t_floor), int(grid_size)), [0], int(reps), int(seed))
+    return (*_order_quantile(np.sort(sups[:, 0]), 1.0 - float(alpha_half)), "monte-carlo")
 
 
 def _table_row(alpha_half: float, t_floor: float) -> tuple[float, float] | None:
@@ -87,15 +86,6 @@ def _table_row(alpha_half: float, t_floor: float) -> tuple[float, float] | None:
     _, ws, ses = ROWS[bisect.bisect_right(ROWS, t_floor, key=lambda row: row[0]) - 1]
     j = ALPHA_HALF.index(alpha_half)
     return ws[j], ses[j]
-
-
-@functools.lru_cache(maxsize=8)
-def _brownian_sup_mc(alpha_half: float, t_floor: float, grid_size: int, reps: int, seed: int):
-    # envelopes built in a loop with the same explicit Monte Carlo arguments
-    # share one simulation; the bound keeps a sweep over seeds or floors
-    # from growing the cache without end
-    sups = _bridge_sups(_geometric_grid(t_floor, grid_size), [0], reps, seed)
-    return _order_quantile(np.sort(sups[:, 0]), 1.0 - alpha_half)
 
 
 def _geometric_grid(t_floor: float, size: int) -> np.ndarray:
@@ -235,6 +225,9 @@ def asymptotic_envelope(
     ``meta["w_source"]`` says
     which ("table", "monte-carlo" or "given") and ``meta["w_se"]`` holds
     the order-statistic standard error of w (None when w is given).
+    An envelope runs at most one simulation, and nothing is cached between
+    calls: a loop of envelopes with the same explicit ``quantile_reps``
+    runs the simulation each time, unless the caller passes ``w``.
     """
     p = _validated_pvalues(pvalues)
     _require_open_unit("t0", t0)
@@ -262,11 +255,7 @@ def asymptotic_envelope(
     ghat = ecdf(p, "plain")
     one_minus_a0 = (1.0 - float(ghat(t0))) / (1.0 - t0)
     if w is None:
-        args = (alpha / 2.0, t_min, quantile_grid_size, quantile_reps, quantile_seed)
-        w = brownian_sup_quantile(*args)
-        # asked again for its standard error and source: a table read, or a
-        # hit of the Monte Carlo's cache
-        _, w_se, w_source = _sup_quantile(*args)
+        w, w_se, w_source = _sup_quantile(alpha / 2.0, t_min, quantile_grid_size, quantile_reps, quantile_seed)
     else:
         w_se, w_source = None, "given"
     tail_term = np.sqrt(2.0) / (1.0 - t0) * np.sqrt(np.log(4.0 / alpha))

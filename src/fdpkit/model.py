@@ -13,11 +13,11 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import _qhat
+from .estimation import _qhat, _validated_pvalues
 from .families import AlternativeFamily, _largest_true, _on_unit
 from .stepfun import StepFunction
 
@@ -87,11 +87,7 @@ class LabeledSample:
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        p = np.asarray(self.pvalues, dtype=float)
-        if p.ndim != 1 or p.size == 0:
-            raise ValueError("pvalues must be a nonempty 1-D array")
-        if np.any(~np.isfinite(p)) or np.any(p < 0.0) or np.any(p > 1.0):
-            raise ValueError("pvalues must lie in [0, 1]")
+        p = _validated_pvalues(self.pvalues)
         object.__setattr__(self, "pvalues", p)
         if self.labels is not None:
             h = np.asarray(self.labels)
@@ -124,15 +120,14 @@ class CountsTable:
     m10: int
     m01: int
     m11: int
-    r: int = field(default=-1)
 
     def __post_init__(self):
-        if self.r == -1:
-            object.__setattr__(self, "r", self.m10 + self.m11)
         if min(self.m00, self.m10, self.m01, self.m11) < 0:
             raise ValueError("counts must be nonnegative")
-        if self.r != self.m10 + self.m11:
-            raise ValueError("r must equal m10 + m11")
+
+    @property
+    def r(self) -> int:
+        return self.m10 + self.m11
 
     @property
     def m(self) -> int:

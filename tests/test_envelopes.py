@@ -365,18 +365,6 @@ class TestBrownianQuantile:
     def test_bridge_pins_to_zero_at_one(self):
         assert brownian_sup_quantile(0.025, 1.0, 1, 10_000) == 0.0
 
-    def test_cache_is_bounded(self):
-        from fdpkit.envelopes import _brownian_sup_mc
-
-        first = brownian_sup_quantile(0.025, 0.01, 4, 10_000, seed=100)
-        for seed in range(101, 112):
-            brownian_sup_quantile(0.025, 0.01, 4, 10_000, seed=seed)
-            assert _brownian_sup_mc.cache_info().currsize <= 8
-        assert brownian_sup_quantile(0.025, 0.01, 4, 10_000, seed=100) == first  # evicted, recomputed
-        hits = _brownian_sup_mc.cache_info().hits
-        assert brownian_sup_quantile(0.025, 0.01, 4, 10_000, seed=100) == first
-        assert _brownian_sup_mc.cache_info().hits == hits + 1
-
     def test_validation(self):
         with pytest.raises(ValueError):
             brownian_sup_quantile(0.0, 0.001)
@@ -462,19 +450,19 @@ class TestBrownianTable:
     def test_every_fallback_runs_the_monte_carlo(self, monkeypatch):
         calls = []
 
-        def fake(*args):
-            calls.append(args)
-            return 1.5, 0.25
+        def fake(grid, starts, reps, seed):
+            calls.append((float(grid[0]), grid.size, reps, seed))
+            return np.full((reps, 1), 1.5)
 
-        monkeypatch.setattr(envelopes, "_brownian_sup_mc", fake)
+        monkeypatch.setattr(envelopes, "_bridge_sups", fake)
         cases = [
-            ((0.03, 1e-3, None, None, 0), (0.03, 1e-3, 2048, 20000, 0)),      # another level
-            ((0.025, 5e-9, None, None, 0), (0.025, 5e-9, 2048, 20000, 0)),    # below the first floor
-            ((0.025, 1e-3, 512, None, 0), (0.025, 1e-3, 512, 20000, 0)),      # explicit grid
-            ((0.025, 1e-3, None, 30_000, 7), (0.025, 1e-3, 2048, 30000, 7)),  # explicit reps
+            ((0.03, 1e-3, None, None, 0), (1e-3, 2048, 20000, 0)),      # another level
+            ((0.025, 5e-9, None, None, 0), (5e-9, 2048, 20000, 0)),     # below the first floor
+            ((0.025, 1e-3, 512, None, 0), (1e-3, 512, 20000, 0)),       # explicit grid
+            ((0.025, 1e-3, None, 30_000, 7), (1e-3, 2048, 30000, 7)),   # explicit reps
         ]
         for args, want in cases:
-            assert _sup_quantile(*args) == (1.5, 0.25, "monte-carlo")
+            assert _sup_quantile(*args) == (1.5, 0.0, "monte-carlo")
             assert calls[-1] == want
         for seed in (0, 7):                     # a seed alone keeps the table
             assert _sup_quantile(0.025, 1e-3, None, None, seed)[2] == "table"
@@ -482,22 +470,31 @@ class TestBrownianTable:
         p = np.linspace(0.01, 0.99, 100)
         env = asymptotic_envelope(p, t_min=1e-3, enforce_floor=False,
                                   quantile_grid_size=512, quantile_seed=3)
-        assert (env.meta["w"], env.meta["w_se"], env.meta["w_source"]) == (1.5, 0.25, "monte-carlo")
-        assert calls[-1] == (0.025, 1e-3, 512, 20000, 3)
+        assert (env.meta["w"], env.meta["w_se"], env.meta["w_source"]) == (1.5, 0.0, "monte-carlo")
+        assert calls[-1] == (1e-3, 512, 20000, 3)
         env = asymptotic_envelope(p, t_min=1e-3, enforce_floor=False, quantile_seed=3)
         assert env.meta["w_source"] == "table"
 
-    def test_envelope_reads_w_through_the_public_quantile(self, monkeypatch):
-        calls = []
+    def test_envelope_asks_for_the_quantile_once(self, monkeypatch):
+        quantiles, sims = [], []
 
-        def spy(*args):
-            calls.append(args)
-            return brownian_sup_quantile(*args)
+        def spy_quantile(*args):
+            quantiles.append((args, _sup_quantile(*args)))
+            return quantiles[-1][1]
 
-        monkeypatch.setattr(envelopes, "brownian_sup_quantile", spy)
-        env = asymptotic_envelope(np.linspace(0.01, 0.99, 100), t_min=1e-3, enforce_floor=False)
-        assert calls == [(0.025, 1e-3, None, None, 0)]
-        assert env.meta["w"] == brownian_sup_quantile(0.025, 1e-3)
+        def spy_sims(*args):
+            sims.append(args)
+            return _bridge_sups(*args)
+
+        monkeypatch.setattr(envelopes, "_sup_quantile", spy_quantile)
+        monkeypatch.setattr(envelopes, "_bridge_sups", spy_sims)
+        env = asymptotic_envelope(np.linspace(0.01, 0.99, 100), t_min=1e-3, enforce_floor=False,
+                                  quantile_grid_size=64, quantile_reps=10_000, quantile_seed=3)
+        assert [args for args, _ in quantiles] == [(0.025, 1e-3, 64, 10_000, 3)]
+        assert len(sims) == 1
+        w, w_se, source = quantiles[0][1]
+        assert (env.meta["w"], env.meta["w_se"], env.meta["w_source"]) == (w, w_se, source)
+        assert source == "monte-carlo"
 
     def test_generator_at_tiny_size_reproduces_the_monte_carlo(self):
         rows = _generator().build(grid_lo=1e-4, grid_size=256, floor_step=256, reps=10_000,

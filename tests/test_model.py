@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from fdpkit import (
+    CountsTable,
     LabeledSample,
     MixtureModel,
     UserCdf,
@@ -137,6 +138,17 @@ class TestClassify:
             assert (c.m00, c.m10, c.m01, c.m11) == naive_classify(p, h, t)
             assert c.m00 + c.m10 + c.m01 + c.m11 == 10
             assert c.m10 + c.m11 == c.r
+
+    def test_counts_table_derives_r(self):
+        c = CountsTable(m00=3, m10=2, m01=1, m11=4)
+        assert (c.r, c.m) == (6, 10)
+        with pytest.raises(TypeError):
+            CountsTable(3, 2, 1, 4, r=6)
+        with pytest.raises(TypeError):
+            CountsTable(3, 2, 1, 4, 6)
+        for counts in ((-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                CountsTable(*counts)
 
     def test_labels_required(self):
         s = LabeledSample(np.array([0.1, 0.2]))
