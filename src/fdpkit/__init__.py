@@ -3,7 +3,6 @@ discovery proportion: mixture-model primitives, estimators, thresholds,
 confidence envelopes, and Monte Carlo validation targets.
 """
 
-from . import datasets, envelopes, estimation, families, kernels, model, simulation, stepfun, thresholds
 from .datasets import *
 from .envelopes import *
 from .estimation import *
@@ -17,5 +16,7 @@ from .thresholds import *
 
 __version__ = "0.1.0"
 
-_MODULES = (datasets, envelopes, estimation, families, kernels, model, simulation, stepfun, thresholds)
-__all__ = [name for module in _MODULES for name in module.__all__] + ["stream", "__version__"]
+# importing a submodule binds its name here, so each star import above
+# leaves its module in reach for this list
+__all__ = [*datasets.__all__, *envelopes.__all__, *estimation.__all__, *families.__all__, *kernels.__all__,
+           *model.__all__, *simulation.__all__, *stepfun.__all__, *thresholds.__all__, "stream", "__version__"]

@@ -17,7 +17,7 @@ from fdpkit.estimation import dkw_epsilon
 from fdpkit.families import UserCdf, make_family
 from fdpkit.model import LabeledSample, MixtureModel, fdp_process, fnp_process
 from fdpkit.rng import standard_normal, stream, uniform_open, uniform_open_at
-from fdpkit import simulation
+from fdpkit import envelopes, simulation
 from fdpkit.simulation import (
     VALIDATION_TARGETS,
     ScenarioConfig,
@@ -409,6 +409,27 @@ class TestRewiredTargets:
         no_sampling(monkeypatch)
         with pytest.raises(ValueError, match=r"^t0 must lie in \(0, 1\)$"):
             run_validation({"t0": t0, "reps": 20, "m": 200}, name)
+
+
+class TestAsymptoticCoverage:
+    @pytest.mark.parametrize("name", ["envelope-coverage", "count-envelope-coverage"])
+    def test_off_table_alpha_runs_one_simulation(self, monkeypatch, name):
+        sims = []
+
+        def fake(grid, starts, reps, seed):
+            sims.append((float(grid[0]), grid.size, reps, seed))
+            return np.full((reps, 1), 3.0)
+
+        monkeypatch.setattr(envelopes, "_bridge_sups", fake)
+        assert run_validation({"alpha": 0.03, "reps": 5, "m": 200}, name)["reps"] == 5
+        assert sims == [(1e-4, 2048, 20000, 0)]
+
+    @pytest.mark.parametrize("key", ["alpha", "t_min"])
+    @pytest.mark.parametrize("name", ["envelope-coverage", "count-envelope-coverage"])
+    def test_alpha_and_t_min_are_checked_before_sampling(self, monkeypatch, name, key):
+        no_sampling(monkeypatch)
+        with pytest.raises(ValueError, match=rf"^{key} must lie in \(0, 1\)$"):
+            run_validation({key: 1.0, "reps": 5}, name)
 
 
 class TestValidationHarness:
