@@ -415,19 +415,12 @@ def _asymptotic_coverage(kind, scen=_standard(1000), *, alpha=0.05, t0=0.5, t_mi
     # kind "fdp": the band covers the realized FDP at every p-value at or
     # above t_min; kind "count": m times the count path covers the number
     # of nulls at or below each null p-value there.  w is the same on every
-    # sample, so it is asked for once, inside the first hit rather than
-    # before the first draw: the earlier request moves the table's first
-    # import, and with it glibc's heap layout, and put the `validate`
-    # benchmark's peak RSS in its high mode (93-102 MB, not about 91) in 8
-    # of 11 runs against 8 of 22 here (2-vCPU x86-64 VM, glibc 2.36)
+    # sample, so it is asked for once.
     _require_open_unit("alpha", alpha)
     _require_open_unit("t_min", t_min)
-    w = None
+    w = brownian_sup_quantile(alpha / 2.0, t_min)
 
     def hit(samp):
-        nonlocal w
-        if w is None:
-            w = brownian_sup_quantile(alpha / 2.0, t_min)
         p = samp.pvalues
         env = asymptotic_envelope(p, t0=t0, alpha=alpha, t_min=t_min, w=w, enforce_floor=False)
         if kind == "fdp":
