@@ -57,7 +57,6 @@ class RunSpec:
     variant: str = "plain"
     seed: int = 0
     reps: int | None = None
-    grid: int | None = None
     output: str | None = None
     as_json: bool = False
     t: float | None = None
@@ -187,9 +186,6 @@ def _build_envelope(p: np.ndarray, spec: RunSpec):
             alpha=spec.alpha,
             t_min=spec.t_min,
             enforce_floor=not spec.no_floor_check,
-            quantile_grid_size=spec.grid,
-            quantile_reps=spec.reps,
-            quantile_seed=spec.seed,
         )
     raise ValueError(f"unknown envelope method: {method!r}")
 
@@ -356,9 +352,7 @@ _OPTIONS = {
     "--min-rate": {"action": "store_true"},
     "--t-min": {"type": float},
     "--no-floor-check": {"action": "store_true"},
-    "--reps": {"type": int, "help": "Monte Carlo replicates; on envelope, of a fresh Brownian quantile "
-               "simulation seeded by --seed, which then replaces the committed table"},
-    "--grid": {"type": int, "help": "grid size of the Brownian quantile simulation, as for --reps"},
+    "--reps": {"type": int, "help": "Monte Carlo replicates of the validation target"},
     "--target": {"required": True},
     "--config": {"help": "JSON config file"},
     "example": {"type": int, "choices": [1, 2]},
@@ -371,8 +365,8 @@ _COMMANDS = {
                   ["uncorrected", "bonferroni", "fixed", "first-r", "bh", "plugin", "bayes"],
                   "--input --format --alpha --output --json --t --r --t0 --variant --bandwidth"),
     "envelope": (_run_envelope, "FDP confidence envelopes", ["exact", "asymptotic"],
-                 "--input --format --alpha --seed --output --json --ceiling --min-rate --t0 --t-min "
-                 "--no-floor-check --reps --grid"),
+                 "--input --format --alpha --output --json --ceiling --min-rate --t0 --t-min "
+                 "--no-floor-check"),
     "estimate": (_run_estimate, "mixing-weight estimators", ["storey", "astar", "kernel"],
                  "--input --format --alpha --json --t0 --variant --bandwidth"),
     "simulate": (_run_simulate, "named validation targets", None,

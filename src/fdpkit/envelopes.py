@@ -33,46 +33,33 @@ __all__ = [
     "m10_envelope",
 ]
 
-def brownian_sup_quantile(
-    alpha_half: float,
-    t_floor: float,
-    grid_size: int | None = None,
-    reps: int | None = None,
-    seed: int = 0,
-) -> float:
+def brownian_sup_quantile(alpha_half: float, t_floor: float) -> float:
     """Upper quantile (level 1 - alpha_half) of sup over [t_floor, 1] of
     B(t) / sqrt(t) for a Brownian bridge B.
 
-    With ``grid_size`` and ``reps`` left at None, the value is read from
-    the committed table (``fdpkit._brownian_table``, built by
-    ``tools/brownian_table.py`` from one seeded 200000-replicate simulation)
-    at the largest stored floor at or below ``t_floor``.  A longer window
-    has a larger supremum, so reading a lower floor errs toward a wider
-    band: the band stays conservative.  Explicit ``grid_size``/``reps``,
-    a level outside the table or a floor below its first one run a fresh
-    Monte Carlo, seeded by ``seed``, on a geometric grid of ``grid_size``
-    points (default 2048) whose last point is pinned to 1, with ``reps``
-    replicates (default 20000)."""
-    return _sup_quantile(alpha_half, t_floor, grid_size, reps, seed)[0]
+    The value is read from the committed table (``fdpkit._brownian_table``,
+    built by ``tools/brownian_table.py`` from one seeded 200000-replicate
+    simulation) at the largest stored floor at or below ``t_floor``.  A
+    longer window has a larger supremum, so reading a lower floor errs
+    toward a wider band: the band stays conservative.  A level outside the
+    table or a floor below its first one runs one Monte Carlo with fixed
+    settings: 20000 replicates, seed 0, on a geometric grid of 2048 points
+    whose last point is pinned to 1.  For another simulation, run
+    ``_bridge_sups`` (or ``tools/brownian_table.py``) and pass its quantile
+    to ``asymptotic_envelope`` as ``w``."""
+    return _sup_quantile(alpha_half, t_floor)[0]
 
 
-def _sup_quantile(alpha_half, t_floor, grid_size, reps, seed) -> tuple[float, float, str]:
+def _sup_quantile(alpha_half, t_floor) -> tuple[float, float, str]:
     """``brownian_sup_quantile`` with its order-statistic standard error and
     its source, "table" or "monte-carlo"."""
     _require_open_unit("alpha_half", alpha_half)
     if not 0.0 < t_floor <= 1.0:
         raise ValueError("t_floor must lie in (0, 1]")
-    if grid_size is None and reps is None:
-        row = _table_row(float(alpha_half), float(t_floor))
-        if row is not None:
-            return (*row, "table")
-    grid_size = 2048 if grid_size is None else grid_size
-    reps = 20000 if reps is None else reps
-    if grid_size < 1:
-        raise ValueError("grid_size must be at least 1")
-    if reps < 10_000:
-        raise ValueError("reps must be at least 10000 for a stable quantile")
-    sups = _bridge_sups(_geometric_grid(float(t_floor), int(grid_size)), [0], int(reps), int(seed))
+    row = _table_row(float(alpha_half), float(t_floor))
+    if row is not None:
+        return (*row, "table")
+    sups = _bridge_sups(_geometric_grid(float(t_floor), 2048), [0], 20000, 0)
     return (*_order_quantile(np.sort(sups[:, 0]), 1.0 - float(alpha_half)), "monte-carlo")
 
 
@@ -201,9 +188,6 @@ def asymptotic_envelope(
     w: float | None = None,
     *,
     enforce_floor: bool = True,
-    quantile_grid_size: int | None = None,
-    quantile_reps: int | None = None,
-    quantile_seed: int = 0,
 ) -> EnvelopeResult:
     """Asymptotic FDP confidence band at level 1 - alpha on [t_min, 1].
 
@@ -214,20 +198,15 @@ def asymptotic_envelope(
     (log m)^4 / m; pass ``enforce_floor=False`` together with an explicit
     t_min to evaluate the band below that floor anyway.
 
-    Unless ``w`` is given, the quantile term uses
-    ``brownian_sup_quantile(alpha / 2, t_min, quantile_grid_size,
-    quantile_reps, quantile_seed)``: with the grid size and replicates left
-    at None it is read from the committed table at the largest stored floor
-    at or below t_min, whose longer window errs toward a wider band, so the
-    band stays conservative; explicit ``quantile_grid_size``/
-    ``quantile_reps``, a level alpha outside {0.01, 0.05, 0.1, 0.2} or t_min
-    below 1e-8 run a fresh Monte Carlo seeded by ``quantile_seed``.
-    ``meta["w_source"]`` says
-    which ("table", "monte-carlo" or "given") and ``meta["w_se"]`` holds
-    the order-statistic standard error of w (None when w is given).
-    An envelope runs at most one simulation, and nothing is cached between
-    calls: a loop of envelopes with the same explicit ``quantile_reps``
-    runs the simulation each time, unless the caller passes ``w``.
+    Unless ``w`` is given, the quantile term is
+    ``brownian_sup_quantile(alpha / 2, t_min)``: read from the committed
+    table at the largest stored floor at or below t_min, whose longer window
+    errs toward a wider band, so the band stays conservative; a level alpha
+    outside {0.01, 0.05, 0.1, 0.2} or t_min below 1e-8 runs its one fixed
+    Monte Carlo.  ``meta["w_source"]`` says which ("table", "monte-carlo" or
+    "given") and ``meta["w_se"]`` holds the order-statistic standard error
+    of w (None when w is given).  Nothing is cached between calls: a loop
+    of envelopes off the table passes ``w`` to run the simulation once.
     """
     p = _validated_pvalues(pvalues)
     _require_open_unit("t0", t0)
@@ -255,7 +234,7 @@ def asymptotic_envelope(
     ghat = ecdf(p, "plain")
     one_minus_a0 = (1.0 - float(ghat(t0))) / (1.0 - t0)
     if w is None:
-        w, w_se, w_source = _sup_quantile(alpha / 2.0, t_min, quantile_grid_size, quantile_reps, quantile_seed)
+        w, w_se, w_source = _sup_quantile(alpha / 2.0, t_min)
     else:
         w_se, w_source = None, "given"
     tail_term = np.sqrt(2.0) / (1.0 - t0) * np.sqrt(np.log(4.0 / alpha))

@@ -33,20 +33,11 @@ __all__ = [
     "projection_objective",
 ]
 
-_VARIANTS = {
-    "plain": "plain",
-    "floor": "floor",
-    "floor-at-identity": "floor",
-    "lcm": "lcm",
-    "least-concave-majorant": "lcm",
-}
-
 
 def _normalize_variant(variant: str) -> str:
-    try:
-        return _VARIANTS[variant]
-    except KeyError:
-        raise ValueError(f"unknown ECDF variant: {variant!r}") from None
+    if variant not in ("plain", "floor", "lcm"):
+        raise ValueError(f"unknown ECDF variant: {variant!r}")
+    return variant
 
 
 def _validated_pvalues(pvalues) -> np.ndarray:
@@ -188,9 +179,6 @@ def ecdf(pvalues, variant: str = "plain") -> EcdfEstimate:
         if xs[-1] != 1.0:
             xs = np.r_[xs, 1.0]
             ys = np.r_[ys, 1.0]
-        else:
-            ys = ys.copy()
-            ys[-1] = 1.0
         hull = _concave_majorant(xs, ys)
     return EcdfEstimate(base=base, variant=variant, m=m, hull=hull)
 

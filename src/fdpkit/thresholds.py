@@ -161,15 +161,15 @@ def plugin_threshold(pvalues, ahat, alpha: float, variant: str = "plain") -> Thr
     a = _ahat_value(ahat)
     if not 0.0 <= a <= 1.0:
         raise ValueError("ahat must lie in [0, 1]")
-    kind = _normalize_variant(variant)
+    _normalize_variant(variant)
     diag = {"ahat": a, "variant": variant}
     a_method = getattr(ahat, "method", None)
     if a_method is not None:
         diag["ahat_method"] = a_method
     m = p.size
     one_minus = 1.0 - a
-    if kind == "lcm" and one_minus > alpha:
-        t = sup = _lcm_sup(ecdf(p, kind), one_minus, alpha)
+    if variant == "lcm" and one_minus > alpha:
+        t = sup = _lcm_sup(ecdf(p, variant), one_minus, alpha)
         rejected = _count_rejected(p, t)
     else:
         # r ends a run of tied p-values, so it counts the p-values <= t; the

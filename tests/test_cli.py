@@ -253,13 +253,11 @@ class TestEnvelopeCommand:
         f.write_text("".join(f"{float(v)!r}\n" for v in p))
         rc, out, _ = run_cli(capsys, "envelope", "--input", str(f),
                              "--method", "asymptotic", "--t-min", "0.001",
-                             "--no-floor-check", "--reps", "10000", "--grid", "256",
-                             "--ceiling", "0.3", "--json")
+                             "--no-floor-check", "--ceiling", "0.3", "--json")
         assert rc == 0
         rec = json.loads(out)
         assert rec["envelope"] == "asymptotic"
-        env = asymptotic_envelope(p, t_min=0.001, enforce_floor=False,
-                                  quantile_reps=10_000, quantile_grid_size=256)
+        env = asymptotic_envelope(p, t_min=0.001, enforce_floor=False)
         want = confidence_thresholds(env, 0.3)
         assert rec["T"] == pytest.approx(want.t, rel=1e-12)
 
@@ -267,8 +265,7 @@ class TestEnvelopeCommand:
         p = np.random.default_rng(5).uniform(size=50)
         f = tmp_path / "p.txt"
         f.write_text("".join(f"{float(v)!r}\n" for v in p))
-        asym = ["--method", "asymptotic", "--t-min", "0.01", "--no-floor-check",
-                "--reps", "10000", "--grid", "256"]
+        asym = ["--method", "asymptotic", "--t-min", "0.01", "--no-floor-check"]
         for extra in ([], asym):
             rc, out, _ = run_cli(capsys, "envelope", "--input", str(f), *extra,
                                  "--ceiling", "1", "--json")
@@ -281,8 +278,7 @@ class TestEnvelopeCommand:
         # certified either: t = 0, exclusive
         f = tmp_path / "p.txt"
         f.write_text("0\n0\n0\n1\n1\n.5\n.9\n.8\n.7\n.6\n")
-        asym = ["--method", "asymptotic", "--t-min", "0.1", "--no-floor-check",
-                "--reps", "10000", "--grid", "16"]
+        asym = ["--method", "asymptotic", "--t-min", "0.1", "--no-floor-check"]
         for extra in ([], asym):
             rc, out, _ = run_cli(capsys, "envelope", "--input", str(f), *extra,
                                  "--ceiling", "0.01", "--json")
@@ -295,12 +291,11 @@ class TestEnvelopeCommand:
         f.write_text("".join(f"{v!r}\n" for v in np.linspace(0.001, 0.999, 300).tolist()))
         base = ["envelope", "--input", str(f), "--method", "asymptotic", "--t-min", "0.01",
                 "--no-floor-check"]
-        for seed in ([], ["--seed", "5"]):   # a seed alone keeps the table
-            rc, out, _ = run_cli(capsys, *base, *seed)
-            rec = parse_text(out)
-            assert rc == 0 and rec["meta_w_source"] == "table"
-            assert float(rec["meta_w_se"]) > 0.0
-        rc, out, _ = run_cli(capsys, *base, "--reps", "10000", "--grid", "64")
+        rc, out, _ = run_cli(capsys, *base)
+        rec = parse_text(out)
+        assert rc == 0 and rec["meta_w_source"] == "table"
+        assert float(rec["meta_w_se"]) > 0.0
+        rc, out, _ = run_cli(capsys, *base, "--alpha", "0.03")   # a level off the table
         assert rc == 0 and parse_text(out)["meta_w_source"] == "monte-carlo"
 
     def test_floor_violation_surfaces_as_error(self, capsys, pfile, tmp_path):
@@ -492,20 +487,21 @@ class TestReproduceExamples:
 
     def test_seed_env_var_read_only_where_a_seed_is(self, capsys, monkeypatch, pfile):
         monkeypatch.setenv("FDP_SEED", "x")
-        for argv in (["threshold", "--input", pfile], ["estimate", "--input", pfile]):
-            rc, out, err = run_cli(capsys, *argv)
+        for command in ("threshold", "estimate", "envelope"):
+            rc, out, err = run_cli(capsys, command, "--input", pfile)
             assert rc == 0 and err == "" and out
-        for argv in (["simulate", "--target", "qinv-kernel-identity"],
-                     ["envelope", "--input", pfile]):
-            rc, out, err = run_cli(capsys, *argv)
-            assert rc == 1 and out == ""
-            assert json.loads(err) == {"error": "FDP_SEED must be an integer"}
+        rc, out, err = run_cli(capsys, "simulate", "--target", "qinv-kernel-identity")
+        assert rc == 1 and out == ""
+        assert json.loads(err) == {"error": "FDP_SEED must be an integer"}
 
 
 class TestCommandLine:
     @pytest.mark.parametrize("argv, flag", [
         (["threshold", "--seed", "3"], "--seed"),
         (["estimate", "--seed", "3"], "--seed"),
+        (["envelope", "--grid", "64"], "--grid"),
+        (["envelope", "--reps", "10000"], "--reps"),
+        (["envelope", "--seed", "3"], "--seed"),
         (["estimate", "--output", "OUT"], "--output"),
         (["reproduce-example", "1", "--output", "OUT"], "--output"),
         (["simulate", "--target", "label-set-coverage", "--reps", "20", "--alpha", "0.2"], "--alpha"),
@@ -515,7 +511,7 @@ class TestCommandLine:
         missing = str(tmp_path / "missing.txt")
         outfile = tmp_path / "out"
         argv = [str(outfile) if a == "OUT" else a for a in argv]
-        if argv[0] in ("threshold", "estimate"):
+        if argv[0] in ("threshold", "estimate", "envelope"):
             argv += ["--input", missing]
         rc, out, err = run_cli(capsys, *argv)
         assert rc == 1 and out == ""

@@ -347,33 +347,31 @@ class TestExactThresholds:
                 assert np.all(vals[ts > r.t] > r.z)
 
 
+def _simulated_quantile(alpha_half, t_floor, grid_size, reps, seed):
+    """(w, standard error) of one Monte Carlo with the given settings."""
+    sups = _bridge_sups(_geometric_grid(t_floor, grid_size), [0], reps, seed)
+    return _order_quantile(np.sort(sups[:, 0]), 1.0 - alpha_half)
+
+
 class TestBrownianQuantile:
     def test_reproducible_spot_value(self):
-        got = brownian_sup_quantile(0.025, 1e-4, 256, 10_000, seed=0)
+        got = _simulated_quantile(0.025, 1e-4, 256, 10_000, 0)[0]
         assert got == pytest.approx(3.093699921707, abs=1e-9)
 
-    def test_seed_stability(self):
-        ws = [brownian_sup_quantile(0.025, 0.001, 1024, 20_000, seed=s) for s in range(3)]
-        assert all(2.95 <= w <= 3.11 for w in ws)
-        assert max(ws) - min(ws) < 0.06
-
-    def test_monotone_in_tail_level(self):
-        lo = brownian_sup_quantile(0.05, 0.001, 512, 10_000, seed=3)
-        hi = brownian_sup_quantile(0.01, 0.001, 512, 10_000, seed=3)
-        assert hi > lo
-
     def test_bridge_pins_to_zero_at_one(self):
-        assert brownian_sup_quantile(0.025, 1.0, 1, 10_000) == 0.0
+        assert _sup_quantile(0.03, 1.0) == (0.0, 0.0, "monte-carlo")
 
     def test_validation(self):
         with pytest.raises(ValueError):
             brownian_sup_quantile(0.0, 0.001)
         with pytest.raises(ValueError):
             brownian_sup_quantile(0.025, 0.0)
-        with pytest.raises(ValueError):
-            brownian_sup_quantile(0.025, 0.001, 0)
-        with pytest.raises(ValueError):
-            brownian_sup_quantile(0.025, 0.001, 256, 5000)
+        with pytest.raises(TypeError):
+            brownian_sup_quantile(0.025, 0.001, 256)
+        with pytest.raises(TypeError):
+            brownian_sup_quantile(0.025, 0.001, reps=20_000)
+        with pytest.raises(TypeError):
+            asymptotic_envelope([0.3], t_min=0.01, enforce_floor=False, quantile_seed=3)
 
 
 def _generator():
@@ -431,11 +429,10 @@ class TestBrownianTable:
 
     @pytest.mark.parametrize("t_min", [1e-4, 0.0364, 0.176])
     def test_agrees_with_a_fresh_monte_carlo(self, t_min):
-        w, se, source = _sup_quantile(0.025, t_min, None, None, 0)
+        w, se, source = _sup_quantile(0.025, t_min)
         assert source == "table"
         assert w == brownian_sup_quantile(0.025, t_min)
-        w_mc, se_mc, source_mc = _sup_quantile(0.025, t_min, 2048, 20_000, 0)
-        assert source_mc == "monte-carlo"
+        w_mc, se_mc = _simulated_quantile(0.025, t_min, 2048, 20_000, 0)
         assert abs(w - w_mc) <= 3.0 * np.hypot(se, se_mc)
 
     def test_between_floors_reads_the_lower_one(self):
@@ -443,7 +440,7 @@ class TestBrownianTable:
             lo, hi = FLOORS[k], FLOORS[k + 1]
             for t in (np.sqrt(lo * hi), np.nextafter(hi, 0.0)):
                 assert brownian_sup_quantile(0.025, t) == W[k, 1]
-                assert _sup_quantile(0.005, t, None, None, 0)[1] == W_SE[k, 0]
+                assert _sup_quantile(0.005, t)[1] == W_SE[k, 0]
             assert brownian_sup_quantile(0.1, hi) == W[k + 1, 3]
         assert brownian_sup_quantile(0.025, 1.0) == 0.0
 
@@ -456,24 +453,20 @@ class TestBrownianTable:
 
         monkeypatch.setattr(envelopes, "_bridge_sups", fake)
         cases = [
-            ((0.03, 1e-3, None, None, 0), (1e-3, 2048, 20000, 0)),      # another level
-            ((0.025, 5e-9, None, None, 0), (5e-9, 2048, 20000, 0)),     # below the first floor
-            ((0.025, 1e-3, 512, None, 0), (1e-3, 512, 20000, 0)),       # explicit grid
-            ((0.025, 1e-3, None, 30_000, 7), (1e-3, 2048, 30000, 7)),   # explicit reps
+            ((0.03, 1e-3), (1e-3, 2048, 20000, 0)),      # another level
+            ((0.025, 5e-9), (5e-9, 2048, 20000, 0)),     # below the first floor
         ]
         for args, want in cases:
             assert _sup_quantile(*args) == (1.5, 0.0, "monte-carlo")
             assert calls[-1] == want
-        for seed in (0, 7):                     # a seed alone keeps the table
-            assert _sup_quantile(0.025, 1e-3, None, None, seed)[2] == "table"
         assert len(calls) == len(cases)
         p = np.linspace(0.01, 0.99, 100)
-        env = asymptotic_envelope(p, t_min=1e-3, enforce_floor=False,
-                                  quantile_grid_size=512, quantile_seed=3)
+        env = asymptotic_envelope(p, alpha=0.06, t_min=1e-3, enforce_floor=False)
         assert (env.meta["w"], env.meta["w_se"], env.meta["w_source"]) == (1.5, 0.0, "monte-carlo")
-        assert calls[-1] == (1e-3, 512, 20000, 3)
-        env = asymptotic_envelope(p, t_min=1e-3, enforce_floor=False, quantile_seed=3)
+        assert calls[-1] == (1e-3, 2048, 20000, 0)
+        env = asymptotic_envelope(p, t_min=1e-3, enforce_floor=False)
         assert env.meta["w_source"] == "table"
+        assert len(calls) == len(cases) + 1
 
     def test_envelope_asks_for_the_quantile_once(self, monkeypatch):
         quantiles, sims = [], []
@@ -488,9 +481,9 @@ class TestBrownianTable:
 
         monkeypatch.setattr(envelopes, "_sup_quantile", spy_quantile)
         monkeypatch.setattr(envelopes, "_bridge_sups", spy_sims)
-        env = asymptotic_envelope(np.linspace(0.01, 0.99, 100), t_min=1e-3, enforce_floor=False,
-                                  quantile_grid_size=64, quantile_reps=10_000, quantile_seed=3)
-        assert [args for args, _ in quantiles] == [(0.025, 1e-3, 64, 10_000, 3)]
+        env = asymptotic_envelope(np.linspace(0.01, 0.99, 100), alpha=0.03, t_min=1e-3,
+                                  enforce_floor=False)
+        assert [args for args, _ in quantiles] == [(0.015, 1e-3)]
         assert len(sims) == 1
         w, w_se, source = quantiles[0][1]
         assert (env.meta["w"], env.meta["w_se"], env.meta["w_source"]) == (w, w_se, source)
@@ -500,7 +493,7 @@ class TestBrownianTable:
         rows = _generator().build(grid_lo=1e-4, grid_size=256, floor_step=256, reps=10_000,
                                   seed=0, alpha_half=(0.025,))
         assert len(rows) == 1 and rows[0][0] == 1e-4
-        assert rows[0][1][0] == brownian_sup_quantile(0.025, 1e-4, 256, 10_000, seed=0)
+        assert rows[0][1][0] == _simulated_quantile(0.025, 1e-4, 256, 10_000, 0)[0]
 
 
 @pytest.fixture(scope="module")
@@ -607,7 +600,7 @@ class TestAsymptoticEnvelope:
     def test_floor_default_when_attainable(self):
         g = stream(916)
         p = np.clip(g.random(200_000), 1e-12, 1.0)
-        env = asymptotic_envelope(p, quantile_reps=10_000, quantile_grid_size=512)
+        env = asymptotic_envelope(p)
         want = np.log(200_000) ** 4 / 200_000
         assert env.t_min == pytest.approx(want, rel=1e-12)
 

@@ -349,8 +349,9 @@ class TestPluginThreshold:
         with pytest.raises(ValueError):
             plugin_threshold(example1, est, 0.05)
         for ahat in (0.5, 1.0):
-            with pytest.raises(ValueError, match="unknown ECDF variant"):
-                plugin_threshold(example1, ahat, 0.05, variant="bogus")
+            for variant in ("bogus", "floor-at-identity", "least-concave-majorant"):
+                with pytest.raises(ValueError, match="unknown ECDF variant"):
+                    plugin_threshold(example1, ahat, 0.05, variant=variant)
 
 
 class TestRateCeiling:
