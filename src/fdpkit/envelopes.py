@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .estimation import _require_open_unit, _validated_pvalues, ecdf
-from .rng import standard_normal, stream
 from .stepfun import StepFunction
 from .thresholds import ThresholdResult, _count_rejected, _last_crossing
 
@@ -39,91 +38,39 @@ def brownian_sup_quantile(alpha_half: float, t_floor: float) -> float:
 
     The value is read from the committed table (``fdpkit._brownian_table``,
     built by ``tools/brownian_table.py`` from one seeded 200000-replicate
-    simulation) at the largest stored floor at or below ``t_floor``.  A
-    longer window has a larger supremum, so reading a lower floor errs
-    toward a wider band: the band stays conservative.  A level outside the
-    table or a floor below its first one runs one Monte Carlo with fixed
-    settings: 20000 replicates, seed 0, on a geometric grid of 2048 points
-    whose last point is pinned to 1.  For another simulation, run
-    ``_bridge_sups`` (or ``tools/brownian_table.py``) and pass its quantile
-    to ``asymptotic_envelope`` as ``w``."""
+    simulation), its only source: at the largest stored level at or below
+    ``alpha_half`` and the largest stored floor at or below ``t_floor``.
+    A smaller level and a longer window both give a larger supremum
+    quantile, so either rounding errs toward a wider band: the band stays
+    conservative.  The levels are alpha / 2 for alpha in 0.002, 0.005,
+    0.01, 0.02, 0.025, 0.03, 0.04, 0.05, 0.06, 0.08, 0.1, 0.15, 0.2, 0.3,
+    0.4 and 0.5, and the floors run from 1e-8 to 1, 24 a decade.  A level
+    below 0.001 or a floor below 1e-8 is a ValueError: simulate the
+    quantile with ``tools/brownian_table.py`` and pass it to
+    ``asymptotic_envelope`` as ``w``."""
     return _sup_quantile(alpha_half, t_floor)[0]
 
 
-def _sup_quantile(alpha_half, t_floor) -> tuple[float, float, str]:
-    """``brownian_sup_quantile`` with its order-statistic standard error and
-    its source, "table" or "monte-carlo"."""
+def _sup_quantile(alpha_half, t_floor) -> tuple[float, float]:
+    """``brownian_sup_quantile`` with its order-statistic standard error."""
+    from ._brownian_table import ALPHA_HALF, FLOORS, W, W_SE
+
     _require_open_unit("alpha_half", alpha_half)
     if not 0.0 < t_floor <= 1.0:
         raise ValueError("t_floor must lie in (0, 1]")
-    row = _table_row(float(alpha_half), float(t_floor))
-    if row is not None:
-        return (*row, "table")
-    sups = _bridge_sups(_geometric_grid(float(t_floor), 2048), [0], 20000, 0)
-    return (*_order_quantile(np.sort(sups[:, 0]), 1.0 - float(alpha_half)), "monte-carlo")
-
-
-def _table_row(alpha_half: float, t_floor: float) -> tuple[float, float] | None:
-    """(w, standard error) from the committed table at the largest floor at
-    or below ``t_floor``; None when the level or the floor is not covered."""
-    from ._brownian_table import ALPHA_HALF, ROWS
-
-    if alpha_half not in ALPHA_HALF or t_floor < ROWS[0][0]:
-        return None
-    _, ws, ses = ROWS[bisect.bisect_right(ROWS, t_floor, key=lambda row: row[0]) - 1]
-    j = ALPHA_HALF.index(alpha_half)
-    return ws[j], ses[j]
-
-
-def _geometric_grid(t_floor: float, size: int) -> np.ndarray:
-    grid = np.geomspace(t_floor, 1.0, size)
-    grid[-1] = 1.0
-    return grid
-
-
-_ROWS_PER_STREAM = 1024   # replicates drawn from one ``stream(seed, chunk)``
-_CELLS = 1 << 21          # normals drawn at once: 1024 rows of a 2048-point grid
-
-
-def _bridge_sups(grid: np.ndarray, starts, reps: int, seed: int) -> np.ndarray:
-    """Simulate ``reps`` Brownian bridges on ``grid`` (increasing, ending at
-    1) and return, for each replicate (row) and each grid index k in the
-    increasing ``starts`` (column), the maximum of B(t) / sqrt(t) over the
-    grid points t >= grid[k].
-
-    Replicates come in chunks of 1024 rows, each from its own stream keyed
-    by (seed, chunk), so a row depends only on the seed and its index.  A
-    chunk is drawn in blocks of at most 2**21 normals: the blocks read one
-    stream in order and give the same bits as one draw, in bounded memory
-    on fine grids."""
-    starts = np.asarray(starts, dtype=np.intp)
-    root_dt = np.sqrt(np.diff(np.r_[0.0, grid]))
-    root_grid = np.sqrt(grid)
-    rows = max(1, min(_ROWS_PER_STREAM, _CELLS // grid.size))
-    out = np.empty((reps, starts.size))
-    for chunk, lo in enumerate(range(0, reps, _ROWS_PER_STREAM)):
-        rng = stream(seed, chunk)
-        hi = min(lo + _ROWS_PER_STREAM, reps)
-        for a in range(lo, hi, rows):
-            b = min(a + rows, hi)
-            w = np.cumsum(standard_normal(rng, (b - a, grid.size)) * root_dt, axis=1)
-            x = (w - grid * w[:, -1:]) / root_grid
-            seg = np.maximum.reduceat(x, starts, axis=1)   # max over [starts[i], starts[i + 1])
-            out[a:b] = np.maximum.accumulate(seg[:, ::-1], axis=1)[:, ::-1]
-    return out
-
-
-def _order_quantile(sorted_stats: np.ndarray, q: float) -> tuple[float, float]:
-    """The linear-interpolation q-quantile of a sorted sample and its
-    standard error sqrt(q (1 - q) / n) / f, with the density f read from
-    the order statistics that bound a 95 % distribution-free interval for
-    the quantile."""
-    n = sorted_stats.size
-    w = float(np.quantile(sorted_stats, q, method="linear"))
-    spread = np.sqrt(n * q * (1.0 - q))
-    lo = max(int(np.floor((n - 1) * q - 1.96 * spread)), 0)
-    hi = min(int(np.ceil((n - 1) * q + 1.96 * spread)), n - 1)
-    return w, float(spread * (sorted_stats[hi] - sorted_stats[lo]) / (hi - lo))
+    j = bisect.bisect_right(ALPHA_HALF, alpha_half) - 1
+    k = bisect.bisect_right(FLOORS, t_floor) - 1
+    if j < 0:
+        raise ValueError(
+            f"alpha / 2 = {float(alpha_half)!r} is below the smallest level of the Brownian quantile table, "
+            f"{ALPHA_HALF[0]!r}; simulate w for it and pass it as w="
+        )
+    if k < 0:
+        raise ValueError(
+            f"t_min = {float(t_floor)!r} is below the first floor of the Brownian quantile table, "
+            f"{float(FLOORS[0])!r}; simulate w for it and pass it as w="
+        )
+    return float(W[k, j]), float(W_SE[k, j])
 
 
 @dataclass(frozen=True)
@@ -199,14 +146,13 @@ def asymptotic_envelope(
     t_min to evaluate the band below that floor anyway.
 
     Unless ``w`` is given, the quantile term is
-    ``brownian_sup_quantile(alpha / 2, t_min)``: read from the committed
-    table at the largest stored floor at or below t_min, whose longer window
-    errs toward a wider band, so the band stays conservative; a level alpha
-    outside {0.01, 0.05, 0.1, 0.2} or t_min below 1e-8 runs its one fixed
-    Monte Carlo.  ``meta["w_source"]`` says which ("table", "monte-carlo" or
-    "given") and ``meta["w_se"]`` holds the order-statistic standard error
-    of w (None when w is given).  Nothing is cached between calls: a loop
-    of envelopes off the table passes ``w`` to run the simulation once.
+    ``brownian_sup_quantile(alpha / 2, t_min)``, read from the committed
+    table at the largest stored level at or below alpha / 2 and the largest
+    stored floor at or below t_min; both roundings err toward a wider band,
+    so the band stays conservative.  An alpha below 0.002 or a t_min below
+    1e-8 is off the table and a ValueError unless ``w`` is given.
+    ``meta["w_source"]`` says which ("table" or "given") and ``meta["w_se"]``
+    holds the order-statistic standard error of w (None when w is given).
     """
     p = _validated_pvalues(pvalues)
     _require_open_unit("t0", t0)
@@ -234,7 +180,8 @@ def asymptotic_envelope(
     ghat = ecdf(p, "plain")
     one_minus_a0 = (1.0 - float(ghat(t0))) / (1.0 - t0)
     if w is None:
-        w, w_se, w_source = _sup_quantile(alpha / 2.0, t_min)
+        w, w_se = _sup_quantile(alpha / 2.0, t_min)
+        w_source = "table"
     else:
         w_se, w_source = None, "given"
     tail_term = np.sqrt(2.0) / (1.0 - t0) * np.sqrt(np.log(4.0 / alpha))

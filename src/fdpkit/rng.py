@@ -15,7 +15,7 @@ import threading
 
 import numpy as np
 
-__all__ = ["stream", "uniform_open", "uniform_open_at", "standard_normal"]
+__all__ = ["stream", "uniform_open", "uniform_open_at"]
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:
@@ -31,7 +31,7 @@ def uniform_open(rng: np.random.Generator, size=None) -> np.ndarray:
     ``integers(0, 2**53)``, which reads the generator identically.  The
     draws are never 0, but the top k rounds (to even) to exactly 1, a
     chance of 2**-53 per draw: harmless for labels (``u < a``) and null
-    p-values, while ``standard_normal`` clips it before its inverse CDF.
+    p-values.
     """
     u = rng.random(size)
     u += 2.0**-54  # in place: one buffer
@@ -63,13 +63,3 @@ def uniform_open_at(seed: int, key: int, shape, offset: int = 0) -> np.ndarray:
             t.join()
     return u
 
-
-def standard_normal(rng: np.random.Generator, size=None) -> np.ndarray:
-    from scipy.special import ndtri
-
-    # Inverse-CDF sampling: identical bytes for a given stream on any
-    # platform, unlike rejection-based samplers.  The top draw, exactly 1,
-    # becomes 1 - 2**-53 (ndtri 8.21) rather than an infinite normal.
-    u = np.asarray(uniform_open(rng, size))
-    np.minimum(u, 1.0 - 2.0**-53, out=u)
-    return ndtri(u)

@@ -295,8 +295,11 @@ class TestEnvelopeCommand:
         rec = parse_text(out)
         assert rc == 0 and rec["meta_w_source"] == "table"
         assert float(rec["meta_w_se"]) > 0.0
-        rc, out, _ = run_cli(capsys, *base, "--alpha", "0.03")   # a level off the table
-        assert rc == 0 and parse_text(out)["meta_w_source"] == "monte-carlo"
+        rc, out, _ = run_cli(capsys, *base, "--alpha", "0.03")
+        assert rc == 0 and parse_text(out)["meta_w_source"] == "table"
+        rc, out, err = run_cli(capsys, *base, "--alpha", "1e-4")   # below the table's levels
+        assert (rc, out) == (1, "")
+        assert "w=" in json.loads(err)["error"]
 
     def test_floor_violation_surfaces_as_error(self, capsys, pfile, tmp_path):
         rc, _, err = run_cli(capsys, "envelope", "--input", pfile,

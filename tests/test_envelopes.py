@@ -20,9 +20,6 @@ from scipy import stats
 from fdpkit import _brownian_table as table
 from fdpkit import envelopes
 from fdpkit.envelopes import (
-    _bridge_sups,
-    _geometric_grid,
-    _order_quantile,
     _sup_quantile,
     asymptotic_envelope,
     brownian_sup_quantile,
@@ -35,8 +32,8 @@ from fdpkit.envelopes import (
 )
 from fdpkit.estimation import ecdf
 from fdpkit.model import fdp_process
-from fdpkit.rng import stream
-from fdpkit.simulation import ScenarioConfig, generate_sample
+from fdpkit.rng import stream, uniform_open
+from fdpkit.simulation import ScenarioConfig, _blocks, generate_sample
 
 
 def brute_accepted_labelings(p, alpha):
@@ -347,10 +344,41 @@ class TestExactThresholds:
                 assert np.all(vals[ts > r.t] > r.z)
 
 
+def _generator():
+    path = Path(__file__).resolve().parents[1] / "tools" / "brownian_table.py"
+    spec = importlib.util.spec_from_file_location("brownian_table", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+gen = _generator()
+
+
 def _simulated_quantile(alpha_half, t_floor, grid_size, reps, seed):
     """(w, standard error) of one Monte Carlo with the given settings."""
-    sups = _bridge_sups(_geometric_grid(t_floor, grid_size), [0], reps, seed)
-    return _order_quantile(np.sort(sups[:, 0]), 1.0 - alpha_half)
+    sups = gen.bridge_sups(gen.geometric_grid(t_floor, grid_size), [0], reps, seed)
+    return gen.order_quantile(np.sort(sups[:, 0]), 1.0 - alpha_half)
+
+
+class TestStandardNormal:
+    def test_top_draw_gives_a_finite_normal(self):
+        # random() at its top double, 1 - 2^-53, makes uniform_open exactly 1;
+        # standard_normal clips that to 1 - 2^-53 instead of returning inf
+        class Top:
+            def random(self, size=None):
+                return np.full(size, 1.0 - 2.0**-53)
+
+        assert np.array_equal(uniform_open(Top(), 3), np.ones(3))
+        z = gen.standard_normal(Top(), (2, 3))
+        assert np.all(z == pytest.approx(8.2095361516013868))
+
+    def test_bits_are_the_inverse_cdf_of_uniform_open(self):
+        from scipy.special import ndtri
+
+        for size in (None, 1000, (40, 25)):
+            assert np.array_equal(gen.standard_normal(stream(9, 2), size),
+                                  ndtri(uniform_open(stream(9, 2), size)))
 
 
 class TestBrownianQuantile:
@@ -359,7 +387,7 @@ class TestBrownianQuantile:
         assert got == pytest.approx(3.093699921707, abs=1e-9)
 
     def test_bridge_pins_to_zero_at_one(self):
-        assert _sup_quantile(0.03, 1.0) == (0.0, 0.0, "monte-carlo")
+        assert _sup_quantile(0.015, 1.0) == (0.0, 0.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -373,33 +401,53 @@ class TestBrownianQuantile:
         with pytest.raises(TypeError):
             asymptotic_envelope([0.3], t_min=0.01, enforce_floor=False, quantile_seed=3)
 
+    def test_below_the_table_is_an_error_that_names_w(self):
+        with pytest.raises(ValueError, match=r"below the smallest level .* w="):
+            brownian_sup_quantile(5e-5, 0.01)
+        with pytest.raises(ValueError, match=r"below the first floor .* w="):
+            brownian_sup_quantile(0.025, 5e-9)
+        with pytest.raises(ValueError, match="w="):
+            asymptotic_envelope(np.linspace(0.01, 0.99, 100), alpha=1e-4, t_min=0.01,
+                                enforce_floor=False)
 
-def _generator():
-    path = Path(__file__).resolve().parents[1] / "tools" / "brownian_table.py"
-    spec = importlib.util.spec_from_file_location("brownian_table", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+
+FLOORS, W, W_SE = table.FLOORS, table.W, table.W_SE    # floors x levels
 
 
-FLOORS = np.array([row[0] for row in table.ROWS])
-W = np.array([row[1] for row in table.ROWS])        # floors x levels
-W_SE = np.array([row[2] for row in table.ROWS])
+def _level(alpha_half):
+    return table.ALPHA_HALF.index(alpha_half)
 
 
 class TestBrownianTable:
     def test_recorded_parameters_match_the_generator(self):
-        gen = _generator()
         assert (table.SEED, table.REPS, table.GRID_LO, table.GRID_SIZE, table.FLOOR_STEP,
                 table.ALPHA_HALF) == (gen.SEED, gen.REPS, gen.GRID_LO, gen.GRID_SIZE,
                                       gen.FLOOR_STEP, gen.ALPHA_HALF)
         assert table.REPS >= 200_000
-        grid = _geometric_grid(table.GRID_LO, table.GRID_SIZE)
+        grid = gen.geometric_grid(table.GRID_LO, table.GRID_SIZE)
         assert np.diff(np.log(grid)).max() <= 1e-3
         np.testing.assert_array_equal(FLOORS, grid[:: table.FLOOR_STEP])
         assert FLOORS[-1] == 1.0
-        # the committed text is exactly what the generator writes
-        assert gen.render(table.ROWS) == Path(table.__file__).read_text()
+        assert W.shape == W_SE.shape == (FLOORS.size, len(table.ALPHA_HALF))
+        # the committed text is exactly what the generator writes, and it
+        # reads back to the same doubles
+        assert gen.render(zip(FLOORS, W, W_SE)) == Path(table.__file__).read_text()
+        cells = [float(x) for x in table._TEXT.split()]
+        np.testing.assert_array_equal(np.hstack([FLOORS[:, None], W, W_SE]).ravel(), cells)
+
+    @pytest.mark.parametrize("alpha_half, floor, w, se", [
+        (0.005, 1e-8, "3.927307101905487", "0.010865349749961494"),
+        (0.025, 1e-4, "3.186789211003235", "0.005017623343972354"),
+        (0.05, 0.01, "2.5939353800741163", "0.003729945271793811"),
+        (0.1, 1e-6, "2.828604423781731", "0.00278138550189736"),
+    ])
+    def test_pinned_cells(self, alpha_half, floor, w, se):
+        # cells of the four levels the table held before it grew; a rebuild
+        # that drifts fails here
+        k = int(np.flatnonzero(FLOORS == floor)[0])
+        cell = float(W[k, _level(alpha_half)]), float(W_SE[k, _level(alpha_half)])
+        assert tuple(map(repr, cell)) == (w, se)
+        assert repr(brownian_sup_quantile(alpha_half, floor)) == w
 
     def test_monotone_in_floor_and_level(self):
         assert np.all(np.diff(W, axis=0) <= 0.0)      # a later floor, a shorter window
@@ -416,11 +464,11 @@ class TestBrownianTable:
         # spans 39 order statistics), too much to hold each floor to 0.5.
         step = 4
         size = (table.GRID_SIZE - 1) // table.FLOOR_STEP * step + 1
-        grid = _geometric_grid(table.GRID_LO, size)
+        grid = gen.geometric_grid(table.GRID_LO, size)
         fresh = np.zeros_like(W_SE)
         for seed in range(1, 5):
-            sups = np.sort(_bridge_sups(grid, np.arange(0, size, step), 20_000, seed), axis=0)
-            fresh += [[_order_quantile(col, 1.0 - a)[1] for a in table.ALPHA_HALF]
+            sups = np.sort(gen.bridge_sups(grid, np.arange(0, size, step), 20_000, seed), axis=0)
+            fresh += [[gen.order_quantile(col, 1.0 - a)[1] for a in table.ALPHA_HALF]
                       for col in sups.T]
         ratio = W_SE[:-1] / (fresh[:-1] / 4)    # the last floor, t = 1, has w = 0 exactly
         assert np.all(ratio <= 0.5), ratio.max(axis=0)
@@ -429,69 +477,70 @@ class TestBrownianTable:
 
     @pytest.mark.parametrize("t_min", [1e-4, 0.0364, 0.176])
     def test_agrees_with_a_fresh_monte_carlo(self, t_min):
-        w, se, source = _sup_quantile(0.025, t_min)
-        assert source == "table"
+        w, se = _sup_quantile(0.025, t_min)
         assert w == brownian_sup_quantile(0.025, t_min)
         w_mc, se_mc = _simulated_quantile(0.025, t_min, 2048, 20_000, 0)
         assert abs(w - w_mc) <= 3.0 * np.hypot(se, se_mc)
+
+    @pytest.mark.parametrize("alpha_half", [0.015, 0.025])
+    def test_covers_the_scaled_null_empirical_process(self, alpha_half):
+        # A check free of the bridge simulator: for m = 1e4 pure-null
+        # p-values, sqrt(m) (G(t) - t) is close to a Brownian bridge, so the
+        # sup S of sqrt(m) (G(t) - t) / sqrt(t) over [t_min, 1], reached at
+        # t_min or at a p-value p_(i) >= t_min where G = i / m, is at most w
+        # with chance near 1 - alpha_half.  At t_min = 0.01, a table floor,
+        # m t_min = 100.  The share over 4000 rows must be within three
+        # binomial standard errors; w scaled by 0.95 gives z = -6.3 at 0.025.
+        t_min, m, reps = 0.01, 10_000, 4000
+        w = brownian_sup_quantile(alpha_half, t_min)
+        scen = ScenarioConfig(m=m, a=0.0)
+        i = np.arange(1, m + 1) / m
+        hits = 0
+        for p, _ in _blocks(scen, scen.model(), reps):
+            p.sort(axis=1)
+            jumps = np.where(p >= t_min, (i - p) / np.sqrt(p), -np.inf).max(axis=1)
+            at_floor = ((p <= t_min).sum(axis=1) / m - t_min) / np.sqrt(t_min)
+            hits += int((np.sqrt(m) * np.maximum(jumps, at_floor) <= w).sum())
+        z = (hits / reps - (1.0 - alpha_half)) / np.sqrt(alpha_half * (1.0 - alpha_half) / reps)
+        assert abs(z) <= 3.0, z
 
     def test_between_floors_reads_the_lower_one(self):
         for k in (0, 96, 150, 191):
             lo, hi = FLOORS[k], FLOORS[k + 1]
             for t in (np.sqrt(lo * hi), np.nextafter(hi, 0.0)):
-                assert brownian_sup_quantile(0.025, t) == W[k, 1]
-                assert _sup_quantile(0.005, t)[1] == W_SE[k, 0]
-            assert brownian_sup_quantile(0.1, hi) == W[k + 1, 3]
+                assert brownian_sup_quantile(0.025, t) == W[k, _level(0.025)]
+                assert _sup_quantile(0.005, t)[1] == W_SE[k, _level(0.005)]
+            assert brownian_sup_quantile(0.1, hi) == W[k + 1, _level(0.1)]
         assert brownian_sup_quantile(0.025, 1.0) == 0.0
 
-    def test_every_fallback_runs_the_monte_carlo(self, monkeypatch):
-        calls = []
-
-        def fake(grid, starts, reps, seed):
-            calls.append((float(grid[0]), grid.size, reps, seed))
-            return np.full((reps, 1), 1.5)
-
-        monkeypatch.setattr(envelopes, "_bridge_sups", fake)
-        cases = [
-            ((0.03, 1e-3), (1e-3, 2048, 20000, 0)),      # another level
-            ((0.025, 5e-9), (5e-9, 2048, 20000, 0)),     # below the first floor
-        ]
-        for args, want in cases:
-            assert _sup_quantile(*args) == (1.5, 0.0, "monte-carlo")
-            assert calls[-1] == want
-        assert len(calls) == len(cases)
-        p = np.linspace(0.01, 0.99, 100)
-        env = asymptotic_envelope(p, alpha=0.06, t_min=1e-3, enforce_floor=False)
-        assert (env.meta["w"], env.meta["w_se"], env.meta["w_source"]) == (1.5, 0.0, "monte-carlo")
-        assert calls[-1] == (1e-3, 2048, 20000, 0)
-        env = asymptotic_envelope(p, t_min=1e-3, enforce_floor=False)
-        assert env.meta["w_source"] == "table"
-        assert len(calls) == len(cases) + 1
+    def test_between_levels_reads_the_lower_one(self):
+        k = int(np.flatnonzero(FLOORS == 0.01)[0])
+        # halving is exact, so each of these alphas reads its own level
+        alphas = (0.002, 0.005, 0.01, 0.02, 0.025, 0.03, 0.04, 0.05, 0.06, 0.08, 0.1, 0.15,
+                  0.2, 0.3, 0.4, 0.5)
+        assert [brownian_sup_quantile(a / 2.0, 0.01) for a in alphas] == W[k].tolist()
+        assert brownian_sup_quantile(0.035 / 2.0, 0.01) == W[k, _level(0.015)]
+        for alpha in (0.6, 0.9, np.nextafter(1.0, 0.0)):
+            assert brownian_sup_quantile(alpha / 2.0, 0.01) == W[k, _level(0.25)]
+        assert brownian_sup_quantile(np.nextafter(0.001, 1.0), 0.01) == W[k, _level(0.001)]
 
     def test_envelope_asks_for_the_quantile_once(self, monkeypatch):
-        quantiles, sims = [], []
+        quantiles = []
 
         def spy_quantile(*args):
             quantiles.append((args, _sup_quantile(*args)))
             return quantiles[-1][1]
 
-        def spy_sims(*args):
-            sims.append(args)
-            return _bridge_sups(*args)
-
         monkeypatch.setattr(envelopes, "_sup_quantile", spy_quantile)
-        monkeypatch.setattr(envelopes, "_bridge_sups", spy_sims)
         env = asymptotic_envelope(np.linspace(0.01, 0.99, 100), alpha=0.03, t_min=1e-3,
                                   enforce_floor=False)
         assert [args for args, _ in quantiles] == [(0.015, 1e-3)]
-        assert len(sims) == 1
-        w, w_se, source = quantiles[0][1]
-        assert (env.meta["w"], env.meta["w_se"], env.meta["w_source"]) == (w, w_se, source)
-        assert source == "monte-carlo"
+        w, w_se = quantiles[0][1]
+        assert (env.meta["w"], env.meta["w_se"], env.meta["w_source"]) == (w, w_se, "table")
 
     def test_generator_at_tiny_size_reproduces_the_monte_carlo(self):
-        rows = _generator().build(grid_lo=1e-4, grid_size=256, floor_step=256, reps=10_000,
-                                  seed=0, alpha_half=(0.025,))
+        rows = gen.build(grid_lo=1e-4, grid_size=256, floor_step=256, reps=10_000,
+                         seed=0, alpha_half=(0.025,))
         assert len(rows) == 1 and rows[0][0] == 1e-4
         assert rows[0][1][0] == _simulated_quantile(0.025, 1e-4, 256, 10_000, 0)[0]
 
@@ -569,10 +618,10 @@ class TestAsymptoticEnvelope:
         assert np.all(v4 <= v1 + 1e-12)
 
     def test_meta_records_where_w_came_from(self, asym_sample, asym_env):
-        row = table.ROWS[np.searchsorted(FLOORS, 1e-4, side="right") - 1]
-        assert row[0] == 1e-4
+        k = int(np.searchsorted(FLOORS, 1e-4, side="right")) - 1
+        assert FLOORS[k] == 1e-4
         assert asym_env.meta["w_source"] == "table"
-        assert (asym_env.meta["w"], asym_env.meta["w_se"]) == (row[1][1], row[2][1])
+        assert (asym_env.meta["w"], asym_env.meta["w_se"]) == (W[k, _level(0.025)], W_SE[k, _level(0.025)])
         given = asymptotic_envelope(asym_sample, t_min=1e-4, enforce_floor=False, w=3.0)
         assert (given.meta["w"], given.meta["w_se"], given.meta["w_source"]) == (3.0, None, "given")
 

@@ -16,8 +16,8 @@ from scipy import integrate, stats
 from fdpkit.estimation import dkw_epsilon
 from fdpkit.families import UserCdf, make_family
 from fdpkit.model import LabeledSample, MixtureModel, fdp_process, fnp_process
-from fdpkit.rng import standard_normal, stream, uniform_open, uniform_open_at
-from fdpkit import envelopes, simulation
+from fdpkit.rng import stream, uniform_open, uniform_open_at
+from fdpkit import simulation
 from fdpkit.simulation import (
     VALIDATION_TARGETS,
     ScenarioConfig,
@@ -182,26 +182,6 @@ class TestUniformOpen:
                 assert np.shape(got) == np.shape(want)
                 assert np.array_equal(got, want)
             assert a.random() == b.random()
-
-
-class TestStandardNormal:
-    def test_top_draw_gives_a_finite_normal(self):
-        # random() at its top double, 1 - 2^-53, makes uniform_open exactly 1;
-        # standard_normal clips that to 1 - 2^-53 instead of returning inf
-        class Top:
-            def random(self, size=None):
-                return np.full(size, 1.0 - 2.0**-53)
-
-        assert np.array_equal(uniform_open(Top(), 3), np.ones(3))
-        z = standard_normal(Top(), (2, 3))
-        assert np.all(z == pytest.approx(8.2095361516013868))
-
-    def test_bits_are_the_inverse_cdf_of_uniform_open(self):
-        from scipy.special import ndtri
-
-        for size in (None, 1000, (40, 25)):
-            assert np.array_equal(standard_normal(stream(9, 2), size),
-                                  ndtri(uniform_open(stream(9, 2), size)))
 
 
 class TestSharedParts:
@@ -412,24 +392,17 @@ class TestRewiredTargets:
 
 
 class TestAsymptoticCoverage:
+    @pytest.mark.parametrize("config, match", [
+        pytest.param({"alpha": 1.0}, r"^alpha must lie in \(0, 1\)$", id="alpha"),
+        pytest.param({"t_min": 1.0}, r"^t_min must lie in \(0, 1\)$", id="t_min"),
+        pytest.param({"alpha": 1e-4}, r"below the smallest level .* w=", id="alpha-off-the-table"),
+        pytest.param({"t_min": 5e-9}, r"below the first floor .* w=", id="t_min-off-the-table"),
+    ])
     @pytest.mark.parametrize("name", ["envelope-coverage", "count-envelope-coverage"])
-    def test_off_table_alpha_runs_one_simulation(self, monkeypatch, name):
-        sims = []
-
-        def fake(grid, starts, reps, seed):
-            sims.append((float(grid[0]), grid.size, reps, seed))
-            return np.full((reps, 1), 3.0)
-
-        monkeypatch.setattr(envelopes, "_bridge_sups", fake)
-        assert run_validation({"alpha": 0.03, "reps": 5, "m": 200}, name)["reps"] == 5
-        assert sims == [(1e-4, 2048, 20000, 0)]
-
-    @pytest.mark.parametrize("key", ["alpha", "t_min"])
-    @pytest.mark.parametrize("name", ["envelope-coverage", "count-envelope-coverage"])
-    def test_alpha_and_t_min_are_checked_before_sampling(self, monkeypatch, name, key):
+    def test_alpha_and_t_min_are_checked_before_sampling(self, monkeypatch, name, config, match):
         no_sampling(monkeypatch)
-        with pytest.raises(ValueError, match=rf"^{key} must lie in \(0, 1\)$"):
-            run_validation({key: 1.0, "reps": 5}, name)
+        with pytest.raises(ValueError, match=match):
+            run_validation({**config, "reps": 5}, name)
 
 
 class TestValidationHarness:
