@@ -3,6 +3,8 @@ discovery proportion: mixture-model primitives, estimators, thresholds,
 confidence envelopes, and Monte Carlo validation targets.
 """
 
+__version__ = "0.1.0"  # before the imports: simulation stamps it on every report
+
 from .datasets import *
 from .envelopes import *
 from .estimation import *
@@ -13,8 +15,6 @@ from .rng import stream   # rng's other public names are helpers the package doe
 from .simulation import *
 from .stepfun import *
 from .thresholds import *
-
-__version__ = "0.1.0"
 
 # importing a submodule binds its name here, so each star import above
 # leaves its module in reach for this list

@@ -166,10 +166,13 @@ def read_envelope_csv(path: str) -> dict:
         header = fh.readline().strip().split(",")
         if header != list(cols):
             raise ValueError(f"unexpected envelope CSV header: {header}")
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=2):
             if not raw.strip():
                 continue
-            for name, cell in zip(cols, raw.strip().split(",")):
+            cells = raw.strip().split(",")
+            if len(cells) != len(cols):
+                raise ValueError(f"envelope CSV line {lineno} holds {len(cells)} cells, not {len(cols)}")
+            for name, cell in zip(cols, cells):
                 cols[name].append(float(cell))
     return {k: np.asarray(vs) for k, vs in cols.items()}
 

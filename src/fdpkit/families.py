@@ -232,17 +232,22 @@ def make_family(name: str, params: dict | None = None) -> AlternativeFamily:
 
     Tags: ``one-sided-normal`` (theta, n), ``two-sided-normal`` (theta, n),
     ``beta`` (beta), ``square-root`` (no parameters), ``user-cdf`` (callables,
-    not expressible in config files).
+    not expressible in config files).  A parameter the family does not
+    read is an error.
     """
     params = dict(params or {})
     if name == "one-sided-normal":
-        return OneSidedNormal(params.pop("theta"), params.pop("n", 1))
-    if name == "two-sided-normal":
-        return TwoSidedNormal(params.pop("theta"), params.pop("n", 1))
-    if name == "beta":
-        return BetaPower(params.pop("beta"))
-    if name == "square-root":
-        return BetaPower(0.5)
-    if name == "user-cdf":
-        return UserCdf(params.pop("cdf"), params.pop("pdf", None), params.pop("ppf", None))
-    raise ValueError(f"unknown alternative family: {name!r}")
+        family = OneSidedNormal(params.pop("theta"), params.pop("n", 1))
+    elif name == "two-sided-normal":
+        family = TwoSidedNormal(params.pop("theta"), params.pop("n", 1))
+    elif name == "beta":
+        family = BetaPower(params.pop("beta"))
+    elif name == "square-root":
+        family = BetaPower(0.5)
+    elif name == "user-cdf":
+        family = UserCdf(params.pop("cdf"), params.pop("pdf", None), params.pop("ppf", None))
+    else:
+        raise ValueError(f"unknown alternative family: {name!r}")
+    if params:
+        raise ValueError(f"alternative family {name!r} takes no parameter {', '.join(map(repr, params))}")
+    return family

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimation import _require_open_unit
 from .model import MixtureModel, q_inverse
 
 __all__ = ["KernelSpec", "eval_kernel", "storey_population_q"]
@@ -46,8 +47,8 @@ class KernelSpec:
                 raise ValueError("matrix kernel needs component in {0,1}^2")
         if self.kind == "rejection-balance" and not (self.c is not None and 0.0 < self.c < 1.0):
             raise ValueError("rejection-balance kernel needs c in (0, 1)")
-        if self.kind == "qhat-storey" and not (self.t0 is not None and 0.0 < self.t0 < 1.0):
-            raise ValueError("t0 must lie in (0, 1)")
+        if self.kind == "qhat-storey":
+            _require_open_unit("t0", np.nan if self.t0 is None else self.t0)
 
 
 def _r(model: MixtureModel, i: int, j: int, s, t):
@@ -70,8 +71,7 @@ def _bridge(model: MixtureModel, s, t):
 def storey_population_q(model: MixtureModel, t0: float):
     """Population centering of the exceedance-ratio plug-in map:
     t -> t (1 - G(t0)) / ((1 - t0) G(t))."""
-    if not 0.0 < t0 < 1.0:
-        raise ValueError("t0 must lie in (0, 1)")
+    _require_open_unit("t0", t0)
     top = 1.0 - model.cdf(t0)
 
     def q_st(t):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import _qhat, _validated_pvalues
+from .estimation import _qhat, _require_open_unit, _validated_pvalues
 from .families import AlternativeFamily, _largest_true, _on_unit
 from .stepfun import StepFunction
 
@@ -98,9 +98,6 @@ class LabeledSample:
     @property
     def m(self) -> int:
         return self.pvalues.size
-
-    def sorted_pvalues(self) -> np.ndarray:
-        return np.sort(self.pvalues, kind="stable")
 
     def _require_labels(self) -> np.ndarray:
         if self.labels is None:
@@ -218,8 +215,7 @@ def expected_fdp_fnp(model: MixtureModel, m: int, t: float) -> tuple[float, floa
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    if not 0.0 < t < 1.0:
-        raise ValueError("t must lie in (0, 1)")
+    _require_open_unit("t", t)
     g = model.cdf(t)
     efdp = q_map(model)(t) * (1.0 - (1.0 - g) ** m)
     if g >= 1.0:

@@ -14,6 +14,7 @@ from functools import partial
 
 import numpy as np
 
+from . import __version__
 from .envelopes import _critical_values, _second_order_check, asymptotic_envelope, brownian_sup_quantile
 from .estimation import _qhat, _require_open_unit, _storey, astar_lower, ecdf, kernel_a_consistent, project_f
 from .families import TwoSidedNormal, UserCdf, make_family
@@ -185,7 +186,7 @@ def _coverage(scen, hit, reps, gate, **extra):
     passed when it reaches `gate`."""
     hits = sum(bool(hit(generate_sample(scen, i))) for i in range(reps))
     coverage = hits / reps
-    return {"passed": bool(coverage >= gate), "coverage": float(coverage), "gate": gate, "reps": reps, **extra}
+    return {"passed": bool(coverage >= gate), "coverage": float(coverage), **extra}
 
 
 def _zscore(observed, expected, se):
@@ -199,7 +200,7 @@ def _bound_holds(scen, reps, sides, cushion):
     pairs = [sides(generate_sample(scen, i)) for i in range(reps)]
     holds = sum(int(lhs <= rhs + cushion) for lhs, rhs in pairs)
     worst = max(-np.inf, *(lhs - rhs for lhs, rhs in pairs))
-    return {"passed": bool(holds == reps), "holds": holds, "reps": reps, "worst_margin": float(worst)}
+    return {"passed": bool(holds == reps), "holds": holds, "worst_margin": float(worst)}
 
 
 def _process_mean(which, scen=_standard(100), *, reps=100_000, ts=(0.01, 0.05, 0.2), sigmas=3.0):
@@ -224,12 +225,11 @@ def _process_mean(which, scen=_standard(100), *, reps=100_000, ts=(0.01, 0.05, 0
             {"t": t, "mean": float(means[j]), "expected": float(expected), "zscore": float(z)}
         )
         ok = ok and z <= sigmas
-    return {"passed": bool(ok), "sigmas": sigmas, "reps": reps, "points": rows}
+    return {"passed": bool(ok), "points": rows}
 
 
 def _target_storey_clt(scen=_standard(5000), *, reps=2000, t0=0.5, rel_tol=0.10, sigmas=3.0):
     model = scen.model()
-    _require_open_unit("t0", t0)
     raws = np.concatenate([_storey(p, t0)[1] for p, _ in _blocks(scen, model, reps)])
     g0 = model.cdf(t0)
     a0 = (g0 - t0) / (1.0 - t0)
@@ -244,13 +244,9 @@ def _target_storey_clt(scen=_standard(5000), *, reps=2000, t0=0.5, rel_tol=0.10,
         "observed_variance": observed,
         "expected_variance": float(expected),
         "rel_error": float(rel),
-        "rel_tol": rel_tol,
         "observed_mean": mean,
         "expected_mean": float(a0),
         "mean_zscore": float(mean_z),
-        "sigmas": sigmas,
-        "reps": reps,
-        "t0": t0,
     }
 
 
@@ -260,7 +256,6 @@ def _target_storey_degenerate(
     from scipy.special import betainc
 
     model = scen.model()
-    _require_open_unit("t0", t0)
     hits = sum(int(np.count_nonzero(_storey(p, t0)[2] == 0.0)) for p, _ in _blocks(scen, model, reps))
     observed = hits / reps
     # under a pure-null sample the clamp fires iff Bin(m, t0) <= k = floor(m t0);
@@ -274,9 +269,6 @@ def _target_storey_degenerate(
         "observed_mass_at_zero": float(observed),
         "expected_mass_at_zero": expected,
         "zscore": float(z),
-        "sigmas": sigmas,
-        "half_tol": half_tol,
-        "reps": reps,
     }
 
 
@@ -284,7 +276,7 @@ def _target_null_floor_coverage(scen=_standard(500), *, alpha=0.05, variant="pla
     floor = purity_quantities(scen.model()).a_lower
     return _coverage(
         scen, lambda s: astar_lower(ecdf(s.pvalues, variant), alpha).value <= floor + 1e-12, reps, gate,
-        a_lower_true=float(floor), alpha=alpha,
+        a_lower_true=float(floor),
     )
 
 
@@ -354,7 +346,7 @@ def _kernel_target(kind, scen=_standard(5000), *, reps=2000, points=(0.05, 0.1, 
                 }
             )
             ok = ok and rel <= rel_tol
-    return {"passed": bool(ok), "rel_tol": rel_tol, "reps": reps, "entries": entries}
+    return {"passed": bool(ok), "entries": entries}
 
 
 def _target_qinv_kernel_identity(scen=_standard(100), *, tol=1e-10, points=(0.1, 0.2, 0.3)):
@@ -370,29 +362,20 @@ def _target_qinv_kernel_identity(scen=_standard(100), *, tol=1e-10, points=(0.1,
         for i, u in enumerate(us)
         for j, v in enumerate(us)
     ]
-    return {"passed": bool(worst <= tol), "worst_abs_diff": float(worst), "tol": tol, "entries": entries}
+    return {"passed": bool(worst <= tol), "worst_abs_diff": float(worst), "entries": entries}
 
 
 def _plugin_target(estimated, scen=_standard(5000), *, reps=2000, alpha=0.05, t0=0.5, tol=0.01):
     # mean FDP of the plug-in rule at the known weight a, or at the
     # exceedance-ratio estimate at t0
     model = scen.model()
-    if estimated:
-        _require_open_unit("t0", t0)
     total = 0.0
     for p, lab in _blocks(scen, model, reps):
         one_minus = 1.0 - (_storey(p, t0)[2] if estimated else scen.a)
         total += float(_rates(p, lab, _plugin(p, one_minus, alpha)[2])[0].sum())
     mean = total / reps
     ok = mean <= alpha + tol if estimated else abs(mean - alpha) <= tol
-    return {
-        "passed": bool(ok),
-        "mean_fdp": float(mean),
-        "alpha": alpha,
-        "tol": tol,
-        "reps": reps,
-        **({"t0": t0} if estimated else {}),
-    }
+    return {"passed": bool(ok), "mean_fdp": float(mean)}
 
 
 def _target_rate_ceiling_known_a(scen=_standard(10_000), *, reps=5000, c=0.05, alpha=0.05, band=(0.93, 0.97)):
@@ -403,11 +386,7 @@ def _target_rate_ceiling_known_a(scen=_standard(10_000), *, reps=5000, c=0.05, a
     return {
         "passed": bool(band[0] <= coverage <= band[1]),
         "coverage": float(coverage),
-        "band": [float(band[0]), float(band[1])],
         "threshold": float(thr.t),
-        "c": c,
-        "alpha": alpha,
-        "reps": reps,
     }
 
 
@@ -415,9 +394,7 @@ def _asymptotic_coverage(kind, scen=_standard(1000), *, alpha=0.05, t0=0.5, t_mi
     # kind "fdp": the band covers the realized FDP at every p-value at or
     # above t_min; kind "count": m times the count path covers the number
     # of nulls at or below each null p-value there.  w is the same on every
-    # sample, so it is asked for once.
-    _require_open_unit("alpha", alpha)
-    _require_open_unit("t_min", t_min)
+    # sample, so it is asked for once, before anything is drawn.
     w = brownian_sup_quantile(alpha / 2.0, t_min)
 
     def hit(samp):
@@ -432,19 +409,18 @@ def _asymptotic_coverage(kind, scen=_standard(1000), *, alpha=0.05, t0=0.5, t_mi
             truth, bound = np.searchsorted(nulls, cand, side="right"), env.count_bound_at(cand)
         return np.all(truth <= np.asarray(bound) + 1e-12)
 
-    return _coverage(scen, hit, reps, gate, alpha=alpha, t_min=t_min)
+    return _coverage(scen, hit, reps, gate)
 
 
 def _target_label_set_coverage(scen=_standard(50), *, alpha=0.05, reps=1000, gate=0.94):
     # the rule of ExactConfidenceSet.contains, with the critical values (of m and alpha) solved once
-    _require_open_unit("alpha", alpha)
     crit = np.r_[-np.inf, -np.inf, _critical_values(np.arange(2, scen.m + 1), alpha)]
 
     def hit(samp):
         nulls = samp.pvalues[samp.labels == 0]
         return _second_order_check(nulls, crit[nulls.size])[1]
 
-    return _coverage(scen, hit, reps, gate, alpha=alpha)
+    return _coverage(scen, hit, reps, gate)
 
 
 def _target_achievable_oracle(
@@ -476,9 +452,6 @@ def _target_achievable_oracle(
         "threshold_achievable": float(t_ao),
         "fdp_gap": float(fdp_gap),
         "fnp_gap": float(fnp_gap),
-        "alpha": alpha,
-        "tol": tol,
-        "reps": reps,
     }
 
 
@@ -508,25 +481,35 @@ VALIDATION_TARGETS = {
 }
 
 
+def _as_type_of(default, value):
+    """A config value read as the type of the setting's default; a tuple setting as a tuple of floats."""
+    return tuple(map(float, value)) if isinstance(default, tuple) else type(default)(value)
+
+
 def run_validation(config: dict, target: str) -> dict:
     """Run one named validation target with the given configuration and
     return its JSON-friendly report (identical bytes for identical input).
 
     Every target accepts the scenario keys ``m``, ``a``, ``family``,
     ``params`` and ``seed`` plus its own settings (see the README table);
-    a scalar setting is converted to the type of its default.  Any other
-    key is an error, raised before anything is sampled: ``reps``, for one,
-    is refused by ``qinv-kernel-identity``, which draws no samples.
+    a scalar setting is converted to the type of its default, and a tuple
+    setting to a tuple of floats.  Any other key is an error, raised before
+    anything is sampled: ``reps``, for one, is refused by
+    ``qinv-kernel-identity``, which draws no samples.  So is an ``alpha``,
+    ``t0`` or ``t_min`` outside (0, 1).
+
+    The report holds every resolved setting, what the target measured, the
+    resolved ``scenario``, the ``target`` name and the package ``version``.
     """
     if target not in VALIDATION_TARGETS:
         known = ", ".join(sorted(VALIDATION_TARGETS))
         raise ValueError(f"unknown validation target {target!r}; known targets: {known}")
     fn = VALIDATION_TARGETS[target]
     scen_param, *params = inspect.signature(fn).parameters.values()
-    settings = {q.name: q.default for q in params}
-    unknown = [k for k in config if k not in settings and k not in _SCENARIO_KEYS]
+    defaults = {q.name: q.default for q in params}
+    unknown = [k for k in config if k not in defaults and k not in _SCENARIO_KEYS]
     if unknown:
-        accepted = ", ".join([*_SCENARIO_KEYS, *settings])
+        accepted = ", ".join([*_SCENARIO_KEYS, *defaults])
         raise ValueError(
             f"validation target {target!r} takes no key {', '.join(map(repr, unknown))}; it accepts {accepted}"
         )
@@ -537,11 +520,9 @@ def run_validation(config: dict, target: str) -> dict:
     scen = ScenarioConfig.from_dict(
         {**scen_param.default.to_dict(), **{k: config[k] for k in _SCENARIO_KEYS if k in config}}
     )
-    kwargs = {
-        k: type(settings[k])(v) if isinstance(settings[k], (int, float, str)) else v
-        for k, v in config.items()
-        if k in settings
-    }
-    report = fn(scen, **kwargs)
-    report["target"] = target
-    return report
+    settings = {k: _as_type_of(d, config[k]) if k in config else d for k, d in defaults.items()}
+    for k in ("alpha", "t0", "t_min"):
+        if k in settings:
+            _require_open_unit(k, settings[k])
+    measured = fn(scen, **settings)
+    return {**settings, **measured, "scenario": scen.to_dict(), "target": target, "version": __version__}

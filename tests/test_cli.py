@@ -233,6 +233,13 @@ class TestEnvelopeCommand:
         with pytest.raises(ValueError, match="header"):
             read_envelope_csv(str(f))
 
+    def test_read_back_rejects_a_short_row(self, tmp_path):
+        # a row of 2 cells used to shift the cells of the rows after it
+        f = tmp_path / "short.csv"
+        f.write_text("t,gamma_bar,v,count_bound\n0.0,0.0,0.0,0.0\n0.5,0.1\n1.0,0.2,0.3,4\n")
+        with pytest.raises(ValueError, match=r"^envelope CSV line 3 holds 2 cells, not 4$"):
+            read_envelope_csv(str(f))
+
     def test_min_rate_and_ceiling_conflict(self, capsys, pfile):
         rc, _, err = run_cli(capsys, "envelope", "--input", pfile,
                              "--min-rate", "--ceiling", "0.2")

@@ -430,8 +430,12 @@ class TestBrownianTable:
         assert FLOORS[-1] == 1.0
         assert W.shape == W_SE.shape == (FLOORS.size, len(table.ALPHA_HALF))
         # the committed text is exactly what the generator writes, and it
-        # reads back to the same doubles
-        assert gen.render(zip(FLOORS, W, W_SE)) == Path(table.__file__).read_text()
+        # reads back to the same doubles; compared line by line, as pytest
+        # spends about 38 s diffing the two 127 KB texts when one == fails
+        want = gen.render(zip(FLOORS, W, W_SE)).splitlines(keepends=True)
+        got = Path(table.__file__).read_text().splitlines(keepends=True)
+        for lineno, (wrote, held) in enumerate(itertools.zip_longest(want, got), start=1):
+            assert held == wrote, f"line {lineno} of the committed table differs from the generator's"
         cells = [float(x) for x in table._TEXT.split()]
         np.testing.assert_array_equal(np.hstack([FLOORS[:, None], W, W_SE]).ravel(), cells)
 

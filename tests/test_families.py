@@ -409,6 +409,11 @@ class TestMakeFamily:
     def test_unknown_tag(self):
         with pytest.raises(ValueError, match="unknown"):
             make_family("cauchy")
+        # a parameter the family does not read is refused, not dropped
+        with pytest.raises(ValueError, match=r"^alternative family 'one-sided-normal' takes no parameter 'N'$"):
+            make_family("one-sided-normal", {"theta": 3.0, "N": 50})
+        with pytest.raises(ValueError, match=r"^alternative family 'square-root' takes no parameter 'beta'$"):
+            make_family("square-root", {"beta": 0.9})
 
     def test_params_forwarded(self):
         fam = make_family("one-sided-normal", {"theta": 1.5, "n": 4})

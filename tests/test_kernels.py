@@ -308,7 +308,7 @@ class TestSpecValidation:
             KernelSpec("rejection-balance", mixed_model(), c=1.0)
 
     def test_storey_needs_t0(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^t0 must lie in \(0, 1\)$"):
             KernelSpec("qhat-storey", mixed_model())
 
     def test_process_kernels_reject_zero_and_past_one(self):

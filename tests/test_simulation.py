@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+import fdpkit
 from fdpkit.estimation import dkw_epsilon
 from fdpkit.families import UserCdf, make_family
 from fdpkit.model import LabeledSample, MixtureModel, fdp_process, fnp_process
@@ -57,6 +58,9 @@ class TestScenarioConfig:
     def test_unknown_family_raises_when_mixed(self):
         with pytest.raises(ValueError):
             ScenarioConfig(m=10, a=0.5, family="no-such-family").model()
+        # so does a parameter the family does not read, which once ran at n = 1
+        with pytest.raises(ValueError, match="takes no parameter 'N'"):
+            run_validation({"reps": 20, "m": 200, "params": {"theta": 3.0, "N": 50}}, "fdp-mean")
 
 
 class TestGenerateSample:
@@ -331,6 +335,15 @@ SETTINGS = {
 }
 
 
+def _plain_json(x):
+    """Whether x is built of JSON's own Python types only, with no NumPy scalar."""
+    if type(x) is dict:
+        return all(type(k) is str and _plain_json(v) for k, v in x.items())
+    if type(x) in (list, tuple):
+        return all(map(_plain_json, x))
+    return type(x) in (str, int, float, bool, type(None))
+
+
 def no_sampling(monkeypatch):
     """Make any draw of a sample or of a block fail."""
     monkeypatch.setattr(simulation, "stream", None)
@@ -349,15 +362,18 @@ REWIRED = {
 }
 
 # SHA-256 of json.dumps(report, sort_keys=True) at {"reps": 40, "m": 300,
-# "seed": 3}, recorded before the targets ran the library's cores (the
-# plug-in reports then also carried a "spot_check_passed" key, left out here)
+# "seed": 3}.  Re-pinned when the reports began to echo every setting, the
+# scenario and the version: without those keys each report kept the bytes
+# it had, and those were recorded before the targets ran the library's
+# cores (the plug-in reports then also carried a "spot_check_passed" key,
+# left out here)
 PINNED = {
-    "storey-clt": "15335460cf9f46d5dc8384ffe6924549a4e2814841953ab409de09a4b581642a",
-    "storey-degenerate": "93bae77e52fe9da4700d225701bf1d7f8fc4c93fd85d8a7d31d7ef534e103639",
-    "qhat-kernel": "9d27f965414827ba1fc0877d70f2303e23cee7147fa6071b478f5dfe6507b769",
-    "storey-kernel": "963d52c0dc7c636def33969a3febfcde1b2af92957c999734f7bb4e22533af81",
-    "plugin-known-a": "5c57167e9522c2d5bc16a1b7fe97b9ef1ca80cefec8aa140b93bc4afda9877a3",
-    "plugin-estimated-a": "15de43358a95805d0fc26d9654375d87aa118728370380da23f3e6f83a7953d7",
+    "storey-clt": "2554c103db95ef5a72fefb3f2ec7893fd54d4ba6241f27a43860336bb5130c7a",
+    "storey-degenerate": "16682c7c5fc931e47355a146601e52aa1763db3e212cfc5de61a06c532d58c2d",
+    "qhat-kernel": "108962001264ef06ebc7c068c05d6ca94a38cd3d06f44cdfeed4b65e0bec290e",
+    "storey-kernel": "6cbd7622177d12164a7eb7ced03cb3ab709a3e0eb4e83d337a149c91df61eebe",
+    "plugin-known-a": "e818ba1708adf0c4ff187ee7249eb2dbade6103a9ca8113bade868749c7b6337",
+    "plugin-estimated-a": "769aae011dc5406e774437d98483a9506fce5fcf0626fffb66474507ab013f25",
 }
 
 
@@ -433,11 +449,27 @@ class TestValidationHarness:
 
         @functools.wraps(body)
         def wrapped(*args, **kwargs):
-            calls.append(args)
-            return body(*args, **kwargs)
+            calls.append((args, kwargs, body(*args, **kwargs)))
+            return calls[-1][2]
 
         monkeypatch.setitem(VALIDATION_TARGETS, name, wrapped)
+        # at a small config the report echoes every setting the target
+        # received, and the scenario it ran, next to what it measured
+        small = {"seed": 1, "m": 60, **({} if name == "qinv-kernel-identity" else {"reps": 4})}
+        report = run_validation(small, name)
+        [((scen_run,), settings, measured)] = calls
+        assert settings == {**SETTINGS[name], **{k: v for k, v in small.items() if k in SETTINGS[name]}}
+        assert (scen_run.m, scen_run.seed) == (60, 1)
+        assert not set(measured) & set(settings)
+        assert report == {**settings, **measured, "scenario": scen_run.to_dict(), "target": name,
+                          "version": fdpkit.__version__}
+        assert _plain_json(report)
+        # an alpha, t0 or t_min outside (0, 1) is refused before anything is drawn
+        calls.clear()
         no_sampling(monkeypatch)
+        for key in {"alpha", "t0", "t_min"} & set(settings):
+            with pytest.raises(ValueError, match=rf"^{key} must lie in \(0, 1\)$"):
+                run_validation({key: 1.5}, name)
         accepted = ", ".join(["m", "a", "family", "params", "seed", *SETTINGS[name]])
         with pytest.raises(ValueError) as info:
             run_validation({"seed": 1, "tolerance": 0.0}, name)
