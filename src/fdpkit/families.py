@@ -7,6 +7,9 @@ all built-in families provide the full triple.
 
 from __future__ import annotations
 
+import inspect
+from functools import partial
+
 import numpy as np
 
 __all__ = [
@@ -210,44 +213,36 @@ class UserCdf(AlternativeFamily):
     name = "user-cdf"
 
     def __init__(self, cdf, pdf=None, ppf=None):
-        self._cdf = cdf
-        self._pdf = pdf
-        self._ppf = ppf
+        self.cdf = cdf
+        self.pdf = pdf
+        self.ppf = ppf if ppf is not None else partial(_quantile, cdf)
         self.params = {}
 
-    def cdf(self, t):
-        return self._cdf(t)
 
-    @property
-    def pdf(self):
-        return self._pdf
-
-    @property
-    def ppf(self):
-        return self._ppf if self._ppf is not None else lambda u: _quantile(self._cdf, u)
+# Each config tag names the constructor that declares its parameters.
+_FAMILIES = {
+    "one-sided-normal": OneSidedNormal,
+    "two-sided-normal": TwoSidedNormal,
+    "beta": BetaPower,
+    "square-root": partial(BetaPower, 0.5),
+    "user-cdf": UserCdf,
+}
 
 
 def make_family(name: str, params: dict | None = None) -> AlternativeFamily:
-    """Construct a family from its config tag.
+    """Construct a family from its config tag, `params` being the keyword
+    arguments of the tag's constructor in ``_FAMILIES``.
 
-    Tags: ``one-sided-normal`` (theta, n), ``two-sided-normal`` (theta, n),
-    ``beta`` (beta), ``square-root`` (no parameters), ``user-cdf`` (callables,
-    not expressible in config files).  A parameter the family does not
-    read is an error.
+    Tags: ``one-sided-normal``, ``two-sided-normal`` (theta, n = 1), ``beta``
+    (beta), ``square-root`` (none), ``user-cdf`` (callables cdf, pdf = None,
+    ppf = None; not expressible in config files).  A missing parameter, or
+    one the constructor does not take, is a ``ValueError`` naming both.
     """
-    params = dict(params or {})
-    if name == "one-sided-normal":
-        family = OneSidedNormal(params.pop("theta"), params.pop("n", 1))
-    elif name == "two-sided-normal":
-        family = TwoSidedNormal(params.pop("theta"), params.pop("n", 1))
-    elif name == "beta":
-        family = BetaPower(params.pop("beta"))
-    elif name == "square-root":
-        family = BetaPower(0.5)
-    elif name == "user-cdf":
-        family = UserCdf(params.pop("cdf"), params.pop("pdf", None), params.pop("ppf", None))
-    else:
+    if name not in _FAMILIES:
         raise ValueError(f"unknown alternative family: {name!r}")
-    if params:
-        raise ValueError(f"alternative family {name!r} takes no parameter {', '.join(map(repr, params))}")
-    return family
+    ctor, params = _FAMILIES[name], params or {}
+    try:
+        inspect.signature(ctor).bind(**params)
+    except TypeError as e:
+        raise ValueError(f"alternative family {name!r}: {e}") from None
+    return ctor(**params)

@@ -9,8 +9,9 @@ truth they estimate — and returns a small JSON-friendly report.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
+from typing import get_type_hints
 
 import numpy as np
 
@@ -52,23 +53,13 @@ class ScenarioConfig:
             raise ValueError("a must lie in [0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "a": self.a,
-            "family": self.family,
-            "params": dict(self.params),
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
-        return cls(
-            m=int(d["m"]),
-            a=float(d["a"]),
-            family=str(d.get("family", "one-sided-normal")),
-            params=dict(d.get("params", {})),
-            seed=int(d.get("seed", 0)),
-        )
+        """Each field `d` holds, cast to the field's type; the rest keep their defaults."""
+        types = get_type_hints(cls)
+        return cls(**{k: types[k](d[k]) for k in types if k in d})
 
     def model(self) -> MixtureModel:
         if self.a == 0.0:
@@ -318,17 +309,15 @@ def _kernel_target(kind, scen=_standard(5000), *, reps=2000, points=(0.05, 0.1, 
     model = scen.model()
     spec = KernelSpec(kind, model, t0=t0)  # checks t0 of qhat-storey before anything is drawn
     pts = np.asarray(points, dtype=float)
-    vals = np.empty((reps, pts.size))
-    done = 0
-    for p, lab in _blocks(scen, model, reps, block=max(1, 500_000 // scen.m)):
-        n = p.shape[0]
+
+    def rows(p, lab):  # a block's values at each point, one row per replication
         one_minus = 1.0 - (_storey(p, t0)[2] if kind == "qhat-storey" else scen.a)
-        for j, t in enumerate(pts):
-            if kind == "fdp":
-                vals[done : done + n, j] = _rates(p, lab, t)[0]
-            else:
-                vals[done : done + n, j] = _qhat(np.count_nonzero(p <= t, axis=-1) / scen.m, t, one_minus)
-        done += n
+        return np.stack([
+            _rates(p, lab, t)[0] if kind == "fdp" else _qhat(np.count_nonzero(p <= t, axis=-1) / scen.m, t, one_minus)
+            for t in pts
+        ], axis=-1)
+
+    vals = np.concatenate([rows(p, lab) for p, lab in _blocks(scen, model, reps, block=max(1, 500_000 // scen.m))])
     emp = scen.m * np.cov(vals, rowvar=False)
     entries = []
     ok = True
@@ -491,11 +480,14 @@ def run_validation(config: dict, target: str) -> dict:
     return its JSON-friendly report (identical bytes for identical input).
 
     Every target accepts the scenario keys ``m``, ``a``, ``family``,
-    ``params`` and ``seed`` plus its own settings (see the README table);
-    a scalar setting is converted to the type of its default, and a tuple
-    setting to a tuple of floats.  Any other key is an error, raised before
-    anything is sampled: ``reps``, for one, is refused by
-    ``qinv-kernel-identity``, which draws no samples.  So is an ``alpha``,
+    ``params`` and ``seed`` plus its own settings (see the README table).
+    Each scenario key given replaces the default scenario's, but a
+    ``family`` other than the default's takes ``params`` from the config
+    alone, ``{}`` if it gives none.  A scalar setting is converted to the
+    type of its default, and a tuple setting to a tuple of floats.  Any
+    other key is an error, raised before anything is sampled: ``reps``, for
+    one, is refused by ``qinv-kernel-identity``, which draws no samples.  So
+    is a family parameter that is missing or not taken, and an ``alpha``,
     ``t0`` or ``t_min`` outside (0, 1).
 
     The report holds every resolved setting, what the target measured, the
@@ -517,9 +509,10 @@ def run_validation(config: dict, target: str) -> dict:
         reps = config["reps"]
         if isinstance(reps, bool) or not isinstance(reps, (int, np.integer)) or reps < 2:
             raise ValueError(f"reps must be an integer >= 2, got {reps!r}")
-    scen = ScenarioConfig.from_dict(
-        {**scen_param.default.to_dict(), **{k: config[k] for k in _SCENARIO_KEYS if k in config}}
-    )
+    default = scen_param.default.to_dict()
+    if config.get("family", default["family"]) != default["family"]:
+        del default["params"]  # another family brings its own params, else none
+    scen = ScenarioConfig.from_dict({**default, **{k: config[k] for k in _SCENARIO_KEYS if k in config}})
     settings = {k: _as_type_of(d, config[k]) if k in config else d for k, d in defaults.items()}
     for k in ("alpha", "t0", "t_min"):
         if k in settings:

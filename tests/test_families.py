@@ -410,10 +410,15 @@ class TestMakeFamily:
         with pytest.raises(ValueError, match="unknown"):
             make_family("cauchy")
         # a parameter the family does not read is refused, not dropped
-        with pytest.raises(ValueError, match=r"^alternative family 'one-sided-normal' takes no parameter 'N'$"):
+        with pytest.raises(ValueError, match=r"^alternative family 'one-sided-normal': .*unexpected keyword argument 'N'$"):
             make_family("one-sided-normal", {"theta": 3.0, "N": 50})
-        with pytest.raises(ValueError, match=r"^alternative family 'square-root' takes no parameter 'beta'$"):
+        with pytest.raises(ValueError, match=r"^alternative family 'square-root': .*unexpected keyword argument 'beta'$"):
             make_family("square-root", {"beta": 0.9})
+        # and a missing one is named with its family, not a bare KeyError
+        for tag, missing in [("one-sided-normal", "theta"), ("two-sided-normal", "theta"), ("beta", "beta"),
+                             ("user-cdf", "cdf")]:
+            with pytest.raises(ValueError, match=rf"^alternative family '{tag}': missing .*'{missing}'$"):
+                make_family(tag, {})
 
     def test_params_forwarded(self):
         fam = make_family("one-sided-normal", {"theta": 1.5, "n": 4})

@@ -55,12 +55,24 @@ class TestScenarioConfig:
         model = ScenarioConfig(m=10, a=0.0, family="no-such-family").model()
         assert model.a == 0.0 and model.F is None
 
-    def test_unknown_family_raises_when_mixed(self):
+    def test_unknown_family_raises_when_mixed(self, monkeypatch):
         with pytest.raises(ValueError):
             ScenarioConfig(m=10, a=0.5, family="no-such-family").model()
         # so does a parameter the family does not read, which once ran at n = 1
-        with pytest.raises(ValueError, match="takes no parameter 'N'"):
+        with pytest.raises(ValueError, match=r"^alternative family 'one-sided-normal': .*unexpected keyword argument 'N'$"):
             run_validation({"reps": 20, "m": 200, "params": {"theta": 3.0, "N": 50}}, "fdp-mean")
+        # a config's family other than the default's brings its own params, or none
+        small = {"reps": 20, "m": 200}
+        r = run_validation({**small, "family": "square-root"}, "fdp-mean")
+        assert r["scenario"]["family"] == "square-root" and r["scenario"]["params"] == {}
+        # the default's family keeps the default's params unless the config gives its own
+        assert run_validation({**small, "family": "one-sided-normal"}, "fdp-mean")["scenario"]["params"] == {"theta": 3.0}
+        assert run_validation({**small, "params": {"theta": 2.0}}, "fdp-mean")["scenario"]["params"] == {"theta": 2.0}
+        # so a family that needs a theta and was given none is refused before sampling
+        no_sampling(monkeypatch)
+        for cfg, name in [({"family": "two-sided-normal"}, "fdp-mean"), ({"family": "one-sided-normal"}, "projection-bound")]:
+            with pytest.raises(ValueError, match=rf"^alternative family '{cfg['family']}': missing .*'theta'$"):
+                run_validation({**small, **cfg}, name)
 
 
 class TestGenerateSample:
@@ -464,6 +476,10 @@ class TestValidationHarness:
         assert report == {**settings, **measured, "scenario": scen_run.to_dict(), "target": name,
                           "version": fdpkit.__version__}
         assert _plain_json(report)
+        # the report names the run it made: its scenario and settings, read
+        # back from its JSON as a config, make the same report
+        echoed = json.loads(json.dumps(report))
+        assert run_validation({**echoed["scenario"], **{k: echoed[k] for k in settings}}, name) == report
         # an alpha, t0 or t_min outside (0, 1) is refused before anything is drawn
         calls.clear()
         no_sampling(monkeypatch)
