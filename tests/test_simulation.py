@@ -7,6 +7,7 @@ import hashlib
 import inspect
 import json
 import os
+import re
 import threading
 
 import numpy as np
@@ -373,20 +374,51 @@ REWIRED = {
     "plugin-estimated-a": {"_storey", "_plugin"},
 }
 
-# SHA-256 of json.dumps(report, sort_keys=True) at {"reps": 40, "m": 300,
-# "seed": 3}.  Re-pinned when the reports began to echo every setting, the
-# scenario and the version: without those keys each report kept the bytes
-# it had, and those were recorded before the targets ran the library's
-# cores (the plug-in reports then also carried a "spot_check_passed" key,
-# left out here)
-PINNED = {
-    "storey-clt": "2554c103db95ef5a72fefb3f2ec7893fd54d4ba6241f27a43860336bb5130c7a",
-    "storey-degenerate": "16682c7c5fc931e47355a146601e52aa1763db3e212cfc5de61a06c532d58c2d",
-    "qhat-kernel": "108962001264ef06ebc7c068c05d6ca94a38cd3d06f44cdfeed4b65e0bec290e",
-    "storey-kernel": "6cbd7622177d12164a7eb7ced03cb3ab709a3e0eb4e83d337a149c91df61eebe",
-    "plugin-known-a": "e818ba1708adf0c4ff187ee7249eb2dbade6103a9ca8113bade868749c7b6337",
-    "plugin-estimated-a": "769aae011dc5406e774437d98483a9506fce5fcf0626fffb66474507ab013f25",
-}
+# SHA-256 of json.dumps(report, sort_keys=True) per (target, config), or the
+# error the target raises there.  The six block targets were re-pinned when
+# the reports began to echo every setting, the scenario and the version:
+# without those keys each report kept the bytes it had, and those were
+# recorded before the targets ran the library's cores (the plug-in reports
+# then also carried a "spot_check_passed" key, left out here).  The seven
+# per-replicate targets were recorded while they still looped over
+# generate_sample and built one ECDF, envelope or confidence set per sample
+_PIN = {"reps": 40, "m": 300, "seed": 3}
+_M1 = {"reps": 5, "m": 1, "seed": 1}
+_A1 = {"reps": 20, "m": 200, "a": 1.0}
+PINNED = [
+    ("storey-clt", _PIN, "2554c103db95ef5a72fefb3f2ec7893fd54d4ba6241f27a43860336bb5130c7a"),
+    ("storey-degenerate", _PIN, "16682c7c5fc931e47355a146601e52aa1763db3e212cfc5de61a06c532d58c2d"),
+    ("qhat-kernel", _PIN, "108962001264ef06ebc7c068c05d6ca94a38cd3d06f44cdfeed4b65e0bec290e"),
+    ("storey-kernel", _PIN, "6cbd7622177d12164a7eb7ced03cb3ab709a3e0eb4e83d337a149c91df61eebe"),
+    ("plugin-known-a", _PIN, "e818ba1708adf0c4ff187ee7249eb2dbade6103a9ca8113bade868749c7b6337"),
+    ("plugin-estimated-a", _PIN, "769aae011dc5406e774437d98483a9506fce5fcf0626fffb66474507ab013f25"),
+    ("envelope-coverage", _PIN, "e60c86f326854fa7b406cb883069f7d5dfb12d01168ce06c96d15c9c8f1ae1b8"),
+    ("count-envelope-coverage", _PIN, "630f0d97529151735c2b9bffd8435e4625f14b59e4599a658818a639336c41fb"),
+    ("null-floor-coverage", _PIN, "97cf1ad2025a2b0a095efb22424be8914ac87fc7792f85b830856dd1f8d2d39e"),
+    ("label-set-coverage", _PIN, "48732d3f9e17d828944684a747717affaba386061d283cb98dc828aa97dd26fd"),
+    ("achievable-oracle", _PIN, "019caf14861e85a62747d5ac216924805a0a1aa3664faafefe6ceb1314068843"),
+    ("projection-bound", _PIN, "eac1999683a878f138a73c951eb861c542548c1509baf37e6922e54355e9e916"),
+    ("lcm-contraction", _PIN, "e58c4fd69b1719cc3588afd48cb87e00fd636646dcfb2345c6262f8b71bf411b"),
+    ("envelope-coverage", _M1, "4f8b7f7593d56592d274f039731eda6d0af501ed14e9bd9fffa2193c739001cf"),
+    ("count-envelope-coverage", _M1, "a3041d7db2e4fc896e5622ede0c43d323a852400a4f3eb4a222cf1f4f6843ef2"),
+    ("null-floor-coverage", _M1, "3bc1bb173fe6961f113ce74eaddb83a50e259312cb7b76094150b1aa8399a177"),
+    ("label-set-coverage", _M1, "21d12a8df82d39ddc7f7887ee87d30be3459d3668f89dbb496b6ee42ea6bf0e4"),
+    ("achievable-oracle", _M1, ValueError("need at least 10 p-values for the kernel estimate")),
+    ("projection-bound", _M1, "67758a644c62945060fb7e753235437bc3411af653a75c416732ca1ec09b11bd"),
+    ("lcm-contraction", _M1, "c91fcabca7ecde884378ea122741819708ccf2897fdd48849191c5052d8abe14"),
+    ("envelope-coverage", _A1, "02ae31acddbea49e4397874d7248ed6bac7bea9d17acf193f8cb8005f0f0b512"),
+    ("count-envelope-coverage", _A1, "e8e688d79c2bd17c8210a2dfc3150461f094bc39c8c398991ac85f99ced87507"),
+    ("null-floor-coverage", _A1, "30fc9183e0b0150fe058fbf927c182fcc92d821807f0a321d67214eaa721a7d6"),
+    ("label-set-coverage", _A1, "3a7d5b70d9e59f6e45fd69bd9c49cda660791d6bdfe3961007188120c7ee2625"),
+    ("achievable-oracle", _A1, "bcfc57526b06134986a0156abfd563fc770f7393b0042d09f210124695121749"),
+    ("projection-bound", _A1, "56b6f242c611a6fc1ff1050e6858da099b125a58ed48438771eb4909bebf0d05"),
+    ("lcm-contraction", _A1, "9a8030e57d09ee242c69813a5b4d61826c66e5c18bb37a8b604ec48b8d9d1ed0"),
+    ("projection-bound", {**_A1, "a": 0.0}, ValueError("ahat must lie in (0, 1]")),
+    ("null-floor-coverage", {"reps": 30, "m": 300, "variant": "lcm"},
+     "929988b06e5b7f0fffd838cd3be282bbc43cb48fe55d288fc878e73b0018f93a"),
+    ("null-floor-coverage", {"reps": 30, "m": 300, "variant": "floor"},
+     "c55c6570ddaa7bec4949c07e7db3d33edecbf3031d098b32ca508c649a7d88ee"),
+]
 
 
 class TestRewiredTargets:
@@ -404,12 +436,18 @@ class TestRewiredTargets:
         assert run_validation({"reps": 4, "m": 50}, name)["reps"] == 4
         assert called == REWIRED[name]
 
-    @pytest.mark.parametrize("name", sorted(PINNED))
-    def test_report_bytes_are_pinned(self, name):
-        report = run_validation({"reps": 40, "m": 300, "seed": 3}, name)
+    @pytest.mark.parametrize("name, config, want", PINNED, ids=[
+        "-".join([name, *(f"{k}={v}" for k, v in config.items())]) for name, config, _ in PINNED
+    ])
+    def test_report_bytes_are_pinned(self, name, config, want):
+        if isinstance(want, Exception):
+            with pytest.raises(type(want), match=f"^{re.escape(str(want))}$"):
+                run_validation(config, name)
+            return
+        report = run_validation(config, name)
         assert "spot_check_passed" not in report
         digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
-        assert digest == PINNED[name]
+        assert digest == want
 
     @pytest.mark.parametrize("t0", [0.0, 1.0, 1.5])
     @pytest.mark.parametrize("name", ["storey-clt", "storey-degenerate", "storey-kernel", "plugin-estimated-a"])
