@@ -77,7 +77,8 @@ def _sup_quantile(alpha_half, t_floor) -> tuple[float, float]:
 class _AsymptoticCurve:
     """The count path V(t) = (1 - a0) t + delta sqrt(t / m) or, when
     ``ghat`` is given, the band t -> min(V(t) / Ghat(t), 1); both are
-    undefined (NaN) below the floor t_min."""
+    undefined (NaN) below the floor t_min.  ``fit`` may take a column of
+    Ghat(t0), one row per sample, for ``values`` on those rows."""
 
     one_minus_a0: float
     delta: float
@@ -85,18 +86,32 @@ class _AsymptoticCurve:
     t_min: float
     ghat: object = None
 
+    @classmethod
+    def fit(cls, ghat_t0, m, t0, alpha, t_min, w):
+        """The count path of m p-values with Ghat(t0) = ``ghat_t0``: 1 - a0 is
+        the exceedance ratio's (1 - Ghat(t0)) / (1 - t0), taken without
+        clamping, and delta the larger of 2 (1 - a0) w and the
+        distribution-free tail term."""
+        one_minus_a0 = (1.0 - ghat_t0) / (1.0 - t0)
+        tail_term = np.sqrt(2.0) / (1.0 - t0) * np.sqrt(np.log(4.0 / alpha))
+        return cls(one_minus_a0, np.maximum(2.0 * one_minus_a0 * w, tail_term), m, t_min)
+
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         if not np.all((t >= 0.0) & (t <= 1.0)):
             raise ValueError("evaluation points must lie in [0, 1]")
+        g = None if self.ghat is None else np.asarray(self.ghat(t), dtype=float)
+        out = np.where(t < self.t_min, np.nan, self.values(t, g))
+        return out if out.ndim else float(out)
+
+    def values(self, t, g=None):
+        """V at t, or with Ghat(t) = ``g``, the band, at t at or above the floor."""
         out = self.one_minus_a0 * t + self.delta * np.sqrt(t / self.m)
-        if self.ghat is not None:
-            g = np.asarray(self.ghat(t), dtype=float)
+        if g is not None:
             with np.errstate(invalid="ignore", divide="ignore"):
                 out = np.where(g > 0.0, out / np.where(g > 0.0, g, 1.0), np.inf)
             out = np.minimum(out, 1.0)
-        out = np.where(t < self.t_min, np.nan, out)
-        return out if out.ndim else float(out)
+        return out
 
 
 @dataclass(frozen=True)
@@ -178,15 +193,12 @@ def asymptotic_envelope(
             raise ValueError("an explicit t_min is required when the floor check is disabled")
     _require_open_unit("t_min", t_min)
     ghat = ecdf(p, "plain")
-    one_minus_a0 = (1.0 - float(ghat(t0))) / (1.0 - t0)
     if w is None:
         w, w_se = _sup_quantile(alpha / 2.0, t_min)
         w_source = "table"
     else:
         w_se, w_source = None, "given"
-    tail_term = np.sqrt(2.0) / (1.0 - t0) * np.sqrt(np.log(4.0 / alpha))
-    delta = max(2.0 * one_minus_a0 * float(w), float(tail_term))
-    count = _AsymptoticCurve(one_minus_a0=one_minus_a0, delta=delta, m=m, t_min=float(t_min))
+    count = _AsymptoticCurve.fit(float(ghat(t0)), m, t0, alpha, float(t_min), float(w))
     return EnvelopeResult(
         gamma_bar=replace(count, ghat=ghat),
         level=alpha,
@@ -196,11 +208,11 @@ def asymptotic_envelope(
         meta={
             "m": m,
             "t0": t0,
-            "one_minus_a0": one_minus_a0,
+            "one_minus_a0": count.one_minus_a0,
             "w": float(w),
             "w_se": w_se,
             "w_source": w_source,
-            "delta": delta,
+            "delta": float(count.delta),
             "floor": float(floor),
             "pvalues": p.copy(),
         },
@@ -299,14 +311,21 @@ def _critical_values(ks, alpha: float) -> np.ndarray:
     return x
 
 
-def _second_order_check(values: np.ndarray, crit: float) -> tuple[float | None, bool]:
-    """The acceptance rule for one subset: its second-smallest value (None
-    below size 2) and whether the subset is accepted, always at sizes 0 and
-    1, else when that value exceeds ``crit``."""
-    if values.size <= 1:
-        return None, True
-    stat = float(np.sort(values)[1])
-    return stat, bool(stat > crit)
+def _second_order_check(values: np.ndarray, crit):
+    """The acceptance rule for subsets along the last axis of ``values``:
+    each one's second-smallest value (None when the axis is shorter than 2)
+    and whether it is accepted, which it is when that value exceeds its
+    ``crit`` (a scalar or one per subset).  A subset of size 0 or 1 is always
+    accepted: its crit is -inf, so rows may pad a subset with +inf.  One
+    subset gives a float (or None) and a bool."""
+    if values.shape[-1] <= 1:
+        stat, accept = None, np.ones(values.shape[:-1], dtype=bool)
+    else:
+        stat = np.partition(values, 1, axis=-1)[..., 1]
+        accept = stat > crit
+    if values.ndim > 1:
+        return stat, accept
+    return (None if stat is None else float(stat)), bool(accept)
 
 
 @dataclass(frozen=True)

@@ -226,6 +226,30 @@ def storey_a0(pvalues, t0: float = 0.5) -> NullFractionEstimate:
     )
 
 
+def _astar(t, g, eps):
+    """Along the last axis of the candidate points t, at which Ghat is g:
+    the largest (g - t - eps) / (1 - t) over the t below 1, clamped at 0;
+    the same unclamped; and the first t attaining it."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi = np.where(t < 1.0, (g - t - eps) / (1.0 - t), -np.inf)
+    best = np.argmax(phi, axis=-1)[..., None]
+    top = np.take_along_axis(phi, best, axis=-1)[..., 0]
+    return np.maximum(top, 0.0), top, np.take_along_axis(t, best, axis=-1)[..., 0]
+
+
+def _astar_rows(p, alpha, variant):
+    """``astar_lower(ecdf(row, variant), alpha).value`` for each row of p.
+    For the plain and floor ECDFs, through ``_astar`` on the candidates 0
+    and the sorted row, where Ghat is rank / m: a tied p-value wins only at
+    the last of its ties, which holds Ghat's value.  The lcm variant needs
+    each row's hull, so it builds each row's ECDF, row by row."""
+    if _normalize_variant(variant) == "lcm":
+        return np.array([astar_lower(ecdf(row, "lcm"), alpha).value for row in p])
+    t = np.concatenate([np.zeros((*p.shape[:-1], 1)), np.sort(p, axis=-1)], axis=-1)
+    g = np.arange(t.shape[-1]) / p.shape[-1]
+    return _astar(t, np.maximum(g, t) if variant == "floor" else g, dkw_epsilon(p.shape[-1], alpha))[0]
+
+
 def astar_lower(ghat: EcdfEstimate, alpha: float) -> NullFractionEstimate:
     """Uniform-confidence lower bound for the mixing weight:
     max over t of (Ghat(t) - t - eps_m(alpha)) / (1 - t), clamped at 0.
@@ -239,17 +263,12 @@ def astar_lower(ghat: EcdfEstimate, alpha: float) -> NullFractionEstimate:
     ts = ghat.base.knots
     if ghat.variant == "lcm":
         ts = np.union1d(ts, ghat.hull.x)
-    ts = ts[ts < 1.0]
-    cand_t = np.concatenate([ts, ts])
-    cand_v = np.concatenate([ghat(ts), ghat.left(ts)])
-    phi = (cand_v - cand_t - eps) / (1.0 - cand_t)
-    best = int(np.argmax(phi))
-    value = max(0.0, float(phi[best]))
+    value, top, argmax_t = _astar(np.r_[ts, ts], np.r_[ghat(ts), ghat.left(ts)], eps)
     return NullFractionEstimate(
-        value=value,
+        value=float(value),
         method="astar-lower",
         alpha=alpha,
-        diagnostics={"argmax_t": float(cand_t[best]), "eps": eps, "unclamped": float(phi[best])},
+        diagnostics={"argmax_t": float(argmax_t), "eps": eps, "unclamped": float(top)},
     )
 
 

@@ -6,6 +6,12 @@ on its own key, never on other streams, and any point of a stream is reached
 in O(1).  ``uniform_open_at`` draws a block's rows in parts, in parallel,
 each from its own copy of the stream moved to the part's first double, so the
 bits depend neither on the CPU count nor on the schedule.
+
+The simulation module keys sample i of a scenario by ``(seed, i)``: the
+per-replicate validation targets read each row of their blocks from its own
+stream, so row i is ``generate_sample(config, i)`` whatever m or ``reps``.
+The other Monte Carlo targets key one stream per block by ``(seed, block)``,
+so their rows depend on the block size, and through it on m and ``reps``.
 """
 
 from __future__ import annotations

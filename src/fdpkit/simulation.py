@@ -16,11 +16,11 @@ from typing import get_type_hints
 import numpy as np
 
 from . import __version__
-from .envelopes import _critical_values, _second_order_check, asymptotic_envelope, brownian_sup_quantile
-from .estimation import _qhat, _require_open_unit, _storey, astar_lower, ecdf, kernel_a_consistent, project_f
+from .envelopes import _AsymptoticCurve, _critical_values, _second_order_check, brownian_sup_quantile
+from .estimation import _astar_rows, _qhat, _require_open_unit, _storey, ecdf, kernel_a_consistent, project_f
 from .families import TwoSidedNormal, UserCdf, make_family
 from .kernels import KernelSpec, eval_kernel
-from .model import LabeledSample, MixtureModel, expected_fdp_fnp, fdp_process, q_derivative, q_inverse
+from .model import LabeledSample, MixtureModel, expected_fdp_fnp, q_derivative, q_inverse
 from .rng import stream, uniform_open, uniform_open_at
 from .thresholds import _plugin, oracle_threshold, plugin_threshold, rate_ceiling_known_a
 
@@ -67,14 +67,13 @@ class ScenarioConfig:
         return MixtureModel(self.a, make_family(self.family, self.params))
 
 
-def _draw(config: ScenarioConfig, model: MixtureModel, key: int, shape):
+def _draw(config: ScenarioConfig, model: MixtureModel, key: int | range, shape):
     """(pvalues, labels) of the given shape from the stream (seed, key):
     labels first, then uniforms, then the alternative quantile function on
     the labelled ones.  A block's rows are drawn in parts over the CPUs."""
-    if np.ndim(shape) == 0 and config.a != 0.0:  # one sample reads one stream: another costs about 27 us
-        rng = stream(config.seed, key)
-        lab = uniform_open(rng, shape) < config.a
-        p = uniform_open(rng, shape)
+    if isinstance(key, range):  # one row per key i: m label uniforms, then m p-values, from the stream (seed, i)
+        u = np.stack([uniform_open(stream(config.seed, i), (2, config.m)) for i in key], axis=1)
+        lab, p = u[0] < config.a, u[1]
     else:  # at a = 0 every label is False (a uniform is never 0), so the p-values start n doubles in
         lab = np.zeros(shape, dtype=bool) if config.a == 0.0 else uniform_open_at(config.seed, key, shape) < config.a
         p = uniform_open_at(config.seed, key, shape, lab.size)
@@ -87,15 +86,23 @@ def _draw(config: ScenarioConfig, model: MixtureModel, key: int, shape):
 def generate_sample(config: ScenarioConfig, rep_index: int) -> LabeledSample:
     """Draw one labeled sample; reproducible per (seed, rep_index) and
     independent across rep indices."""
-    p, lab = _draw(config, config.model(), rep_index, config.m)
-    return LabeledSample(pvalues=p, labels=lab.astype(np.int8))
+    p, lab = _draw(config, config.model(), range(rep_index, rep_index + 1), None)
+    return LabeledSample(pvalues=p[0], labels=lab[0].astype(np.int8))
+
+
+def _rep_blocks(config: ScenarioConfig, model: MixtureModel, reps: int):
+    """Yield (pvalues, labels) blocks of about 25 000 values whose rows are
+    the samples 0, ..., reps - 1 of `generate_sample`, whatever m or reps."""
+    block = max(1, 25_000 // config.m)
+    for lo in range(0, reps, block):
+        yield _draw(config, model, range(lo, min(lo + block, reps)), None)
 
 
 def _blocks(config: ScenarioConfig, model: MixtureModel, reps: int, block: int | None = None):
     """Yield (pvalues, labels) matrices of up to `block` rows, rows being
     independent replications.  Streams are keyed by block index, so a row
     depends on the block size (and through it on m and reps) and is not the
-    sample `generate_sample` draws for the same index."""
+    sample `generate_sample` draws for the same index (`_rep_blocks`'s are)."""
     if block is None:
         block = max(1, min(reps, 1_000_000 // max(config.m, 1)))
     for idx, done in enumerate(range(0, reps, block)):
@@ -115,6 +122,8 @@ class PurityQuantities:
 
 def purity_quantities(model: MixtureModel) -> PurityQuantities:
     fam = model.F
+    if fam is None:  # a pure null: nothing to identify
+        return PurityQuantities(zeta=0.0, a_lower=0.0, f_lower=None)
     if fam.pdf is None:
         raise ValueError("alternative family has no density")
     grid = np.unique(np.r_[np.linspace(0.0, 1.0, 10_001), 1.0 - np.geomspace(1e-12, 1e-4, 200)])
@@ -172,11 +181,11 @@ def _rates(p, lab, t):
     return fdp, fnp
 
 
-def _coverage(scen, hit, reps, gate, **extra):
-    """Share of the `reps` samples of `scen` on which `hit(sample)` holds,
-    passed when it reaches `gate`."""
-    hits = sum(bool(hit(generate_sample(scen, i))) for i in range(reps))
-    coverage = hits / reps
+def _coverage(blocks, hit, gate, **extra):
+    """Share of the rows of the (pvalues, labels) `blocks` on which
+    `hit(pvalues, labels)`, row-wise, holds, passed when it reaches `gate`."""
+    hits = np.concatenate([hit(p, lab) for p, lab in blocks])
+    coverage = int(np.count_nonzero(hits)) / hits.size
     return {"passed": bool(coverage >= gate), "coverage": float(coverage), **extra}
 
 
@@ -185,13 +194,13 @@ def _zscore(observed, expected, se):
     return abs(observed - expected) / se if se > 0 else (0.0 if observed == expected else np.inf)
 
 
-def _bound_holds(scen, reps, sides, cushion):
-    """Whether lhs <= rhs + cushion on every one of the `reps` samples of
-    `scen`, `sides(sample)` giving (lhs, rhs), with the worst lhs - rhs."""
-    pairs = [sides(generate_sample(scen, i)) for i in range(reps)]
+def _bound_holds(blocks, sides, cushion):
+    """Whether lhs <= rhs + cushion on every row of p-values of `blocks`,
+    `sides(row)` giving (lhs, rhs), with the worst lhs - rhs."""
+    pairs = [sides(row) for p, _ in blocks for row in p]
     holds = sum(int(lhs <= rhs + cushion) for lhs, rhs in pairs)
     worst = max(-np.inf, *(lhs - rhs for lhs, rhs in pairs))
-    return {"passed": bool(holds == reps), "holds": holds, "worst_margin": float(worst)}
+    return {"passed": bool(holds == len(pairs)), "holds": holds, "worst_margin": float(worst)}
 
 
 def _process_mean(which, scen=_standard(100), *, reps=100_000, ts=(0.01, 0.05, 0.2), sigmas=3.0):
@@ -264,9 +273,10 @@ def _target_storey_degenerate(
 
 
 def _target_null_floor_coverage(scen=_standard(500), *, alpha=0.05, variant="plain", reps=1000, gate=0.94):
-    floor = purity_quantities(scen.model()).a_lower
+    model = scen.model()
+    floor = purity_quantities(model).a_lower
     return _coverage(
-        scen, lambda s: astar_lower(ecdf(s.pvalues, variant), alpha).value <= floor + 1e-12, reps, gate,
+        _rep_blocks(scen, model, reps), lambda p, lab: _astar_rows(p, alpha, variant) <= floor + 1e-12, gate,
         a_lower_true=float(floor),
     )
 
@@ -282,27 +292,27 @@ def _sup_step_vs_cdf(sf, knots, cdf, extra=(0.0, 1.0)):
 def _target_projection_bound(scen=ScenarioConfig(2000, 0.5, "square-root"), *, reps=100):
     model = scen.model()
 
-    def sides(samp):
-        ghat = ecdf(samp.pvalues, "plain")
+    def sides(p):
+        ghat = ecdf(p, "plain")
         fhat = project_f(ghat, scen.a)
         knots = np.unique(np.r_[ghat.base.knots, fhat.knots, 1.0])
         lhs = _sup_step_vs_cdf(fhat, knots, model.F.cdf)
         return lhs, 2.0 * _sup_step_vs_cdf(ghat, knots, model.cdf) / scen.a
 
-    return _bound_holds(scen, reps, sides, 1e-12)
+    return _bound_holds(_rep_blocks(scen, model, reps), sides, 1e-12)
 
 
 def _target_lcm_contraction(scen=ScenarioConfig(500, 0.5, "square-root"), *, reps=100, cushion=1e-6):
     model = scen.model()
     dense = np.linspace(0.0, 1.0, 4001)
 
-    def sides(samp):
-        gh = ecdf(samp.pvalues, "lcm")
+    def sides(p):
+        gh = ecdf(p, "lcm")
         ts = np.unique(np.r_[dense, gh.hull.x, gh.base.knots])
         err_lcm = float(np.abs(np.asarray(gh(ts)) - model.cdf(ts)).max())
         return err_lcm, _sup_step_vs_cdf(gh.base, gh.base.knots, model.cdf)
 
-    return _bound_holds(scen, reps, sides, cushion)
+    return _bound_holds(_rep_blocks(scen, model, reps), sides, cushion)
 
 
 def _kernel_target(kind, scen=_standard(5000), *, reps=2000, points=(0.05, 0.1, 0.2), rel_tol=0.15, t0=0.5):
@@ -385,31 +395,36 @@ def _asymptotic_coverage(kind, scen=_standard(1000), *, alpha=0.05, t0=0.5, t_mi
     # of nulls at or below each null p-value there.  w is the same on every
     # sample, so it is asked for once, before anything is drawn.
     w = brownian_sup_quantile(alpha / 2.0, t_min)
+    m = scen.m
 
-    def hit(samp):
-        p = samp.pvalues
-        env = asymptotic_envelope(p, t0=t0, alpha=alpha, t_min=t_min, w=w, enforce_floor=False)
+    def hit(p, lab):
+        # Each row sorted with t_min, which counts no p-value: rejections and
+        # rejected nulls are cumulative sums, right at the last of a tie.  The
+        # count checked at the alternatives too adds no failure: it stays put.
+        x = np.c_[p, np.full(len(p), t_min)]
+        order = np.argsort(x, axis=-1)
+        t = np.take_along_axis(x, order, axis=-1)
+        r = np.cumsum(order < m, axis=-1)
+        n0 = np.cumsum(np.take_along_axis(np.c_[~lab, np.zeros(len(p), dtype=bool)], order, axis=-1), axis=-1)
+        curve = _AsymptoticCurve.fit(_storey(p, t0)[0][:, None], m, t0, alpha, t_min, w)
         if kind == "fdp":
-            cand = np.unique(np.r_[t_min, p[p >= t_min]])
-            truth, bound = fdp_process(samp)(cand), env.gamma_bar(cand)
+            truth, bound = np.where(r > 0, n0 / np.maximum(r, 1), 0.0), curve.values(t, r / m)
         else:
-            nulls = np.sort(p[samp.labels == 0])
-            cand = np.unique(np.r_[t_min, nulls[nulls >= t_min]])
-            truth, bound = np.searchsorted(nulls, cand, side="right"), env.count_bound_at(cand)
-        return np.all(truth <= np.asarray(bound) + 1e-12)
+            truth, bound = n0, m * curve.values(t)
+        checked = (np.diff(t, axis=-1, append=2.0) > 0.0) & (t >= t_min)
+        return np.all(truth <= bound + 1e-12, axis=-1, where=checked)
 
-    return _coverage(scen, hit, reps, gate)
+    return _coverage(_rep_blocks(scen, scen.model(), reps), hit, gate)
 
 
 def _target_label_set_coverage(scen=_standard(50), *, alpha=0.05, reps=1000, gate=0.94):
-    # the rule of ExactConfidenceSet.contains, with the critical values (of m and alpha) solved once
+    # ExactConfidenceSet.contains' rule on each row's nulls padded with +inf, the critical values solved once
     crit = np.r_[-np.inf, -np.inf, _critical_values(np.arange(2, scen.m + 1), alpha)]
 
-    def hit(samp):
-        nulls = samp.pvalues[samp.labels == 0]
-        return _second_order_check(nulls, crit[nulls.size])[1]
+    def hit(p, lab):
+        return _second_order_check(np.where(lab, np.inf, p), crit[np.count_nonzero(~lab, axis=-1)])[1]
 
-    return _coverage(scen, hit, reps, gate)
+    return _coverage(_rep_blocks(scen, scen.model(), reps), hit, gate)
 
 
 def _target_achievable_oracle(
@@ -420,15 +435,16 @@ def _target_achievable_oracle(
     # oracle threshold t(a_lower, G) in both mean FDP and mean FNP
     model = scen.model()
     pq = purity_quantities(model)
+    if pq.a_lower == 0.0:
+        raise ValueError(f"achievable-oracle needs a weight floor above 0, and it is 0 at a = {scen.a!r}")
     achievable = MixtureModel(pq.a_lower, UserCdf(pq.f_lower))
     t_ao = oracle_threshold(achievable, alpha).t
     sums = np.zeros(4)
-    for i in range(reps):
-        samp = generate_sample(scen, i)
-        p = samp.pvalues
-        t_pi = plugin_threshold(p, kernel_a_consistent(p).value, alpha).t
-        fdp, fnp = _rates(p, samp.labels, np.array([t_pi, t_ao]))
-        sums += (fdp[0], fnp[0], fdp[1], fnp[1])
+    for p, lab in _rep_blocks(scen, model, reps):
+        for row, row_lab in zip(p, lab):
+            t_pi = plugin_threshold(row, kernel_a_consistent(row).value, alpha).t
+            fdp, fnp = _rates(row, row_lab, np.array([t_pi, t_ao]))
+            sums += (fdp[0], fnp[0], fdp[1], fnp[1])
     means = sums / reps
     fdp_gap = abs(means[0] - means[2])
     fnp_gap = abs(means[1] - means[3])

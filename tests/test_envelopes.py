@@ -214,6 +214,31 @@ class TestExactConfidenceSet:
         assert cs.accepted_summaries == tuple(range(8))
         assert cs.m0_interval == (0, 7)
 
+    @pytest.mark.parametrize("m", [1, 2, 7, 40])
+    def test_rows_are_the_one_subset_rule(self, m):
+        # each row's nulls padded with +inf, at the crit of its null count
+        g, alpha = stream(913, m), 0.2
+        p = g.random((120, m))
+        p[:40] = np.round(p[:40], 2)               # heavy ties
+        p[40:50, 0], p[50:60, -1] = 0.0, 1.0
+        lab = g.random((120, m)) < 0.5
+        lab[60:70] = True                          # no null
+        lab[70:80] = True
+        lab[70:80, -1] = False                     # one null
+        lab[80:90] = False                         # no alternative
+        crit = exact_confidence_set(p[0], alpha).crit
+        stat, accept = envelopes._second_order_check(np.where(lab, np.inf, p), crit[np.count_nonzero(~lab, axis=-1)])
+        want = [exact_confidence_set(row, alpha).contains(h.astype(int)) for row, h in zip(p, lab)]
+        np.testing.assert_array_equal(accept, want)
+        if m > 1:
+            assert 0 < np.count_nonzero(accept) < len(p)
+            tests = [uniformity_test_second_order(row[~h], alpha) for row, h in zip(p, lab)]
+            np.testing.assert_array_equal(accept, [r.accept for r in tests])
+            big = np.count_nonzero(~lab, axis=-1) >= 2
+            np.testing.assert_array_equal(stat[big], [r.statistic for r, b in zip(tests, big) if b])
+        else:
+            assert stat is None
+
     def test_contains_validation(self, example1):
         cs = exact_confidence_set(example1, 0.05)
         with pytest.raises(ValueError):

@@ -18,7 +18,7 @@ from fdpkit import (
     q_hat,
     storey_a0,
 )
-from fdpkit.estimation import _qhat, _storey
+from fdpkit.estimation import _astar_rows, _qhat, _storey
 from fdpkit.families import BetaPower
 from fdpkit.rng import stream, uniform_open
 from fdpkit.stepfun import PiecewiseLinear
@@ -285,6 +285,16 @@ class TestRowCores:
         for bad in (0.0, 1.0, 1.5):
             with pytest.raises(ValueError, match=r"t0 must lie in \(0, 1\)"):
                 _storey(np.full((2, 3), 0.5), bad)
+
+    @pytest.mark.parametrize("variant", ["plain", "floor", "lcm"])
+    @pytest.mark.parametrize("m", [1, 2, 9, 200])
+    def test_astar_rows_are_astar_lower(self, m, variant):
+        p = core_block(stream(923, m), m)
+        p[2:30] = np.round(p[2:30], 2)             # heavy ties
+        for alpha in (0.05, 0.5):
+            want = [astar_lower(ecdf(row, variant), alpha).value for row in p]
+            assert m == 1 or np.count_nonzero(want) > 0  # the bound is not always clamped at 0
+            np.testing.assert_array_equal(_astar_rows(p, alpha, variant), want)
 
     @pytest.mark.parametrize("m", [1, 2, 9, 200])
     def test_qhat_rows_are_q_hat(self, m):

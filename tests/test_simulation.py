@@ -23,8 +23,8 @@ from fdpkit import simulation
 from fdpkit.simulation import (
     VALIDATION_TARGETS,
     ScenarioConfig,
-    _blocks,
     _draw,
+    _rep_blocks,
     _rates,
     generate_sample,
     purity_quantities,
@@ -108,6 +108,34 @@ class TestGenerateSample:
         grid = np.linspace(1e-6, 1.0, 2001)
         emp = np.searchsorted(np.sort(s.pvalues), grid, side="right") / s.pvalues.size
         assert np.max(np.abs(emp - model.cdf(grid))) < dkw_epsilon(s.pvalues.size, 0.001)
+
+    @pytest.mark.parametrize("scen", [
+        ScenarioConfig(2500, 0.3, "one-sided-normal", {"theta": 3.0}, seed=12),
+        ScenarioConfig(2500, 0.3, "two-sided-normal", {"theta": 2.0}, seed=12),
+        ScenarioConfig(2500, 0.5, "square-root", seed=12),
+        ScenarioConfig(2500, 0.0, seed=12),
+        ScenarioConfig(2500, 1.0, "two-sided-normal", {"theta": 3.0}, seed=12),
+        ScenarioConfig(1, 0.5, "two-sided-normal", {"theta": 3.0}, seed=12),
+    ], ids=["one-sided", "two-sided", "square-root", "a=0", "a=1", "m=1"])
+    def test_rep_keyed_rows_are_the_samples_of_their_index(self, scen):
+        # at m = 2500 a block holds 10 rows, so 12 rows cross a block
+        # boundary; row i is read from the stream (seed, i), labels first,
+        # with one ppf call per row, and is generate_sample(scen, i)
+        model = scen.model()
+        blocks = list(_rep_blocks(scen, model, 12))
+        assert [len(p) for p, _ in blocks] == ([10, 2] if scen.m == 2500 else [12])
+        rows = [row for p, lab in blocks for row in zip(p, lab)]
+        for i, (p, lab) in enumerate(rows):
+            rng = stream(scen.seed, i)
+            want_lab = uniform_open(rng, scen.m) < scen.a
+            want_p = uniform_open(rng, scen.m)
+            if model.F is not None:
+                want_p[want_lab] = model.F.ppf(want_p[want_lab])
+            np.testing.assert_array_equal(lab, want_lab)
+            np.testing.assert_array_equal(p, want_p)
+            samp = generate_sample(scen, i)
+            np.testing.assert_array_equal(samp.pvalues, p)
+            np.testing.assert_array_equal(samp.labels, lab.astype(np.int8))
 
     def test_label_frequency(self):
         cfg = ScenarioConfig(m=50_000, a=0.3, params={"theta": 3.0}, seed=9)
@@ -245,14 +273,6 @@ class TestSharedParts:
             assert np.shape(got[0]) == ()
             np.testing.assert_array_equal([got[0], got[1]], [want[0][0], want[1][0]])
 
-    def test_generate_sample_is_first_row_of_a_one_row_block(self):
-        scen = ScenarioConfig(m=300, a=0.3, params={"theta": 3.0}, seed=12)
-        p, lab = next(_blocks(scen, scen.model(), 1))
-        samp = generate_sample(scen, 0)
-        assert p.shape == (1, 300)
-        np.testing.assert_array_equal(samp.pvalues, p[0])
-        np.testing.assert_array_equal(samp.labels, lab[0].astype(np.int8))
-
 
 class TestPurityQuantities:
     def test_square_root_family_split(self):
@@ -289,6 +309,17 @@ class TestPurityQuantities:
         assert pur.zeta == 0.0
         assert pur.a_lower == 0.0
         assert pur.f_lower is None
+
+    def test_pure_null_has_no_identifiable_part(self, monkeypatch):
+        pur = purity_quantities(MixtureModel(0.0, None))
+        assert (pur.zeta, pur.a_lower, pur.f_lower) == (0.0, 0.0, None)
+        # so null-floor-coverage runs at a = 0, against a floor of 0, and
+        # achievable-oracle, which needs a floor above 0, refuses before sampling
+        r = run_validation({"a": 0.0, "reps": 200, "m": 200}, "null-floor-coverage")
+        assert r["a_lower_true"] == 0.0 and r["passed"] is True
+        no_sampling(monkeypatch)
+        with pytest.raises(ValueError, match=r"^achievable-oracle needs a weight floor above 0, and it is 0 at a = 0\.0$"):
+            run_validation({"a": 0.0}, "achievable-oracle")
 
     def test_missing_density_is_rejected(self):
         fam = UserCdf(lambda t: np.asarray(t, dtype=float) ** 2)
