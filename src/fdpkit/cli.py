@@ -327,12 +327,8 @@ def _json(record: dict) -> str:
 def _fmt(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
-    if v is None:
-        return ""
     if isinstance(v, float):
         return "%.10g" % v
-    if isinstance(v, (list, dict)):
-        return json.dumps(v, sort_keys=True)
     return str(v)
 
 

@@ -241,8 +241,6 @@ def uniformity_critical_value(k: int, alpha: float) -> float:
     if k < 0:
         raise ValueError("k must be nonnegative")
     _require_open_unit("alpha", alpha)
-    if k <= 1:
-        return -np.inf
     return float(_critical_values(np.array([k]), alpha)[0])
 
 
@@ -264,7 +262,7 @@ def _lpm(z):
 
 def _critical_values(ks, alpha: float) -> np.ndarray:
     """The alpha-quantile c_k of Beta(2, k - 1), elementwise over an array
-    of sizes k >= 2.
+    of sizes k >= 0, and -inf at sizes 0 and 1, which are never rejected.
 
     With n = k - 1 and L = -log1p(-alpha), c_k is the root on (0, 1) of
 
@@ -297,8 +295,9 @@ def _critical_values(ks, alpha: float) -> np.ndarray:
     n = np.asarray(ks, dtype=float) - 1.0
     L = -np.log1p(-alpha)
     y0 = L + np.sqrt(L * L + 2.0 * L)
-    x = np.minimum(y0 / n, np.sqrt(-np.expm1(-L / n)))
-    moving = np.arange(x.size)
+    moving = np.flatnonzero(n >= 1.0)
+    x = np.full(n.shape, -np.inf)
+    x[moving] = np.minimum(y0 / n[moving], np.sqrt(-np.expm1(-L / n[moving])))
     while moving.size:
         xi, ni = x[moving], n[moving]
         nx = ni * xi
@@ -392,11 +391,9 @@ def exact_confidence_set(pvalues, alpha: float) -> ExactConfidenceSet:
     _require_open_unit("alpha", alpha)
     m = p.size
     ps = np.sort(p)
-    ks = np.arange(2, m + 1)
-    crit = np.full(m + 1, -np.inf)
-    crit[2:] = _critical_values(ks, alpha)
+    crit = _critical_values(np.arange(m + 1), alpha)
     feasible = np.ones(m + 1, dtype=bool)
-    feasible[2:] = ps[m - ks + 1] > crit[2:]
+    feasible[2:] = ps[:0:-1] > crit[2:]  # the second-smallest of the k largest is ps[m - k + 1]
     accepted = np.flatnonzero(feasible)
     return ExactConfidenceSet(
         pvalues=p.copy(),

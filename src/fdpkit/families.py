@@ -62,7 +62,6 @@ def _quantile(cdf, u, lo=0.0, hi=1.0):
 class AlternativeFamily:
     """Interface: ``cdf`` required; ``pdf``/``ppf`` optional (may be None)."""
 
-    name = "base"
     params: dict = {}
 
     def cdf(self, t):
@@ -99,8 +98,6 @@ class OneSidedNormal(_NormalMean):
     the family is pure: its density tends to 0 at t = 1.
     """
 
-    name = "one-sided-normal"
-
     def cdf(self, t):
         from scipy.special import ndtr, ndtri
 
@@ -132,8 +129,6 @@ class TwoSidedNormal(_NormalMean):
     infimum over (0, 1] is ``exp(-mu^2/2) > 0``, so the family is impure and
     the mixture weight is only partially identifiable.
     """
-
-    name = "two-sided-normal"
 
     def cdf(self, t):
         from scipy.special import ndtr, ndtri
@@ -185,8 +180,6 @@ class BetaPower(AlternativeFamily):
     density ``beta * t**(beta-1)`` decreases to ``beta`` at t = 1.
     """
 
-    name = "beta"
-
     def __init__(self, beta: float):
         if not 0.0 < beta <= 1.0:
             raise ValueError("need 0 < beta <= 1 so that F dominates the uniform")
@@ -209,8 +202,6 @@ class BetaPower(AlternativeFamily):
 
 class UserCdf(AlternativeFamily):
     """Wrap a user-supplied CDF (plus optional density/quantile callables)."""
-
-    name = "user-cdf"
 
     def __init__(self, cdf, pdf=None, ppf=None):
         self.cdf = cdf

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import _qhat, _require_open_unit, _validated_pvalues
-from .families import AlternativeFamily, _largest_true, _on_unit
+from .families import AlternativeFamily, BetaPower, _largest_true, _on_unit
 from .stepfun import StepFunction
 
 __all__ = [
@@ -35,6 +35,9 @@ __all__ = [
     "q_derivative",
 ]
 
+# the alternative of a pure null: at a = 0 it has no effect on G
+_UNIFORM = BetaPower(1.0)
+
 
 @dataclass(frozen=True)
 class MixtureModel:
@@ -46,7 +49,8 @@ class MixtureModel:
         Probability that a hypothesis is a true signal (label 1); the
         marginal mixing weight of the alternative component.
     F : AlternativeFamily or None
-        Alternative p-value distribution; may be None only when ``a == 0``.
+        Alternative p-value distribution; may be None only when ``a == 0``,
+        where it stands for the uniform.
     """
 
     a: float
@@ -55,28 +59,27 @@ class MixtureModel:
     def __post_init__(self):
         if not 0.0 <= self.a <= 1.0:
             raise ValueError("mixing weight a must lie in [0, 1]")
-        if self.F is None and self.a > 0.0:
-            raise ValueError("an alternative family is required when a > 0")
+        if self.F is None:
+            if self.a > 0.0:
+                raise ValueError("an alternative family is required when a > 0")
+            object.__setattr__(self, "F", _UNIFORM)
 
     def cdf(self, t):
         """Marginal CDF G(t): 0 below 0 and 1 above 1."""
         t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
-        alt = self.F.cdf(t) if self.a > 0.0 else 0.0
-        out = (1.0 - self.a) * t + self.a * alt
+        out = (1.0 - self.a) * t + self.a * self.F.cdf(t)
         return out if out.ndim else float(out)
 
     def pdf(self, t):
         """Marginal density g(t) = (1-a) + a f(t) on [0, 1] and 0 outside it;
         requires the family density."""
-        if self.a == 0.0:
-            return _on_unit(t, np.ones_like)
         if self.F.pdf is None:
             raise ValueError("alternative family has no density")
         return _on_unit(t, lambda t: (1.0 - self.a) + self.a * np.asarray(self.F.pdf(t), dtype=float))
 
     @property
     def has_density(self) -> bool:
-        return self.a == 0.0 or self.F.pdf is not None
+        return self.F.pdf is not None
 
 
 @dataclass(frozen=True)
@@ -198,8 +201,7 @@ def qtilde_map(model: MixtureModel):
         g = model.cdf(t)
         if np.any(g >= 1.0):
             raise ValueError("undefined where G(t) = 1")
-        fa = model.F.cdf(t) if model.a > 0.0 else 0.0
-        out = model.a * (1.0 - fa) / (1.0 - g)
+        out = model.a * (1.0 - model.F.cdf(t)) / (1.0 - g)
         out = np.asarray(out)
         return out if out.ndim else float(out)
 

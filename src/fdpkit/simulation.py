@@ -77,7 +77,7 @@ def _draw(config: ScenarioConfig, model: MixtureModel, key: int | range, shape):
     else:  # at a = 0 every label is False (a uniform is never 0), so the p-values start n doubles in
         lab = np.zeros(shape, dtype=bool) if config.a == 0.0 else uniform_open_at(config.seed, key, shape) < config.a
         p = uniform_open_at(config.seed, key, shape, lab.size)
-    if model.F is not None:
+    if config.a > 0.0:  # at a = 0 no value is labelled
         flat, idx = p.reshape(-1), np.flatnonzero(lab)  # an index scatters faster than a mask
         flat[idx] = model.F.ppf(flat[idx])
     return p, lab
@@ -122,8 +122,6 @@ class PurityQuantities:
 
 def purity_quantities(model: MixtureModel) -> PurityQuantities:
     fam = model.F
-    if fam is None:  # a pure null: nothing to identify
-        return PurityQuantities(zeta=0.0, a_lower=0.0, f_lower=None)
     if fam.pdf is None:
         raise ValueError("alternative family has no density")
     grid = np.unique(np.r_[np.linspace(0.0, 1.0, 10_001), 1.0 - np.geomspace(1e-12, 1e-4, 200)])
@@ -290,6 +288,8 @@ def _sup_step_vs_cdf(sf, knots, cdf, extra=(0.0, 1.0)):
 
 
 def _target_projection_bound(scen=ScenarioConfig(2000, 0.5, "square-root"), *, reps=100):
+    if scen.a == 0.0:
+        raise ValueError(f"projection-bound divides by the weight a, and it is 0 at a = {scen.a!r}")
     model = scen.model()
 
     def sides(p):
@@ -334,7 +334,7 @@ def _kernel_target(kind, scen=_standard(5000), *, reps=2000, points=(0.05, 0.1, 
     for i in range(pts.size):
         for j in range(i, pts.size):
             true = float(eval_kernel(spec, pts[i], pts[j]))
-            rel = abs(emp[i, j] - true) / abs(true)
+            rel = _zscore(emp[i, j], true, abs(true))
             entries.append(
                 {
                     "s": float(pts[i]),
@@ -419,7 +419,7 @@ def _asymptotic_coverage(kind, scen=_standard(1000), *, alpha=0.05, t0=0.5, t_mi
 
 def _target_label_set_coverage(scen=_standard(50), *, alpha=0.05, reps=1000, gate=0.94):
     # ExactConfidenceSet.contains' rule on each row's nulls padded with +inf, the critical values solved once
-    crit = np.r_[-np.inf, -np.inf, _critical_values(np.arange(2, scen.m + 1), alpha)]
+    crit = _critical_values(np.arange(scen.m + 1), alpha)
 
     def hit(p, lab):
         return _second_order_check(np.where(lab, np.inf, p), crit[np.count_nonzero(~lab, axis=-1)])[1]

@@ -154,6 +154,11 @@ class TestUniformityTest:
     def test_small_subsets_never_rejected(self):
         assert uniformity_critical_value(0, 0.05) == -np.inf
         assert uniformity_critical_value(1, 0.05) == -np.inf
+        # the vectorized values own sizes 0 and 1, with no warning, and the
+        # larger sizes keep their bits
+        crit = envelopes._critical_values(np.arange(50), 0.05)
+        assert np.array_equal(crit[:2], [-np.inf, -np.inf])
+        assert np.array_equal(crit[2:], envelopes._critical_values(np.arange(2, 50), 0.05))
         assert uniformity_test_second_order(np.array([]), 0.05).accept
         assert uniformity_test_second_order(np.array([0.001]), 0.05).accept
 

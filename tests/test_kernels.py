@@ -10,7 +10,7 @@ assembly that never touches the closed form under test.
 import numpy as np
 import pytest
 
-from fdpkit.families import make_family
+from fdpkit.families import BetaPower, OneSidedNormal, TwoSidedNormal, make_family
 from fdpkit.kernels import KernelSpec, eval_kernel, storey_population_q
 from fdpkit.model import MixtureModel, q_derivative, q_inverse, q_map
 from fdpkit.rng import stream
@@ -290,6 +290,23 @@ class TestStoreyPopulationMap:
             storey_population_q(mixed_model(), 0.0)
         with pytest.raises(ValueError):
             storey_population_q(mixed_model(), 1.0)
+
+
+class TestPureNull:
+    # at a = 0 the alternative has no effect: the pure null's kernels, whose
+    # alternative is the uniform, are those of any family at weight 0
+    S, T = np.meshgrid([0.01, 0.2, 0.5, 0.9, 1.0], [0.05, 0.3, 0.7, 1.0], indexing="ij")
+
+    @pytest.mark.parametrize("family", [OneSidedNormal(3.0), TwoSidedNormal(2.0), BetaPower(0.5)], ids=repr)
+    @pytest.mark.parametrize("kind, settings", [
+        *(("matrix", {"component": c}) for c in ((0, 0), (0, 1), (1, 0), (1, 1))),
+        ("rejection-balance", {"c": 0.05}), ("fdp", {}), ("qhat", {}), ("qhat-storey", {"t0": 0.5}),
+    ])
+    def test_family_has_no_effect_at_weight_zero(self, kind, settings, family):
+        want = eval_kernel(KernelSpec(kind, MixtureModel(0.0), **settings), self.S, self.T)
+        got = eval_kernel(KernelSpec(kind, MixtureModel(0.0, family), **settings), self.S, self.T)
+        assert np.all(np.isfinite(want))
+        np.testing.assert_array_equal(got, want)
 
 
 class TestSpecValidation:

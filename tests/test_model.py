@@ -16,6 +16,7 @@ from fdpkit import (
     q_map,
     qtilde_map,
 )
+from fdpkit import model as model_module
 from fdpkit.families import BetaPower, OneSidedNormal
 
 
@@ -72,7 +73,11 @@ class TestMixtureModel:
     def test_family_required_when_mixed(self):
         with pytest.raises(ValueError):
             MixtureModel(0.5, None)
-        MixtureModel(0.0, None)  # pure null is fine without a family
+        # a pure null is fine without a family: its alternative is the
+        # uniform, and a family given is kept
+        assert MixtureModel(0.0, None).F is model_module._UNIFORM
+        fam = OneSidedNormal(2.0)
+        assert MixtureModel(0.0, fam).F is fam
 
     def test_cdf_mixture_algebra(self):
         m = MixtureModel(0.5, UserCdf(tricdf))
@@ -108,10 +113,11 @@ class TestMixtureModel:
             assert m.pdf(1.5) == 0.0 and m.pdf(-0.1) == 0.0
 
     def test_pdf_requires_density(self):
-        m = MixtureModel(0.5, UserCdf(tricdf))
-        assert not m.has_density
-        with pytest.raises(ValueError):
-            m.pdf(0.5)
+        for a in (0.5, 0.0):
+            m = MixtureModel(a, UserCdf(tricdf))
+            assert not m.has_density
+            with pytest.raises(ValueError, match="^alternative family has no density$"):
+                m.pdf(0.5)
 
 
 # --- classify / process paths ----------------------------------------------

@@ -19,6 +19,7 @@ from fdpkit.estimation import dkw_epsilon
 from fdpkit.families import UserCdf, make_family
 from fdpkit.model import LabeledSample, MixtureModel, fdp_process, fnp_process
 from fdpkit.rng import stream, uniform_open, uniform_open_at
+from fdpkit import model as model_module
 from fdpkit import simulation
 from fdpkit.simulation import (
     VALIDATION_TARGETS,
@@ -52,9 +53,16 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(m=10, a=1.1)
 
-    def test_pure_null_needs_no_family(self):
+    def test_pure_null_needs_no_family(self, monkeypatch):
+        # a pure null builds no family: its alternative is the uniform
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pure null built a family")
+
+        monkeypatch.setattr(simulation, "make_family", refuse)
         model = ScenarioConfig(m=10, a=0.0, family="no-such-family").model()
-        assert model.a == 0.0 and model.F is None
+        x = np.array([0.0, 5e-324, 0.3, 1.0])
+        np.testing.assert_array_equal(model.cdf(x), x)
+        assert model.a == 0.0 and model.F is model_module._UNIFORM
 
     def test_unknown_family_raises_when_mixed(self, monkeypatch):
         with pytest.raises(ValueError):
@@ -129,8 +137,7 @@ class TestGenerateSample:
             rng = stream(scen.seed, i)
             want_lab = uniform_open(rng, scen.m) < scen.a
             want_p = uniform_open(rng, scen.m)
-            if model.F is not None:
-                want_p[want_lab] = model.F.ppf(want_p[want_lab])
+            want_p[want_lab] = model.F.ppf(want_p[want_lab])
             np.testing.assert_array_equal(lab, want_lab)
             np.testing.assert_array_equal(p, want_p)
             samp = generate_sample(scen, i)
@@ -320,6 +327,9 @@ class TestPurityQuantities:
         no_sampling(monkeypatch)
         with pytest.raises(ValueError, match=r"^achievable-oracle needs a weight floor above 0, and it is 0 at a = 0\.0$"):
             run_validation({"a": 0.0}, "achievable-oracle")
+        # and so does projection-bound, which divides by a
+        with pytest.raises(ValueError, match=r"^projection-bound divides by the weight a, and it is 0 at a = 0\.0$"):
+            run_validation({"a": 0.0}, "projection-bound")
 
     def test_missing_density_is_rejected(self):
         fam = UserCdf(lambda t: np.asarray(t, dtype=float) ** 2)
@@ -444,7 +454,8 @@ PINNED = [
     ("achievable-oracle", _A1, "bcfc57526b06134986a0156abfd563fc770f7393b0042d09f210124695121749"),
     ("projection-bound", _A1, "56b6f242c611a6fc1ff1050e6858da099b125a58ed48438771eb4909bebf0d05"),
     ("lcm-contraction", _A1, "9a8030e57d09ee242c69813a5b4d61826c66e5c18bb37a8b604ec48b8d9d1ed0"),
-    ("projection-bound", {**_A1, "a": 0.0}, ValueError("ahat must lie in (0, 1]")),
+    ("projection-bound", {**_A1, "a": 0.0},
+     ValueError("projection-bound divides by the weight a, and it is 0 at a = 0.0")),
     ("null-floor-coverage", {"reps": 30, "m": 300, "variant": "lcm"},
      "929988b06e5b7f0fffd838cd3be282bbc43cb48fe55d288fc878e73b0018f93a"),
     ("null-floor-coverage", {"reps": 30, "m": 300, "variant": "floor"},
@@ -608,6 +619,20 @@ class TestValidationHarness:
         assert r["passed"] is True
         for pt in r["points"]:
             assert pt["mean"] == pt["expected"] == 0.0 and pt["zscore"] == 0.0
+
+    @pytest.mark.parametrize("cfg, name", [({"a": 0.0}, "fdp-kernel"), ({"a": 1.0}, "fdp-kernel"), ({"a": 1.0}, "qhat-kernel")])
+    def test_zero_kernel_scores_zero(self, cfg, name):
+        # every replicate's value is the same, so the empirical kernel is 0,
+        # as is the true one, and 0 of 0 is no error
+        r = run_validation({**cfg, "reps": 40, "m": 300}, name)
+        assert r["passed"] is True
+        for e in r["entries"]:
+            assert e["empirical"] == e["expected"] == 0.0 and e["rel_error"] == 0.0
+
+    def test_rate_ceiling_under_the_pure_null(self):
+        # at a = 0 the threshold is 0, which rejects nothing and so keeps every FDP at 0
+        r = run_validation({"a": 0.0, "reps": 40, "m": 300}, "rate-ceiling-known-a")
+        assert r["coverage"] == 1.0 and r["threshold"] == 0.0
 
     @pytest.mark.parametrize("seed", [0, 2, 3])
     def test_storey_clt_with_equal_replicates(self, seed):

@@ -389,6 +389,10 @@ class TestRateCeiling:
         with pytest.raises(ValueError, match="decreasing"):
             rate_ceiling_known_a(flat, 1000, 0.9, 0.05)
 
+    def test_pure_null_rejects_nothing(self):
+        # at a = 0 every rejection is false: the ceiling's threshold is 0
+        assert rate_ceiling_known_a(MixtureModel(0.0), 100, 0.05, 0.05).t == 0.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             rate_ceiling_known_a(self.MODEL, 0, 0.05, 0.05)
