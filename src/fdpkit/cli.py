@@ -44,7 +44,9 @@ __all__ = ["RunSpec", "ingest", "run", "main", "read_envelope_csv"]
 
 @dataclass
 class RunSpec:
-    """A CLI invocation; ``run`` executes it.  Its field defaults are the CLI's only defaults."""
+    """A CLI invocation; ``run`` executes it.  Its field defaults are the CLI's
+    defaults, but a ``method`` of None runs its subcommand's first ``_METHODS``
+    entry, and ``_run_example`` reads example 2's None ``ceiling``/``t_min`` as 0.05/1e-4."""
 
     command: str
     input: str | None = None
@@ -177,35 +179,45 @@ def read_envelope_csv(path: str) -> dict:
     return {k: np.asarray(vs) for k, vs in cols.items()}
 
 
-def _build_envelope(p: np.ndarray, spec: RunSpec):
-    method = spec.method or "exact"
-    if method == "exact":
-        confset = exact_confidence_set(p, spec.alpha)
-        return exact_envelope(confset, p)
-    if method == "asymptotic":
-        return asymptotic_envelope(
-            p,
-            t0=spec.t0,
-            alpha=spec.alpha,
-            t_min=spec.t_min,
-            enforce_floor=not spec.no_floor_check,
-        )
-    raise ValueError(f"unknown envelope method: {method!r}")
+# Each subcommand's --method table, its default first: a method's name and
+# the library call it makes on the ingested p-values.  The lambdas look each
+# function up when called, so a rebinding of the module's names reaches them.
+_METHODS = {
+    "threshold": {
+        "bh": lambda p, s: bh_threshold(p, s.alpha),
+        "uncorrected": lambda p, s: simple_thresholds(p, s.alpha, "uncorrected"),
+        "bonferroni": lambda p, s: simple_thresholds(p, s.alpha, "bonferroni"),
+        "fixed": lambda p, s: simple_thresholds(p, s.alpha, "fixed", t=s.t),
+        "first-r": lambda p, s: simple_thresholds(p, s.alpha, "first-r", r=s.r),
+        "plugin": lambda p, s: plugin_threshold(p, storey_a0(p, s.t0), s.alpha, s.variant),
+        "bayes": lambda p, s: bayes_classifier_threshold(p, s.bandwidth),
+    },
+    "estimate": {
+        "storey": lambda p, s: storey_a0(p, s.t0),
+        "astar": lambda p, s: astar_lower(ecdf(p, s.variant), s.alpha),
+        "kernel": lambda p, s: kernel_a_consistent(p, s.bandwidth),
+    },
+    "envelope": {
+        "exact": lambda p, s: exact_envelope(exact_confidence_set(p, s.alpha), p),
+        "asymptotic": lambda p, s: asymptotic_envelope(p, t0=s.t0, alpha=s.alpha, t_min=s.t_min,
+                                                       enforce_floor=not s.no_floor_check),
+    },
+}
+
+
+def _run_method(spec: RunSpec):
+    """Ingest the input, then run ``spec.method`` of the subcommand's table
+    on it (the table's first method when None); a bad file reports first."""
+    p = ingest(spec.input, spec.format)
+    methods = _METHODS[spec.command]
+    method = spec.method or next(iter(methods))
+    if method not in methods:
+        raise ValueError(f"unknown {spec.command} method: {method!r}")
+    return methods[method](p, spec)
 
 
 def _run_threshold(spec: RunSpec) -> dict:
-    p = ingest(spec.input, spec.format)
-    method = spec.method or "bh"
-    if method in ("uncorrected", "bonferroni", "fixed", "first-r"):
-        res = simple_thresholds(p, spec.alpha, method, t=spec.t, r=spec.r)
-    elif method == "bh":
-        res = bh_threshold(p, spec.alpha)
-    elif method == "plugin":
-        res = plugin_threshold(p, storey_a0(p, spec.t0), spec.alpha, spec.variant)
-    elif method == "bayes":
-        res = bayes_classifier_threshold(p, spec.bandwidth)
-    else:
-        raise ValueError(f"unknown threshold method: {method!r}")
+    res = _run_method(spec)
     if spec.output:
         _write_threshold_csv(spec.output, res)
     return _threshold_record(res)
@@ -214,11 +226,9 @@ def _run_threshold(spec: RunSpec) -> dict:
 def _run_envelope(spec: RunSpec) -> dict:
     if spec.min_rate and spec.ceiling is not None:
         raise ValueError("choose one of --min-rate and --ceiling")
-    p = ingest(spec.input, spec.format)
-    env = _build_envelope(p, spec)
-    thr = None
-    if spec.min_rate or spec.ceiling is not None:
-        thr = confidence_thresholds(env, spec.ceiling)   # may refuse c, so before any file
+    env = _run_method(spec)
+    # may refuse c, so before any file
+    thr = confidence_thresholds(env, spec.ceiling) if spec.min_rate or spec.ceiling is not None else None
     if spec.output:
         _write_envelope_csv(spec.output, env)
     if thr is not None:
@@ -235,21 +245,9 @@ def _run_envelope(spec: RunSpec) -> dict:
 
 
 def _run_estimate(spec: RunSpec) -> dict:
-    p = ingest(spec.input, spec.format)
-    method = spec.method or "storey"
-    if method == "storey":
-        est = storey_a0(p, spec.t0)
-    elif method == "astar":
-        est = astar_lower(ecdf(p, spec.variant), spec.alpha)
-    elif method == "kernel":
-        est = kernel_a_consistent(p, spec.bandwidth)
-    else:
-        raise ValueError(f"unknown estimate method: {method!r}")
+    est = _run_method(spec)
     rec = {"method": est.method, "value": est.value}
-    for name in ("t0", "bandwidth", "alpha"):
-        val = getattr(est, name)
-        if val is not None:
-            rec[name] = val
+    rec.update({k: getattr(est, k) for k in ("t0", "bandwidth", "alpha") if getattr(est, k) is not None})
     rec.update({f"diag_{k}": v for k, v in sorted(est.diagnostics.items())})
     return rec
 
@@ -276,14 +274,10 @@ def _run_simulate(spec: RunSpec) -> dict:
 def _run_example(spec: RunSpec) -> dict:
     if spec.example == 1:
         p = np.asarray(EXAMPLE1_PVALUES)
-        alpha = spec.alpha
-        un = simple_thresholds(p, alpha, "uncorrected")
-        bf = simple_thresholds(p, alpha, "bonferroni")
-        bh = bh_threshold(p, alpha)
-        env = exact_envelope(exact_confidence_set(p, alpha), p)
-        mr = confidence_thresholds(env, None)
+        un, bf, bh = (_METHODS["threshold"][k](p, spec) for k in ("uncorrected", "bonferroni", "bh"))
+        mr = confidence_thresholds(_METHODS["envelope"]["exact"](p, spec), None)
         return {
-            "alpha": alpha,
+            "alpha": spec.alpha,
             "uncorrected_t": un.t,
             "uncorrected_rejected": un.rejected,
             "bonferroni_t": bf.t,
@@ -297,18 +291,16 @@ def _run_example(spec: RunSpec) -> dict:
         }
     if spec.example == 2:
         scen = dataclasses.replace(EXAMPLE2_SCENARIO, seed=spec.seed)
-        samp = generate_sample(scen, 0)
-        p = samp.pvalues
-        alpha = spec.alpha
+        p = generate_sample(scen, 0).pvalues
         c = spec.ceiling if spec.ceiling is not None else 0.05
         t_min = spec.t_min if spec.t_min is not None else 1e-4
-        env_exact = exact_envelope(exact_confidence_set(p, alpha), p)
+        env_exact = _METHODS["envelope"]["exact"](p, spec)
         thr_exact = confidence_thresholds(env_exact, c)
         mr = confidence_thresholds(env_exact, None)
-        env_asym = asymptotic_envelope(p, t0=spec.t0, alpha=alpha, t_min=t_min, enforce_floor=False)
+        env_asym = asymptotic_envelope(p, t0=spec.t0, alpha=spec.alpha, t_min=t_min, enforce_floor=False)
         thr_asym = confidence_thresholds(env_asym, c)
         return {
-            "alpha": alpha,
+            "alpha": spec.alpha,
             "ceiling": c,
             "seed": scen.seed,
             "exact_ceiling_t": thr_exact.t,
@@ -333,8 +325,9 @@ def _fmt(v) -> str:
 
 
 # Each option once: its flag and how argparse reads it.  None has a default
-# here: an option left off the command line is left out of the RunSpec, whose
-# fields and the runners' method fallbacks hold every default.
+# here: an option left off the command line is left out of the RunSpec.  The
+# defaults are RunSpec's fields, the first method of each _METHODS table, and
+# example 2's --ceiling 0.05 and --t-min 1e-4, which _run_example sets.
 _OPTIONS = {
     "--input": {"required": True, "help": "p-value file"},
     "--format": {"choices": ["lines", "csv"]},
@@ -357,21 +350,18 @@ _OPTIONS = {
     "example": {"type": int, "choices": [1, 2]},
 }
 
-# Each subcommand: its runner, its help, its --method choices and the
-# options it reads.
+# Each subcommand: its runner, its help and the options it reads; the three
+# with a _METHODS table also take --method.
 _COMMANDS = {
     "threshold": (_run_threshold, "rejection thresholds",
-                  ["uncorrected", "bonferroni", "fixed", "first-r", "bh", "plugin", "bayes"],
                   "--input --format --alpha --output --json --t --r --t0 --variant --bandwidth"),
-    "envelope": (_run_envelope, "FDP confidence envelopes", ["exact", "asymptotic"],
+    "envelope": (_run_envelope, "FDP confidence envelopes",
                  "--input --format --alpha --output --json --ceiling --min-rate --t0 --t-min "
                  "--no-floor-check"),
-    "estimate": (_run_estimate, "mixing-weight estimators", ["storey", "astar", "kernel"],
+    "estimate": (_run_estimate, "mixing-weight estimators",
                  "--input --format --alpha --json --t0 --variant --bandwidth"),
-    "simulate": (_run_simulate, "named validation targets", None,
-                 "--seed --output --json --target --config --reps"),
-    "reproduce-example": (_run_example, "worked examples", None,
-                          "example --alpha --seed --json --ceiling --t0 --t-min"),
+    "simulate": (_run_simulate, "named validation targets", "--seed --output --json --target --config --reps"),
+    "reproduce-example": (_run_example, "worked examples", "example --alpha --seed --json --ceiling --t0 --t-min"),
 }
 
 
@@ -393,10 +383,10 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _parser() -> argparse.ArgumentParser:
     ap = _ArgumentParser(prog="fdpkit", description="False-discovery control toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (_, text, methods, flags) in _COMMANDS.items():
+    for name, (_, text, flags) in _COMMANDS.items():
         sp = sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
-        if methods:
-            sp.add_argument("--method", choices=methods)
+        if name in _METHODS:
+            sp.add_argument("--method", choices=list(_METHODS[name]))
         for flag in flags.split():
             sp.add_argument(flag, **_OPTIONS[flag])
     return ap
@@ -405,7 +395,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = vars(_parser().parse_args(argv))
-        if "FDP_SEED" in os.environ and "--seed" in _COMMANDS[args["command"]][3].split():
+        if "FDP_SEED" in os.environ and "--seed" in _COMMANDS[args["command"]][2].split():
             try:
                 args["seed"] = int(os.environ["FDP_SEED"])
             except ValueError:

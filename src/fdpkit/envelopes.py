@@ -301,8 +301,7 @@ def _critical_values(ks, alpha: float) -> np.ndarray:
     while moving.size:
         xi, ni = x[moving], n[moving]
         nx = ni * xi
-        lpm = _lpm(np.concatenate((-xi, nx)))   # one call for both terms halves the NumPy calls
-        h = ni * lpm[: xi.size] + lpm[xi.size :] + L
+        h = ni * _lpm(-xi) + _lpm(nx) + L
         step = xi + h * (1.0 - xi) * (1.0 + nx) / ((ni + 1.0) * nx)
         falls = step < xi
         moving = moving[falls]

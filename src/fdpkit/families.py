@@ -30,8 +30,8 @@ def _largest_true(pred, shape=(), lo=0.0, hi=1.0):
     over the patterns ends in at most 62 steps, with no tolerance and no
     step count to choose, on a t where pred holds and fails one double up
     (or t = hi).  Where pred switches off more than once, as ``cdf(t) < u``
-    does for the rounded ``TwoSidedNormal.cdf`` (not monotone at the ulp
-    level), t is one such switch, and which one depends on the bracket."""
+    does for both normal families (their rounded CDFs, like SciPy's ``ndtri``
+    under them, fall at the ulp level), t is one such switch, and which one depends on the bracket."""
     lo = np.broadcast_to(np.asarray(lo, dtype=float), shape).view(np.int64)
     hi = np.broadcast_to(np.asarray(hi, dtype=float), shape).view(np.int64)
     while np.any(lo < hi):

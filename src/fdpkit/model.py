@@ -72,10 +72,12 @@ class MixtureModel:
 
     def pdf(self, t):
         """Marginal density g(t) = (1-a) + a f(t) on [0, 1] and 0 outside it;
-        requires the family density."""
+        requires the family density.  f is weighted only at a > 0, so a pure
+        null's g is 1 even where a family passed with it has f infinite."""
         if self.F.pdf is None:
             raise ValueError("alternative family has no density")
-        return _on_unit(t, lambda t: (1.0 - self.a) + self.a * np.asarray(self.F.pdf(t), dtype=float))
+        a = self.a
+        return _on_unit(t, lambda t: (1.0 - a) + (a * np.asarray(self.F.pdf(t), dtype=float) if a > 0.0 else 0.0))
 
     @property
     def has_density(self) -> bool:

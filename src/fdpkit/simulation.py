@@ -251,6 +251,8 @@ def _target_storey_clt(scen=_standard(5000), *, reps=2000, t0=0.5, rel_tol=0.10,
 def _target_storey_degenerate(
     scen=ScenarioConfig(10_000, 0.0), *, reps=10_000, t0=0.5, half_tol=0.02, sigmas=4.0
 ):
+    if scen.a == 1.0:
+        raise ValueError(f"storey-degenerate checks the pure null, and no p-value is null at a = {scen.a!r}")
     from scipy.special import betainc
 
     model = scen.model()
@@ -349,6 +351,10 @@ def _kernel_target(kind, scen=_standard(5000), *, reps=2000, points=(0.05, 0.1, 
 
 
 def _target_qinv_kernel_identity(scen=_standard(100), *, tol=1e-10, points=(0.1, 0.2, 0.3)):
+    if scen.a == 0.0:
+        raise ValueError(f"qinv-kernel-identity inverts Q, and Q is 1 everywhere at a = {scen.a!r}")
+    if scen.a == 1.0:
+        raise ValueError(f"qinv-kernel-identity inverts Q on (0, 1 - a), and that range is empty at a = {scen.a!r}")
     model = scen.model()
     us = np.asarray(points, dtype=float)
     xs = q_inverse(model, us)
@@ -367,6 +373,8 @@ def _target_qinv_kernel_identity(scen=_standard(100), *, tol=1e-10, points=(0.1,
 def _plugin_target(estimated, scen=_standard(5000), *, reps=2000, alpha=0.05, t0=0.5, tol=0.01):
     # mean FDP of the plug-in rule at the known weight a, or at the
     # exceedance-ratio estimate at t0
+    if not estimated and scen.a == 1.0:
+        raise ValueError(f"plugin-known-a expects a mean FDP of alpha, but with no nulls it is 0 at a = {scen.a!r}")
     model = scen.model()
     total = 0.0
     for p, lab in _blocks(scen, model, reps):
@@ -378,6 +386,10 @@ def _plugin_target(estimated, scen=_standard(5000), *, reps=2000, alpha=0.05, t0
 
 
 def _target_rate_ceiling_known_a(scen=_standard(10_000), *, reps=5000, c=0.05, alpha=0.05, band=(0.93, 0.97)):
+    if scen.a == 0.0:
+        raise ValueError(f"rate-ceiling-known-a has threshold 0 and coverage 1 by construction at a = {scen.a!r}")
+    if scen.a == 1.0:
+        raise ValueError(f"rate-ceiling-known-a bounds false discoveries, and no p-value is null at a = {scen.a!r}")
     model = scen.model()
     thr = rate_ceiling_known_a(model, scen.m, c, alpha)
     hits = sum(int((_rates(p, lab, thr.t)[0] <= c).sum()) for p, lab in _blocks(scen, model, reps))

@@ -1,6 +1,7 @@
 """End-to-end command-line checks: ingestion, each subcommand against the
 library route, file outputs, seeds, and error signaling."""
 
+import argparse
 import itertools
 import json
 import subprocess
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fdpkit.cli import (
-    RunSpec, _envelope_grid, _ingest_lines, _parser, ingest, main, read_envelope_csv, run,
+    _METHODS, RunSpec, _envelope_grid, _ingest_lines, _parser, ingest, main, read_envelope_csv, run,
 )
 from fdpkit.datasets import EXAMPLE1_PVALUES, EXAMPLE2_SCENARIO
 from fdpkit.envelopes import (
@@ -570,6 +571,26 @@ class TestCommandLine:
         rc, out, _ = run_cli(capsys, *argv)
         assert rc == 0
         assert out == json.dumps(run(RunSpec(command=argv[0], **spec)), sort_keys=True) + "\n"
+
+
+class TestMethodTables:
+    @pytest.mark.parametrize("command, default, key", [
+        ("threshold", "bh", "method"), ("estimate", "storey", "method"), ("envelope", "exact", "envelope"),
+    ])
+    def test_each_table_feeds_argparse_and_the_default(self, tmp_path, pfile, command, default, key):
+        sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+        method = next(a for a in sub.choices[command]._actions if a.dest == "method")
+        assert method.choices == list(_METHODS[command])
+        assert next(iter(_METHODS[command])) == default
+        # a method of None runs the table's first entry
+        rec = run(RunSpec(command=command, input=pfile))
+        assert rec[key] == default
+        assert rec == run(RunSpec(command=command, input=pfile, method=default))
+        with pytest.raises(ValueError, match=f"^unknown {command} method: 'nope'$"):
+            run(RunSpec(command=command, input=pfile, method="nope"))
+        # the file is read first, so a missing one reports its own error
+        with pytest.raises(FileNotFoundError):
+            run(RunSpec(command=command, input=str(tmp_path / "missing.txt"), method="nope"))
 
 
 class TestProcessLevel:

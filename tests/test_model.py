@@ -17,7 +17,7 @@ from fdpkit import (
     qtilde_map,
 )
 from fdpkit import model as model_module
-from fdpkit.families import BetaPower, OneSidedNormal
+from fdpkit.families import BetaPower, OneSidedNormal, TwoSidedNormal
 
 
 # --- independent counting oracles -----------------------------------------
@@ -95,6 +95,17 @@ class TestMixtureModel:
         assert m.cdf(0.3) == 0.3
         assert m.pdf(0.7) == 1.0
         assert np.array_equal(m.pdf(np.array([0.2, 0.9])), np.ones(2))
+
+    @pytest.mark.parametrize("fam", [OneSidedNormal(3.0), TwoSidedNormal(3.0), BetaPower(0.5)], ids=repr)
+    def test_pure_null_density_ignores_the_family(self, fam):
+        # f is infinite at t = 0 for each family; at a = 0 it takes no weight,
+        # so g is 1 there too, with no 0 * inf
+        ts = np.array([0.0, 1e-300, 0.3, 1.0])
+        assert MixtureModel(0.0, fam).pdf(0.0) == 1.0
+        assert np.array_equal(MixtureModel(0.0, fam).pdf(ts), np.ones(ts.size))
+        # and at a > 0 the density is the weighted sum, to the bit
+        m = MixtureModel(0.25, fam)
+        assert np.array_equal(m.pdf(ts[1:]), 0.75 + 0.25 * np.asarray(fam.pdf(ts[1:]), dtype=float))
 
     def test_pdf_scalar_and_vector(self):
         m = MixtureModel(0.25, OneSidedNormal(3.0))

@@ -9,6 +9,7 @@ import json
 import os
 import re
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -456,11 +457,26 @@ PINNED = [
     ("lcm-contraction", _A1, "9a8030e57d09ee242c69813a5b4d61826c66e5c18bb37a8b604ec48b8d9d1ed0"),
     ("projection-bound", {**_A1, "a": 0.0},
      ValueError("projection-bound divides by the weight a, and it is 0 at a = 0.0")),
+    ("qinv-kernel-identity", {"a": 0.0},
+     ValueError("qinv-kernel-identity inverts Q, and Q is 1 everywhere at a = 0.0")),
+    ("qinv-kernel-identity", {"a": 1.0},
+     ValueError("qinv-kernel-identity inverts Q on (0, 1 - a), and that range is empty at a = 1.0")),
+    ("rate-ceiling-known-a", {**_A1, "a": 0.0},
+     ValueError("rate-ceiling-known-a has threshold 0 and coverage 1 by construction at a = 0.0")),
+    ("rate-ceiling-known-a", _A1,
+     ValueError("rate-ceiling-known-a bounds false discoveries, and no p-value is null at a = 1.0")),
+    ("plugin-known-a", _A1,
+     ValueError("plugin-known-a expects a mean FDP of alpha, but with no nulls it is 0 at a = 1.0")),
+    ("storey-degenerate", _A1,
+     ValueError("storey-degenerate checks the pure null, and no p-value is null at a = 1.0")),
     ("null-floor-coverage", {"reps": 30, "m": 300, "variant": "lcm"},
      "929988b06e5b7f0fffd838cd3be282bbc43cb48fe55d288fc878e73b0018f93a"),
     ("null-floor-coverage", {"reps": 30, "m": 300, "variant": "floor"},
      "c55c6570ddaa7bec4949c07e7db3d33edecbf3031d098b32ca508c649a7d88ee"),
 ]
+
+# the pinned runs refused at the model's boundary, a = 0 or a = 1
+BOUNDARY_REFUSALS = [pin for pin in PINNED if isinstance(pin[2], Exception) and " at a = " in str(pin[2])]
 
 
 class TestRewiredTargets:
@@ -490,6 +506,16 @@ class TestRewiredTargets:
         assert "spot_check_passed" not in report
         digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
         assert digest == want
+
+    @pytest.mark.parametrize("name, config, want", BOUNDARY_REFUSALS, ids=[
+        f"{name}-a={config['a']}" for name, config, _ in BOUNDARY_REFUSALS
+    ])
+    def test_boundary_runs_are_refused_before_sampling(self, monkeypatch, name, config, want):
+        no_sampling(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(str(want))}$"):
+                run_validation(config, name)
 
     @pytest.mark.parametrize("t0", [0.0, 1.0, 1.5])
     @pytest.mark.parametrize("name", ["storey-clt", "storey-degenerate", "storey-kernel", "plugin-estimated-a"])
@@ -628,11 +654,6 @@ class TestValidationHarness:
         assert r["passed"] is True
         for e in r["entries"]:
             assert e["empirical"] == e["expected"] == 0.0 and e["rel_error"] == 0.0
-
-    def test_rate_ceiling_under_the_pure_null(self):
-        # at a = 0 the threshold is 0, which rejects nothing and so keeps every FDP at 0
-        r = run_validation({"a": 0.0, "reps": 40, "m": 300}, "rate-ceiling-known-a")
-        assert r["coverage"] == 1.0 and r["threshold"] == 0.0
 
     @pytest.mark.parametrize("seed", [0, 2, 3])
     def test_storey_clt_with_equal_replicates(self, seed):

@@ -393,6 +393,15 @@ class TestRateCeiling:
         # at a = 0 every rejection is false: the ceiling's threshold is 0
         assert rate_ceiling_known_a(MixtureModel(0.0), 100, 0.05, 0.05).t == 0.0
 
+    def test_pure_null_with_a_family_is_the_pure_null(self):
+        # the family passed at a = 0 has an infinite density at 0, which
+        # takes no weight there: the slope is 1 - alpha, as for the uniform
+        fam = make_family("one-sided-normal", {"theta": 3.0})
+        got = rate_ceiling_known_a(MixtureModel(0.0, fam), 100, 0.05, 0.05)
+        want = rate_ceiling_known_a(MixtureModel(0.0), 100, 0.05, 0.05)
+        assert got.diagnostics == want.diagnostics == {"t_c": 0.0, "sd": 0.0, "slope": 0.95}
+        assert got.t == want.t == 0.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             rate_ceiling_known_a(self.MODEL, 0, 0.05, 0.05)
