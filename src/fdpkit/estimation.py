@@ -44,7 +44,7 @@ def _validated_pvalues(pvalues) -> np.ndarray:
     p = np.asarray(pvalues, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("need a nonempty 1-D array of p-values")
-    if np.any(~np.isfinite(p)) or np.any(p < 0.0) or np.any(p > 1.0):
+    if not (p.min() >= 0.0 and p.max() <= 1.0):   # False for NaN too
         raise ValueError("p-values must lie in [0, 1]")
     return p
 
@@ -123,14 +123,16 @@ def _concave_majorant(xs: np.ndarray, ys: np.ndarray) -> PiecewiseLinear:
     that stays a vertex is a search over R, each of whose tests takes the
     tangent from an R point to L, a search over L.  The points strictly
     between the bridge's ends are dropped.  A level takes O(m) array work
-    plus O(log^2 w) search steps per pair: O(m log m) in all."""
+    plus O(log^2 w) search steps per pair: O(m log m) in all.  The first
+    level is w = 2: at w = 1 each block is one point, so each bridge joins
+    two neighbours and drops nothing."""
     x, y = xs, ys
     n = x.size
-    pos = np.arange(n)                   # input index of each surviving point
-    w = 1
+    pos = np.arange(n, dtype=np.int32)   # input index of each surviving point
+    w = 2
     while w < n:
         # where each block of w input indices starts among the survivors
-        edges = np.append(np.searchsorted(pos, np.arange(0, n, w)), pos.size)
+        edges = np.append(np.searchsorted(pos, np.arange(0, n, w, dtype=np.int32)), pos.size)
         ls, mid, re = edges[:-2:2], edges[1:-1:2], edges[2::2]
 
         def tangent(j, first, last):
@@ -152,34 +154,35 @@ def _concave_majorant(xs: np.ndarray, ys: np.ndarray) -> PiecewiseLinear:
         j = _lift(mid, re - 1, hidden, math.isqrt(_SEARCH_ROUND // ls.size))
         t = tangent(j, ls, mid - 1)
         if np.any(t + 1 < j):
-            d = np.zeros(pos.size + 1, dtype=np.int64)
+            d = np.zeros(pos.size, dtype=np.int8)
             d[t + 1] += 1
             d[j] -= 1
-            alive = d.cumsum()[:-1] == 0
+            alive = np.cumsum(d, out=d) == 0
             x, y, pos = x[alive], y[alive], pos[alive]
         w *= 2
     return PiecewiseLinear(x, y)
 
 
 def ecdf(pvalues, variant: str = "plain") -> EcdfEstimate:
-    """Empirical CDF of the p-values in the requested variant."""
+    """Empirical CDF of the p-values in the requested variant.  One sort
+    gives the distinct values and Ghat at each, written between a (0, 0) and
+    a (1, 1): the step function and the majorant's points are slices."""
     p = _validated_pvalues(pvalues)
     variant = _normalize_variant(variant)
     m = p.size
-    distinct, counts = np.unique(p, return_counts=True)
-    vals = counts.cumsum() / m
-    base = StepFunction.from_pairs(distinct, vals, value_at_zero=0.0)
-    hull = None
-    if variant == "lcm":
-        xs = distinct
-        ys = vals
-        if xs[0] != 0.0:
-            xs = np.r_[0.0, xs]
-            ys = np.r_[0.0, ys]
-        if xs[-1] != 1.0:
-            xs = np.r_[xs, 1.0]
-            ys = np.r_[ys, 1.0]
-        hull = _concave_majorant(xs, ys)
+    s = np.sort(p)
+    starts = np.ones(m + 1, dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=starts[1:-1])
+    starts = np.flatnonzero(starts)     # where each run of ties starts, then m
+    k = starts.size - 1
+    xs, ys = np.zeros((2, k + 2))
+    xs[-1] = ys[-1] = 1.0
+    np.take(s, starts[:-1], out=xs[1:-1], mode="clip")   # in range: clip skips a copy
+    np.divide(starts[1:], m, out=ys[1:-1])
+    del s, starts                       # the majorant needs neither
+    lo, hi = int(xs[1] == 0.0), k + 2 - int(xs[k] == 1.0)
+    base = StepFunction(xs[lo:-1], ys[lo:-1])
+    hull = _concave_majorant(xs[lo:hi], ys[lo:hi]) if variant == "lcm" else None
     return EcdfEstimate(base=base, variant=variant, m=m, hull=hull)
 
 
@@ -254,16 +257,23 @@ def astar_lower(ghat: EcdfEstimate, alpha: float) -> NullFractionEstimate:
     """Uniform-confidence lower bound for the mixing weight:
     max over t of (Ghat(t) - t - eps_m(alpha)) / (1 - t), clamped at 0.
 
-    The objective is piecewise monotone between breakpoints, so the exact
-    supremum over [0, 1) is attained on the finite candidate set of
-    breakpoints evaluated from both sides.
+    The supremum over [0, 1) is attained at a knot of Ghat (a vertex of the
+    hull for the lcm variant), from the right.  Between knots the step
+    variants are flat or follow t, where the objective decreases, and along
+    a hull segment it is a ratio of linear functions, so monotone.  At a
+    knot the right-hand value is at least the left limit, and so is the
+    objective, whose every rounding step is monotone in Ghat: a left limit
+    never wins, not even by a rounding.
     """
     _require_open_unit("alpha", alpha)
     eps = dkw_epsilon(ghat.m, alpha)
-    ts = ghat.base.knots
     if ghat.variant == "lcm":
-        ts = np.union1d(ts, ghat.hull.x)
-    value, top, argmax_t = _astar(np.r_[ts, ts], np.r_[ghat(ts), ghat.left(ts)], eps)
+        ts, g = ghat.hull.x, ghat.hull.y
+    else:
+        ts, g = ghat.base.knots, ghat.base.values
+        if ghat.variant == "floor":
+            g = np.maximum(g, ts)
+    value, top, argmax_t = _astar(ts, g, eps)
     return NullFractionEstimate(
         value=float(value),
         method="astar-lower",

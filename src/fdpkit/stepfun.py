@@ -45,7 +45,7 @@ class StepFunction:
             raise ValueError("need at least one knot")
         if knots[0] != 0.0:
             raise ValueError("first knot must be 0.0")
-        if np.any(np.diff(knots) <= 0):
+        if np.any(knots[1:] <= knots[:-1]):
             raise ValueError("knots must be strictly increasing")
         if knots[-1] > 1.0 or np.any(knots < 0.0):
             raise ValueError("knots must lie in [0, 1]")
@@ -114,7 +114,7 @@ class PiecewiseLinear:
         y = _as_float_array(y)
         if x.ndim != 1 or x.shape != y.shape or x.size < 2:
             raise ValueError("need matching 1-D arrays with at least two nodes")
-        if np.any(np.diff(x) <= 0):
+        if np.any(x[1:] <= x[:-1]):
             raise ValueError("nodes must be strictly increasing")
         if x[0] < 0.0 or x[-1] > 1.0:
             raise ValueError("nodes must lie in [0, 1]")

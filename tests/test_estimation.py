@@ -18,10 +18,10 @@ from fdpkit import (
     q_hat,
     storey_a0,
 )
-from fdpkit.estimation import _astar_rows, _qhat, _storey
+from fdpkit.estimation import EcdfEstimate, _astar, _astar_rows, _concave_majorant, _qhat, _storey
 from fdpkit.families import BetaPower
 from fdpkit.rng import stream, uniform_open
-from fdpkit.stepfun import PiecewiseLinear
+from fdpkit.stepfun import PiecewiseLinear, StepFunction
 
 
 # --- oracles ---------------------------------------------------------------
@@ -78,6 +78,38 @@ def lcm_points(p):
     return xs, ys
 
 
+def ecdf_by_unique(p, variant):
+    """``ecdf`` as built from ``np.unique`` counts, ``from_pairs`` and the
+    majorant of ``lcm_points``, before it took one sort and two buffers."""
+    distinct, counts = np.unique(p, return_counts=True)
+    base = StepFunction.from_pairs(distinct, counts.cumsum() / len(p), value_at_zero=0.0)
+    hull = _concave_majorant(*lcm_points(p)) if variant == "lcm" else None
+    return EcdfEstimate(base=base, variant=variant, m=len(p), hull=hull)
+
+
+def astar_two_sided(ghat, alpha):
+    """``astar_lower``'s (value, argmax_t, unclamped) over the candidates it
+    took before it read right-hand values only: both one-sided values of
+    Ghat at every knot, and for lcm at the knots and the hull's vertices."""
+    ts = ghat.base.knots
+    if ghat.variant == "lcm":
+        ts = np.union1d(ts, ghat.hull.x)
+    value, top, argmax_t = _astar(np.r_[ts, ts], np.r_[ghat(ts), ghat.left(ts)],
+                                  dkw_epsilon(ghat.m, alpha))
+    return float(value), float(argmax_t), float(top)
+
+
+def rounded_screen(m, seed=7):
+    """The CLI benchmark's kind of input: a normal-mean mixture written with
+    six significant digits, so heavily tied."""
+    from scipy.special import ndtr, ndtri
+
+    rng = np.random.default_rng(seed)
+    u = rng.random(m)
+    p = np.where(rng.random(m) < 0.1, ndtr(ndtri(u) - 3.0), u)
+    return np.array(["%.6g" % v for v in p], dtype=float)
+
+
 def astar_dense_grid(p, alpha, n=100_001):
     eps = dkw_epsilon(len(p), alpha)
     g = ecdf(p, "plain")
@@ -95,6 +127,28 @@ def kernel_density_fsum(p, h, grid_size):
     ext = np.concatenate([p, -p, 2.0 - p])
     sums = [math.fsum(np.clip(1.0 - np.abs(g - ext) / h, 0.0, None).tolist()) for g in grid]
     return np.array(sums) / (p.size * h)
+
+
+def core_block(g, m):
+    """A block of 60 rows of m p-values mixing uniforms with ties at 0.5
+    and with 0, 5e-324 and 1."""
+    p = g.random((60, m))
+    atoms = np.array([0.0, 5e-324, 0.25, 0.5, 1.0])
+    pick = g.random((60, m)) < 0.4
+    p[pick] = atoms[g.integers(0, atoms.size, pick.sum())]
+    p[0] = 0.5                                 # every p-value tied at t0
+    p[1] = 1.0
+    return p
+
+
+def core_rows():
+    """Rows of core blocks at m = 2, 9 and 200, some rounded to two digits."""
+    rows = []
+    for m in (2, 9, 200):
+        p = core_block(stream(924, m), m)
+        p[30:] = np.round(p[30:], 2)
+        rows.extend(p[2::6])
+    return rows
 
 
 # --- ecdf ------------------------------------------------------------------
@@ -182,15 +236,7 @@ class TestEcdf:
         assert hull.x.size > 0.99 * m
 
     def test_lcm_on_a_rounded_screen_matches_the_scan(self):
-        # the CLI benchmark's kind of input: a normal-mean mixture written
-        # with six significant digits, so heavily tied
-        from scipy.special import ndtr, ndtri
-
-        rng = np.random.default_rng(7)
-        m = 100_000
-        u = rng.random(m)
-        p = np.where(rng.random(m) < 0.1, ndtr(ndtri(u) - 3.0), u)
-        p = np.array(["%.6g" % v for v in p], dtype=float)
+        p = rounded_screen(100_000)
         hull = ecdf(p, "lcm").hull
         hx, hy = hull_by_monotone_chain(*lcm_points(p))
         np.testing.assert_array_equal(hull.x, hx)
@@ -210,6 +256,68 @@ class TestEcdf:
             ecdf([])
         with pytest.raises(ValueError):
             ecdf([0.5, 1.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -5e-324, -0.5, 1.0 + 2**-52, 1.5])
+    def test_values_off_the_unit_interval_rejected(self, bad):
+        for p in ([bad], [0.2, bad, 0.7], [bad, 0.0, 1.0]):
+            for fn in (ecdf, storey_a0, kernel_density):
+                with pytest.raises(ValueError, match=r"^p-values must lie in \[0, 1\]$"):
+                    fn(p)
+
+    @pytest.mark.parametrize("p", [
+        [0.5], [0.0], [1.0], [5e-324],
+        [0.3] * 50, [0.0] * 7, [1.0] * 7, [5e-324] * 3,
+        [0.0, 5e-324, 1.0], [1.0, 5e-324, 0.0, 0.0, 1.0, 0.5],
+        *core_rows(),
+        rounded_screen(20_000, seed=3),
+    ], ids=lambda p: f"m{len(p)}")
+    def test_matches_the_unique_ecdf_and_the_two_sided_bound(self, p):
+        # the one-sort buffers and the right-hand candidates give every bit
+        # the np.unique ECDF and the two-sided candidate set gave
+        p = np.asarray(p, dtype=float)
+        for variant in ("plain", "floor", "lcm"):
+            got, want = ecdf(p, variant), ecdf_by_unique(p, variant)
+            assert got.base.knots.tobytes() == want.base.knots.tobytes()
+            assert got.base.values.tobytes() == want.base.values.tobytes()
+            if variant == "lcm":
+                assert got.hull.x.tobytes() == want.hull.x.tobytes()
+                assert got.hull.y.tobytes() == want.hull.y.tobytes()
+            for alpha in (0.05, 0.5, 0.99):
+                est = astar_lower(got, alpha)
+                d = est.diagnostics
+                assert repr((est.value, d["argmax_t"], d["unclamped"])) == repr(astar_two_sided(want, alpha))
+
+    def test_lcm_bound_is_finite_across_a_subnormal_gap(self):
+        # the hull's segment from 0 to 1e-323 is infinitely steep: evaluated
+        # at the knot 5e-324 inside it, it gave an infinite bound
+        g = ecdf([0.0, 5e-324, 1e-323, 1e-323, 1e-323], "lcm")
+        assert g.hull.x.tolist() == [0.0, 1e-323, 1.0]
+        assert astar_two_sided(g, 0.05)[0] == np.inf
+        est = astar_lower(g, 0.05)
+        assert est.value == 1.0 - dkw_epsilon(5, 0.05) and est.diagnostics["argmax_t"] == 1e-323
+
+    @pytest.mark.parametrize("call, budget", [
+        (lambda p: ecdf(p, "lcm"), 9),
+        (lambda p: astar_lower(ecdf(p), 0.05), 6),
+    ], ids=["ecdf-lcm", "astar"])
+    def test_screen_memory_budget(self, call, budget):
+        # traced peak above the input, in input sizes: on this screen the
+        # np.unique ECDF took 9.5 with its two-sided bound and 12 with the
+        # majorant; the sort, the run starts and the two knot buffers take
+        # about 4, and the majorant about 4 on top of the knot buffers
+        import tracemalloc
+
+        p = rounded_screen(200_000, seed=3)
+        tracemalloc.start()
+        try:
+            call(p[:10])
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            call(p)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget * p.nbytes
 
 
 class TestDkw:
@@ -253,18 +361,6 @@ class TestStoreyA0:
         for bad in (0.0, 1.0, -0.2):
             with pytest.raises(ValueError):
                 storey_a0([0.5], t0=bad)
-
-
-def core_block(g, m):
-    """A block of 60 rows of m p-values mixing uniforms with ties at 0.5
-    and with 0, 5e-324 and 1."""
-    p = g.random((60, m))
-    atoms = np.array([0.0, 5e-324, 0.25, 0.5, 1.0])
-    pick = g.random((60, m)) < 0.4
-    p[pick] = atoms[g.integers(0, atoms.size, pick.sum())]
-    p[0] = 0.5                                 # every p-value tied at t0
-    p[1] = 1.0
-    return p
 
 
 class TestRowCores:

@@ -37,6 +37,26 @@ class TestStepFunction:
         with pytest.raises(ValueError):
             StepFunction([0.0, 0.2], [1.0])
 
+    @pytest.mark.parametrize("knots, message", [
+        ([0.0, 0.2, 0.2], "strictly increasing"),
+        ([0.0, 0.5, 0.3, 2.0], "strictly increasing"),
+        ([0.0, -np.inf], "strictly increasing"),
+        ([0.0, 0.5, np.nan, 0.3, 0.2], "strictly increasing"),
+        ([0.0, np.inf, np.inf], "strictly increasing"),
+        ([0.0, np.inf], r"lie in \[0, 1\]"),
+        ([0.0, 0.5, np.inf], r"lie in \[0, 1\]"),
+        ([0.0, 0.5, 1.5], r"lie in \[0, 1\]"),
+        ([np.nan, 0.5], "first knot must be 0.0"),
+        ([-np.inf, 0.5], "first knot must be 0.0"),
+        ([np.inf], "first knot must be 0.0"),
+    ])
+    def test_invalid_knots_name_their_fault(self, knots, message):
+        with pytest.raises(ValueError, match=message):
+            StepFunction(knots, np.zeros(len(knots)))
+        if knots[0] == 0.0:
+            with pytest.raises(ValueError, match=message):
+                PiecewiseLinear(knots, np.zeros(len(knots)))
+
     def test_right_continuity_and_left_limits(self):
         f = StepFunction([0.0, 0.2, 0.5, 0.9], [0.0, 1.0, 2.0, 3.0])
         assert f(0.2) == 1.0
