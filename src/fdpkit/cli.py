@@ -142,11 +142,10 @@ def _write_threshold_csv(path: str, res: ThresholdResult) -> None:
 
 
 def _envelope_grid(env) -> np.ndarray:
+    knots = env.ghat.base.knots
     if env.method == "exact":
-        return env.gamma_bar.knots
-    knots = env.gamma_bar.ghat.base.knots
-    inner = knots[(knots > env.t_min) & (knots <= 1.0)]
-    return np.unique(np.r_[env.t_min, inner, 1.0])
+        return knots
+    return np.unique(np.r_[env.t_min, knots[knots > env.t_min], 1.0])
 
 
 def _write_envelope_csv(path: str, env) -> None:

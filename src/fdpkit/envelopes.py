@@ -14,9 +14,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .estimation import _require_open_unit, _validated_pvalues, ecdf
+from .estimation import EcdfEstimate, _require_open_unit, _validated_pvalues, ecdf
 from .stepfun import StepFunction
-from .thresholds import ThresholdResult, _count_rejected, _last_crossing
+from .thresholds import ThresholdResult, _last_crossing
 
 __all__ = [
     "brownian_sup_quantile",
@@ -120,13 +120,16 @@ class EnvelopeResult:
 
     ``gamma_bar`` maps t to the bound; ``v_fn`` maps t to the matching
     per-observation bound on the fraction of false discoveries, so
-    ``m * v_fn(t)`` bounds their count."""
+    ``m * v_fn(t)`` bounds their count.  ``ghat`` is the plain ECDF the
+    envelope was read over (``gamma_bar.ghat`` for the asymptotic band):
+    thresholds read their pieces and counts off it, so no copy of p is kept."""
 
     gamma_bar: object
     level: float
     method: str
     t_min: float | None
     v_fn: object
+    ghat: EcdfEstimate
     meta: dict = field(default_factory=dict)
 
     def gamma_at(self, t):
@@ -169,10 +172,10 @@ def asymptotic_envelope(
     ``meta["w_source"]`` says which ("table" or "given") and ``meta["w_se"]``
     holds the order-statistic standard error of w (None when w is given).
     """
-    p = _validated_pvalues(pvalues)
+    ghat = ecdf(pvalues)
     _require_open_unit("t0", t0)
     _require_open_unit("alpha", alpha)
-    m = p.size
+    m = ghat.m
     floor = np.log(m) ** 4 / m
     if enforce_floor:
         if t_min is None:
@@ -192,7 +195,6 @@ def asymptotic_envelope(
         if t_min is None:
             raise ValueError("an explicit t_min is required when the floor check is disabled")
     _require_open_unit("t_min", t_min)
-    ghat = ecdf(p, "plain")
     if w is None:
         w, w_se = _sup_quantile(alpha / 2.0, t_min)
         w_source = "table"
@@ -205,6 +207,7 @@ def asymptotic_envelope(
         method="asymptotic",
         t_min=float(t_min),
         v_fn=count,
+        ghat=ghat,
         meta={
             "m": m,
             "t0": t0,
@@ -214,7 +217,6 @@ def asymptotic_envelope(
             "w_source": w_source,
             "delta": float(count.delta),
             "floor": float(floor),
-            "pvalues": p.copy(),
         },
     )
 
@@ -417,29 +419,35 @@ def exact_envelope(confset: ExactConfidenceSet, pvalues) -> EnvelopeResult:
     bound is therefore R(t) - (m - k_max), with k_max = ``m0_interval[1]``
     and m - k_max the lower confidence bound on the number of alternatives,
     raised to 1 (a single null below t is always accepted) wherever
-    R(t) >= 1.  Runs in O(m log m) time and O(m) memory."""
-    p = _validated_pvalues(pvalues)
-    if not np.array_equal(np.sort(p), confset.sorted_pvalues):
-        raise ValueError("confidence set was built from different p-values")
-    m = p.size
-    distinct, counts = np.unique(p, return_counts=True)
-    r_at = counts.cumsum()                      # rejections at each distinct p
-    j_vals = np.maximum(r_at - (m - confset.m0_interval[1]), 1).astype(float)
-    lo = float(distinct[0]) if distinct[0] > 0.0 else 0.0   # no -0.0
+    R(t) >= 1.
 
-    gamma = StepFunction.from_pairs(distinct, j_vals / r_at, value_at_zero=0.0)
-    j_fn = StepFunction.from_pairs(distinct, j_vals, value_at_zero=0.0)
-    v_fn = StepFunction.from_pairs(distinct, j_vals / m, value_at_zero=0.0)
+    The one sort is in ``ecdf(pvalues)``: gamma, v and the count bound step
+    on its knots, with R = rint(m Ghat), exact for m < 2^51.  The pairing is
+    checked in O(distinct): the sizes agree and each run of ties starts and
+    ends on its value in the sorted ``sorted_pvalues``, i.e. ``sort(p)`` equals
+    it.  No exact check skips that sort: two samples are one multiset exactly
+    when their order statistics agree, and an order-free summary (sums,
+    hashes) lets another through.  Runs in O(m log m) time and O(m) memory."""
+    ghat = ecdf(pvalues)
+    knots, m = ghat.base.knots, ghat.m
+    r = np.rint(m * ghat.base.values)           # rejections at each knot
+    first = int(r[0] == 0.0)                    # skip a 0-knot no p-value sits on
+    ends, x, ps = r[first:].astype(np.intp), knots[first:], confset.sorted_pvalues
+    if ps.size != m or not np.all((ps[ends - 1] == x) & (ps[np.r_[0, ends[:-1]]] == x)):
+        raise ValueError("confidence set was built from different p-values")
+    lo = float(x[0]) if x[0] > 0.0 else 0.0     # no -0.0
+    del ends                                    # the peak needs it no more
+    j = np.maximum(r - (m - confset.m0_interval[1]), np.minimum(r, 1.0))
     return EnvelopeResult(
-        gamma_bar=gamma,
+        gamma_bar=StepFunction(knots, j / np.maximum(r, 1.0, out=r)),
         level=confset.alpha,
         method="exact",
         t_min=lo,
-        v_fn=v_fn,
+        v_fn=StepFunction(knots, j / m),
+        ghat=ghat,
         meta={
             "m": m,
-            "pvalues": p.copy(),
-            "j_fn": j_fn,
+            "j_fn": StepFunction(knots, j),
             "domain": (lo, 1.0),
         },
     )
@@ -466,13 +474,13 @@ def confidence_thresholds(env: EnvelopeResult, c: float | None = None) -> Thresh
     but not attained, in which case ``rejected`` counts p-values strictly
     below t.
 
-    Both rules are read off in one O(m) array pass over the pieces of the
-    envelope's steps (the empirical CDF for the asymptotic band) clipped to
-    its domain, on each of which the bound rises: the last piece feasible
-    at its start decides, with the crossing kept inside it.  The minimum
-    sits at the start of the last piece attaining it.  The exact envelope
-    is flat on each piece, so a feasible piece is feasible up to its end.
-    For the asymptotic band the crossing solves
+    Both rules are read off in one O(distinct) pass over the pieces of the
+    ECDF ``env.ghat`` clipped to the domain, on each of which the bound rises:
+    the last piece feasible at its start decides, with the crossing kept in
+    it, and ``rejected`` is the ECDF's count there (0 if no piece is feasible).
+    The minimum sits at the start of the last piece attaining it.  The exact
+    envelope is flat on each piece, so a feasible piece is feasible up to its
+    end.  For the asymptotic band the crossing solves
     (1 - a0) t + delta sqrt(t / m) = c Ghat in the form free of cancellation
     t* = y^2, y = 2 c Ghat / (b + sqrt(b^2 + 4 (1 - a0) c Ghat)), b = delta / sqrt(m)."""
     if c is not None and not np.isfinite(c):
@@ -480,15 +488,15 @@ def confidence_thresholds(env: EnvelopeResult, c: float | None = None) -> Thresh
     if env.method not in ("exact", "asymptotic"):
         raise ValueError(f"unknown envelope method: {env.method!r}")
     exact = env.method == "exact"
-    steps: StepFunction = env.gamma_bar if exact else env.gamma_bar.ghat.base
-    # pieces [starts, ends) of the steps clipped to [t_min, 1]; the last
+    steps = env.ghat.base
+    # pieces [starts, ends) of the ECDF clipped to [t_min, 1]; the last
     # one, up to and including 1, is always kept
     starts = np.maximum(steps.knots, env.t_min)
     ends = np.r_[steps.knots[1:], 1.0]
     keep = starts < ends
     keep[-1] = True
-    starts, ends, vals = starts[keep], ends[keep], steps.values[keep]
-    bound = vals if exact else env.gamma_bar(starts)
+    starts, ends, g = starts[keep], ends[keep], steps.values[keep]
+    bound = env.gamma_bar(starts)
     if c is None:
         z = bound.min()
         feasible, cross = bound == z, np.inf if exact else starts
@@ -500,13 +508,13 @@ def confidence_thresholds(env: EnvelopeResult, c: float | None = None) -> Thresh
             # the root is NaN only for a c < 0, which no piece meets
             curve: _AsymptoticCurve = env.gamma_bar
             b = curve.delta / np.sqrt(curve.m)
-            cv = c * vals
+            cv = c * g
             with np.errstate(invalid="ignore"):
                 cross = (2.0 * cv / (b + np.sqrt(b * b + 4.0 * curve.one_minus_a0 * cv))) ** 2
-    _, t, inclusive = _last_crossing(starts, ends, feasible, cross)
+    i, t, inclusive = _last_crossing(starts, ends, feasible, cross)
     return ThresholdResult(
         t=t,
-        rejected=_count_rejected(env.meta["pvalues"], t, inclusive),
+        rejected=0 if i is None else int(np.rint(env.ghat.m * g[i])),
         method="rate-ceiling" if c is not None else "min-rate",
         alpha=env.level,
         z=float(z),

@@ -45,7 +45,7 @@ class StepFunction:
             raise ValueError("need at least one knot")
         if knots[0] != 0.0:
             raise ValueError("first knot must be 0.0")
-        if np.any(knots[1:] <= knots[:-1]):
+        if not np.all(knots[1:] > knots[:-1]):   # False for NaN too
             raise ValueError("knots must be strictly increasing")
         if knots[-1] > 1.0 or np.any(knots < 0.0):
             raise ValueError("knots must lie in [0, 1]")
@@ -54,20 +54,12 @@ class StepFunction:
 
     @classmethod
     def from_pairs(cls, xs, ys, *, value_at_zero=0.0) -> "StepFunction":
-        """Build from (x, y) jump pairs, prepending a 0-knot when absent.
-
-        Duplicate x entries collapse to the last y given (useful for tied
-        p-values where the cumulative count at the tie is what survives).
-        Strictly increasing xs, such as the output of ``np.unique``, are
-        taken as they are.
-        """
+        """Build from (x, y) jump pairs at strictly increasing xs, such as
+        the output of ``np.unique``, prepending a 0-knot holding
+        ``value_at_zero`` when xs does not start at 0.  Unsorted or repeated
+        xs fail the constructor's "strictly increasing" check."""
         xs = _as_float_array(xs)
         ys = _as_float_array(ys)
-        if np.any(xs[1:] <= xs[:-1]):
-            order = np.argsort(xs, kind="stable")
-            xs, ys = xs[order], ys[order]
-            keep = np.r_[xs[1:] != xs[:-1], True]
-            xs, ys = xs[keep], ys[keep]
         if xs.size == 0 or xs[0] != 0.0:
             xs = np.r_[0.0, xs]
             ys = np.r_[float(value_at_zero), ys]
@@ -114,7 +106,7 @@ class PiecewiseLinear:
         y = _as_float_array(y)
         if x.ndim != 1 or x.shape != y.shape or x.size < 2:
             raise ValueError("need matching 1-D arrays with at least two nodes")
-        if np.any(x[1:] <= x[:-1]):
+        if not np.all(x[1:] > x[:-1]):
             raise ValueError("nodes must be strictly increasing")
         if x[0] < 0.0 or x[-1] > 1.0:
             raise ValueError("nodes must lie in [0, 1]")

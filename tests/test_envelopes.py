@@ -256,6 +256,21 @@ class TestExactConfidenceSet:
             exact_confidence_set(example1, 0.0)
 
 
+def _tied_samples():
+    """Tied inputs over atoms at 0, -0.0, 5e-324 and 1 and on a 0.01 grid,
+    with m = 1 and all-tied inputs among them."""
+    g = np.random.default_rng(28)
+    atoms = np.array([0.0, -0.0, 5e-324, 1.0, 0.125, 0.5])
+    samples = [np.array(v, dtype=float) for v in (
+        [0.0], [-0.0], [5e-324], [1.0], [0.3], [0.2] * 9, [0.0] * 4, [1.0] * 6,
+        [5e-324] * 3, [-0.0, 0.0, 0.0], [0.0, 5e-324, 1e-323, 1.0, 1.0],
+    )]
+    for _ in range(200):
+        m = int(g.integers(1, 40))
+        samples.append(np.where(g.random(m) < 0.5, g.choice(atoms, m), np.round(g.random(m), 2)))
+    return samples
+
+
 class TestExactEnvelope:
     def test_matches_brute_enumeration(self):
         g = stream(913)
@@ -321,11 +336,58 @@ class TestExactEnvelope:
         with pytest.raises(ValueError, match="different p-values"):
             exact_envelope(cs, np.clip(example1 / 2, 1e-9, 1.0))
 
+    def test_pairing_is_the_multiset_of_the_pvalues(self, example1):
+        cs = exact_confidence_set(example1, 0.05)
+        shuffled = np.random.default_rng(3).permutation(example1)
+        assert exact_envelope(cs, shuffled).gamma_bar == exact_envelope(cs, example1).gamma_bar
+        for other in (example1[1:], np.sort(example1)[:-1], np.r_[example1, 0.7], np.r_[example1, 1.0],
+                      np.r_[example1, example1[0]]):
+            with pytest.raises(ValueError, match="different p-values"):
+                exact_envelope(cs, other)
+        # the same distinct values with other tie counts: a run that ends,
+        # or one that starts, off its value in the set's sorted p-values
+        for built, given_p in (
+            ([0.1, 0.1, 0.5], [0.1, 0.5, 0.5]),
+            ([0.1, 0.2, 0.2, 0.5], [0.1, 0.1, 0.2, 0.5]),
+            ([0.1, 0.1, 0.2, 0.5], [0.1, 0.2, 0.2, 0.5]),
+        ):
+            with pytest.raises(ValueError, match="different p-values"):
+                exact_envelope(exact_confidence_set(np.array(built), 0.05), np.array(given_p))
+        # 0.0 and -0.0 are one value, as np.array_equal has them
+        zeros = exact_confidence_set(np.array([0.0, 0.0, 0.3]), 0.05)
+        for given_p in ([-0.0, 0.0, 0.3], [0.3, -0.0, -0.0]):
+            assert exact_envelope(zeros, np.array(given_p)).gamma_bar(0.0) == 0.5
+
+    def test_bits_match_a_unique_built_oracle(self):
+        for p in _tied_samples():
+            m = p.size
+            for alpha in (0.05, 0.5):
+                cs = exact_confidence_set(p, alpha)
+                env = exact_envelope(cs, p)
+                distinct, counts = np.unique(p, return_counts=True)
+                r = counts.cumsum()
+                j = np.maximum(r - (m - cs.m0_interval[1]), 1).astype(float)
+                lead = [] if distinct[0] == 0.0 else [0.0]
+                for f, want in ((env.gamma_bar, j / r), (env.v_fn, j / m), (env.meta["j_fn"], j)):
+                    np.testing.assert_array_equal(f.knots, np.r_[lead, distinct])
+                    np.testing.assert_array_equal(f.values, np.r_[lead, want])
+
     def test_count_mismatch_rejected(self, example1):
         cs = exact_confidence_set(example1, 0.05)
         env = exact_envelope(cs, example1)
         with pytest.raises(ValueError, match="m="):
             m10_envelope(env, 14)
+
+
+def test_rejected_counts_the_pvalues_up_to_t():
+    # both envelopes read rejected off their ECDF; counted here from p
+    for p in _tied_samples():
+        envs = [exact_envelope(exact_confidence_set(p, alpha), p) for alpha in (0.05, 0.5)]
+        envs += [asymptotic_envelope(p, t_min=t_min, w=2.0, enforce_floor=False)
+                 for t_min in (5e-324, 0.01, 0.3)]
+        for env, c in itertools.product(envs, (None, 0.0, 0.1, 0.3, 0.6, 1.0)):
+            r = confidence_thresholds(env, c)
+            assert r.rejected == np.count_nonzero(p <= r.t if r.inclusive else p < r.t)
 
 
 class TestExactThresholds:

@@ -37,25 +37,28 @@ class TestStepFunction:
         with pytest.raises(ValueError):
             StepFunction([0.0, 0.2], [1.0])
 
-    @pytest.mark.parametrize("knots, message", [
-        ([0.0, 0.2, 0.2], "strictly increasing"),
-        ([0.0, 0.5, 0.3, 2.0], "strictly increasing"),
-        ([0.0, -np.inf], "strictly increasing"),
-        ([0.0, 0.5, np.nan, 0.3, 0.2], "strictly increasing"),
-        ([0.0, np.inf, np.inf], "strictly increasing"),
-        ([0.0, np.inf], r"lie in \[0, 1\]"),
-        ([0.0, 0.5, np.inf], r"lie in \[0, 1\]"),
-        ([0.0, 0.5, 1.5], r"lie in \[0, 1\]"),
-        ([np.nan, 0.5], "first knot must be 0.0"),
-        ([-np.inf, 0.5], "first knot must be 0.0"),
-        ([np.inf], "first knot must be 0.0"),
+    # each row: knots, StepFunction's fault, PiecewiseLinear's fault (which
+    # takes any first node in [0, 1])
+    @pytest.mark.parametrize("knots, message, linear_message", [
+        ([0.0, 0.2, 0.2], "strictly increasing", "strictly increasing"),
+        ([0.0, 0.5, 0.3, 2.0], "strictly increasing", "strictly increasing"),
+        ([0.0, -np.inf], "strictly increasing", "strictly increasing"),
+        ([0.0, 0.5, np.nan, 0.3, 0.2], "strictly increasing", "strictly increasing"),
+        ([0.0, np.inf, np.inf], "strictly increasing", "strictly increasing"),
+        ([0.0, np.nan], "strictly increasing", "strictly increasing"),
+        ([0.0, np.nan, 0.5], "strictly increasing", "strictly increasing"),
+        ([0.0, np.inf], r"lie in \[0, 1\]", r"lie in \[0, 1\]"),
+        ([0.0, 0.5, np.inf], r"lie in \[0, 1\]", r"lie in \[0, 1\]"),
+        ([0.0, 0.5, 1.5], r"lie in \[0, 1\]", r"lie in \[0, 1\]"),
+        ([np.nan, 0.5], "first knot must be 0.0", "strictly increasing"),
+        ([-np.inf, 0.5], "first knot must be 0.0", r"lie in \[0, 1\]"),
+        ([np.inf], "first knot must be 0.0", "at least two nodes"),
     ])
-    def test_invalid_knots_name_their_fault(self, knots, message):
+    def test_invalid_knots_name_their_fault(self, knots, message, linear_message):
         with pytest.raises(ValueError, match=message):
             StepFunction(knots, np.zeros(len(knots)))
-        if knots[0] == 0.0:
-            with pytest.raises(ValueError, match=message):
-                PiecewiseLinear(knots, np.zeros(len(knots)))
+        with pytest.raises(ValueError, match=linear_message):
+            PiecewiseLinear(knots, np.zeros(len(knots)))
 
     def test_right_continuity_and_left_limits(self):
         f = StepFunction([0.0, 0.2, 0.5, 0.9], [0.0, 1.0, 2.0, 3.0])
@@ -98,10 +101,14 @@ class TestStepFunction:
         assert f(0.3) == float(np.asarray(f([0.3]))[0])
         assert isinstance(f(0.3), float)
 
-    def test_from_pairs_merges_duplicates(self):
-        # tied breakpoints keep the last value given; an x of exactly 0
-        # overrides the value-at-zero slot rather than duplicating a knot
-        f = StepFunction.from_pairs([0.2, 0.2, 0.7], [0.3, 0.4, 1.0], value_at_zero=0.1)
+    def test_from_pairs_needs_strictly_increasing_xs(self):
+        # unsorted or repeated breakpoints are the constructor's order error;
+        # an x of exactly 0 fills the value-at-zero slot rather than
+        # duplicating a knot
+        for xs in ([0.2, 0.2, 0.7], [0.7, 0.2], [0.0, 0.0]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                StepFunction.from_pairs(xs, np.ones(len(xs)), value_at_zero=0.1)
+        f = StepFunction.from_pairs([0.2, 0.7], [0.4, 1.0], value_at_zero=0.1)
         assert f(0.0) == 0.1
         assert f(0.2) == 0.4
         assert f.left(0.2) == 0.1
