@@ -496,7 +496,8 @@ def confidence_thresholds(env: EnvelopeResult, c: float | None = None) -> Thresh
     keep = starts < ends
     keep[-1] = True
     starts, ends, g = starts[keep], ends[keep], steps.values[keep]
-    bound = env.gamma_bar(starts)
+    # the exact bound steps on the ECDF's knots; the band takes Ghat = g
+    bound = env.gamma_bar.values[keep] if exact else env.gamma_bar.values(starts, g)
     if c is None:
         z = bound.min()
         feasible, cross = bound == z, np.inf if exact else starts

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fdpkit import (
     MixtureModel,
     astar_lower,
+    bh_threshold,
     dkw_epsilon,
     ecdf,
     kernel_a_consistent,
@@ -18,7 +19,7 @@ from fdpkit import (
     q_hat,
     storey_a0,
 )
-from fdpkit.estimation import EcdfEstimate, _astar, _astar_rows, _concave_majorant, _qhat, _storey
+from fdpkit.estimation import _SPAN, EcdfEstimate, _astar, _astar_rows, _concave_majorant, _qhat, _storey
 from fdpkit.families import BetaPower
 from fdpkit.rng import stream, uniform_open
 from fdpkit.stepfun import PiecewiseLinear, StepFunction
@@ -108,6 +109,22 @@ def rounded_screen(m, seed=7):
     u = rng.random(m)
     p = np.where(rng.random(m) < 0.1, ndtr(ndtri(u) - 3.0), u)
     return np.array(["%.6g" % v for v in p], dtype=float)
+
+
+def traced_peak(call, *args):
+    """Bytes tracemalloc sees ``call(*args)`` allocate at its peak above
+    what was allocated before it, after a warm-up on the first ten entries."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        call(*(a[:10] for a in args))
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def astar_dense_grid(p, alpha, n=100_001):
@@ -242,6 +259,19 @@ class TestEcdf:
         np.testing.assert_array_equal(hull.x, hx)
         np.testing.assert_array_equal(hull.y, hy)
 
+    @pytest.mark.parametrize("curve", ["squares", "rounded-screen"])
+    def test_lcm_across_spans_matches_the_scan(self, curve):
+        # past two span boundaries and into a partial span, where the levels
+        # below the span run apart and the rest over the spans' survivors;
+        # on the squares every point is a vertex, so all of them get there
+        n = 2 * _SPAN + _SPAN // 3
+        p = ((np.arange(n) + 0.5) / n) ** 2 if curve == "squares" else rounded_screen(3 * _SPAN, seed=5)
+        xs, ys = (a[:n] for a in lcm_points(p))
+        hull = _concave_majorant(xs, ys)
+        hx, hy = hull_by_monotone_chain(xs, ys)
+        np.testing.assert_array_equal(hull.x, hx)
+        np.testing.assert_array_equal(hull.y, hy)
+
     def test_lcm_is_concave_majorant(self):
         rng = np.random.default_rng(11)
         p = rng.uniform(0, 1, 40)
@@ -297,27 +327,26 @@ class TestEcdf:
         assert est.value == 1.0 - dkw_epsilon(5, 0.05) and est.diagnostics["argmax_t"] == 1e-323
 
     @pytest.mark.parametrize("call, budget", [
-        (lambda p: ecdf(p, "lcm"), 9),
+        (lambda p: ecdf(p, "lcm"), 4.5),
         (lambda p: astar_lower(ecdf(p), 0.05), 6),
-    ], ids=["ecdf-lcm", "astar"])
+        (lambda p: bh_threshold(p, 0.05), 2.5),
+    ], ids=["ecdf-lcm", "astar", "bh"])
     def test_screen_memory_budget(self, call, budget):
         # traced peak above the input, in input sizes: on this screen the
         # np.unique ECDF took 9.5 with its two-sided bound and 12 with the
-        # majorant; the sort, the run starts and the two knot buffers take
-        # about 4, and the majorant about 4 on top of the knot buffers
-        import tracemalloc
-
+        # majorant, and the majorant over the whole input 6.2; the sort, the
+        # run starts and the two knot buffers take about 3.8, and the
+        # majorant's spans stay below that.  The step-up rule takes 2.1 for
+        # the sort and the critical values in one float array (3.0 with an
+        # integer arange times the level)
         p = rounded_screen(200_000, seed=3)
-        tracemalloc.start()
-        try:
-            call(p[:10])
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            call(p)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak <= budget * p.nbytes
+        assert traced_peak(call, p) <= budget * p.nbytes
+
+    def test_majorant_memory_is_bounded_by_the_span(self):
+        # traced peak above its inputs on 346,617 points: 2.4 MB, as at
+        # 96,308 or 714,014; over the whole input at once it took 12.5 MB
+        xs, ys = lcm_points(rounded_screen(400_000, seed=3))
+        assert traced_peak(_concave_majorant, xs, ys) <= 3e6
 
 
 class TestDkw:
