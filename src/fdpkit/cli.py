@@ -145,7 +145,7 @@ def _envelope_grid(env) -> np.ndarray:
     knots = env.ghat.base.knots
     if env.method == "exact":
         return knots
-    return np.unique(np.r_[env.t_min, knots[knots > env.t_min], 1.0])
+    return np.unique(np.r_[env.t_min, knots[np.searchsorted(knots, env.t_min, "right"):], 1.0])
 
 
 def _write_envelope_csv(path: str, env) -> None:

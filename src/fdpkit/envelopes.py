@@ -177,23 +177,21 @@ def asymptotic_envelope(
     _require_open_unit("alpha", alpha)
     m = ghat.m
     floor = np.log(m) ** 4 / m
-    if enforce_floor:
-        if t_min is None:
-            if not 0.0 < floor < 1.0:     # 0 at m = 1, at least 1 for 2 <= m <= 5500
-                raise ValueError(
-                    f"the small-t floor (log m)^4 / m = {float(floor)!r} is not in (0, 1) at m={m}, "
-                    "so no valid evaluation window exists; pass an explicit t_min in (0, 1), "
-                    "with enforce_floor=False if it lies below the floor"
-                )
-            t_min = floor
-        elif t_min < floor:
-            raise ValueError(
-                f"t_min={float(t_min)!r} is below the small-t floor (log m)^4 / m = {float(floor)!r}; "
-                "the asymptotic band is not valid there (pass enforce_floor=False to override)"
-            )
-    else:
-        if t_min is None:
+    if t_min is None:
+        if not enforce_floor:
             raise ValueError("an explicit t_min is required when the floor check is disabled")
+        if not 0.0 < floor < 1.0:     # 0 at m = 1, at least 1 for 2 <= m <= 5500
+            raise ValueError(
+                f"the small-t floor (log m)^4 / m = {float(floor)!r} is not in (0, 1) at m={m}, "
+                "so no valid evaluation window exists; pass an explicit t_min in (0, 1), "
+                "with enforce_floor=False if it lies below the floor"
+            )
+        t_min = floor
+    elif enforce_floor and t_min < floor:
+        raise ValueError(
+            f"t_min={float(t_min)!r} is below the small-t floor (log m)^4 / m = {float(floor)!r}; "
+            "the asymptotic band is not valid there (pass enforce_floor=False to override)"
+        )
     _require_open_unit("t_min", t_min)
     if w is None:
         w, w_se = _sup_quantile(alpha / 2.0, t_min)
@@ -474,44 +472,41 @@ def confidence_thresholds(env: EnvelopeResult, c: float | None = None) -> Thresh
     but not attained, in which case ``rejected`` counts p-values strictly
     below t.
 
-    Both rules are read off in one O(distinct) pass over the pieces of the
-    ECDF ``env.ghat`` clipped to the domain, on each of which the bound rises:
-    the last piece feasible at its start decides, with the crossing kept in
-    it, and ``rejected`` is the ECDF's count there (0 if no piece is feasible).
-    The minimum sits at the start of the last piece attaining it.  The exact
-    envelope is flat on each piece, so a feasible piece is feasible up to its
-    end.  For the asymptotic band the crossing solves
-    (1 - a0) t + delta sqrt(t / m) = c Ghat in the form free of cancellation
-    t* = y^2, y = 2 c Ghat / (b + sqrt(b^2 + 4 (1 - a0) c Ghat)), b = delta / sqrt(m)."""
+    Both rules are read off in one O(distinct) pass over the ECDF's pieces
+    from the one holding t_min (a slice of ``env.ghat``), on each of which the
+    bound rises: the last piece feasible at its start decides, with the
+    crossing kept in it, and ``rejected`` is the ECDF's count there (0 if no
+    piece is feasible).  The minimum sits at the start of the last piece
+    attaining it.  The exact envelope is flat on each piece, so a feasible
+    piece is feasible up to its end.  For the asymptotic band the crossing is
+    solved on the deciding piece only: (1 - a0) t + delta sqrt(t / m) = c Ghat
+    as t* = y^2, y = 2 c Ghat / (b + sqrt(b^2 + 4 (1 - a0) c Ghat)), b = delta / sqrt(m)."""
     if c is not None and not np.isfinite(c):
         raise ValueError(f"the rate ceiling c must be finite, not {float(c)!r}")
     if env.method not in ("exact", "asymptotic"):
         raise ValueError(f"unknown envelope method: {env.method!r}")
     exact = env.method == "exact"
     steps = env.ghat.base
-    # pieces [starts, ends) of the ECDF clipped to [t_min, 1]; the last
-    # one, up to and including 1, is always kept
-    starts = np.maximum(steps.knots, env.t_min)
-    ends = np.r_[steps.knots[1:], 1.0]
-    keep = starts < ends
-    keep[-1] = True
-    starts, ends, g = starts[keep], ends[keep], steps.values[keep]
+    # the pieces [starts, ends) that end above t_min: the knots increase, so
+    # they run from the piece holding t_min to the last one, up to and including 1
+    i0 = int(np.searchsorted(steps.knots, env.t_min, "right")) - 1
+    starts, g = np.maximum(steps.knots[i0:], env.t_min), steps.values[i0:]
     # the exact bound steps on the ECDF's knots; the band takes Ghat = g
-    bound = env.gamma_bar.values[keep] if exact else env.gamma_bar.values(starts, g)
+    bound = env.gamma_bar.values[i0:] if exact else env.gamma_bar.values(starts, g)
     if c is None:
         z = bound.min()
-        feasible, cross = bound == z, np.inf if exact else starts
+        feasible, cross = bound == z, None if exact else starts.__getitem__
     else:
-        z, feasible, cross = c, bound <= c, np.inf
+        z, feasible, cross = c, bound <= c, None
         if not exact and c < 1.0:     # the band, clipped at 1, never exceeds a c >= 1
-            # (1 - a0) y^2 + b y = c Ghat with y = sqrt(t), b = delta / sqrt(m) > 0,
-            # solved in the form free of cancellation (it also covers 1 - a0 = 0);
-            # the root is NaN only for a c < 0, which no piece meets
             curve: _AsymptoticCurve = env.gamma_bar
             b = curve.delta / np.sqrt(curve.m)
-            cv = c * g
-            with np.errstate(invalid="ignore"):
-                cross = (2.0 * cv / (b + np.sqrt(b * b + 4.0 * curve.one_minus_a0 * cv))) ** 2
+
+            def cross(i):     # free of cancellation, also at 1 - a0 = 0; a feasible piece has c >= 0
+                cv = c * g[i]
+                y = 2.0 * cv / (b + np.sqrt(b * b + 4.0 * curve.one_minus_a0 * cv))
+                return y * y
+    ends = np.r_[steps.knots[i0 + 1:], 1.0]     # once the band's temporaries are freed
     i, t, inclusive = _last_crossing(starts, ends, feasible, cross)
     return ThresholdResult(
         t=t,

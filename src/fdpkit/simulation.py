@@ -9,7 +9,7 @@ truth they estimate — and returns a small JSON-friendly report.
 from __future__ import annotations
 
 import inspect
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from typing import get_type_hints
 
@@ -104,7 +104,7 @@ def _blocks(config: ScenarioConfig, model: MixtureModel, reps: int, block: int |
     depends on the block size (and through it on m and reps) and is not the
     sample `generate_sample` draws for the same index (`_rep_blocks`'s are)."""
     if block is None:
-        block = max(1, min(reps, 1_000_000 // max(config.m, 1)))
+        block = max(1, min(reps, 1_000_000 // config.m))
     for idx, done in enumerate(range(0, reps, block)):
         yield _draw(config, model, idx, (min(block, reps - done), config.m))
 
@@ -154,7 +154,7 @@ def pvalue_density_two_sided_normal(theta: float, n: int, p) -> float:
 # ---------------------------------------------------------------------------
 
 
-_SCENARIO_KEYS = ("m", "a", "family", "params", "seed")
+_SCENARIO_KEYS = tuple(f.name for f in fields(ScenarioConfig))
 
 
 def _standard(m: int) -> ScenarioConfig:
@@ -281,10 +281,10 @@ def _target_null_floor_coverage(scen=_standard(500), *, alpha=0.05, variant="pla
     )
 
 
-def _sup_step_vs_cdf(sf, knots, cdf, extra=(0.0, 1.0)):
+def _sup_step_vs_cdf(sf, knots, cdf):
     """Exact sup |step - continuous cdf| via the step function's one-sided
-    values at the jumps."""
-    ts = np.unique(np.r_[knots, extra])
+    values at the jumps and at 0 and 1."""
+    ts = np.unique(np.r_[knots, 0.0, 1.0])
     c = cdf(ts)
     return float(max(np.abs(np.asarray(sf(ts)) - c).max(), np.abs(np.asarray(sf.left(ts)) - c).max()))
 

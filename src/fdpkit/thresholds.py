@@ -41,8 +41,8 @@ class ThresholdResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _count_rejected(p: np.ndarray, t: float, inclusive: bool = True) -> int:
-    return int(np.count_nonzero(p <= t if inclusive else p < t))
+def _count_rejected(p: np.ndarray, t: float) -> int:
+    return int(np.count_nonzero(p <= t))
 
 
 def simple_thresholds(
@@ -186,19 +186,20 @@ def plugin_threshold(pvalues, ahat, alpha: float, variant: str = "plain") -> Thr
     )
 
 
-def _last_crossing(starts, ends, feasible, cross) -> tuple[int | None, float, bool]:
+def _last_crossing(starts, ends, feasible, cross=None) -> tuple[int | None, float, bool]:
     """Read a threshold sup{t : rate(t) <= level} off pieces [starts, ends]
     on each of which the rate rises: the last piece i whose start is
-    feasible decides, and t is its crossing ``cross[i]`` (a scalar serves
-    every piece) kept inside [starts[i], ends[i]].  ``inclusive`` is False
-    when t is the open end of a piece other than the last one, a supremum
-    not attained.  (None, 0.0, False) when no piece is feasible."""
-    hit = np.flatnonzero(feasible)
-    if not hit.size:
+    feasible decides, and t is its crossing ``cross(i)``, solved on that
+    piece only and kept inside [starts[i], ends[i]], or its end when
+    ``cross`` is None.  ``inclusive`` is False when t is the open end of a
+    piece other than the last one, a supremum not attained.
+    (None, 0.0, False) when no piece is feasible."""
+    feasible = np.asarray(feasible)
+    i = feasible.size - 1 - int(np.argmax(feasible[::-1]))
+    if not feasible[i]:
         return None, 0.0, False
-    i = int(hit[-1])
     end = float(ends[i])
-    t = min(max(float(np.broadcast_to(cross, starts.shape)[i]), float(starts[i])), end)
+    t = end if cross is None else min(max(float(cross(i)), float(starts[i])), end)
     return i, t, t < end or i == starts.size - 1
 
 
@@ -216,7 +217,7 @@ def _lcm_sup(ghat, one_minus: float, alpha: float) -> float:
         c = ys[:-1] - s * x0
         den = one_minus - alpha * s
         cross = np.where(den > 0.0, alpha * c / den, np.inf)
-    return _last_crossing(x0, x1, cross >= x0, cross)[1]
+    return _last_crossing(x0, x1, cross >= x0, cross.__getitem__)[1]
 
 
 def bayes_classifier_threshold(pvalues, bandwidth: float | None = None) -> ThresholdResult:

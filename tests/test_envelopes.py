@@ -34,6 +34,7 @@ from fdpkit.estimation import ecdf
 from fdpkit.model import fdp_process
 from fdpkit.rng import stream, uniform_open
 from fdpkit.simulation import ScenarioConfig, _blocks, generate_sample
+from fdpkit.thresholds import ThresholdResult
 
 
 def brute_accepted_labelings(p, alpha):
@@ -388,6 +389,93 @@ def test_rejected_counts_the_pvalues_up_to_t():
         for env, c in itertools.product(envs, (None, 0.0, 0.1, 0.3, 0.6, 1.0)):
             r = confidence_thresholds(env, c)
             assert r.rejected == np.count_nonzero(p <= r.t if r.inclusive else p < r.t)
+
+
+def masked_thresholds(env, c=None):
+    """``confidence_thresholds`` as a mask over all of the ECDF's pieces,
+    with the band's crossing solved on every piece: the oracle for the
+    slice from t_min's piece and the one-piece solve."""
+    exact = env.method == "exact"
+    steps = env.ghat.base
+    starts = np.maximum(steps.knots, env.t_min)
+    ends = np.r_[steps.knots[1:], 1.0]
+    keep = starts < ends
+    keep[-1] = True
+    starts, ends, g = starts[keep], ends[keep], steps.values[keep]
+    bound = env.gamma_bar.values[keep] if exact else env.gamma_bar.values(starts, g)
+    if c is None:
+        z = bound.min()
+        feasible, cross = bound == z, np.inf if exact else starts
+    else:
+        z, feasible, cross = c, bound <= c, np.inf
+        if not exact and c < 1.0:
+            curve = env.gamma_bar
+            b = curve.delta / np.sqrt(curve.m)
+            cv = c * g
+            with np.errstate(invalid="ignore"):
+                cross = (2.0 * cv / (b + np.sqrt(b * b + 4.0 * curve.one_minus_a0 * cv))) ** 2
+    hit = np.flatnonzero(feasible)
+    i, t, inclusive = None, 0.0, False
+    if hit.size:
+        i = int(hit[-1])
+        end = float(ends[i])
+        t = min(max(float(np.broadcast_to(cross, starts.shape)[i]), float(starts[i])), end)
+        inclusive = t < end or i == starts.size - 1
+    return ThresholdResult(
+        t=t,
+        rejected=0 if i is None else int(np.rint(env.ghat.m * g[i])),
+        method="rate-ceiling" if c is not None else "min-rate",
+        alpha=env.level,
+        z=float(z),
+        inclusive=inclusive,
+        diagnostics={"envelope": env.method},
+    )
+
+
+def test_thresholds_match_the_masked_reader():
+    # t_min on a knot, below the first knot and at 5e-324, over p-values
+    # of exactly 0 and 1 and all-tied inputs
+    for p in _tied_samples():
+        inner = np.unique(p[(p > 0.0) & (p < 1.0)])
+        t_mins = [t for t in (5e-324, 0.01, 0.3, *inner[:1] / 2, *inner[::3]) if t > 0.0]
+        envs = [exact_envelope(exact_confidence_set(p, alpha), p) for alpha in (0.05, 0.5)]
+        envs += [asymptotic_envelope(p, t0=0.3, t_min=t_min, w=2.0, enforce_floor=False) for t_min in t_mins]
+        for env, c in itertools.product(envs, (None, -1.0, 0.0, 0.05, 0.1, 0.3, 0.6, 0.999, 1.0, 2.0)):
+            assert confidence_thresholds(env, c) == masked_thresholds(env, c)
+
+
+def traced_peak(call):
+    """Bytes tracemalloc sees ``call()`` allocate at its peak above what
+    was allocated before it, after a warm-up call."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        call()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("method, c, budget", [
+    ("exact", None, 3), ("exact", 0.3, 3), ("asymptotic", 0.3, 5),
+], ids=["exact-min-rate", "exact-ceiling", "band-ceiling"])
+def test_threshold_memory_budget(method, c, budget):
+    # traced peak above the envelope, in input sizes, on distinct p-values:
+    # the pieces' starts and ends, plus the band's bound and its temporaries.
+    # Masking all pieces took 5.3 (exact) and the band's solve on every piece 8.2
+    g = np.random.default_rng(3)
+    p = np.where(g.random(200_000) < 0.2, g.random(200_000) ** 6, g.random(200_000))
+    assert np.unique(p).size == p.size
+    if method == "exact":
+        env = exact_envelope(exact_confidence_set(p, 0.05), p)
+    else:
+        env = asymptotic_envelope(p, t_min=0.01, enforce_floor=False)
+    assert confidence_thresholds(env, c).rejected > 0
+    assert traced_peak(lambda: confidence_thresholds(env, c)) <= budget * p.nbytes
 
 
 class TestExactThresholds:

@@ -332,13 +332,14 @@ class TestPluginThreshold:
 
     def test_last_crossing_reads_the_last_feasible_piece(self):
         starts, ends = np.array([0.0, 0.2, 0.5]), np.array([0.2, 0.5, 1.0])
-        assert _last_crossing(starts, ends, np.zeros(3, bool), 0.3) == (None, 0.0, False)
-        # the crossing is kept inside the piece, and its open end is not attained
-        assert _last_crossing(starts, ends, [True, True, False], np.array([9.0, 0.3, 9.0])) == (1, 0.3, True)
-        assert _last_crossing(starts, ends, [True, True, False], np.array([9.0, 0.1, 9.0])) == (1, 0.2, True)
-        assert _last_crossing(starts, ends, [True, True, False], np.inf) == (1, 0.5, False)
+        assert _last_crossing(starts, ends, np.zeros(3, bool), lambda i: 0.3) == (None, 0.0, False)
+        # the crossing is solved on the deciding piece only, kept inside it,
+        # and its open end is not attained
+        assert _last_crossing(starts, ends, [True, True, False], [9.0, 0.3, 9.0].__getitem__) == (1, 0.3, True)
+        assert _last_crossing(starts, ends, [True, True, False], {1: 0.1}.__getitem__) == (1, 0.2, True)
+        assert _last_crossing(starts, ends, [True, True, False]) == (1, 0.5, False)
         # the last piece runs up to and including its end
-        assert _last_crossing(starts, ends, [False, False, True], np.inf) == (2, 1.0, True)
+        assert _last_crossing(starts, ends, [False, False, True]) == (2, 1.0, True)
 
     def test_validation(self, example1):
         with pytest.raises(ValueError):
