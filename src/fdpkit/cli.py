@@ -29,7 +29,7 @@ from .envelopes import (
     exact_confidence_set,
     exact_envelope,
 )
-from .estimation import astar_lower, ecdf, kernel_a_consistent, storey_a0
+from .estimation import _SPAN, astar_lower, ecdf, kernel_a_consistent, storey_a0
 from .simulation import generate_sample, run_validation
 from .thresholds import (
     ThresholdResult,
@@ -149,15 +149,14 @@ def _envelope_grid(env) -> np.ndarray:
 
 
 def _write_envelope_csv(path: str, env) -> None:
-    ts = _envelope_grid(env)
-    gam = np.asarray(env.gamma_bar(ts), dtype=float)
-    v = np.asarray(env.v_fn(ts), dtype=float)
-    cnt = np.asarray(env.count_bound_at(ts), dtype=float)
-    # Python floats, whose repr re-ingests exactly
-    cols = (ts.tolist(), gam.tolist(), v.tolist(), cnt.tolist())
+    grid = _envelope_grid(env)
     with open(path, "w") as fh:
         fh.write("t,gamma_bar,v,count_bound\n")
-        fh.writelines(f"{a!r},{b!r},{c!r},{d!r}\n" for a, b, c, d in zip(*cols))
+        for s in range(0, grid.size, _SPAN):     # a span of rows at a time, so no column is held whole
+            ts = grid[s:s + _SPAN]
+            # Python floats, whose repr re-ingests exactly
+            cols = [np.asarray(f(ts), dtype=float).tolist() for f in (env.gamma_bar, env.v_fn, env.count_bound_at)]
+            fh.writelines(f"{a!r},{b!r},{c!r},{d!r}\n" for a, b, c, d in zip(ts.tolist(), *cols))
 
 
 def read_envelope_csv(path: str) -> dict:

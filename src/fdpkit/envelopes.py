@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .estimation import EcdfEstimate, _require_open_unit, _validated_pvalues, ecdf
+from .estimation import _SPAN, EcdfEstimate, _require_open_unit, _validated_pvalues, ecdf
 from .stepfun import StepFunction
 from .thresholds import ThresholdResult, _last_crossing
 
@@ -105,12 +105,15 @@ class _AsymptoticCurve:
         return out if out.ndim else float(out)
 
     def values(self, t, g=None):
-        """V at t, or with Ghat(t) = ``g``, the band, at t at or above the floor."""
-        out = self.one_minus_a0 * t + self.delta * np.sqrt(t / self.m)
+        """V at t, or with Ghat(t) = ``g``, the band, at t at or above the floor;
+        in place, so it holds about one temporary of the result's size."""
+        out = np.asarray(self.delta * np.sqrt(t / self.m))
+        out += self.one_minus_a0 * t
         if g is not None:
-            with np.errstate(invalid="ignore", divide="ignore"):
-                out = np.where(g > 0.0, out / np.where(g > 0.0, g, 1.0), np.inf)
-            out = np.minimum(out, 1.0)
+            pos = g > 0.0
+            np.divide(out, g, out=out, where=pos)     # V / 0 reads inf, also where V is 0
+            np.copyto(out, np.inf, where=~pos)
+            np.minimum(out, 1.0, out=out)
         return out
 
 
@@ -229,40 +232,67 @@ def uniformity_critical_value(k: int, alpha: float) -> float:
     P{second order statistic <= c} = alpha, the alpha-quantile of its
     Beta(2, k - 1) law.  Sizes 0 and 1 are never rejected (returns -inf).
 
-    With n = k - 1, c is the root of the decreasing concave
+    The value is reported only: the test decides by the sign of h at its
+    statistic (``uniformity_test_second_order``), never against c.  With
+    n = k - 1, c is the root of the decreasing concave
     h(x) = n lpm(-x) + lpm(n x) - log1p(-alpha), lpm(z) = log1p(z) - z,
-    which is log P{second order statistic > x} - log(1 - alpha).  Newton's
-    method starts right of the root at min(y0 / n, sqrt(-expm1(-L / n))),
-    y0 = L + sqrt(L^2 + 2 L) with L = -log1p(-alpha), and stops when an
-    iterate no longer falls.  The result is within 5.7e-16 relative of
-    80-digit roots for alpha from 1e-300 to 1 - 1e-12 and k up to 1e6, and
-    it equals ``crit[k]`` of ``exact_confidence_set`` bit for bit: both
-    come from ``_critical_values``."""
+    which is log P{second order statistic > x} - log(1 - alpha), solved by
+    Newton's method in ``_critical_values``; so it equals ``crit[k]`` of
+    ``exact_confidence_set`` bit for bit.  The result is within 3.9e-16
+    relative of mpmath roots for alpha from 5e-324 to 1 - 1e-12 and k up
+    to 1e6."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     _require_open_unit("alpha", alpha)
     return float(_critical_values(np.array([k]), alpha)[0])
 
 
-def _lpm(z):
-    """log1p(z) - z, free of cancellation: for |z| <= 0.1 through
-    s = z / (2 + z), log1p(z) = 2 atanh(s), so that
-    lpm(z) = s (2 s^2 (1/3 + s^2/5 + ... + s^10/13) - z), six terms as
-    |s| < 0.053."""
-    out = np.log1p(z)
-    out -= z
-    small = np.abs(z) <= 0.1
-    z = z[small]
-    s = z / (2.0 + z)
-    s2 = s * s
-    tail = 1 / 3 + s2 * (1 / 5 + s2 * (1 / 7 + s2 * (1 / 9 + s2 * (1 / 11 + s2 / 13))))
-    out[small] = s * (2.0 * s2 * tail - z)
+def _q(z):
+    """lpm(z) / z^2 for lpm(z) = log1p(z) - z, free of cancellation: -1/2
+    at z = 0 and -inf at z = -1.  On -1/2 <= z <= 1, where log1p(z) - z
+    loses up to about 4 bits, with u = 1 / (2 + z) and s = z u,
+    log1p(z) = 2 atanh(s), so that
+    q(z) = u (2 s u (1/3 + s^2/5 + ... + s^30/33) - 1), sixteen terms as
+    |s| <= 1/3."""
+    with np.errstate(divide="ignore", invalid="ignore"):     # z = -1, and z = 0, which is in the series
+        out = np.log1p(z)
+        out -= z
+        out /= z
+        out /= z
+    near = (z >= -0.5) & (z <= 1.0)
+    z = z[near]
+    u = 1.0 / (2.0 + z)
+    s = z * u
+    out[near] = u * (2.0 * s * u * np.polyval(1.0 / np.arange(33, 2, -2), s * s) - 1.0)
     return out
+
+
+def _h_over_y2(x, n, L):
+    """h(x) / y^2 at y = n x, for h(x) = n lpm(-x) + lpm(n x) + L: in the
+    scaled form q(y) + q(-x) / n + L / y / y, every term of which stays
+    normal down to a subnormal alpha (h itself is about alpha there).  It
+    is +inf at x = 0, where h = L, and -inf at x = 1."""
+    y = n * x
+    with np.errstate(divide="ignore", over="ignore"):
+        return _q(y) + _q(-x) / n + L / y / y
+
+
+def _accepts(x, k, alpha):
+    """The one acceptance rule: a size-k subset whose second-smallest value
+    is x is accepted when k <= 1 or h_k(x) < 0, i.e. x > c_k.  x and k
+    broadcast; h sees x only where k >= 2 (rows may pad with +inf)."""
+    x, k = np.broadcast_arrays(x, k)
+    accept = np.asarray(k <= 1)
+    big = ~accept
+    accept[big] = _h_over_y2(x[big], k[big] - 1.0, -np.log1p(-alpha)) < 0.0
+    return accept
 
 
 def _critical_values(ks, alpha: float) -> np.ndarray:
     """The alpha-quantile c_k of Beta(2, k - 1), elementwise over an array
     of sizes k >= 0, and -inf at sizes 0 and 1, which are never rejected.
+    No test compares against these values (``_accepts`` reads the sign of
+    h); they are solved only to be reported.
 
     With n = k - 1 and L = -log1p(-alpha), c_k is the root on (0, 1) of
 
@@ -272,6 +302,8 @@ def _critical_values(ks, alpha: float) -> np.ndarray:
     S(x) = (1 - x)^n (1 + n x); the +-n x terms cancel in the algebra, so
     they are never formed, and the two lpm terms add without cancelling.
     h decreases and is concave, with h'(x) = -(n + 1) n x / ((1 - x)(1 + n x)).
+    It is evaluated as y^2 ``_h_over_y2``, y = n x, which stays accurate
+    below alpha = 1e-300, where lpm(-x), about alpha / n^2, is subnormal.
 
     Newton starts right of the root, at the smaller of two bounds on it.
     First y0 / n with y0 = L + sqrt(L^2 + 2 L): as (1 - x)^n <= exp(-n x),
@@ -279,48 +311,40 @@ def _critical_values(ks, alpha: float) -> np.ndarray:
     lpm(y) <= -y^2 / (2 (1 + y)) for y >= 0.  Then sqrt(-expm1(-L / n)),
     where (1 - x^2)^n = 1 - alpha: as 1 + n x <= (1 + x)^n,
     S(x) <= (1 - x^2)^n.  The second is the root itself at k = 2 and keeps
-    the start below 1 for small k.  From there the iterates fall
-    monotonically onto the root; an entry stops when its next iterate
+    the start below 1 for small k; it is dropped where L / n is subnormal,
+    and so inexact, where y0 / n is far below 1.  From there the iterates
+    fall monotonically onto the root; an entry stops when its next iterate
     does not fall, and a strictly falling sequence of doubles ends, so no
-    tolerance or step cap is needed.  Against 80-digit mpmath roots the
-    result is within 5.7e-16 relative for alpha from 1e-300 to 1 - 1e-12
-    and k from 2 to 1e6; all k up to 1e6 take at most 18 steps (at
-    alpha = 0.01, whose last steps fall by single ulps).  Below 1e-300 the
-    terms of h approach the subnormal range: at the smallest normal alpha
-    the error reaches 4e-11 at k = 1e6, and a subnormal alpha, where the
-    start and h underflow, is an error.
+    tolerance or step cap is needed.  Against mpmath roots the result is
+    within 3.9e-16 relative for alpha from 5e-324 to 1 - 1e-12 and k from 2
+    to 1e6.
     """
-    if alpha < np.finfo(float).tiny:
-        raise ValueError("alpha must be at least 2.2250738585072014e-308, the smallest normal double")
     n = np.asarray(ks, dtype=float) - 1.0
     L = -np.log1p(-alpha)
     y0 = L + np.sqrt(L * L + 2.0 * L)
     moving = np.flatnonzero(n >= 1.0)
     x = np.full(n.shape, -np.inf)
-    x[moving] = np.minimum(y0 / n[moving], np.sqrt(-np.expm1(-L / n[moving])))
+    z = L / n[moving]
+    x[moving] = np.minimum(y0 / n[moving], np.where(z < np.finfo(float).tiny, np.inf, np.sqrt(-np.expm1(-z))))
     while moving.size:
         xi, ni = x[moving], n[moving]
-        nx = ni * xi
-        h = ni * _lpm(-xi) + _lpm(nx) + L
-        step = xi + h * (1.0 - xi) * (1.0 + nx) / ((ni + 1.0) * nx)
+        y = ni * xi
+        step = xi + _h_over_y2(xi, ni, L) * y * (1.0 - xi) * (1.0 + y) / (ni + 1.0)
         falls = step < xi
         moving = moving[falls]
         x[moving] = step[falls]
     return x
 
 
-def _second_order_check(values: np.ndarray, crit):
-    """The acceptance rule for subsets along the last axis of ``values``:
-    each one's second-smallest value (None when the axis is shorter than 2)
-    and whether it is accepted, which it is when that value exceeds its
-    ``crit`` (a scalar or one per subset).  A subset of size 0 or 1 is always
-    accepted: its crit is -inf, so rows may pad a subset with +inf.  One
-    subset gives a float (or None) and a bool."""
-    if values.shape[-1] <= 1:
-        stat, accept = None, np.ones(values.shape[:-1], dtype=bool)
-    else:
-        stat = np.partition(values, 1, axis=-1)[..., 1]
-        accept = stat > crit
+def _second_order_check(values: np.ndarray, alpha: float):
+    """The acceptance rule for subsets along the last axis of ``values``,
+    each of size k, its count of values below +inf (rows may pad a subset
+    with +inf): each one's second-smallest value (None when the axis is
+    shorter than 2) and whether ``_accepts`` it.  One subset gives a float
+    (or None) and a bool."""
+    k = np.count_nonzero(values < np.inf, axis=-1)
+    stat = np.partition(values, 1, axis=-1)[..., 1] if values.shape[-1] > 1 else None
+    accept = _accepts(np.inf if stat is None else stat, k, alpha)
     if values.ndim > 1:
         return stat, accept
     return (None if stat is None else float(stat)), bool(accept)
@@ -336,9 +360,11 @@ class UniformityTestResult:
 
 
 def uniformity_test_second_order(subset_pvalues, alpha: float) -> UniformityTestResult:
-    """Accept the hypothesis that the subset is uniform when its
-    second-smallest value exceeds the size-k critical value; subsets of
-    size at most 1 are always accepted."""
+    """Accept the hypothesis that the subset is uniform when h_k is negative
+    at its second-smallest value, i.e. that value lies above the size-k
+    critical value (``_accepts``); subsets of size at most 1 are always
+    accepted.  ``critical`` reports that value, solved by Newton's method;
+    the verdict never reads it."""
     p = np.asarray(subset_pvalues, dtype=float)
     if p.ndim != 1:
         raise ValueError("need a 1-D array of p-values")
@@ -346,28 +372,34 @@ def uniformity_test_second_order(subset_pvalues, alpha: float) -> UniformityTest
         raise ValueError("p-values must lie in [0, 1]")
     k = p.size
     crit = uniformity_critical_value(k, alpha)
-    stat, accept = _second_order_check(p, crit)
+    stat, accept = _second_order_check(p, alpha)
     return UniformityTestResult(accept=accept, statistic=stat, critical=crit, k=k, alpha=alpha)
 
 
 @dataclass(frozen=True)
 class ExactConfidenceSet:
     """A 1 - alpha confidence collection of candidate null label-sets,
-    summarized through the per-size acceptance rule.
+    summarized through the per-size acceptance rule: a size-k subset is
+    accepted when k <= 1 or h_k is negative at its second-smallest value
+    (``_accepts``).
 
     ``feasible[k]`` says whether some size-k subset is accepted (the k
     largest p-values are the easiest to accept, so only they are checked);
     ``accepted_summaries`` lists those k (read off ``feasible`` on each
     access), and ``m0_interval`` is their range.  ``contains(labels)`` runs
     the exact membership test for a full labeling (1 marking the
-    alternative)."""
+    alternative).  ``crit`` reports the critical values c_0..c_m, solved
+    by Newton's method on each access; no verdict reads them."""
 
     pvalues: np.ndarray
     sorted_pvalues: np.ndarray
     alpha: float
-    crit: np.ndarray
     feasible: np.ndarray
     m0_interval: tuple
+
+    @property
+    def crit(self) -> np.ndarray:
+        return _critical_values(np.arange(self.pvalues.size + 1), self.alpha)
 
     @property
     def accepted_summaries(self) -> tuple:
@@ -379,26 +411,29 @@ class ExactConfidenceSet:
             raise ValueError("labels must align with the p-values")
         if not np.all((lab == 0) | (lab == 1)):
             raise ValueError("labels must be 0 (null) or 1 (alternative)")
-        nulls = self.pvalues[lab == 0]
-        return _second_order_check(nulls, self.crit[nulls.size])[1]
+        return _second_order_check(self.pvalues[lab == 0], self.alpha)[1]
 
 
 def exact_confidence_set(pvalues, alpha: float) -> ExactConfidenceSet:
     """Build the exact confidence collection by testing, for each size k,
-    the k largest p-values against the second-order-statistic rule."""
+    the k largest p-values: ``feasible[k]`` is ``_accepts`` at their
+    second-smallest, the order statistic ps[m - k + 1], one closed-form pass
+    with no critical value solved.  It runs over one span of sizes at a
+    time, so beyond p, its copy and its sort it holds a few span-sized
+    temporaries."""
     p = _validated_pvalues(pvalues)
     _require_open_unit("alpha", alpha)
     m = p.size
     ps = np.sort(p)
-    crit = _critical_values(np.arange(m + 1), alpha)
     feasible = np.ones(m + 1, dtype=bool)
-    feasible[2:] = ps[:0:-1] > crit[2:]  # the second-smallest of the k largest is ps[m - k + 1]
+    for lo in range(2, m + 1, _SPAN):
+        k = np.arange(lo, min(lo + _SPAN, m + 1))
+        feasible[k] = _accepts(ps[m + 1 - k], k, alpha)
     accepted = np.flatnonzero(feasible)
     return ExactConfidenceSet(
         pvalues=p.copy(),
         sorted_pvalues=ps,
         alpha=alpha,
-        crit=crit,
         feasible=feasible,
         m0_interval=(int(accepted[0]), int(accepted[-1])),
     )

@@ -16,7 +16,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import __version__
-from .envelopes import _AsymptoticCurve, _critical_values, _second_order_check, brownian_sup_quantile
+from .envelopes import _AsymptoticCurve, _second_order_check, brownian_sup_quantile
 from .estimation import _astar_rows, _qhat, _require_open_unit, _storey, ecdf, kernel_a_consistent, project_f
 from .families import TwoSidedNormal, UserCdf, make_family
 from .kernels import KernelSpec, eval_kernel
@@ -430,11 +430,9 @@ def _asymptotic_coverage(kind, scen=_standard(1000), *, alpha=0.05, t0=0.5, t_mi
 
 
 def _target_label_set_coverage(scen=_standard(50), *, alpha=0.05, reps=1000, gate=0.94):
-    # ExactConfidenceSet.contains' rule on each row's nulls padded with +inf, the critical values solved once
-    crit = _critical_values(np.arange(scen.m + 1), alpha)
-
+    # ExactConfidenceSet.contains' rule on each row's nulls padded with +inf
     def hit(p, lab):
-        return _second_order_check(np.where(lab, np.inf, p), crit[np.count_nonzero(~lab, axis=-1)])[1]
+        return _second_order_check(np.where(lab, np.inf, p), alpha)[1]
 
     return _coverage(_rep_blocks(scen, scen.model(), reps), hit, gate)
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from fdpkit import cli
 from fdpkit.cli import (
     _METHODS, RunSpec, _envelope_grid, _ingest_lines, _parser, ingest, main, read_envelope_csv, run,
 )
@@ -208,8 +209,13 @@ class TestEnvelopeCommand:
         assert np.array_equal(cols["v"], np.asarray(env.v_fn(ts)))
         assert np.array_equal(cols["count_bound"], np.asarray(env.count_bound_at(ts)))
 
+    @pytest.mark.parametrize("span", [None, 7], ids=["one-span", "spans-of-7"])
     @pytest.mark.parametrize("method", ["exact", "asymptotic"])
-    def test_csv_bytes_are_the_repr_of_each_cell(self, capsys, tmp_path, method):
+    def test_csv_bytes_are_the_repr_of_each_cell(self, capsys, tmp_path, monkeypatch, method, span):
+        # the writer's rows come a span at a time; at 7 rows a span the file
+        # crosses dozens of span boundaries and still matches one pass's bytes
+        if span is not None:
+            monkeypatch.setattr(cli, "_SPAN", span)
         p = generate_sample(ScenarioConfig(m=400, a=0.25, params={"theta": 3.0}, seed=2), 0).pvalues
         f = tmp_path / "p.txt"
         f.write_text("".join(f"{float(v)!r}\n" for v in p))

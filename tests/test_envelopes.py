@@ -20,6 +20,7 @@ from scipy import stats
 from fdpkit import _brownian_table as table
 from fdpkit import envelopes
 from fdpkit.envelopes import (
+    _AsymptoticCurve,
     _sup_quantile,
     asymptotic_envelope,
     brownian_sup_quantile,
@@ -89,6 +90,43 @@ def test_exact_routes_match_label_enumeration(p, alpha):
     np.testing.assert_allclose(np.asarray(m10_envelope(env, m)(ts)), want_j, atol=1e-12)
 
 
+def mp_root(k, alpha, start):
+    """The root c_k of h(x) = n log1p(-x) + log1p(n x) - log1p(-alpha),
+    n = k - 1, by mpmath's Newton steps from ``start``.  h's terms are about
+    sqrt(alpha) and its value about alpha, so the steps run at 50 digits
+    beyond the -log10(alpha) that cancel."""
+    import mpmath
+
+    with mpmath.workdps(50 + int(-np.log10(alpha))):
+        n, L = mpmath.mpf(k - 1), -mpmath.log1p(-mpmath.mpf(alpha))
+        x = mpmath.mpf(start)
+        for _ in range(6):
+            x += (n * mpmath.log1p(-x) + mpmath.log1p(n * x) + L) * (1 - x) * (1 + n * x) / ((n + 1) * n * x)
+        return x
+
+
+def near_root_points(alpha):
+    """For 43 sizes k from 2 to 1e6: the doubles x within 4 ulps of the one
+    nearest the 50-digit root c_k, their offsets j in ulps, their k, and the
+    true verdict x > c_k."""
+    import mpmath
+
+    xs, js, ks, truth = [], [], [], []
+    for k in np.unique(np.geomspace(2, 1e6, 44).astype(int)):
+        root = mp_root(int(k), alpha, uniformity_critical_value(int(k), alpha))
+        below = above = float(root)
+        x = [below]
+        for _ in range(4):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, 1.0)
+            x = [below, *x, above]
+        with mpmath.workdps(50 + int(-np.log10(alpha))):
+            truth += [mpmath.mpf(v) > root for v in x]
+        xs += x
+        js += range(-4, 5)
+        ks += [k] * 9
+    return np.array(xs), np.array(js), np.array(ks), np.array(truth)
+
+
 class TestUniformityTest:
     def test_critical_value_matches_order_statistic_law(self):
         # second smallest of k uniforms follows Beta(2, k - 1)
@@ -130,6 +168,31 @@ class TestUniformityTest:
                 want = np.sqrt(2.0 * alpha) / np.sqrt(n * (n + 1.0))
                 assert uniformity_critical_value(k, alpha) == pytest.approx(want, rel=1e-13, abs=0)
 
+    @pytest.mark.parametrize("alpha", [1e-305, 1e-307, 2.2250738585072014e-308, 1e-310, 5e-324])
+    def test_critical_value_below_1e300_matches_mpmath_roots(self, alpha):
+        # h is solved in its scaled form, every term of which stays normal;
+        # unscaled, lpm(-x) (about alpha / n^2) was subnormal and the root at
+        # k = 1e6 was 4.4e-11 off at 2.2e-308.  A subnormal alpha is a level
+        # like any other.
+        for k in (2, 3, 10, 1000, 100_000, 1_000_000):
+            got = uniformity_critical_value(k, alpha)
+            assert got == pytest.approx(float(mp_root(k, alpha, got)), rel=4e-16, abs=0)
+
+    def test_sign_of_h_matches_mpmath_near_each_root(self):
+        # the verdict at x = c_k + j ulps, j = -4..4, around the double nearest
+        # each 50-digit root of 43 sizes from 2 to 1e6: wrong only within 2 ulps
+        # of the root, at every level down to a subnormal one
+        wrong_at_five = 0
+        for alpha in (0.05, 0.01, 0.5, 1e-10, 1e-300, 1e-305, 1e-307, 2.2250738585072014e-308, 5e-324, 0.9):
+            x, j, k, truth = near_root_points(alpha)
+            wrong = envelopes._accepts(x, k, alpha) != truth
+            assert not np.any(wrong & (np.abs(j) > 2)), (alpha, k[wrong], j[wrong])
+            if alpha in (0.05, 0.01, 0.5, 1e-10, 1e-300):
+                wrong_at_five += np.count_nonzero(wrong)
+        # the comparison it replaced, x > c_k with c_k solved by Newton's method
+        # on the unscaled h, was wrong on 170 of these 1935 points
+        assert wrong_at_five <= 170
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(2, 1_000_000), min_size=2, max_size=2, unique=True),
            st.lists(st.integers(1, 999), min_size=2, max_size=2, unique=True),
@@ -163,6 +226,16 @@ class TestUniformityTest:
         assert uniformity_test_second_order(np.array([]), 0.05).accept
         assert uniformity_test_second_order(np.array([0.001]), 0.05).accept
 
+    def test_a_pvalue_of_one_is_accepted_without_a_warning(self):
+        # h(1) is -inf through log1p(-1), which warns unless silenced
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in ([0.3, 1.0], [1.0, 1.0], [0.0, 1.0, 1.0, 1.0]):
+                assert uniformity_test_second_order(np.array(p), 0.05).accept
+            cs = exact_confidence_set(np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0]), 1e-10)
+            assert cs.feasible.tolist() == [True] * 6 + [False]
+            assert cs.contains(np.array([0, 1, 0, 0, 1, 0]))
+
     def test_borderline_pair_is_rejected(self):
         r = uniformity_test_second_order(np.array([0.1, 0.2]), 0.05)
         assert not r.accept
@@ -181,8 +254,6 @@ class TestUniformityTest:
             uniformity_critical_value(-1, 0.05)
         with pytest.raises(ValueError):
             uniformity_critical_value(5, 1.0)
-        with pytest.raises(ValueError, match="smallest normal"):
-            uniformity_critical_value(5, 5e-324)
         with pytest.raises(ValueError):
             uniformity_test_second_order(np.array([[0.1]]), 0.05)
         with pytest.raises(ValueError):
@@ -221,8 +292,8 @@ class TestExactConfidenceSet:
         assert cs.m0_interval == (0, 7)
 
     @pytest.mark.parametrize("m", [1, 2, 7, 40])
-    def test_rows_are_the_one_subset_rule(self, m):
-        # each row's nulls padded with +inf, at the crit of its null count
+    def test_rows_are_the_one_subset_rule(self, m, monkeypatch):
+        # each row's nulls padded with +inf, its size the count of its nulls
         g, alpha = stream(913, m), 0.2
         p = g.random((120, m))
         p[:40] = np.round(p[:40], 2)               # heavy ties
@@ -232,8 +303,16 @@ class TestExactConfidenceSet:
         lab[70:80] = True
         lab[70:80, -1] = False                     # one null
         lab[80:90] = False                         # no alternative
-        crit = exact_confidence_set(p[0], alpha).crit
-        stat, accept = envelopes._second_order_check(np.where(lab, np.inf, p), crit[np.count_nonzero(~lab, axis=-1)])
+        seen, h_over_y2 = [], envelopes._h_over_y2
+
+        def spy(x, n, L):
+            seen.append(x)
+            return h_over_y2(x, n, L)
+
+        monkeypatch.setattr(envelopes, "_h_over_y2", spy)
+        stat, accept = envelopes._second_order_check(np.where(lab, np.inf, p), alpha)
+        # rows of at most one null are accepted before h, which sees no padding
+        assert all(np.all(np.isfinite(x)) for x in seen)
         want = [exact_confidence_set(row, alpha).contains(h.astype(int)) for row, h in zip(p, lab)]
         np.testing.assert_array_equal(accept, want)
         if m > 1:
@@ -985,3 +1064,49 @@ class TestAsymptoticThresholds:
                     assert env.gamma_at(r.t) <= c * (1 + 1e-12)
                 else:
                     assert env.gamma_at(r.t) > c
+
+
+def test_confidence_set_memory_budget():
+    # traced peak in input sizes, on distinct p-values: p's copy, its sort
+    # and the verdicts of one span of sizes.  Solving c_k for every size
+    # first took 16.3
+    g = np.random.default_rng(3)
+    p = np.where(g.random(200_000) < 0.2, g.random(200_000) ** 6, g.random(200_000))
+    assert np.unique(p).size == p.size
+    assert traced_peak(lambda: exact_confidence_set(p, 0.05)) <= 7 * p.nbytes
+
+
+def band_values_out_of_place(curve, t, g=None):
+    """``_AsymptoticCurve.values`` as whole-array expressions: the oracle
+    for its in-place form."""
+    out = curve.one_minus_a0 * t + curve.delta * np.sqrt(t / curve.m)
+    if g is not None:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            out = np.where(g > 0.0, out / np.where(g > 0.0, g, 1.0), np.inf)
+        out = np.minimum(out, 1.0)
+    return out
+
+
+def test_band_values_keep_the_out_of_place_bits():
+    # over t = 0 and 5e-324 (where V is 0 or underflows) and g = 0, for one
+    # curve, one with 1 - a0 = 0 and one row per sample
+    g = np.random.default_rng(4)
+    t = np.r_[0.0, 5e-324, 1e-300, 1e-12, np.sort(g.random(300)), 1.0]
+    ghat = np.r_[0.0, 0.0, 0.001, 0.0, np.sort(np.round(g.random(300), 2)), 1.0]
+    curves = [_AsymptoticCurve.fit(v, 1000, 0.5, 0.05, 0.01, 2.0) for v in (0.3, 1.0)]
+    curves.append(_AsymptoticCurve.fit(np.array([[0.1], [0.6], [1.0]]), 1000, 0.5, 0.05, 0.01, 2.0))
+    for curve, gv in itertools.product(curves, (None, ghat, ghat[::-1])):
+        got = curve.values(t, gv)
+        want = band_values_out_of_place(curve, t, gv)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("with_g", [False, True], ids=["count", "band"])
+def test_band_values_memory_budget(with_g):
+    # traced peak in sizes of the result: itself and one temporary.  The
+    # whole-array expressions held 3.0 (count) and 3.1 (band)
+    g = np.random.default_rng(5)
+    t, ghat = np.sort(g.random(200_000)), np.sort(np.round(g.random(200_000), 3))
+    curve = _AsymptoticCurve.fit(0.6, t.size, 0.5, 0.05, 0.01, 2.0)
+    gv = ghat if with_g else None
+    assert traced_peak(lambda: curve.values(t, gv)) <= 2.25 * t.nbytes
