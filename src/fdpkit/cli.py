@@ -145,7 +145,9 @@ def _envelope_grid(env) -> np.ndarray:
     knots = env.ghat.base.knots
     if env.method == "exact":
         return knots
-    return np.unique(np.r_[env.t_min, knots[np.searchsorted(knots, env.t_min, "right"):], 1.0])
+    # the knots increase strictly, so t_min, those above it and a last 1 are sorted and distinct
+    above = knots[np.searchsorted(knots, env.t_min, "right"):]
+    return np.r_[env.t_min, above] if knots[-1] == 1.0 else np.r_[env.t_min, above, 1.0]
 
 
 def _write_envelope_csv(path: str, env) -> None:

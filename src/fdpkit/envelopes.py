@@ -125,12 +125,13 @@ class EnvelopeResult:
     per-observation bound on the fraction of false discoveries, so
     ``m * v_fn(t)`` bounds their count.  ``ghat`` is the plain ECDF the
     envelope was read over (``gamma_bar.ghat`` for the asymptotic band):
-    thresholds read their pieces and counts off it, so no copy of p is kept."""
+    thresholds read their pieces and counts off it, so no copy of p is kept.
+    ``t_min`` is the band's t_min, or the exact envelope's least p-value."""
 
     gamma_bar: object
     level: float
     method: str
-    t_min: float | None
+    t_min: float
     v_fn: object
     ghat: EcdfEstimate
     meta: dict = field(default_factory=dict)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import _require_open_unit
+from .estimation import _qhat, _require_open_unit
 from .model import MixtureModel, q_inverse
 
 __all__ = ["KernelSpec", "eval_kernel", "storey_population_q"]
@@ -72,13 +72,11 @@ def storey_population_q(model: MixtureModel, t0: float):
     """Population centering of the exceedance-ratio plug-in map:
     t -> t (1 - G(t0)) / ((1 - t0) G(t))."""
     _require_open_unit("t0", t0)
-    top = 1.0 - model.cdf(t0)
+    one_minus = (1.0 - model.cdf(t0)) / (1.0 - t0)
 
     def q_st(t):
         t = np.asarray(t, dtype=float)
-        g = model.cdf(t)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.where(t > 0.0, t * top / ((1.0 - t0) * np.where(g > 0, g, 1.0)), 0.0)
+        out = _qhat(model.cdf(t), t, one_minus)
         return out if out.ndim else float(out)
 
     return q_st
@@ -91,21 +89,22 @@ def eval_kernel(spec: KernelSpec, s, t):
     model = spec.model
     a = model.a
     kind = spec.kind
+    if kind in ("fdp", "qhat", "qhat-storey"):    # the kernels read through G on (0, 1]
+        if np.any(s <= 0.0) or np.any(t <= 0.0) or np.any(s > 1.0) or np.any(t > 1.0):
+            raise ValueError("kernel arguments must lie in (0, 1]")
+        Gs = model.cdf(s)
+        Gt = model.cdf(t)
 
     if kind == "matrix":
         out = _r(model, *spec.component, s, t)
-        return out if np.ndim(out) else float(out)
-
-    if kind == "rejection-balance":
+    elif kind == "rejection-balance":
         c = spec.c
         out = (
             (1.0 - c) ** 2 * _r(model, 0, 0, s, t)
             + c**2 * _r(model, 1, 1, s, t)
             - c * (1.0 - c) * (_r(model, 0, 1, s, t) + _r(model, 1, 0, s, t))
         )
-        return out if np.ndim(out) else float(out)
-
-    if kind == "qhat-inverse":
+    elif kind == "qhat-inverse":
         if np.any(s <= 0.0) or np.any(t <= 0.0) or np.any(s >= 1.0 - a) or np.any(t >= 1.0 - a):
             raise ValueError("inverse-map kernel arguments must lie in (0, 1 - a)")
         su = q_inverse(model, s)
@@ -115,39 +114,28 @@ def eval_kernel(spec: KernelSpec, s, t):
         num = s * t * _bridge(model, su, tv)
         den = ((1.0 - a) - s * g_su) * ((1.0 - a) - t * g_tv)
         out = num / den
-        return out if np.ndim(out) else float(out)
-
-    if np.any(s <= 0.0) or np.any(t <= 0.0) or np.any(s > 1.0) or np.any(t > 1.0):
-        raise ValueError("kernel arguments must lie in (0, 1]")
-    Gs = model.cdf(s)
-    Gt = model.cdf(t)
-
-    if kind == "fdp":
+    elif kind == "fdp":
         F = model.F.cdf
         num = a * (1.0 - a) * (
             (1.0 - a) * s * t * F(np.minimum(s, t)) + a * F(s) * F(t) * np.minimum(s, t)
         )
         out = num / (Gs**2 * Gt**2)
-        return out if np.ndim(out) else float(out)
-
-    if kind == "qhat":
+    elif kind == "qhat":
         qs = (1.0 - a) * s / Gs
         qt = (1.0 - a) * t / Gt
         out = qs * qt * _bridge(model, s, t) / (Gs * Gt)
-        return out if np.ndim(out) else float(out)
-
-    # qhat-storey
-    t0 = spec.t0
-    Gt0 = model.cdf(t0)
-    c00 = Gt0 * (1.0 - Gt0)
-    c0t = _bridge(model, np.full_like(t, t0), t)
-    cs0 = _bridge(model, s, np.full_like(s, t0))
-    cst = _bridge(model, s, t)
-    bracket = (
-        Gs * Gt * c00
-        + Gs * (1.0 - Gt0) * c0t
-        + Gt * (1.0 - Gt0) * cs0
-        + (1.0 - Gt0) ** 2 * cst
-    )
-    out = s * t * bracket / ((1.0 - t0) ** 2 * Gs**2 * Gt**2)
+    else:  # qhat-storey
+        t0 = spec.t0
+        Gt0 = model.cdf(t0)
+        c00 = Gt0 * (1.0 - Gt0)
+        c0t = _bridge(model, np.full_like(t, t0), t)
+        cs0 = _bridge(model, s, np.full_like(s, t0))
+        cst = _bridge(model, s, t)
+        bracket = (
+            Gs * Gt * c00
+            + Gs * (1.0 - Gt0) * c0t
+            + Gt * (1.0 - Gt0) * cs0
+            + (1.0 - Gt0) ** 2 * cst
+        )
+        out = s * t * bracket / ((1.0 - t0) ** 2 * Gs**2 * Gt**2)
     return out if np.ndim(out) else float(out)

@@ -318,6 +318,9 @@ def _target_lcm_contraction(scen=ScenarioConfig(500, 0.5, "square-root"), *, rep
 
 
 def _kernel_target(kind, scen=_standard(5000), *, reps=2000, points=(0.05, 0.1, 0.2), rel_tol=0.15, t0=0.5):
+    if kind == "qhat-storey" and scen.a == 0.0:
+        raise ValueError("storey-kernel has no Gaussian limit where the tail-count estimate's clamp at 0 "
+                         f"binds about half the time, as it does at a = {scen.a!r}")
     model = scen.model()
     spec = KernelSpec(kind, model, t0=t0)  # checks t0 of qhat-storey before anything is drawn
     pts = np.asarray(points, dtype=float)

@@ -66,20 +66,18 @@ class StepFunction:
         return cls(xs, ys)
 
     def __call__(self, t):
-        t = _as_float_array(t)
-        if not np.all((t >= 0.0) & (t <= 1.0)):   # False for NaN too
-            raise ValueError("evaluation points must lie in [0, 1]")
-        idx = np.searchsorted(self.knots, t, side="right") - 1
-        out = self.values[idx]
-        return out if out.ndim else float(out)
+        return self._eval(t, "right")
 
     def left(self, t):
         """Left limit at ``t``; at 0 this is the value at 0."""
+        return self._eval(t, "left")
+
+    def _eval(self, t, side):
         t = _as_float_array(t)
-        if not np.all((t >= 0.0) & (t <= 1.0)):
+        if not np.all((t >= 0.0) & (t <= 1.0)):   # False for NaN too
             raise ValueError("evaluation points must lie in [0, 1]")
-        idx = np.maximum(np.searchsorted(self.knots, t, side="left") - 1, 0)
-        out = self.values[idx]
+        # the value's index counts the knots past the first below t ("left") or up to t ("right")
+        out = self.values[np.searchsorted(self.knots[1:], t, side=side)]
         return out if out.ndim else float(out)
 
     def __eq__(self, other):

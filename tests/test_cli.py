@@ -234,6 +234,20 @@ class TestEnvelopeCommand:
         assert len(ts) > 100
         assert outfile.read_bytes() == want.encode()
 
+    @pytest.mark.parametrize("p, t_min", [
+        (np.r_[0.002, 0.01, 0.3, 0.3, 0.8], 0.01),
+        (np.r_[0.0, 0.002, 0.01, 0.5, 1.0, 1.0], 0.05),
+        (np.r_[0.002, 0.01, 0.3], 0.9),
+        (np.r_[0.002, 0.01, 0.3, 0.99], 1e-3),
+    ], ids=["t_min-is-a-pvalue", "largest-pvalue-is-1", "every-pvalue-below-t_min", "t_min-below-the-first-knot"])
+    def test_band_grid_is_the_sorted_distinct_union(self, p, t_min):
+        # the slice of the knots above t_min, between t_min and 1, against a
+        # sort of the points with the duplicates dropped
+        env = asymptotic_envelope(p, t_min=t_min, enforce_floor=False)
+        knots = env.ghat.base.knots
+        want = np.unique(np.r_[t_min, knots[np.searchsorted(knots, t_min, "right"):], 1.0])
+        assert _envelope_grid(env).tobytes() == want.tobytes()
+
     def test_read_back_rejects_foreign_header(self, tmp_path):
         f = tmp_path / "bad.csv"
         f.write_text("a,b\n1,2\n")

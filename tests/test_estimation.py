@@ -515,6 +515,44 @@ class TestKernelA:
             assert np.all(dens >= 0.0)
             assert np.max(np.abs(dens - want)) <= tol * want.max()
 
+    def test_density_keeps_the_bits_of_the_3m_sort(self):
+        # the one sort of m into the middle of [-s reversed, s, 2 - s
+        # reversed] against a sort of all 3m reflected points, whose zeros
+        # may take either sign: ties, atoms at 0 and 1, a -0.0, m = 10, and
+        # bandwidths above 1, where a window spans all three reflections
+        def sorted_3m(p, h, grid_size=257):
+            grid = np.linspace(0.0, 1.0, grid_size)
+            x = np.sort(np.concatenate([p, -p, 2.0 - p]))
+            csum = np.zeros((2, x.size + 1))
+            csum[0, 1:] = np.round(x * 1024.0) / 1024.0
+            csum[1, 1:] = x - csum[0, 1:]
+            np.cumsum(csum, axis=1, out=csum)
+            lo, mid, hi = np.searchsorted(x, [grid - h, grid, grid + h])
+            n_l, n_r = mid - lo, hi - mid
+            s_l, s_r = (csum[:, [mid, hi]] - csum[:, [lo, mid]]).sum(axis=0)
+            dens = n_l + n_r - (grid * (n_l - n_r) - s_l + s_r) / h
+            return np.maximum(dens / (p.size * h), 0.0)
+
+        g = stream(81, 0)
+        p = g.random(3000) ** 2
+        samples = [
+            np.linspace(0.05, 0.95, 10), np.r_[np.zeros(4), 0.5, np.ones(5)], np.r_[-0.0, 0.0, g.random(8)],
+            p, np.round(p, 2), np.r_[np.zeros(300), np.round(p, 3), np.ones(200), -0.0, -0.0],
+        ]
+        for p in samples:
+            for h in (0.01, 0.2, None, 1.0, 1.7):
+                bw = p.size ** (-0.2) if h is None else h
+                got = kernel_density(p, h, grid_size=257)[1]
+                assert got.tobytes() == sorted_3m(p, bw).tobytes()
+
+    def test_density_memory_budget(self):
+        # traced peak above the input, in input sizes: the reflected sample
+        # and its two prefix sums take 9; sorting the 3m reflected points
+        # took 15 (the sort's copy and the out-of-place splits)
+        p = stream(82, 0).random(200_000)
+        assert np.unique(p).size == p.size
+        assert traced_peak(kernel_density, p) <= 10 * p.nbytes
+
 
 class TestQHat:
     def test_order_statistic_identity(self, example1):

@@ -277,6 +277,8 @@ class TestStoreyPopulationMap:
         ts = np.linspace(0.01, 1.0, 50)
         np.testing.assert_allclose(q_st(ts), 1.0, atol=1e-12)
         assert q_st(0.0) == 0.0
+        # t (1 - G(t0)) underflowed to 0 against (1 - t0) G(t), which gave 0/0
+        assert q_st(5e-324) == 1.0
 
     def test_mixed_model_value(self):
         model = mixed_model()
