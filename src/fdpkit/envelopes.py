@@ -60,15 +60,19 @@ def _sup_quantile(alpha_half, t_floor) -> tuple[float, float]:
         raise ValueError("t_floor must lie in (0, 1]")
     j = bisect.bisect_right(ALPHA_HALF, alpha_half) - 1
     k = bisect.bisect_right(FLOORS, t_floor) - 1
+    simulate = ("simulate w with tools/brownian_table.py and pass it as asymptotic_envelope(..., w=), "
+                "the only call that takes a simulated w")
     if j < 0:
         raise ValueError(
             f"alpha / 2 = {float(alpha_half)!r} is below the smallest level of the Brownian quantile table, "
-            f"{ALPHA_HALF[0]!r}; simulate w for it and pass it as w="
+            f"{ALPHA_HALF[0]!r}: the smallest alpha (--alpha) it serves is {2.0 * ALPHA_HALF[0]!r}; "
+            f"for a smaller one, {simulate}"
         )
     if k < 0:
         raise ValueError(
             f"t_min = {float(t_floor)!r} is below the first floor of the Brownian quantile table, "
-            f"{float(FLOORS[0])!r}; simulate w for it and pass it as w="
+            f"{float(FLOORS[0])!r}: the smallest t_min (--t-min) it serves is {float(FLOORS[0])!r}; "
+            f"for a smaller one, {simulate}"
         )
     return float(W[k, j]), float(W_SE[k, j])
 

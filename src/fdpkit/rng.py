@@ -3,8 +3,8 @@
 Streams are keyed by ``(seed, *path)`` through ``SeedSequence`` spawn keys on
 top of Philox, a counter-based bit generator, so a stream's draws depend only
 on its own key, never on other streams, and any point of a stream is reached
-in O(1).  ``uniform_open_at`` draws a block's rows in parts, in parallel,
-each from its own copy of the stream moved to the part's first double, so the
+in O(1).  ``_in_parts`` runs a block's rows in parts, in parallel, each
+reading its own copy of the stream moved to the part's first double, so the
 bits depend neither on the CPU count nor on the schedule.
 
 The simulation module keys sample i of a scenario by ``(seed, i)``: the
@@ -12,6 +12,8 @@ per-replicate validation targets read each row of their blocks from its own
 stream, so row i is ``generate_sample(config, i)`` whatever m or ``reps``.
 The other Monte Carlo targets key one stream per block by ``(seed, block)``,
 so their rows depend on the block size, and through it on m and ``reps``.
+Each part of such a block draws labels, p-values and quantiles on its own
+thread; rep-keyed rows (a ``SeedSequence`` each, under the GIL) on this one.
 """
 
 from __future__ import annotations
@@ -44,28 +46,44 @@ def uniform_open(rng: np.random.Generator, size=None) -> np.ndarray:
     return u
 
 
+def _uniform_into(out: np.ndarray, seed: int, key: int, offset: int) -> None:
+    """Fill the C-contiguous ``out`` with ``stream(seed, key)``'s ``uniform_open`` draws after ``offset`` doubles."""
+    rng = stream(seed, key)
+    rng.bit_generator.advance(offset // 4)  # four doubles per Philox counter step
+    rng.random(offset % 4)
+    rng.random(out=out)  # releases the GIL
+    out += 2.0**-54
+
+
+def _in_parts(rows: int, part) -> None:
+    """Run ``part(lo, hi)`` on one run of ``range(rows)`` per CPU (fewer if
+    fewer rows), the first on this thread, the others on threads joined
+    before this returns; part 0's exception, else a thread's first, is raised."""
+    k = max(1, min(rows, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1))
+    cuts, errors = [rows * i // k for i in range(k + 1)], []
+
+    def run(lo, hi):
+        try:
+            part(lo, hi)
+        except BaseException as e:  # raised on the calling thread
+            errors.append(e)
+
+    threads = [threading.Thread(target=run, args=ends) for ends in zip(cuts[1:-1], cuts[2:])]
+    for t in threads:
+        t.start()
+    try:
+        part(cuts[0], cuts[1])
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
+
+
 def uniform_open_at(seed: int, key: int, shape, offset: int = 0) -> np.ndarray:
     """``uniform_open`` draws of ``shape`` from ``stream(seed, key)`` after its
     first ``offset`` doubles, the rows cut into one part per CPU (see above)."""
     u = np.empty(shape)
     rows = u.reshape(-1, u.shape[-1])
-    k = min(len(rows), len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-    cuts = [len(rows) * i // k for i in range(k + 1)]
-    jobs = [(stream(seed, key), rows[lo:hi], offset + lo * rows.shape[1]) for lo, hi in zip(cuts, cuts[1:])]
-
-    def fill(rng, part, n):  # on k - 1 threads and this one
-        rng.bit_generator.advance(n // 4)  # four doubles per Philox counter step
-        rng.random(n % 4)
-        rng.random(out=part)  # releases the GIL
-        part += 2.0**-54
-
-    threads = [threading.Thread(target=fill, args=job) for job in jobs[1:]]
-    for t in threads:
-        t.start()
-    try:
-        fill(*jobs[0])
-    finally:
-        for t in threads:
-            t.join()
+    _in_parts(len(rows), lambda lo, hi: _uniform_into(rows[lo:hi], seed, key, offset + lo * rows.shape[1]))
     return u
-

@@ -20,8 +20,8 @@ from .envelopes import _AsymptoticCurve, _second_order_check, brownian_sup_quant
 from .estimation import _astar_rows, _qhat, _require_open_unit, _storey, ecdf, kernel_a_consistent, project_f
 from .families import TwoSidedNormal, UserCdf, make_family
 from .kernels import KernelSpec, eval_kernel
-from .model import LabeledSample, MixtureModel, expected_fdp_fnp, q_derivative, q_inverse
-from .rng import stream, uniform_open, uniform_open_at
+from .model import LabeledSample, MixtureModel, expected_fdp_fnp, q_derivative, q_inverse, q_map, qtilde_map
+from .rng import _in_parts, _uniform_into, stream, uniform_open
 from .thresholds import _plugin, oracle_threshold, plugin_threshold, rate_ceiling_known_a
 
 __all__ = [
@@ -69,18 +69,35 @@ class ScenarioConfig:
 
 def _draw(config: ScenarioConfig, model: MixtureModel, key: int | range, shape):
     """(pvalues, labels) of the given shape from the stream (seed, key):
-    labels first, then uniforms, then the alternative quantile function on
-    the labelled ones.  A block's rows are drawn in parts over the CPUs."""
+    labels first, then uniforms, then the alternative quantile function on the
+    labelled ones; each CPU's part of a block's rows draws all three on its
+    own thread, rep-keyed rows are drawn on this one (see `fdpkit.rng`)."""
     if isinstance(key, range):  # one row per key i: m label uniforms, then m p-values, from the stream (seed, i)
         u = np.stack([uniform_open(stream(config.seed, i), (2, config.m)) for i in key], axis=1)
         lab, p = u[0] < config.a, u[1]
-    else:  # at a = 0 every label is False (a uniform is never 0), so the p-values start n doubles in
-        lab = np.zeros(shape, dtype=bool) if config.a == 0.0 else uniform_open_at(config.seed, key, shape) < config.a
-        p = uniform_open_at(config.seed, key, shape, lab.size)
-    if config.a > 0.0:  # at a = 0 no value is labelled
-        flat, idx = p.reshape(-1), np.flatnonzero(lab)  # an index scatters faster than a mask
-        flat[idx] = model.F.ppf(flat[idx])
+        _to_alternatives(model, p, lab)
+    else:
+        p, lab = np.empty(shape), np.zeros(shape, dtype=bool)
+        rows, labs = p.reshape(-1, p.shape[-1]), lab.reshape(-1, p.shape[-1])
+
+        def part(lo, hi):  # the label uniforms go through the p-value rows
+            u, h, at = rows[lo:hi], labs[lo:hi], lo * rows.shape[1]
+            if config.a > 0.0:  # at a = 0 every label is False (a uniform is never 0)
+                _uniform_into(u, config.seed, key, at)
+                np.less(u, config.a, out=h)
+            _uniform_into(u, config.seed, key, p.size + at)  # the p-values start p.size doubles in
+            _to_alternatives(model, u, h)
+
+        _in_parts(len(rows), part)
     return p, lab
+
+
+def _to_alternatives(model: MixtureModel, p, lab):
+    """Replace the labelled values of the C-contiguous `p` by their alternative quantiles."""
+    flat, idx = p.reshape(-1), np.flatnonzero(lab)  # an index scatters faster than a mask
+    for lo in range(0, idx.size, 1 << 14):  # a larger call keeps MBs in a worker thread's malloc arena
+        at = idx[lo : lo + (1 << 14)]
+        flat[at] = model.F.ppf(flat[at])
 
 
 def generate_sample(config: ScenarioConfig, rep_index: int) -> LabeledSample:
@@ -201,6 +218,25 @@ def _bound_holds(blocks, sides, cushion):
     return {"passed": bool(holds == len(pairs)), "holds": holds, "worst_margin": float(worst)}
 
 
+def _rate_se(model, m, t, which, reps):
+    """The model's standard error of the mean of `reps` FDPs (or FNPs) at t
+    over samples of m.  Given R = r > 0 rejections (or non-rejections), the
+    nulls among them (or the alternatives) are Bin(r, pi), pi being Q(t) (or
+    Qtilde(t)), so with P = P(R > 0) the variance is
+    pi^2 P (1 - P) + pi (1 - pi) E[1/R; R > 0]."""
+    from scipy.stats import binom
+
+    g = model.cdf(t)
+    if which == "fdp":
+        pi, share = q_map(model)(t), g
+    else:  # at G(t) = 1 nothing is left unrejected
+        pi, share = (qtilde_map(model)(t) if g < 1.0 else 0.0), 1.0 - g
+    r = np.arange(1, m + 1)
+    none = (1.0 - share) ** m
+    var = pi**2 * none * (1.0 - none) + pi * (1.0 - pi) * np.sum(binom.pmf(r, m, share) / r)
+    return float(np.sqrt(var / reps))
+
+
 def _process_mean(which, scen=_standard(100), *, reps=100_000, ts=(0.01, 0.05, 0.2), sigmas=3.0):
     model = scen.model()
     ts = [float(t) for t in ts]
@@ -218,7 +254,8 @@ def _process_mean(which, scen=_standard(100), *, reps=100_000, ts=(0.01, 0.05, 0
     for j, t in enumerate(ts):
         ex = expected_fdp_fnp(model, scen.m, t)
         expected = ex[0] if which == "fdp" else ex[1]
-        z = _zscore(means[j], expected, ses[j])
+        # where every replicate is equal (FDP at a = 0, FNP at a = 1, wide t) the sample SE is 0: use the model's
+        z = _zscore(means[j], expected, ses[j] or _rate_se(model, scen.m, t, which, reps))
         rows.append(
             {"t": t, "mean": float(means[j]), "expected": float(expected), "zscore": float(z)}
         )

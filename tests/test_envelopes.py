@@ -661,9 +661,10 @@ class TestBrownianQuantile:
             asymptotic_envelope([0.3], t_min=0.01, enforce_floor=False, quantile_seed=3)
 
     def test_below_the_table_is_an_error_that_names_w(self):
-        with pytest.raises(ValueError, match=r"below the smallest level .* w="):
+        # each names the smallest value the table serves, as the CLI option too
+        with pytest.raises(ValueError, match=r"below the smallest level .* alpha \(--alpha\) it serves is 0\.002; .* w="):
             brownian_sup_quantile(5e-5, 0.01)
-        with pytest.raises(ValueError, match=r"below the first floor .* w="):
+        with pytest.raises(ValueError, match=r"below the first floor .* t_min \(--t-min\) it serves is 1e-08; .* w="):
             brownian_sup_quantile(0.025, 5e-9)
         with pytest.raises(ValueError, match="w="):
             asymptotic_envelope(np.linspace(0.01, 0.99, 100), alpha=1e-4, t_min=0.01,

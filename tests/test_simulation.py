@@ -6,6 +6,7 @@ import functools
 import hashlib
 import inspect
 import json
+import math
 import os
 import re
 import threading
@@ -25,7 +26,9 @@ from fdpkit import simulation
 from fdpkit.simulation import (
     VALIDATION_TARGETS,
     ScenarioConfig,
+    _blocks,
     _draw,
+    _rate_se,
     _rep_blocks,
     _rates,
     generate_sample,
@@ -186,7 +189,7 @@ class TestDraw:
     # a block's rows are drawn in parts, one per CPU: k parts must give the
     # bits of one stream read in turn, for blocks with fewer rows than k and
     # for sizes and part starts at every position in a Philox step of four
-    SHAPES = [(1, 9), (2, 7), (3, 5), (4, 3), (5, 5), (7, 4), (9, 13), (10, 6)]
+    SHAPES = [(1, 9), (2, 7), (3, 5), (4, 3), (5, 5), (7, 4), (9, 13), (10, 6), (6, 50)]
 
     @staticmethod
     def _cpus(monkeypatch, k):
@@ -200,12 +203,28 @@ class TestDraw:
             want = uniform_open(stream(8, 3), offset + shape[0] * shape[1])[offset:].reshape(shape)
             np.testing.assert_array_equal(uniform_open_at(8, 3, shape, offset), want)
 
+    @staticmethod
+    def _spy_ppf(monkeypatch, model, fail=None):
+        """Record (thread, input size) of every call of model.F.ppf; raise on the thread `fail` picks."""
+        calls, ppf = [], model.F.ppf
+
+        def spy(u):
+            calls.append((threading.current_thread(), np.size(u)))
+            if fail is not None and fail(threading.current_thread()):
+                raise RuntimeError("ppf failed")
+            return ppf(u)
+
+        monkeypatch.setattr(model.F, "ppf", spy)
+        return calls
+
     @pytest.mark.parametrize("cfg", [
         ScenarioConfig(10, 0.0, seed=4),
         ScenarioConfig(10, 0.25, "one-sided-normal", {"theta": 3.0}, seed=4),
         ScenarioConfig(10, 0.25, "two-sided-normal", {"theta": 3.0}, seed=4),
     ], ids=["pure-null", "one-sided", "two-sided"])
     def test_block_bits_do_not_depend_on_the_cpu_count(self, monkeypatch, cfg):
+        # each part also takes the quantiles of its own labelled values on
+        # its own thread, the first part on the calling one
         model = cfg.model()
         for shape in self.SHAPES:
             rng = stream(cfg.seed, 2)  # the labels, then the p-values, from one stream
@@ -215,11 +234,49 @@ class TestDraw:
                 p[lab] = model.F.ppf(p[lab])
             for k in (1, 2, 3, 7):
                 self._cpus(monkeypatch, k)
+                calls = self._spy_ppf(monkeypatch, model)
                 threads = threading.active_count()
                 got_p, got_lab = _draw(cfg, model, 2, shape)
                 assert threading.active_count() == threads  # every part's thread is joined
                 np.testing.assert_array_equal(got_lab, lab)
                 np.testing.assert_array_equal(got_p, p)
+                parts = min(k, shape[0])
+                cuts = [shape[0] * i // parts for i in range(parts + 1)]
+                per_part = [int(lab[lo:hi].sum()) for lo, hi in zip(cuts, cuts[1:])]
+                per_thread = {}
+                for thread, size in calls:
+                    per_thread[thread] = per_thread.get(thread, 0) + size
+                assert sorted(per_thread.values()) == sorted(n for n in per_part if n)
+                assert per_thread.get(threading.current_thread(), 0) == per_part[0]
+                if cfg.a and shape == (6, 50):  # every part holds labelled values
+                    assert len(per_thread) == parts
+
+    def test_quantiles_are_taken_in_slices(self, monkeypatch):
+        # at most 2^14 values a call, with the bits of one call on all of them
+        cfg = ScenarioConfig(80_000, 0.5, "two-sided-normal", {"theta": 2.0}, seed=3)
+        model = cfg.model()
+        rng = stream(cfg.seed, 0)
+        lab = uniform_open(rng, (1, cfg.m)) < cfg.a
+        p = uniform_open(rng, (1, cfg.m))
+        p[lab] = model.F.ppf(p[lab])
+        calls = self._spy_ppf(monkeypatch, model)
+        got_p, got_lab = _draw(cfg, model, 0, (1, cfg.m))
+        assert [size for _, size in calls] == [2**14, 2**14] + [int(lab.sum()) - 2**15]
+        np.testing.assert_array_equal(got_lab, lab)
+        np.testing.assert_array_equal(got_p, p)
+
+    @pytest.mark.parametrize("failing", ["first", "second"])
+    def test_a_failed_part_raises_on_the_calling_thread(self, monkeypatch, failing):
+        cfg = ScenarioConfig(50, 0.25, "one-sided-normal", {"theta": 3.0}, seed=4)
+        model = cfg.model()
+        caller = threading.current_thread()
+        self._cpus(monkeypatch, 2)
+        calls = self._spy_ppf(monkeypatch, model, lambda thread: (thread is caller) == (failing == "first"))
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="^ppf failed$"):
+            _draw(cfg, model, 2, (6, cfg.m))
+        assert threading.active_count() == threads
+        assert len({thread for thread, _ in calls}) == 2  # the other part ran to its end
 
 
 class TestUniformOpen:
@@ -400,9 +457,21 @@ def _plain_json(x):
 
 
 def no_sampling(monkeypatch):
-    """Make any draw of a sample or of a block fail."""
+    """Make any draw of a sample or of a block fail: rep-keyed rows open a
+    `stream` each, and a block runs its parts through `_in_parts`."""
     monkeypatch.setattr(simulation, "stream", None)
-    monkeypatch.setattr(simulation, "uniform_open_at", None)
+    monkeypatch.setattr(simulation, "_in_parts", None)
+    monkeypatch.setattr(simulation, "_uniform_into", None)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.25])
+def test_no_sampling_stops_every_draw(monkeypatch, a):
+    cfg = ScenarioConfig(20, a, "one-sided-normal", {"theta": 3.0}, seed=1)
+    no_sampling(monkeypatch)
+    for draw in (lambda: next(_blocks(cfg, cfg.model(), 4)), lambda: next(_rep_blocks(cfg, cfg.model(), 4)),
+                 lambda: generate_sample(cfg, 0)):
+        with pytest.raises(TypeError, match="not callable"):
+            draw()
 
 
 # the targets that run the library's Storey, Qhat and plug-in cores, with
@@ -648,6 +717,38 @@ class TestValidationHarness:
         assert r["passed"] is True
         for pt in r["points"]:
             assert pt["mean"] == pt["expected"] == 0.0 and pt["zscore"] == 0.0
+
+    @pytest.mark.parametrize("cfg, name, t", [({"a": 0.0}, "fdp-mean", 0.2), ({"a": 1.0}, "fnp-mean", 0.01)])
+    def test_equal_replicates_are_scored_with_the_model_se(self, cfg, name, t):
+        # at m = 100 every replicate's rate at t is 1 (it is 0 with chance 2e-10 or 3e-13), so the
+        # sample SE is 0; the model's SE scores the mean's tiny gap to the expected one
+        r = run_validation(cfg, name)
+        assert r["passed"] is True
+        pt = next(pt for pt in r["points"] if pt["t"] == t)
+        assert pt["mean"] == 1.0 > pt["expected"] and 0.0 < pt["zscore"] < 0.01
+
+    @pytest.mark.parametrize("a", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("t", [0.05, 0.4])
+    def test_model_se_matches_enumeration(self, a, t):
+        # each of m values is a rejected null, a rejected alternative, an
+        # unrejected null or an unrejected alternative: sum over the counts
+        m, reps = 6, 7
+        model = ScenarioConfig(m, a, "one-sided-normal", {"theta": 1.0}).model()
+        f = float(model.F.cdf(t))
+        probs = [(1 - a) * t, a * f, (1 - a) * (1 - t), a * (1 - f)]
+        moments = {"fdp": [0.0, 0.0], "fnp": [0.0, 0.0]}
+        for v in range(m + 1):
+            for s in range(m + 1 - v):
+                for w in range(m + 1 - v - s):
+                    counts = [v, s, w, m - v - s - w]
+                    pr = math.factorial(m) * math.prod(q**k / math.factorial(k) for q, k in zip(probs, counts))
+                    for which, x in (("fdp", v / (v + s) if v + s else 0.0),
+                                     ("fnp", counts[3] / (w + counts[3]) if w + counts[3] else 0.0)):
+                        moments[which][0] += pr * x
+                        moments[which][1] += pr * x * x
+        for which, (mean, sq) in moments.items():
+            want = math.sqrt(max(sq - mean**2, 0.0) / reps)
+            assert _rate_se(model, m, t, which, reps) == pytest.approx(want, rel=1e-10, abs=1e-15)
 
     @pytest.mark.parametrize("cfg, name", [({"a": 0.0}, "fdp-kernel"), ({"a": 1.0}, "fdp-kernel"), ({"a": 1.0}, "qhat-kernel")])
     def test_zero_kernel_scores_zero(self, cfg, name):
