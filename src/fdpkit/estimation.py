@@ -303,7 +303,11 @@ def _bandwidth(bandwidth, m: int) -> float:
     return h
 
 
-def kernel_density(pvalues, bandwidth: float | None = None, grid_size: int = 512):
+# Evaluation points of the kernel density estimate, evenly spaced over [0, 1].
+_KERNEL_GRID = 512
+
+
+def kernel_density(pvalues, bandwidth: float | None = None):
     """Triangular-kernel density estimate on [0, 1] with boundary reflection.
 
     Reflection at both ends removes the edge bias that would otherwise
@@ -325,7 +329,7 @@ def kernel_density(pvalues, bandwidth: float | None = None, grid_size: int = 512
     h = _bandwidth(bandwidth, m)
     if m < 10:
         raise ValueError("need at least 10 p-values for the kernel estimate")
-    grid = np.linspace(0.0, 1.0, grid_size)
+    grid = np.linspace(0.0, 1.0, _KERNEL_GRID)
     x = np.tile(p, 3)
     s = x[m:2 * m]
     s.sort()
@@ -405,59 +409,23 @@ def q_hat(pvalues, ahat, variant: str = "plain") -> QHat:
 # ---------------------------------------------------------------------------
 
 
-def _step_targets(ghat: EcdfEstimate, ahat: float):
-    """Per-interval extreme values of E(t) = Ghat(t) - (1 - ahat) t.
-
-    Interval k = [x_k, x_{k+1}) (the last one closes at 1) owns the step
-    value h_k of the projected CDF; E is linear on it except at the floor
-    variant's kink b = Ghat_raw(x_k) when x_k < b < x_{k+1}.  The fixed
-    stretch [0, x_1), where the projection is pinned at 0, contributes a
-    constant term.
-    """
-    knots = ghat.base.knots
-    # an observed p-value of exactly 0 makes 0 a grid point of its own
-    grid = knots if ghat.base.values[0] > 0.0 else knots[1:]
-    one_minus_a = 1.0 - ahat
-    e = np.r_[grid[1:], 1.0]
-    er = np.asarray(ghat(grid), dtype=float) - one_minus_a * grid
-    el = np.asarray(ghat.left(e), dtype=float) - one_minus_a * e
-    if grid[-1] == 1.0:
-        el[-1] = er[-1]      # a p-value of 1 shrinks the last interval to {1}
-    lo = np.minimum(er, el)
-    hi = np.maximum(er, el)
-    if ghat.variant == "floor":
-        b = np.asarray(ghat.base(grid), dtype=float)
-        kink = (grid < b) & (b < e)
-        eb = b - one_minus_a * b
-        lo = np.where(kink, np.minimum(lo, eb), lo)
-        hi = np.where(kink, np.maximum(hi, eb), hi)
-    # on the fixed stretch E is linear from E(0) = 0
-    fixed_dev = 0.0
-    if grid[0] > 0.0:
-        fixed_dev = abs(float(ghat.left(grid[0])) - one_minus_a * grid[0])
-    return grid, lo, hi, fixed_dev
-
-
-def _node_targets(ghat: EcdfEstimate, ahat: float):
-    """Per-node extreme values of E for the piecewise-linear representation.
-
-    Nodes are the p-value grid plus 0 and 1 (plus interior kink points of the
-    floor variant); between nodes both E and the candidate CDF are linear, so
-    the sup-norm is controlled by the one-sided values at the nodes.
-    """
-    ks = ghat.base.knots
-    parts = [ks, [0.0, 1.0]]
-    if ghat.variant == "floor":
-        b = ghat.base.values
-        parts.append(b[(ks < b) & (b < np.r_[ks[1:], 1.0])])
-    nodes = np.unique(np.concatenate(parts))
-    one_minus_a = 1.0 - ahat
-    er = np.asarray(ghat(nodes), dtype=float) - one_minus_a * nodes
-    el = np.asarray(ghat.left(nodes), dtype=float) - one_minus_a * nodes
-    lo = np.minimum(er, el)
-    hi = np.maximum(er, el)
-    # node 0 is pinned at height 0, and E has no jump there
-    return nodes, lo[1:], hi[1:], abs(er[0])
+def _excess(ghat: EcdfEstimate, ahat: float, *extra):
+    """E = Ghat - (1 - ahat) U at the sorted points t where it can bend, so
+    that it is linear in between: Ghat's knots, 0 and 1 (the hull's vertices
+    are among them), the floor variant's kinks and ``extra``.  Returns t,
+    E's right values and left limits at t, and, with no ``extra``, where
+    each knot sits in t."""
+    ks, b = ghat.base.knots, ghat.base.values
+    # the floor variant bends where t crosses the step value inside a knot interval
+    kinks = b[(ks < b) & (b < np.r_[ks[1:], 1.0])] if ghat.variant == "floor" else ks[:0]
+    t = np.unique(np.concatenate([ks, [0.0, 1.0], kinks, *extra]))
+    # 0 is a knot and 1 the last point, so only kinks come between knots
+    at = None if extra else np.arange(ks.size) + np.searchsorted(kinks, ks)
+    ramp = (1.0 - ahat) * t
+    er, el = ghat(t), ghat.left(t)
+    er -= ramp
+    el -= ramp
+    return t, er, el, at
 
 
 def project_f(ghat: EcdfEstimate, ahat, *, piecewise_linear: bool = False):
@@ -470,10 +438,12 @@ def project_f(ghat: EcdfEstimate, ahat, *, piecewise_linear: bool = False):
     targets).  The result is the global optimum.
 
     Each free value h_k of H faces a band [lo_k, hi_k] of values of
-    E = Ghat - (1 - ahat) U (its extremes over the k-th interval, or the
-    one-sided values at the k-th node), and the stretch where H is pinned
-    at 0 contributes a fixed deviation ``fixed_dev``.  With y = ahat h,
-    the problem is L-infinity isotonic regression on interval data, whose
+    E = Ghat - (1 - ahat) U, read from ``_excess``'s one set of bend points,
+    between which E is linear: the one-sided values at the k-th node past 0,
+    or for a step CDF every value on the k-th p-value interval's closure
+    (the last interval is closed at 1).  The stretch where H is pinned at 0
+    contributes a fixed deviation ``fixed_dev``.  With y = ahat h, the
+    problem is L-infinity isotonic regression on interval data, whose
     optimal value is
 
         D* = max(fixed_dev, max_k (cummax(hi)_k - lo_k) / 2,
@@ -487,8 +457,22 @@ def project_f(ghat: EcdfEstimate, ahat, *, piecewise_linear: bool = False):
     a = _ahat_value(ahat)
     if not 0.0 < a <= 1.0:
         raise ValueError("ahat must lie in (0, 1]")
-    targets = _node_targets if piecewise_linear else _step_targets
-    x, lo, hi, fixed_dev = targets(ghat, a)
+    t, er, el, at = _excess(ghat, a)
+    if piecewise_linear:
+        # node 0 is pinned at height 0, and E has no jump there
+        x, fixed_dev, lo = t, abs(er[0]), np.minimum(er, el)[1:]
+        hi = np.maximum(er, el, out=el)[1:]
+    else:
+        # an observed p-value of exactly 0 makes 0 a grid point of its own
+        k0 = int(ghat.base.values[0] == 0.0)
+        x, at = ghat.base.knots[k0:], at[k0:]
+        # on the fixed stretch [0, x_0) E is linear from E(0) = 0
+        fixed_dev = abs(float(el[at[0]])) if x[0] > 0.0 else 0.0
+        # E's ends on each segment between points; the last segment is the point 1
+        el = np.append(el[1:], er[-1])
+        lo = np.minimum.reduceat(np.minimum(er, el), at)
+        hi = np.maximum.reduceat(np.maximum(er, el, out=el), at)
+    del t, er, el, at
     cum_hi = np.maximum.accumulate(hi)
     d = max(fixed_dev, float(np.max(cum_hi - lo)) / 2.0,
             float(np.max(hi)) - a, -float(np.min(lo)))
@@ -503,26 +487,13 @@ def project_f(ghat: EcdfEstimate, ahat, *, piecewise_linear: bool = False):
 def projection_objective(ghat: EcdfEstimate, ahat, fhat) -> float:
     """Exact sup-norm objective ``||Ghat - (1 - ahat) U - ahat fhat||_inf``.
 
-    Works for step or piecewise-linear candidate CDFs; evaluates the
-    difference from both sides at every breakpoint of either function (plus
-    the identity-crossing kinks of the floor variant), which is exact
-    because the difference is linear in between.
+    Works for step or piecewise-linear candidate CDFs.  The difference is
+    linear between E's bend points joined with fhat's breakpoints, so it is
+    evaluated from both sides at those points only, which is exact.
     """
     a = _ahat_value(ahat)
-    parts = [ghat.base.knots, [0.0, 1.0]]
-    if ghat.variant == "lcm":
-        parts.append(ghat.hull.x)
-    if ghat.variant == "floor":
-        parts.append(np.clip(ghat.base.values, 0.0, 1.0))
-    if isinstance(fhat, StepFunction):
-        parts.append(fhat.knots)
-        f_left = fhat.left
-    else:
-        parts.append(fhat.x)
-        f_left = fhat
-    ts = np.unique(np.concatenate(parts))
-    gr = np.asarray(ghat(ts), dtype=float)
-    gl = np.asarray(ghat.left(ts), dtype=float)
-    dev_right = np.abs(gr - (1.0 - a) * ts - a * np.asarray(fhat(ts), dtype=float))
-    dev_left = np.abs(gl - (1.0 - a) * ts - a * np.asarray(f_left(ts), dtype=float))
-    return float(max(dev_right.max(), dev_left.max()))
+    step = isinstance(fhat, StepFunction)
+    t, er, el, _ = _excess(ghat, a, fhat.knots if step else fhat.x)
+    er -= a * fhat(t)
+    el -= a * (fhat.left if step else fhat)(t)
+    return float(max(np.abs(er).max(), np.abs(el).max()))

@@ -115,7 +115,15 @@ class PiecewiseLinear:
         t = _as_float_array(t)
         if not np.all((t >= self.x[0]) & (t <= self.x[-1])):
             raise ValueError("evaluation points outside the node range")
-        out = np.interp(t, self.x, self.y)
+        out = np.asarray(np.interp(t, self.x, self.y))
+        bad = ~np.isfinite(out)
+        if bad.any():
+            # np.interp's slope overflows across a subnormal gap in x; the
+            # fraction of the gap does not
+            tb = t[bad]
+            i = np.clip(np.searchsorted(self.x, tb, side="right") - 1, 0, self.x.size - 2)
+            x0, y0, y1 = self.x[i], self.y[i], self.y[i + 1]
+            out[bad] = y0 + (y1 - y0) * ((tb - x0) / (self.x[i + 1] - x0))
         return out if out.ndim else float(out)
 
     def __eq__(self, other):

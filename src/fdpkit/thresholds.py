@@ -55,7 +55,8 @@ def simple_thresholds(
 ) -> ThresholdResult:
     """Single-step rules: ``uncorrected`` rejects below alpha, ``bonferroni``
     below alpha / m, ``fixed`` below a user threshold, ``first-r`` rejects
-    the r smallest."""
+    the r smallest (and their ties); at r = 0 it rejects none, not even a
+    p-value of 0, and returns t = 0 with ``inclusive=False``."""
     p = _validated_pvalues(pvalues)
     m = p.size
     kind = kind.replace("_", "-")
@@ -70,7 +71,9 @@ def simple_thresholds(
     elif kind == "first-r":
         if r is None or not 0 <= r <= m:
             raise ValueError("first-r rule needs r in {0, ..., m}")
-        thr = 0.0 if r == 0 else float(np.sort(p)[r - 1])
+        if r == 0:
+            return ThresholdResult(t=0.0, rejected=0, method=kind, alpha=alpha, inclusive=False)
+        thr = float(np.sort(p)[r - 1])
     else:
         raise ValueError(f"unknown rule kind: {kind!r}")
     return ThresholdResult(

@@ -19,7 +19,8 @@ from fdpkit import (
     q_hat,
     storey_a0,
 )
-from fdpkit.estimation import _SPAN, EcdfEstimate, _astar, _astar_rows, _concave_majorant, _qhat, _storey
+from fdpkit.estimation import (_KERNEL_GRID, _SPAN, EcdfEstimate, _astar, _astar_rows, _concave_majorant, _qhat,
+                               _storey)
 from fdpkit.families import BetaPower
 from fdpkit.rng import stream, uniform_open
 from fdpkit.stepfun import PiecewiseLinear, StepFunction
@@ -138,9 +139,8 @@ def astar_dense_grid(p, alpha, n=100_001):
     return max(0.0, float(vals.max()), float(lv.max()))
 
 
-def kernel_density_fsum(p, h, grid_size):
+def kernel_density_fsum(p, h, grid):
     """Per-grid-point ``math.fsum`` of the dense reflected triangular kernel."""
-    grid = np.linspace(0.0, 1.0, grid_size)
     ext = np.concatenate([p, -p, 2.0 - p])
     sums = [math.fsum(np.clip(1.0 - np.abs(g - ext) / h, 0.0, None).tolist()) for g in grid]
     return np.array(sums) / (p.size * h)
@@ -319,11 +319,12 @@ class TestEcdf:
 
     def test_lcm_bound_is_finite_across_a_subnormal_gap(self):
         # the hull's segment from 0 to 1e-323 is infinitely steep: evaluated
-        # at the knot 5e-324 inside it, it gave an infinite bound
+        # at the knot 5e-324 inside it, it gave an infinite bound before the
+        # hull's evaluation took the fraction of the gap first
         g = ecdf([0.0, 5e-324, 1e-323, 1e-323, 1e-323], "lcm")
         assert g.hull.x.tolist() == [0.0, 1e-323, 1.0]
-        assert astar_two_sided(g, 0.05)[0] == np.inf
         est = astar_lower(g, 0.05)
+        assert astar_two_sided(g, 0.05)[0] == est.value
         assert est.value == 1.0 - dkw_epsilon(5, 0.05) and est.diagnostics["argmax_t"] == 1e-323
 
     @pytest.mark.parametrize("call, budget", [
@@ -490,7 +491,7 @@ class TestKernelA:
     def test_density_integrates_to_one(self):
         rng = stream(79, 0)
         p = uniform_open(rng, 2000)
-        grid, dens = kernel_density(p, grid_size=2001)
+        grid, dens = kernel_density(p)
         assert abs(np.trapezoid(dens, grid) - 1.0) < 0.01
 
     @pytest.mark.parametrize("h,tol", [(0.01, 1e-13), (0.05, 2e-14), (None, 2e-14), (1.5, 2e-14)])
@@ -510,8 +511,8 @@ class TestKernelA:
             samples.append(np.r_[np.zeros(m // 5), p, np.ones(m // 5)])
         for p in samples:
             bw = p.size ** (-0.2) if h is None else h
-            grid, dens = kernel_density(p, h, grid_size=257)
-            want = kernel_density_fsum(p, bw, grid_size=257)
+            grid, dens = kernel_density(p, h)
+            want = kernel_density_fsum(p, bw, grid)
             assert np.all(dens >= 0.0)
             assert np.max(np.abs(dens - want)) <= tol * want.max()
 
@@ -520,8 +521,8 @@ class TestKernelA:
         # reversed] against a sort of all 3m reflected points, whose zeros
         # may take either sign: ties, atoms at 0 and 1, a -0.0, m = 10, and
         # bandwidths above 1, where a window spans all three reflections
-        def sorted_3m(p, h, grid_size=257):
-            grid = np.linspace(0.0, 1.0, grid_size)
+        def sorted_3m(p, h):
+            grid = np.linspace(0.0, 1.0, _KERNEL_GRID)
             x = np.sort(np.concatenate([p, -p, 2.0 - p]))
             csum = np.zeros((2, x.size + 1))
             csum[0, 1:] = np.round(x * 1024.0) / 1024.0
@@ -542,7 +543,7 @@ class TestKernelA:
         for p in samples:
             for h in (0.01, 0.2, None, 1.0, 1.7):
                 bw = p.size ** (-0.2) if h is None else h
-                got = kernel_density(p, h, grid_size=257)[1]
+                got = kernel_density(p, h)[1]
                 assert got.tobytes() == sorted_3m(p, bw).tobytes()
 
     def test_density_memory_budget(self):
@@ -669,6 +670,96 @@ def lp_projection_optimum(p, g, ahat, piecewise_linear):
     return float(res.fun)
 
 
+def step_targets_by_parts(ghat, ahat):
+    """Per-interval extremes of E(t) = Ghat(t) - (1 - ahat) t for step CDFs,
+    as ``project_f`` read them before one list of bend points served both
+    representations: the interval's right value at its start, the left limit
+    at its end and the floor variant's kink, each handled on its own."""
+    knots = ghat.base.knots
+    grid = knots if ghat.base.values[0] > 0.0 else knots[1:]
+    one_minus_a = 1.0 - ahat
+    e = np.r_[grid[1:], 1.0]
+    er = np.asarray(ghat(grid), dtype=float) - one_minus_a * grid
+    el = np.asarray(ghat.left(e), dtype=float) - one_minus_a * e
+    if grid[-1] == 1.0:
+        el[-1] = er[-1]
+    lo = np.minimum(er, el)
+    hi = np.maximum(er, el)
+    if ghat.variant == "floor":
+        b = np.asarray(ghat.base(grid), dtype=float)
+        kink = (grid < b) & (b < e)
+        eb = b - one_minus_a * b
+        lo = np.where(kink, np.minimum(lo, eb), lo)
+        hi = np.where(kink, np.maximum(hi, eb), hi)
+    fixed_dev = 0.0
+    if grid[0] > 0.0:
+        fixed_dev = abs(float(ghat.left(grid[0])) - one_minus_a * grid[0])
+    return grid, lo, hi, fixed_dev
+
+
+def node_targets_by_parts(ghat, ahat):
+    """Per-node one-sided extremes of E for piecewise-linear CDFs, over the
+    knots, 0, 1 and the floor variant's kinks, listed on their own."""
+    ks = ghat.base.knots
+    parts = [ks, [0.0, 1.0]]
+    if ghat.variant == "floor":
+        b = ghat.base.values
+        parts.append(b[(ks < b) & (b < np.r_[ks[1:], 1.0])])
+    nodes = np.unique(np.concatenate(parts))
+    one_minus_a = 1.0 - ahat
+    er = np.asarray(ghat(nodes), dtype=float) - one_minus_a * nodes
+    el = np.asarray(ghat.left(nodes), dtype=float) - one_minus_a * nodes
+    return nodes, np.minimum(er, el)[1:], np.maximum(er, el)[1:], abs(er[0])
+
+
+def project_f_by_parts(ghat, a, piecewise_linear):
+    """``project_f``'s (x, values) from the targets above and its solver."""
+    targets = node_targets_by_parts if piecewise_linear else step_targets_by_parts
+    x, lo, hi, fixed_dev = targets(ghat, a)
+    cum_hi = np.maximum.accumulate(hi)
+    d = max(fixed_dev, float(np.max(cum_hi - lo)) / 2.0, float(np.max(hi)) - a, -float(np.min(lo)))
+    lower = np.clip(cum_hi - d, 0.0, a)
+    upper = np.clip(np.minimum.accumulate((lo + d)[::-1])[::-1], 0.0, a)
+    h = (lower + upper) / (2.0 * a)
+    if piecewise_linear:
+        return x, np.r_[0.0, h]
+    f = StepFunction.from_pairs(x, h, value_at_zero=0.0)
+    return f.knots, f.values
+
+
+def objective_on_all_values(ghat, a, fhat):
+    """``projection_objective`` over its former points: the knots, 0, 1, the
+    hull's vertices, every step value of the floor variant (a superset of its
+    kinks) and fhat's breakpoints."""
+    parts = [ghat.base.knots, [0.0, 1.0]]
+    if ghat.variant == "lcm":
+        parts.append(ghat.hull.x)
+    if ghat.variant == "floor":
+        parts.append(np.clip(ghat.base.values, 0.0, 1.0))
+    if isinstance(fhat, StepFunction):
+        parts.append(fhat.knots)
+        f_left = fhat.left
+    else:
+        parts.append(fhat.x)
+        f_left = fhat
+    ts = np.unique(np.concatenate(parts))
+    dev_right = np.abs(np.asarray(ghat(ts)) - (1.0 - a) * ts - a * np.asarray(fhat(ts)))
+    dev_left = np.abs(np.asarray(ghat.left(ts)) - (1.0 - a) * ts - a * np.asarray(f_left(ts)))
+    return float(max(dev_right.max(), dev_left.max()))
+
+
+def assert_projection_by_parts(g, ahat, piecewise_linear, f):
+    """``f`` has the bits of the projection read from the separate targets,
+    and its objective is no larger than over the former points (equal but
+    for the floor variant, whose former points held more than its kinks)."""
+    arrays = (f.x, f.y) if piecewise_linear else (f.knots, f.values)
+    for got, want in zip(arrays, project_f_by_parts(g, ahat, piecewise_linear)):
+        assert got.tobytes() == want.tobytes()
+    obj, former = projection_objective(g, ahat, f), objective_on_all_values(g, ahat, f)
+    assert obj == former if g.variant != "floor" else obj <= former
+    return obj
+
+
 _pvalue = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
 
 
@@ -698,8 +789,31 @@ class TestProjectF:
             assert np.array_equal(f.knots[f.knots > 0.0], xs[xs > 0.0])
         assert np.all(np.diff(vals) >= 0.0)
         assert vals[0] >= 0.0 and vals[-1] <= 1.0
-        obj = projection_objective(g, ahat, f)
+        obj = assert_projection_by_parts(g, ahat, piecewise_linear, f)
         assert abs(obj - lp_projection_optimum(p, g, ahat, piecewise_linear)) <= 1e-12
+
+    @pytest.mark.parametrize("p", [
+        [0.3], [0.0], [-0.0], [5e-324], [1.0], [0.4] * 7, [0.0] * 3, [1.0] * 3, [0.0, 1.0],
+        [-0.0, 0.0, 5e-324, 0.5, 1.0], [0.0, 5e-324, 1e-323, 1e-323, 1.0], [5e-324, 5e-324, 0.2, 1.0, 1.0],
+        [0.0, 0.0, 0.25, 0.25, 0.5, 0.75, 1.0], [0.05, 0.1, 0.1, 0.6, 0.9],
+    ])
+    def test_edge_atoms_keep_the_bits_of_the_separate_targets(self, p):
+        # atoms at 0, -0.0, 5e-324 and 1, all-tied samples and m = 1; the
+        # test config makes any RuntimeWarning an error
+        for variant in ("plain", "floor", "lcm"):
+            g = ecdf(p, variant)
+            for ahat in (0.01, 0.3, 0.5, 0.77, 1.0):
+                for piecewise_linear in (False, True):
+                    f = project_f(g, ahat, piecewise_linear=piecewise_linear)
+                    assert math.isfinite(assert_projection_by_parts(g, ahat, piecewise_linear, f))
+
+    def test_lcm_across_a_subnormal_gap(self):
+        # the hull segment from 0 to 1e-323 has a slope that overflows a
+        # double; its value at 5e-324 is halfway along the segment (the edge
+        # atoms above project this sample without a warning)
+        g = ecdf([0.0, 5e-324, 1e-323, 1e-323, 1.0], "lcm")
+        assert g(5e-324) == 0.5 and g.left(5e-324) == 0.5
+        assert np.array_equal(g(np.array([0.0, 5e-324, 1e-323, 1.0])), [0.2, 0.5, 0.8, 1.0])
 
     def test_ahat_one_reproduces_ghat(self, example1):
         g = ecdf(example1, "plain")

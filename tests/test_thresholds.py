@@ -76,6 +76,10 @@ class TestSimpleRules:
         with pytest.raises(ValueError):
             simple_thresholds(example1, kind="first-r")
 
+    def test_first_r_zero_rejects_no_exact_zero(self):
+        r = simple_thresholds([0.0, 0.0, 0.3, 0.5], kind="first-r", r=0)
+        assert (r.t, r.rejected, r.inclusive) == (0.0, 0, False)
+
     def test_first_r_with_boundary_ties_rejects_by_threshold(self):
         r = simple_thresholds([0.1, 0.1, 0.5], kind="first-r", r=1)
         assert r.t == 0.1
