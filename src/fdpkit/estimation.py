@@ -114,7 +114,8 @@ def _lift(lo, last, ok, width):
 # Input indices (a power of two) whose lower levels of the majorant run apart,
 # so it works in about 37 bytes an index of a span, not of m; a smaller span
 # pays more Python steps (at 714k points, 2^13 took twice the time of 2^16).
-# The exact confidence set's verdicts and the envelope CSV's rows run in
+# The exact confidence set's verdicts, the envelope CSV's rows, the ECDF's
+# run starts, the step-up rule's ranks and the a* bound's candidates run in
 # spans of the same size.
 _SPAN = 1 << 16
 
@@ -183,16 +184,27 @@ def ecdf(pvalues, variant: str = "plain") -> EcdfEstimate:
     p = _validated_pvalues(pvalues)
     variant = _normalize_variant(variant)
     m = p.size
-    s = np.sort(p)
-    starts = np.ones(m + 1, dtype=bool)
+    xs = np.concatenate([[0.0], p, [1.0]])
+    s = xs[1:-1]
+    s.sort()
+    starts = np.ones(m + 1, dtype=bool)   # where each run of ties starts, then m
     np.not_equal(s[1:], s[:-1], out=starts[1:-1])
-    starts = np.flatnonzero(starts)     # where each run of ties starts, then m
-    k = starts.size - 1
-    xs, ys = np.zeros((2, k + 2))
+    # each span's run starts move to the front of s: at most a of them come before index a
+    k = 0
+    for a in range(0, m, _SPAN):
+        run = s[a:a + _SPAN][starts[a:min(a + _SPAN, m)]]
+        s[k:k + run.size] = run
+        k += run.size
+    del s, run                          # no view of xs is left to resize under
+    xs.resize(k + 2, refcheck=False)
+    ys, j = np.zeros(k + 2), 1
     xs[-1] = ys[-1] = 1.0
-    np.take(s, starts[:-1], out=xs[1:-1], mode="clip")   # in range: clip skips a copy
-    np.divide(starts[1:], m, out=ys[1:-1])
-    del s, starts                       # the majorant needs neither
+    for a in range(1, m + 1, _SPAN):    # Ghat on run i is where run i + 1 starts, over m
+        ends = np.flatnonzero(starts[a:a + _SPAN])
+        ends += a
+        np.divide(ends, m, out=ys[j:j + ends.size])
+        j += ends.size
+    del starts
     lo, hi = int(xs[1] == 0.0), k + 2 - int(xs[k] == 1.0)
     base = StepFunction(xs[lo:-1], ys[lo:-1])
     hull = _concave_majorant(xs[lo:hi], ys[lo:hi]) if variant == "lcm" else None
@@ -245,12 +257,19 @@ def storey_a0(pvalues, t0: float = 0.5) -> NullFractionEstimate:
 def _astar(t, g, eps):
     """Along the last axis of the candidate points t, at which Ghat is g:
     the largest (g - t - eps) / (1 - t) over the t below 1, clamped at 0;
-    the same unclamped; and the first t attaining it."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi = np.where(t < 1.0, (g - t - eps) / (1.0 - t), -np.inf)
-    best = np.argmax(phi, axis=-1)[..., None]
-    top = np.take_along_axis(phi, best, axis=-1)[..., 0]
-    return np.maximum(top, 0.0), top, np.take_along_axis(t, best, axis=-1)[..., 0]
+    the same unclamped; and the first t attaining it.  A span of candidates
+    at a time: a later span's maximum replaces the kept one only if larger."""
+    for a in range(0, t.shape[-1], _SPAN):
+        ts = t[..., a:a + _SPAN]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            phi = np.where(ts < 1.0, (g[..., a:a + _SPAN] - ts - eps) / (1.0 - ts), -np.inf)
+        best = np.argmax(phi, axis=-1)[..., None]
+        top_a, t_a = (np.take_along_axis(x, best, axis=-1)[..., 0] for x in (phi, ts))
+        if a:
+            new = top_a > top
+            top_a, t_a = np.where(new, top_a, top), np.where(new, t_a, arg)
+        top, arg = top_a, t_a
+    return np.maximum(top, 0.0), top, arg
 
 
 def _astar_rows(p, alpha, variant):
@@ -422,7 +441,13 @@ def _excess(ghat: EcdfEstimate, ahat: float, *extra):
     # 0 is a knot and 1 the last point, so only kinks come between knots
     at = None if extra else np.arange(ks.size) + np.searchsorted(kinks, ks)
     ramp = (1.0 - ahat) * t
-    er, el = ghat(t), ghat.left(t)
+    if at is None or ghat.variant == "lcm":
+        er, el = ghat(t), ghat.left(t)
+    else:   # by position: each point takes its interval's value, its left limit the one before (at 0, its own)
+        er = np.repeat(b, np.diff(at, append=t.size))
+        el = np.concatenate((er[:1], er[:-1]))
+        for e in (er, el) if ghat.variant == "floor" else ():
+            np.maximum(e, t, out=e)
     er -= ramp
     el -= ramp
     return t, er, el, at

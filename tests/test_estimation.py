@@ -327,21 +327,26 @@ class TestEcdf:
         assert astar_two_sided(g, 0.05)[0] == est.value
         assert est.value == 1.0 - dkw_epsilon(5, 0.05) and est.diagnostics["argmax_t"] == 1e-323
 
-    @pytest.mark.parametrize("call, budget", [
-        (lambda p: ecdf(p, "lcm"), 4.5),
-        (lambda p: astar_lower(ecdf(p), 0.05), 6),
-        (lambda p: bh_threshold(p, 0.05), 2.5),
-    ], ids=["ecdf-lcm", "astar", "bh"])
-    def test_screen_memory_budget(self, call, budget):
-        # traced peak above the input, in input sizes: on this screen the
-        # np.unique ECDF took 9.5 with its two-sided bound and 12 with the
-        # majorant, and the majorant over the whole input 6.2; the sort, the
-        # run starts and the two knot buffers take about 3.8, and the
-        # majorant's spans stay below that.  The step-up rule takes 2.1 for
-        # the sort and the critical values in one float array (3.0 with an
-        # integer arange times the level)
+    @pytest.mark.parametrize("call, sizes, spans", [
+        (lambda p: ecdf(p), 2.125, 2),
+        (lambda p: ecdf(p, "lcm"), 2, 5),
+        (lambda p: astar_lower(ecdf(p), 0.05), 2.125, 4),
+        (lambda p: bh_threshold(p, 0.05), 1, 2.5),
+    ], ids=["ecdf-plain", "ecdf-lcm", "astar", "bh"])
+    def test_screen_memory_budget(self, call, sizes, spans):
+        # traced peak above the input, at most ``sizes`` input sizes plus
+        # ``spans`` spans of 8-byte entries (a span is a third of this m).
+        # The ECDF sorts p into its knot buffer, moves the run starts to its
+        # front a span at a time and shrinks it: two buffers of at most m
+        # knots, the run-start mask and two spans of indices (3.8 input sizes
+        # here when it held a sorted copy and the run starts' indices too).
+        # The majorant works in about 37 bytes an index of a span, over the
+        # two buffers; the a* bound reads them a span at a time (3.8 when it
+        # took its objective at every knot at once).  The step-up rule holds
+        # the sorted copy and two spans of critical values and comparisons
+        # (2.1 with every critical value at once)
         p = rounded_screen(200_000, seed=3)
-        assert traced_peak(call, p) <= budget * p.nbytes
+        assert traced_peak(call, p) <= sizes * p.nbytes + spans * 8 * _SPAN
 
     def test_majorant_memory_is_bounded_by_the_span(self):
         # traced peak above its inputs on 346,617 points: 2.4 MB, as at
