@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .estimation import _SPAN, EcdfEstimate, _require_open_unit, _validated_pvalues, ecdf
-from .stepfun import StepFunction
 from .thresholds import ThresholdResult, _last_crossing
 
 __all__ = [
@@ -120,6 +119,53 @@ class _AsymptoticCurve:
             np.minimum(out, 1.0, out=out)
         return out
 
+    def crossing(self, c, g, start):
+        """Where the band reaches c on a piece from ``start`` with Ghat = g:
+        (1 - a0) t + delta sqrt(t / m) = c g at t = y^2, free of cancellation,
+        y = 2 c g / (b + sqrt(b^2 + 4 (1 - a0) c g)), b = delta / sqrt(m).  The
+        minimum (c None) sits at the start; clipped at 1, it never exceeds a c >= 1."""
+        if c is None:
+            return start
+        if c >= 1.0:
+            return np.inf
+        b = self.delta / np.sqrt(self.m)
+        cv = c * g
+        y = 2.0 * cv / (b + np.sqrt(b * b + 4.0 * self.one_minus_a0 * cv))
+        return y * y
+
+
+@dataclass(frozen=True)
+class _ExactCurve:
+    """The exact envelope, a closed form of the plain ECDF Ghat: with
+    R = rint(m Ghat) rejections (exact for m < 2^51) and m - k_max the lower
+    confidence bound on the alternatives, the count bound is
+    j = max(R - (m - k_max), min(R, 1)), read as gamma = j / max(R, 1)
+    ("gamma"), v = j / m ("v") or j ("j").  Flat wherever Ghat is."""
+
+    m: int
+    k_max: int
+    ghat: EcdfEstimate
+    kind: str = "gamma"
+
+    def __call__(self, t, ghat=None):
+        out = self.values(t, np.asarray((ghat or self.ghat)(t)))     # Ghat checks t
+        return out if out.ndim else float(out)
+
+    def left(self, t):
+        return self(t, self.ghat.left)
+
+    def values(self, t, g):
+        """The curve where Ghat = g; t does not enter."""
+        r = np.rint(self.m * g)
+        j = np.maximum(r - (self.m - self.k_max), np.minimum(r, 1.0))
+        if self.kind == "gamma":
+            return j / np.maximum(r, 1.0)
+        return j / self.m if self.kind == "v" else j
+
+    def crossing(self, c, g, start):
+        """inf: flat on a piece, the curve stays at or below c to its end."""
+        return np.inf
+
 
 @dataclass(frozen=True)
 class EnvelopeResult:
@@ -127,9 +173,9 @@ class EnvelopeResult:
 
     ``gamma_bar`` maps t to the bound; ``v_fn`` maps t to the matching
     per-observation bound on the fraction of false discoveries, so
-    ``m * v_fn(t)`` bounds their count.  ``ghat`` is the plain ECDF the
-    envelope was read over (``gamma_bar.ghat`` for the asymptotic band):
-    thresholds read their pieces and counts off it, so no copy of p is kept.
+    ``m * v_fn(t)`` bounds their count.  ``ghat`` is the plain ECDF both are
+    curves over (``gamma_bar.ghat``): thresholds read their pieces and counts
+    off it, so no copy of p is kept.
     ``t_min`` is the band's t_min, or the exact envelope's least p-value."""
 
     gamma_bar: object
@@ -459,36 +505,29 @@ def exact_envelope(confset: ExactConfidenceSet, pvalues) -> EnvelopeResult:
     raised to 1 (a single null below t is always accepted) wherever
     R(t) >= 1.
 
-    The one sort is in ``ecdf(pvalues)``: gamma, v and the count bound step
-    on its knots, with R = rint(m Ghat), exact for m < 2^51.  The pairing is
-    checked in O(distinct): the sizes agree and each run of ties starts and
+    The one sort is in ``ecdf(pvalues)``: gamma, v and the count bound read
+    one ``_ExactCurve`` over it.  The pairing is checked in O(distinct), a
+    span of knots at a time: the sizes agree and each run of ties starts and
     ends on its value in the sorted ``sorted_pvalues``, i.e. ``sort(p)`` equals
     it.  No exact check skips that sort: two samples are one multiset exactly
     when their order statistics agree, and an order-free summary (sums,
     hashes) lets another through.  Runs in O(m log m) time and O(m) memory."""
     ghat = ecdf(pvalues)
-    knots, m = ghat.base.knots, ghat.m
-    r = np.rint(m * ghat.base.values)           # rejections at each knot
-    first = int(r[0] == 0.0)                    # skip a 0-knot no p-value sits on
-    ends, x, ps = r[first:].astype(np.intp), knots[first:], confset.sorted_pvalues
-    if ps.size != m or not np.all((ps[ends - 1] == x) & (ps[np.r_[0, ends[:-1]]] == x)):
+    knots, g, m, ps = ghat.base.knots, ghat.base.values, ghat.m, confset.sorted_pvalues
+    first = int(g[0] == 0.0)                    # skip a 0-knot no p-value sits on
+
+    def runs_match(a):     # the rejections before knot a and at each knot of its span
+        r = np.rint(m * np.r_[g[a - 1] if a else 0.0, g[a:a + _SPAN]]).astype(np.intp)
+        x = knots[a:a + _SPAN]
+        return np.all((ps[r[1:] - 1] == x) & (ps[r[:-1]] == x))
+
+    if ps.size != m or not all(runs_match(a) for a in range(first, knots.size, _SPAN)):
         raise ValueError("confidence set was built from different p-values")
-    lo = float(x[0]) if x[0] > 0.0 else 0.0     # no -0.0
-    del ends                                    # the peak needs it no more
-    j = np.maximum(r - (m - confset.m0_interval[1]), np.minimum(r, 1.0))
-    return EnvelopeResult(
-        gamma_bar=StepFunction(knots, j / np.maximum(r, 1.0, out=r)),
-        level=confset.alpha,
-        method="exact",
-        t_min=lo,
-        v_fn=StepFunction(knots, j / m),
-        ghat=ghat,
-        meta={
-            "m": m,
-            "j_fn": StepFunction(knots, j),
-            "domain": (lo, 1.0),
-        },
-    )
+    lo = float(knots[first]) if knots[first] > 0.0 else 0.0     # no -0.0
+    curve = _ExactCurve(m, confset.m0_interval[1], ghat)
+    return EnvelopeResult(gamma_bar=curve, level=confset.alpha, method="exact", t_min=lo,
+                          v_fn=replace(curve, kind="v"), ghat=ghat,
+                          meta={"m": m, "j_fn": replace(curve, kind="j"), "domain": (lo, 1.0)})
 
 
 def m10_envelope(env: EnvelopeResult, m: int):
@@ -512,42 +551,29 @@ def confidence_thresholds(env: EnvelopeResult, c: float | None = None) -> Thresh
     but not attained, in which case ``rejected`` counts p-values strictly
     below t.
 
-    Both rules are read off in one O(distinct) pass over the ECDF's pieces
-    from the one holding t_min (a slice of ``env.ghat``), on each of which the
-    bound rises: the last piece feasible at its start decides, with the
-    crossing kept in it, and ``rejected`` is the ECDF's count there (0 if no
-    piece is feasible).  The minimum sits at the start of the last piece
-    attaining it.  The exact envelope is flat on each piece, so a feasible
-    piece is feasible up to its end.  For the asymptotic band the crossing is
-    solved on the deciding piece only: (1 - a0) t + delta sqrt(t / m) = c Ghat
-    as t* = y^2, y = 2 c Ghat / (b + sqrt(b^2 + 4 (1 - a0) c Ghat)), b = delta / sqrt(m)."""
+    Both envelopes are curves over ``env.ghat``, read off its pieces from the
+    one holding t_min, on each of which the bound rises, a span of pieces at a
+    time: the minimum first, then ``_last_crossing`` from the top.  The last
+    piece feasible at its start (at or below c, or at the minimum) decides,
+    with the curve's ``crossing`` kept in it, and ``rejected`` is the ECDF's
+    count there (0 if no piece is feasible)."""
     if c is not None and not np.isfinite(c):
         raise ValueError(f"the rate ceiling c must be finite, not {float(c)!r}")
-    if env.method not in ("exact", "asymptotic"):
-        raise ValueError(f"unknown envelope method: {env.method!r}")
-    exact = env.method == "exact"
-    steps = env.ghat.base
-    # the pieces [starts, ends) that end above t_min: the knots increase, so
+    curve, steps, t_min = env.gamma_bar, env.ghat.base, env.t_min
+    # the pieces [start, end) that end above t_min: the knots increase, so
     # they run from the piece holding t_min to the last one, up to and including 1
-    i0 = int(np.searchsorted(steps.knots, env.t_min, "right")) - 1
-    starts, g = np.maximum(steps.knots[i0:], env.t_min), steps.values[i0:]
-    # the exact bound steps on the ECDF's knots; the band takes Ghat = g
-    bound = env.gamma_bar.values[i0:] if exact else env.gamma_bar.values(starts, g)
-    if c is None:
-        z = bound.min()
-        feasible, cross = bound == z, None if exact else starts.__getitem__
-    else:
-        z, feasible, cross = c, bound <= c, None
-        if not exact and c < 1.0:     # the band, clipped at 1, never exceeds a c >= 1
-            curve: _AsymptoticCurve = env.gamma_bar
-            b = curve.delta / np.sqrt(curve.m)
+    i0 = int(np.searchsorted(steps.knots, t_min, "right")) - 1
+    knots, g = steps.knots[i0:], steps.values[i0:]
 
-            def cross(i):     # free of cancellation, also at 1 - a0 = 0; a feasible piece has c >= 0
-                cv = c * g[i]
-                y = 2.0 * cv / (b + np.sqrt(b * b + 4.0 * curve.one_minus_a0 * cv))
-                return y * y
-    ends = np.r_[steps.knots[i0 + 1:], 1.0]     # once the band's temporaries are freed
-    i, t, inclusive = _last_crossing(starts, ends, feasible, cross)
+    def bound(lo, hi):
+        return curve.values(np.maximum(knots[lo:hi], t_min), g[lo:hi])
+
+    def piece(i):
+        start = float(max(knots[i], t_min))
+        return start, float(knots[i + 1]) if i + 1 < g.size else 1.0, curve.crossing(c, g[i], start)
+
+    z = min(bound(lo, lo + _SPAN).min() for lo in range(0, g.size, _SPAN)) if c is None else c
+    i, t, inclusive = _last_crossing(g.size, lambda lo, hi: bound(lo, hi) <= z, piece)
     return ThresholdResult(
         t=t,
         rejected=0 if i is None else int(np.rint(env.ghat.m * g[i])),

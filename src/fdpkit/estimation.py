@@ -254,15 +254,17 @@ def storey_a0(pvalues, t0: float = 0.5) -> NullFractionEstimate:
     )
 
 
-def _astar(t, g, eps):
-    """Along the last axis of the candidate points t, at which Ghat is g:
-    the largest (g - t - eps) / (1 - t) over the t below 1, clamped at 0;
-    the same unclamped; and the first t attaining it.  A span of candidates
-    at a time: a later span's maximum replaces the kept one only if larger."""
+def _astar(t, g, eps, variant="plain"):
+    """Along the last axis of the candidate points t, at which Ghat is g
+    (max(g, t) for the floor variant): the largest (g - t - eps) / (1 - t)
+    over the t below 1, clamped at 0; the same unclamped; and the first t
+    attaining it.  A span of candidates at a time: a later span's maximum
+    replaces the kept one only if larger."""
     for a in range(0, t.shape[-1], _SPAN):
-        ts = t[..., a:a + _SPAN]
+        ts, gs = t[..., a:a + _SPAN], g[..., a:a + _SPAN]
+        gs = np.maximum(gs, ts) if variant == "floor" else gs
         with np.errstate(divide="ignore", invalid="ignore"):
-            phi = np.where(ts < 1.0, (g[..., a:a + _SPAN] - ts - eps) / (1.0 - ts), -np.inf)
+            phi = np.where(ts < 1.0, (gs - ts - eps) / (1.0 - ts), -np.inf)
         best = np.argmax(phi, axis=-1)[..., None]
         top_a, t_a = (np.take_along_axis(x, best, axis=-1)[..., 0] for x in (phi, ts))
         if a:
@@ -282,7 +284,7 @@ def _astar_rows(p, alpha, variant):
         return np.array([astar_lower(ecdf(row, "lcm"), alpha).value for row in p])
     t = np.concatenate([np.zeros((*p.shape[:-1], 1)), np.sort(p, axis=-1)], axis=-1)
     g = np.arange(t.shape[-1]) / p.shape[-1]
-    return _astar(t, np.maximum(g, t) if variant == "floor" else g, dkw_epsilon(p.shape[-1], alpha))[0]
+    return _astar(t, g, dkw_epsilon(p.shape[-1], alpha), variant)[0]
 
 
 def astar_lower(ghat: EcdfEstimate, alpha: float) -> NullFractionEstimate:
@@ -299,13 +301,8 @@ def astar_lower(ghat: EcdfEstimate, alpha: float) -> NullFractionEstimate:
     """
     _require_open_unit("alpha", alpha)
     eps = dkw_epsilon(ghat.m, alpha)
-    if ghat.variant == "lcm":
-        ts, g = ghat.hull.x, ghat.hull.y
-    else:
-        ts, g = ghat.base.knots, ghat.base.values
-        if ghat.variant == "floor":
-            g = np.maximum(g, ts)
-    value, top, argmax_t = _astar(ts, g, eps)
+    ts, g = (ghat.hull.x, ghat.hull.y) if ghat.variant == "lcm" else (ghat.base.knots, ghat.base.values)
+    value, top, argmax_t = _astar(ts, g, eps, ghat.variant)
     return NullFractionEstimate(
         value=float(value),
         method="astar-lower",

@@ -194,29 +194,30 @@ def plugin_threshold(pvalues, ahat, alpha: float, variant: str = "plain") -> Thr
     )
 
 
-def _last_crossing(starts, ends, feasible, cross=None) -> tuple[int | None, float, bool]:
-    """Read a threshold sup{t : rate(t) <= level} off pieces [starts, ends]
-    on each of which the rate rises: the last piece i whose start is
-    feasible decides, and t is its crossing ``cross(i)``, solved on that
-    piece only and kept inside [starts[i], ends[i]], or its end when
-    ``cross`` is None.  ``inclusive`` is False when t is the open end of a
-    piece other than the last one, a supremum not attained.
+def _last_crossing(n, feasible, piece) -> tuple[int | None, float, bool]:
+    """Read a threshold sup{t : rate(t) <= level} off n pieces on each of
+    which the rate rises, a span of pieces at a time from the top:
+    ``feasible(lo, hi)`` says which of pieces lo..hi-1 are feasible at their
+    start, and the last feasible piece i decides.  ``piece(i)`` gives its
+    start, end and crossing, solved on that piece only; t is the crossing kept
+    inside [start, end] (inf reads the end).  ``inclusive`` is False when t is
+    the open end of a piece other than the last one, a supremum not attained.
     (None, 0.0, False) when no piece is feasible."""
-    feasible = np.asarray(feasible)
-    i = feasible.size - 1 - int(np.argmax(feasible[::-1]))
-    if not feasible[i]:
-        return None, 0.0, False
-    end = float(ends[i])
-    t = end if cross is None else min(max(float(cross(i)), float(starts[i])), end)
-    return i, t, t < end or i == starts.size - 1
+    for hi in range(n, 0, -_SPAN):
+        ok = feasible(max(hi - _SPAN, 0), hi)
+        if ok.any():
+            i = hi - 1 - int(np.argmax(ok[::-1]))
+            start, end, cross = map(float, piece(i))
+            t = min(max(cross, start), end)
+            return i, t, t < end or i == n - 1
+    return None, 0.0, False
 
 
 def _lcm_sup(ghat, one_minus: float, alpha: float) -> float:
     """Exact sup along the concave majorant: the segment y = s t + c is
     crossed at alpha c / (1 - ahat - alpha s), and is feasible throughout
     when that denominator is at most 0."""
-    xs = ghat.hull.x
-    ys = ghat.hull.y
+    xs, ys = ghat.hull.x, ghat.hull.y
     x0, x1 = xs[:-1], xs[1:]
     # a segment over a subnormal gap has an infinite slope and a NaN
     # intercept; its denominator is -inf, so it is feasible throughout
@@ -225,7 +226,8 @@ def _lcm_sup(ghat, one_minus: float, alpha: float) -> float:
         c = ys[:-1] - s * x0
         den = one_minus - alpha * s
         cross = np.where(den > 0.0, alpha * c / den, np.inf)
-    return _last_crossing(x0, x1, cross >= x0, cross.__getitem__)[1]
+    return _last_crossing(x0.size, lambda lo, hi: cross[lo:hi] >= x0[lo:hi],
+                          lambda i: (x0[i], x1[i], cross[i]))[1]
 
 
 def bayes_classifier_threshold(pvalues, bandwidth: float | None = None) -> ThresholdResult:

@@ -46,7 +46,7 @@ def test_criterion_1_example_reproduction():
         "min_rate_Z": abs(thr.z - 0.111) <= 0.002,
     }
     # the envelope stays at or above the level everywhere it is defined
-    knots = env.gamma_bar.knots
+    knots = env.ghat.base.knots
     ts = np.unique(np.r_[knots, (knots[:-1] + knots[1:]) / 2, 1.0])
     ts = ts[ts >= env.t_min]
     vals = np.r_[np.asarray(env.gamma_bar(ts)), np.asarray(env.gamma_bar.left(ts[ts > env.t_min]))]

@@ -203,7 +203,7 @@ class TestEnvelopeCommand:
         cols = read_envelope_csv(str(outfile))
         p = np.asarray(EXAMPLE1_PVALUES)
         env = exact_envelope(exact_confidence_set(p, 0.05), p)
-        ts = env.gamma_bar.knots
+        ts = env.ghat.base.knots
         assert np.array_equal(cols["t"], ts)
         assert np.array_equal(cols["gamma_bar"], np.asarray(env.gamma_bar(ts)))
         assert np.array_equal(cols["v"], np.asarray(env.v_fn(ts)))
@@ -288,6 +288,19 @@ class TestEnvelopeCommand:
         env = asymptotic_envelope(p, t_min=0.001, enforce_floor=False)
         want = confidence_thresholds(env, 0.3)
         assert rec["T"] == pytest.approx(want.t, rel=1e-12)
+
+    @pytest.mark.parametrize("rule", [["--ceiling", "0.3"], ["--min-rate"]], ids=["ceiling", "min-rate"])
+    @pytest.mark.parametrize("method", ["exact", "asymptotic"])
+    def test_rules_write_inclusive_as_a_json_boolean(self, capsys, tmp_path, method, rule):
+        # a NumPy bool in the record would make --json raise
+        p = generate_sample(ScenarioConfig(m=400, a=0.25, params={"theta": 3.0}, seed=2), 0).pvalues
+        f = tmp_path / "p.txt"
+        f.write_text("".join(f"{float(v)!r}\n" for v in p))
+        rc, out, err = run_cli(capsys, "envelope", "--input", str(f), "--method", method,
+                               "--t-min", "0.001", "--no-floor-check", *rule, "--json")
+        assert rc == 0, err
+        rec = json.loads(out)
+        assert type(rec["inclusive"]) is bool and rec["envelope"] == method
 
     def test_ceiling_of_one_rejects_everything(self, capsys, tmp_path):
         p = np.random.default_rng(5).uniform(size=50)

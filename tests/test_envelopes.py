@@ -35,7 +35,8 @@ from fdpkit.estimation import ecdf
 from fdpkit.model import fdp_process
 from fdpkit.rng import stream, uniform_open
 from fdpkit.simulation import ScenarioConfig, _blocks, generate_sample
-from fdpkit.thresholds import ThresholdResult
+
+from test_spans import masked_thresholds
 
 
 def brute_accepted_labelings(p, alpha):
@@ -419,7 +420,10 @@ class TestExactEnvelope:
     def test_pairing_is_the_multiset_of_the_pvalues(self, example1):
         cs = exact_confidence_set(example1, 0.05)
         shuffled = np.random.default_rng(3).permutation(example1)
-        assert exact_envelope(cs, shuffled).gamma_bar == exact_envelope(cs, example1).gamma_bar
+        got, want = exact_envelope(cs, shuffled), exact_envelope(cs, example1)
+        knots = want.ghat.base.knots
+        np.testing.assert_array_equal(got.ghat.base.knots, knots)
+        np.testing.assert_array_equal(got.gamma_bar(knots), want.gamma_bar(knots))
         for other in (example1[1:], np.sort(example1)[:-1], np.r_[example1, 0.7], np.r_[example1, 1.0],
                       np.r_[example1, example1[0]]):
             with pytest.raises(ValueError, match="different p-values"):
@@ -448,9 +452,10 @@ class TestExactEnvelope:
                 r = counts.cumsum()
                 j = np.maximum(r - (m - cs.m0_interval[1]), 1).astype(float)
                 lead = [] if distinct[0] == 0.0 else [0.0]
+                knots = env.ghat.base.knots
+                np.testing.assert_array_equal(knots, np.r_[lead, distinct])
                 for f, want in ((env.gamma_bar, j / r), (env.v_fn, j / m), (env.meta["j_fn"], j)):
-                    np.testing.assert_array_equal(f.knots, np.r_[lead, distinct])
-                    np.testing.assert_array_equal(f.values, np.r_[lead, want])
+                    np.testing.assert_array_equal(f(knots), np.r_[lead, want])
 
     def test_count_mismatch_rejected(self, example1):
         cs = exact_confidence_set(example1, 0.05)
@@ -468,47 +473,6 @@ def test_rejected_counts_the_pvalues_up_to_t():
         for env, c in itertools.product(envs, (None, 0.0, 0.1, 0.3, 0.6, 1.0)):
             r = confidence_thresholds(env, c)
             assert r.rejected == np.count_nonzero(p <= r.t if r.inclusive else p < r.t)
-
-
-def masked_thresholds(env, c=None):
-    """``confidence_thresholds`` as a mask over all of the ECDF's pieces,
-    with the band's crossing solved on every piece: the oracle for the
-    slice from t_min's piece and the one-piece solve."""
-    exact = env.method == "exact"
-    steps = env.ghat.base
-    starts = np.maximum(steps.knots, env.t_min)
-    ends = np.r_[steps.knots[1:], 1.0]
-    keep = starts < ends
-    keep[-1] = True
-    starts, ends, g = starts[keep], ends[keep], steps.values[keep]
-    bound = env.gamma_bar.values[keep] if exact else env.gamma_bar.values(starts, g)
-    if c is None:
-        z = bound.min()
-        feasible, cross = bound == z, np.inf if exact else starts
-    else:
-        z, feasible, cross = c, bound <= c, np.inf
-        if not exact and c < 1.0:
-            curve = env.gamma_bar
-            b = curve.delta / np.sqrt(curve.m)
-            cv = c * g
-            with np.errstate(invalid="ignore"):
-                cross = (2.0 * cv / (b + np.sqrt(b * b + 4.0 * curve.one_minus_a0 * cv))) ** 2
-    hit = np.flatnonzero(feasible)
-    i, t, inclusive = None, 0.0, False
-    if hit.size:
-        i = int(hit[-1])
-        end = float(ends[i])
-        t = min(max(float(np.broadcast_to(cross, starts.shape)[i]), float(starts[i])), end)
-        inclusive = t < end or i == starts.size - 1
-    return ThresholdResult(
-        t=t,
-        rejected=0 if i is None else int(np.rint(env.ghat.m * g[i])),
-        method="rate-ceiling" if c is not None else "min-rate",
-        alpha=env.level,
-        z=float(z),
-        inclusive=inclusive,
-        diagnostics={"envelope": env.method},
-    )
 
 
 def test_thresholds_match_the_masked_reader():
@@ -539,22 +503,53 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("method, c, budget", [
-    ("exact", None, 3), ("exact", 0.3, 3), ("asymptotic", 0.3, 5),
-], ids=["exact-min-rate", "exact-ceiling", "band-ceiling"])
-def test_threshold_memory_budget(method, c, budget):
-    # traced peak above the envelope, in input sizes, on distinct p-values:
-    # the pieces' starts and ends, plus the band's bound and its temporaries.
-    # Masking all pieces took 5.3 (exact) and the band's solve on every piece 8.2
+def distinct_pvalues():
+    """2e5 distinct p-values, a fifth of them crowded towards 0."""
     g = np.random.default_rng(3)
     p = np.where(g.random(200_000) < 0.2, g.random(200_000) ** 6, g.random(200_000))
     assert np.unique(p).size == p.size
+    return p
+
+
+@pytest.mark.parametrize("method, c, budget", [
+    ("exact", None, 2), ("exact", 0.3, 2), ("asymptotic", 0.3, 1.5),
+], ids=["exact-min-rate", "exact-ceiling", "band-ceiling"])
+def test_threshold_memory_budget(method, c, budget):
+    # traced peak above the envelope, in input sizes, on distinct p-values:
+    # a few spans of the bound and its temporaries, read a span of pieces at
+    # a time.  Masking all pieces took 5.3 (exact) and the band's solve on
+    # every piece 8.2; whole arrays of the pieces' starts and ends, 2.25
+    # (exact) and 2.9 (band)
+    p = distinct_pvalues()
     if method == "exact":
         env = exact_envelope(exact_confidence_set(p, 0.05), p)
     else:
         env = asymptotic_envelope(p, t_min=0.01, enforce_floor=False)
     assert confidence_thresholds(env, c).rejected > 0
     assert traced_peak(lambda: confidence_thresholds(env, c)) <= budget * p.nbytes
+
+
+def test_exact_envelope_memory_budget():
+    # in input sizes on distinct p-values: the result holds the ECDF's knots
+    # and values and no array beside them, and the pairing check works a span
+    # of knots at a time (5.0 held and 6.1 at the peak with three stored step
+    # functions and whole-array gathers)
+    import tracemalloc
+
+    p = distinct_pvalues()
+    cs = exact_confidence_set(p, 0.05)
+    tracemalloc.start()
+    try:
+        exact_envelope(cs, p)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        env = exact_envelope(cs, p)
+        held, peak = (x - base for x in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert env.t_min == p.min()
+    assert held <= 2.25 * p.nbytes
+    assert peak <= 3.5 * p.nbytes
 
 
 class TestExactThresholds:

@@ -331,8 +331,9 @@ class TestEcdf:
         (lambda p: ecdf(p), 2.125, 2),
         (lambda p: ecdf(p, "lcm"), 2, 5),
         (lambda p: astar_lower(ecdf(p), 0.05), 2.125, 4),
+        (lambda p: astar_lower(ecdf(p, "floor"), 0.05), 2.125, 4),
         (lambda p: bh_threshold(p, 0.05), 1, 2.5),
-    ], ids=["ecdf-plain", "ecdf-lcm", "astar", "bh"])
+    ], ids=["ecdf-plain", "ecdf-lcm", "astar", "astar-floor", "bh"])
     def test_screen_memory_budget(self, call, sizes, spans):
         # traced peak above the input, at most ``sizes`` input sizes plus
         # ``spans`` spans of 8-byte entries (a span is a third of this m).
@@ -341,8 +342,9 @@ class TestEcdf:
         # knots, the run-start mask and two spans of indices (3.8 input sizes
         # here when it held a sorted copy and the run starts' indices too).
         # The majorant works in about 37 bytes an index of a span, over the
-        # two buffers; the a* bound reads them a span at a time (3.8 when it
-        # took its objective at every knot at once).  The step-up rule holds
+        # two buffers; the a* bound reads them a span at a time, the floor
+        # variant's max(Ghat, t) too (3.8 when it took its objective, or that
+        # floor, at every knot at once).  The step-up rule holds
         # the sorted copy and two spans of critical values and comparisons
         # (2.1 with every critical value at once)
         p = rounded_screen(200_000, seed=3)

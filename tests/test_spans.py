@@ -1,13 +1,14 @@
-"""The screen routes that work one span at a time (the ECDF's knot buffers,
-the step-up rule and the a* bound) against the whole-array code they
-replaced, as oracles: every output bit the same, at m = 1 and across the
-span edges, with runs of ties straddling each edge."""
+"""The routes that work one span at a time (the ECDF's knot buffers, the
+step-up rule, the a* bound and both envelopes' threshold reader) against the
+whole-array code they replaced, as oracles: every output bit the same, at
+m = 1 and across the span edges, with runs of ties straddling each edge."""
 
 import numpy as np
 import pytest
 
+from fdpkit.envelopes import asymptotic_envelope, confidence_thresholds, exact_confidence_set, exact_envelope
 from fdpkit.estimation import _SPAN, _astar, _concave_majorant, astar_lower, dkw_epsilon, ecdf
-from fdpkit.thresholds import _step_up
+from fdpkit.thresholds import ThresholdResult, _step_up
 
 
 # --- oracles: the whole-array code ------------------------------------------
@@ -50,6 +51,47 @@ def astar_whole(t, g, eps):
     best = np.argmax(phi, axis=-1)[..., None]
     top = np.take_along_axis(phi, best, axis=-1)[..., 0]
     return np.maximum(top, 0.0), top, np.take_along_axis(t, best, axis=-1)[..., 0]
+
+
+def masked_thresholds(env, c=None):
+    """``confidence_thresholds`` as a mask over all of the ECDF's pieces,
+    with the band's crossing solved on every piece: the oracle for the
+    slice from t_min's piece and the one-piece solve."""
+    exact = env.method == "exact"
+    steps = env.ghat.base
+    starts = np.maximum(steps.knots, env.t_min)
+    ends = np.r_[steps.knots[1:], 1.0]
+    keep = starts < ends
+    keep[-1] = True
+    starts, ends, g = starts[keep], ends[keep], steps.values[keep]
+    bound = env.gamma_bar(steps.knots)[keep] if exact else env.gamma_bar.values(starts, g)
+    if c is None:
+        z = bound.min()
+        feasible, cross = bound == z, np.inf if exact else starts
+    else:
+        z, feasible, cross = c, bound <= c, np.inf
+        if not exact and c < 1.0:
+            curve = env.gamma_bar
+            b = curve.delta / np.sqrt(curve.m)
+            cv = c * g
+            with np.errstate(invalid="ignore"):
+                cross = (2.0 * cv / (b + np.sqrt(b * b + 4.0 * curve.one_minus_a0 * cv))) ** 2
+    hit = np.flatnonzero(feasible)
+    i, t, inclusive = None, 0.0, False
+    if hit.size:
+        i = int(hit[-1])
+        end = float(ends[i])
+        t = min(max(float(np.broadcast_to(cross, starts.shape)[i]), float(starts[i])), end)
+        inclusive = t < end or i == starts.size - 1
+    return ThresholdResult(
+        t=t,
+        rejected=0 if i is None else int(np.rint(env.ghat.m * g[i])),
+        method="rate-ceiling" if c is not None else "min-rate",
+        alpha=env.level,
+        z=float(z),
+        inclusive=inclusive,
+        diagnostics={"envelope": env.method},
+    )
 
 
 def assert_same_bits(got, want):
@@ -133,6 +175,7 @@ class TestSameBits:
         for eps in (0.0, 0.01):
             assert_same_bits(_astar(t, g, eps), astar_whole(t, g, eps))
             assert_same_bits(_astar(t, np.maximum(g, t), eps), astar_whole(t, np.maximum(g, t), eps))
+            assert_same_bits(_astar(t, g, eps, "floor"), astar_whole(t, np.maximum(g, t), eps))
 
     def test_astar_keeps_the_first_of_tied_maxima_across_spans(self):
         # (g - t) / (1 - t) is 1/2 both at t = 1/2, g = 3/4 and at t = 0,
@@ -147,3 +190,32 @@ class TestSameBits:
         t[:], g[:] = 1.0, 1.0   # every candidate but the first at -inf: the first is kept
         t[0] = 0.25
         assert_same_bits(_astar(t, g, 2.0), astar_whole(t, g, 2.0))
+
+
+class TestThresholdSpans:
+    @pytest.mark.parametrize("rounded", [False, True], ids=["distinct", "rounded-screen"])
+    def test_reader_matches_the_masked_oracle(self, rounded):
+        # a normal-mean mixture, distinct or written with six significant
+        # digits as the CLI's screen file is: more than two spans of pieces
+        # for both envelopes, read from the top down to a deciding piece in a
+        # lower span
+        from scipy.special import ndtr, ndtri
+
+        rng = np.random.default_rng(5)
+        u = rng.random(3 * _SPAN + 5)
+        p = np.where(rng.random(u.size) < 0.1, ndtr(ndtri(u) - 3.0), u)
+        if rounded:
+            p = np.array(["%.6g" % v for v in p], dtype=float)
+        for env in (exact_envelope(exact_confidence_set(p, 0.05), p),
+                    asymptotic_envelope(p, t_min=0.01, enforce_floor=False)):
+            knots = env.ghat.base.knots
+            i0 = int(np.searchsorted(knots, env.t_min, "right")) - 1
+            top_span = knots[knots.size - _SPAN]      # where the top span of pieces starts
+            assert knots.size - i0 > 2 * _SPAN
+            lower = 0
+            for c in (None, 0.05, 0.3, 0.6, 1.0):
+                got = confidence_thresholds(env, c)
+                assert got == masked_thresholds(env, c)
+                assert type(got.inclusive) is bool and type(got.t) is float
+                lower += got.t < top_span
+            assert lower >= 3

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdpkit.estimation import NullFractionEstimate, ecdf, storey_a0
+from fdpkit.estimation import _SPAN, NullFractionEstimate, ecdf, storey_a0
 from fdpkit.families import UserCdf, make_family
 from fdpkit.model import MixtureModel, q_inverse, q_map
 from fdpkit.rng import stream
@@ -336,14 +336,34 @@ class TestPluginThreshold:
 
     def test_last_crossing_reads_the_last_feasible_piece(self):
         starts, ends = np.array([0.0, 0.2, 0.5]), np.array([0.2, 0.5, 1.0])
-        assert _last_crossing(starts, ends, np.zeros(3, bool), lambda i: 0.3) == (None, 0.0, False)
+
+        def read(feasible, cross):
+            feasible = np.asarray(feasible)
+            return _last_crossing(3, lambda lo, hi: feasible[lo:hi], lambda i: (starts[i], ends[i], cross(i)))
+
+        assert read(np.zeros(3, bool), lambda i: 0.3) == (None, 0.0, False)
         # the crossing is solved on the deciding piece only, kept inside it,
         # and its open end is not attained
-        assert _last_crossing(starts, ends, [True, True, False], [9.0, 0.3, 9.0].__getitem__) == (1, 0.3, True)
-        assert _last_crossing(starts, ends, [True, True, False], {1: 0.1}.__getitem__) == (1, 0.2, True)
-        assert _last_crossing(starts, ends, [True, True, False]) == (1, 0.5, False)
+        assert read([True, True, False], [9.0, 0.3, 9.0].__getitem__) == (1, 0.3, True)
+        assert read([True, True, False], {1: 0.1}.__getitem__) == (1, 0.2, True)
+        assert read([True, True, False], lambda i: np.inf) == (1, 0.5, False)
         # the last piece runs up to and including its end
-        assert _last_crossing(starts, ends, [False, False, True]) == (2, 1.0, True)
+        assert read([False, False, True], lambda i: np.inf) == (2, 1.0, True)
+        # a span of pieces at a time from the top, down to a lower span; the
+        # result holds Python types, which JSON takes
+        n = 2 * _SPAN + 5
+        ok = np.zeros(n, bool)
+        ok[[3, _SPAN - 1]] = True
+        asked = []
+
+        def feasible(lo, hi):
+            asked.append((lo, hi))
+            return ok[lo:hi]
+
+        got = _last_crossing(n, feasible, lambda i: (np.float64(i), np.float64(i + 1), np.float64(i + 0.5)))
+        assert got == (_SPAN - 1, _SPAN - 0.5, True)
+        assert [type(x) for x in got] == [int, float, bool]
+        assert asked == [(_SPAN + 5, n), (5, _SPAN + 5)]
 
     def test_validation(self, example1):
         with pytest.raises(ValueError):
