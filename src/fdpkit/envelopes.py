@@ -78,8 +78,8 @@ def _sup_quantile(alpha_half, t_floor) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class _AsymptoticCurve:
-    """The count path V(t) = (1 - a0) t + delta sqrt(t / m) or, when
-    ``ghat`` is given, the band t -> min(V(t) / Ghat(t), 1); both are
+    """The count path V(t) = (1 - a0) t + delta sqrt(t / m), m V (``kind``
+    "j") or, given ``ghat``, the band t -> min(V(t) / Ghat(t), 1); all are
     undefined (NaN) below the floor t_min.  ``fit`` may take a column of
     Ghat(t0), one row per sample, for ``values`` on those rows."""
 
@@ -88,6 +88,7 @@ class _AsymptoticCurve:
     m: int
     t_min: float
     ghat: object = None
+    kind: str = "v"
 
     @classmethod
     def fit(cls, ghat_t0, m, t0, alpha, t_min, w):
@@ -108,11 +109,13 @@ class _AsymptoticCurve:
         return out if out.ndim else float(out)
 
     def values(self, t, g=None):
-        """V at t, or with Ghat(t) = ``g``, the band, at t at or above the floor;
-        in place, so it holds about one temporary of the result's size."""
+        """V (or m V) at t, or with Ghat(t) = ``g``, the band, at t at or above
+        the floor; in place, so it holds about one temporary of the result's size."""
         out = np.asarray(self.delta * np.sqrt(t / self.m))
         out += self.one_minus_a0 * t
-        if g is not None:
+        if self.kind == "j":
+            out *= self.m
+        elif g is not None:
             pos = g > 0.0
             np.divide(out, g, out=out, where=pos)     # V / 0 reads inf, also where V is 0
             np.copyto(out, np.inf, where=~pos)
@@ -173,9 +176,9 @@ class EnvelopeResult:
 
     ``gamma_bar`` maps t to the bound; ``v_fn`` maps t to the matching
     per-observation bound on the fraction of false discoveries, so
-    ``m * v_fn(t)`` bounds their count.  ``ghat`` is the plain ECDF both are
-    curves over (``gamma_bar.ghat``): thresholds read their pieces and counts
-    off it, so no copy of p is kept.
+    ``m * v_fn(t)`` bounds their count, read by ``count_bound_at`` from the
+    curve ``meta["j_fn"]``.  All are curves over ``ghat``, the plain ECDF,
+    whose pieces and counts thresholds read, so no copy of p is kept.
     ``t_min`` is the band's t_min, or the exact envelope's least p-value."""
 
     gamma_bar: object
@@ -193,10 +196,7 @@ class EnvelopeResult:
         return self.v_fn(t)
 
     def count_bound_at(self, t):
-        if self.method == "exact":
-            return self.meta["j_fn"](t)
-        out = self.meta["m"] * np.asarray(self.v_fn(t), dtype=float)
-        return out if out.ndim else float(out)
+        return self.meta["j_fn"](t)
 
 
 def asymptotic_envelope(
@@ -250,6 +250,8 @@ def asymptotic_envelope(
     if w is None:
         w, w_se = _sup_quantile(alpha / 2.0, t_min)
         w_source = "table"
+    elif not (np.isfinite(w) and w > 0.0):
+        raise ValueError(f"w must be positive and finite, got {w!r}")
     else:
         w_se, w_source = None, "given"
     count = _AsymptoticCurve.fit(float(ghat(t0)), m, t0, alpha, float(t_min), float(w))
@@ -262,6 +264,7 @@ def asymptotic_envelope(
         ghat=ghat,
         meta={
             "m": m,
+            "j_fn": replace(count, kind="j"),
             "t0": t0,
             "one_minus_a0": count.one_minus_a0,
             "w": float(w),
@@ -439,8 +442,9 @@ class ExactConfidenceSet:
     ``accepted_summaries`` lists those k (read off ``feasible`` on each
     access), and ``m0_interval`` is their range.  ``contains(labels)`` runs
     the exact membership test for a full labeling (1 marking the
-    alternative).  ``crit`` reports the critical values c_0..c_m, solved
-    by Newton's method on each access; no verdict reads them."""
+    alternative) on ``pvalues``: the caller's array, not a copy, as in
+    ``LabeledSample``.  ``crit`` reports the critical values c_0..c_m,
+    solved by Newton's method on each access; no verdict reads them."""
 
     pvalues: np.ndarray
     sorted_pvalues: np.ndarray
@@ -470,8 +474,7 @@ def exact_confidence_set(pvalues, alpha: float) -> ExactConfidenceSet:
     the k largest p-values: ``feasible[k]`` is ``_accepts`` at their
     second-smallest, the order statistic ps[m - k + 1], one closed-form pass
     with no critical value solved.  It runs over one span of sizes at a
-    time, so beyond p, its copy and its sort it holds a few span-sized
-    temporaries."""
+    time, so beyond p and its sort it holds a few span-sized temporaries."""
     p = _validated_pvalues(pvalues)
     _require_open_unit("alpha", alpha)
     m = p.size
@@ -482,7 +485,7 @@ def exact_confidence_set(pvalues, alpha: float) -> ExactConfidenceSet:
         feasible[k] = _accepts(ps[m + 1 - k], k, alpha)
     accepted = np.flatnonzero(feasible)
     return ExactConfidenceSet(
-        pvalues=p.copy(),
+        pvalues=p,
         sorted_pvalues=ps,
         alpha=alpha,
         feasible=feasible,

@@ -429,16 +429,15 @@ def _excess(ghat: EcdfEstimate, ahat: float, *extra):
     """E = Ghat - (1 - ahat) U at the sorted points t where it can bend, so
     that it is linear in between: Ghat's knots, 0 and 1 (the hull's vertices
     are among them), the floor variant's kinks and ``extra``.  Returns t,
-    E's right values and left limits at t, and, with no ``extra``, where
-    each knot sits in t."""
+    E's right values and left limits at t, and where each knot sits in t."""
     ks, b = ghat.base.knots, ghat.base.values
     # the floor variant bends where t crosses the step value inside a knot interval
     kinks = b[(ks < b) & (b < np.r_[ks[1:], 1.0])] if ghat.variant == "floor" else ks[:0]
     t = np.unique(np.concatenate([ks, [0.0, 1.0], kinks, *extra]))
-    # 0 is a knot and 1 the last point, so only kinks come between knots
-    at = None if extra else np.arange(ks.size) + np.searchsorted(kinks, ks)
+    # 0 is a knot and 1 the last point, so only kinks and extra points come between knots
+    at = np.searchsorted(t, ks) if extra else np.arange(ks.size) + np.searchsorted(kinks, ks)
     ramp = (1.0 - ahat) * t
-    if at is None or ghat.variant == "lcm":
+    if ghat.variant == "lcm":
         er, el = ghat(t), ghat.left(t)
     else:   # by position: each point takes its interval's value, its left limit the one before (at 0, its own)
         er = np.repeat(b, np.diff(at, append=t.size))

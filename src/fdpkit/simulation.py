@@ -9,7 +9,7 @@ truth they estimate — and returns a small JSON-friendly report.
 from __future__ import annotations
 
 import inspect
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from typing import get_type_hints
 
@@ -443,7 +443,7 @@ def _target_rate_ceiling_known_a(scen=_standard(10_000), *, reps=5000, c=0.05, a
 
 def _asymptotic_coverage(kind, scen=_standard(1000), *, alpha=0.05, t0=0.5, t_min=1e-4, reps=1000, gate=0.94):
     # kind "fdp": the band covers the realized FDP at every p-value at or
-    # above t_min; kind "count": m times the count path covers the number
+    # above t_min; kind "count": the count bound m V covers the number
     # of nulls at or below each null p-value there.  w is the same on every
     # sample, so it is asked for once, before anything is drawn.
     w = brownian_sup_quantile(alpha / 2.0, t_min)
@@ -462,7 +462,7 @@ def _asymptotic_coverage(kind, scen=_standard(1000), *, alpha=0.05, t0=0.5, t_mi
         if kind == "fdp":
             truth, bound = np.where(r > 0, n0 / np.maximum(r, 1), 0.0), curve.values(t, r / m)
         else:
-            truth, bound = n0, m * curve.values(t)
+            truth, bound = n0, replace(curve, kind="j").values(t)
         checked = (np.diff(t, axis=-1, append=2.0) > 0.0) & (t >= t_min)
         return np.all(truth <= bound + 1e-12, axis=-1, where=checked)
 

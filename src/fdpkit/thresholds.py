@@ -69,8 +69,8 @@ def simple_thresholds(
             raise ValueError("fixed rule needs t in [0, 1]")
         thr = float(t)
     elif kind == "first-r":
-        if r is None or not 0 <= r <= m:
-            raise ValueError("first-r rule needs r in {0, ..., m}")
+        if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or not 0 <= r <= m:
+            raise ValueError(f"first-r rule needs an integer r in {{0, ..., m}}, got {r!r}")
         if r == 0:
             return ThresholdResult(t=0.0, rejected=0, method=kind, alpha=alpha, inclusive=False)
         thr = float(np.sort(p)[r - 1])

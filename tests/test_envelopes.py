@@ -336,6 +336,17 @@ class TestExactConfidenceSet:
         with pytest.raises(ValueError):
             exact_confidence_set(example1, 0.0)
 
+    def test_set_refers_to_the_callers_array(self, example1):
+        # a float64 array is kept as given, not copied; a list is read into one
+        p = np.asarray(example1, dtype=float)
+        cs = exact_confidence_set(p, 0.05)
+        assert cs.pvalues is p
+        listed = exact_confidence_set(p.tolist(), 0.05)
+        assert np.array_equal(listed.pvalues, p) and np.array_equal(listed.feasible, cs.feasible)
+        lab = np.zeros(p.size, dtype=int)
+        lab[np.argsort(p)[:8]] = 1
+        assert listed.contains(lab) == cs.contains(lab) == cs.contains(lab.tolist())
+
 
 def _tied_samples():
     """Tied inputs over atoms at 0, -0.0, 5e-324 and 1 and on a 0.01 grid,
@@ -855,6 +866,21 @@ class TestAsymptoticEnvelope:
                 with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
                     evaluate(t)
 
+    def test_count_bound_is_m_times_the_count_path(self, asym_sample, asym_env):
+        # bit for bit, NaN below t_min included, as an array and as a float
+        m = asym_sample.size
+        ts = np.r_[0.0, 5e-324, 1e-5, np.linspace(1e-4, 1.0, 501)]
+        got = np.asarray(asym_env.count_bound_at(ts))
+        assert np.isnan(got[:3]).all() and got.tobytes() == (m * np.asarray(asym_env.v_fn(ts))).tobytes()
+        for t in (1e-5, 1e-4, 0.3, 1.0):
+            got, want = asym_env.count_bound_at(t), m * asym_env.v_fn(t)
+            assert type(got) is float and np.array([got]).tobytes() == np.array([want]).tobytes()
+
+    @pytest.mark.parametrize("w", [np.nan, np.inf, -np.inf, -1.0, 0.0, -0.0])
+    def test_w_must_be_positive_and_finite(self, asym_sample, w):
+        with pytest.raises(ValueError, match="w must be positive and finite"):
+            asymptotic_envelope(asym_sample, t_min=1e-4, enforce_floor=False, w=w)
+
     def test_count_path_identity(self, asym_sample, asym_env):
         m = asym_sample.size
         meta = asym_env.meta
@@ -1063,13 +1089,25 @@ class TestAsymptoticThresholds:
 
 
 def test_confidence_set_memory_budget():
-    # traced peak in input sizes, on distinct p-values: p's copy, its sort
-    # and the verdicts of one span of sizes.  Solving c_k for every size
-    # first took 16.3
-    g = np.random.default_rng(3)
-    p = np.where(g.random(200_000) < 0.2, g.random(200_000) ** 6, g.random(200_000))
-    assert np.unique(p).size == p.size
-    assert traced_peak(lambda: exact_confidence_set(p, 0.05)) <= 7 * p.nbytes
+    # in input sizes, on distinct p-values: the set holds p's sort and the
+    # verdicts, 1.125 (2.125 with a copy of p beside them), and peaks with
+    # the verdicts of one span of sizes.  Solving c_k for every size first
+    # took 16.3 at the peak
+    import tracemalloc
+
+    p = distinct_pvalues()
+    tracemalloc.start()
+    try:
+        exact_confidence_set(p, 0.05)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        cs = exact_confidence_set(p, 0.05)
+        held, peak = (x - base for x in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert cs.m0_interval[1] < p.size
+    assert held <= 1.25 * p.nbytes
+    assert peak <= 7 * p.nbytes
 
 
 def band_values_out_of_place(curve, t, g=None):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -19,8 +20,8 @@ from fdpkit import (
     q_hat,
     storey_a0,
 )
-from fdpkit.estimation import (_KERNEL_GRID, _SPAN, EcdfEstimate, _astar, _astar_rows, _concave_majorant, _qhat,
-                               _storey)
+from fdpkit.estimation import (_KERNEL_GRID, _SPAN, EcdfEstimate, _astar, _astar_rows, _concave_majorant, _excess,
+                               _qhat, _storey)
 from fdpkit.families import BetaPower
 from fdpkit.rng import stream, uniform_open
 from fdpkit.stepfun import PiecewiseLinear, StepFunction
@@ -813,6 +814,36 @@ class TestProjectF:
                 for piecewise_linear in (False, True):
                     f = project_f(g, ahat, piecewise_linear=piecewise_linear)
                     assert math.isfinite(assert_projection_by_parts(g, ahat, piecewise_linear, f))
+
+    @pytest.mark.parametrize("p", [
+        [0.3], [0.0], [-0.0], [5e-324], [1.0], [0.0] * 3, [1.0] * 3, [0.0, 1.0],
+        [-0.0, 0.0, 5e-324, 0.5, 1.0], [5e-324, 5e-324, 0.2, 1.0, 1.0], [0.05, 0.1, 0.1, 0.6, 0.9],
+        np.round(np.random.default_rng(6).random(300) ** 3, 3).tolist(),
+    ])
+    def test_excess_reads_step_ghat_by_position(self, p):
+        # the plain and floor variants read Ghat at E's points by position;
+        # evaluating Ghat and its left limit there, the path it replaced, is
+        # the oracle, with no extra points and with those of a step fhat, a
+        # piecewise-linear one, another sample's ECDF and the edge atoms
+        other = ecdf(np.random.default_rng(7).random(50) ** 2).base
+        nodes = PiecewiseLinear(np.linspace(0.0, 1.0, 7), np.linspace(0.0, 1.0, 7))
+        for variant, ahat in itertools.product(("plain", "floor"), (0.3, 1.0)):
+            g = ecdf(p, variant)
+            fs = (project_f(g, ahat), project_f(g, ahat, piecewise_linear=True), other, nodes)
+            extras = [(), *[(f.knots if isinstance(f, StepFunction) else f.x,) for f in fs],
+                      (np.array([0.0, -0.0, 5e-324, 1.0]),)]
+            for extra in extras:
+                t, er, el, at = _excess(g, ahat, *extra)
+                ramp = (1.0 - ahat) * t
+                assert er.tobytes() == (np.asarray(g(t)) - ramp).tobytes()
+                assert el.tobytes() == (np.asarray(g.left(t)) - ramp).tobytes()
+                assert np.all(np.diff(at) > 0) and np.array_equal(t[at], g.base.knots)
+            for f in fs:
+                t = np.unique(np.r_[_excess(g, ahat)[0], f.knots if isinstance(f, StepFunction) else f.x])
+                left = f.left if isinstance(f, StepFunction) else f
+                want = max(np.abs(np.asarray(g(t)) - (1.0 - ahat) * t - ahat * f(t)).max(),
+                           np.abs(np.asarray(g.left(t)) - (1.0 - ahat) * t - ahat * left(t)).max())
+                assert projection_objective(g, ahat, f) == want
 
     def test_lcm_across_a_subnormal_gap(self):
         # the hull segment from 0 to 1e-323 has a slope that overflows a

@@ -75,6 +75,11 @@ class TestSimpleRules:
             simple_thresholds(example1, kind="first-r", r=16)
         with pytest.raises(ValueError):
             simple_thresholds(example1, kind="first-r")
+        # r is an integer: a NumPy one is taken, a float or a bool is refused
+        assert simple_thresholds(example1, kind="first-r", r=np.int64(4)) == r
+        for bad in (2.5, 3.0, True, False, np.float64(4.0)):
+            with pytest.raises(ValueError, match="integer r"):
+                simple_thresholds(example1, kind="first-r", r=bad)
 
     def test_first_r_zero_rejects_no_exact_zero(self):
         r = simple_thresholds([0.0, 0.0, 0.3, 0.5], kind="first-r", r=0)
