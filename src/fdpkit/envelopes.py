@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .estimation import _SPAN, EcdfEstimate, _require_open_unit, _validated_pvalues, ecdf
+from .stepfun import _elementwise, _require_unit
 from .thresholds import ThresholdResult, _last_crossing
 
 __all__ = [
@@ -100,13 +101,11 @@ class _AsymptoticCurve:
         tail_term = np.sqrt(2.0) / (1.0 - t0) * np.sqrt(np.log(4.0 / alpha))
         return cls(one_minus_a0, np.maximum(2.0 * one_minus_a0 * w, tail_term), m, t_min)
 
+    @_elementwise
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        if not np.all((t >= 0.0) & (t <= 1.0)):
-            raise ValueError("evaluation points must lie in [0, 1]")
+        _require_unit(t)
         g = None if self.ghat is None else np.asarray(self.ghat(t), dtype=float)
-        out = np.where(t < self.t_min, np.nan, self.values(t, g))
-        return out if out.ndim else float(out)
+        return np.where(t < self.t_min, np.nan, self.values(t, g))
 
     def values(self, t, g=None):
         """V (or m V) at t, or with Ghat(t) = ``g``, the band, at t at or above
@@ -150,12 +149,12 @@ class _ExactCurve:
     ghat: EcdfEstimate
     kind: str = "gamma"
 
-    def __call__(self, t, ghat=None):
-        out = self.values(t, np.asarray((ghat or self.ghat)(t)))     # Ghat checks t
-        return out if out.ndim else float(out)
+    @_elementwise
+    def __call__(self, t, *, ghat=None):
+        return self.values(t, np.asarray((ghat or self.ghat)(t)))     # Ghat checks t
 
     def left(self, t):
-        return self(t, self.ghat.left)
+        return self(t, ghat=self.ghat.left)
 
     def values(self, t, g):
         """The curve where Ghat = g; t does not enter."""

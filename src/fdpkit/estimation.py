@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .stepfun import PiecewiseLinear, StepFunction
+from .stepfun import PiecewiseLinear, StepFunction, _elementwise
 
 __all__ = [
     "EcdfEstimate",
@@ -70,18 +70,18 @@ class EcdfEstimate:
     hull: PiecewiseLinear | None = None
 
     def __call__(self, t):
-        return self._eval(t, self.base)
+        return self._eval(self.base, t)
 
     def left(self, t):
         """Left limit; coincides with the value for the continuous majorant."""
-        return self._eval(t, self.base.left)
+        return self._eval(self.base.left, t)
 
-    def _eval(self, t, step):
+    @_elementwise
+    def _eval(self, step, t):
         if self.variant == "plain":
             return step(t)
         if self.variant == "floor":
-            out = np.maximum(step(t), np.asarray(t, dtype=float))
-            return out if out.ndim else float(out)
+            return np.maximum(step(t), t)
         return self.hull(t)
 
 
@@ -382,9 +382,11 @@ def kernel_a_consistent(pvalues, bandwidth: float | None = None) -> NullFraction
 
 
 def _ahat_value(ahat) -> float:
-    if isinstance(ahat, NullFractionEstimate):
-        return float(ahat.value)
-    return float(ahat)
+    """The mixing weight of a float or a NullFractionEstimate, checked to lie in [0, 1]."""
+    a = float(ahat.value if isinstance(ahat, NullFractionEstimate) else ahat)
+    if not 0.0 <= a <= 1.0:   # False for NaN too
+        raise ValueError("ahat must lie in [0, 1]")
+    return a
 
 
 @dataclass(frozen=True)
@@ -394,14 +396,13 @@ class QHat:
     ghat: EcdfEstimate
     ahat: float
 
+    @_elementwise
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
         g = np.asarray(self.ghat(t), dtype=float)
         bad = (t > 0.0) & (g <= 0.0)
         if np.any(bad):
             raise ValueError("estimated CDF is 0 at a positive evaluation point")
-        out = _qhat(g, t, 1.0 - self.ahat)
-        return out if out.ndim else float(out)
+        return _qhat(g, t, 1.0 - self.ahat)
 
 
 def _qhat(g, t, one_minus):
@@ -415,8 +416,6 @@ def q_hat(pvalues, ahat, variant: str = "plain") -> QHat:
     """Plug-in estimate of the positive-FDR map from data and a mixing-weight
     estimate (a float or a NullFractionEstimate)."""
     a = _ahat_value(ahat)
-    if not 0.0 <= a <= 1.0:
-        raise ValueError("ahat must lie in [0, 1]")
     return QHat(ghat=ecdf(pvalues, variant), ahat=a)
 
 

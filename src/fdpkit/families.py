@@ -12,6 +12,8 @@ from functools import partial
 
 import numpy as np
 
+from .stepfun import _elementwise
+
 __all__ = [
     "AlternativeFamily",
     "OneSidedNormal",
@@ -42,21 +44,19 @@ def _largest_true(pred, shape=(), lo=0.0, hi=1.0):
     return lo.view(np.float64)
 
 
-def _on_unit(t, f):
+@_elementwise
+def _on_unit(f, t):
     """f(t) on [0, 1] and 0 outside it, for a density f; NaN stays NaN."""
-    t = np.asarray(t, dtype=float)
-    out = np.where((t < 0.0) | (t > 1.0), 0.0, f(np.clip(t, 0.0, 1.0)))
-    return out if out.ndim else float(out)
+    return np.where((t < 0.0) | (t > 1.0), 0.0, f(np.clip(t, 0.0, 1.0)))
 
 
-def _quantile(cdf, u, lo=0.0, hi=1.0):
+@_elementwise
+def _quantile(cdf, u, *, lo=0.0, hi=1.0):
     """Generalized inverse inf{t : cdf(t) >= u} of a vectorized CDF on
     [0, 1]: the next double above a largest t with cdf(t) < u, searched in
     [lo, hi] (which must hold cdf(lo) < u), and 0 at u = 0."""
-    u = np.asarray(u, dtype=float)
     t = np.nextafter(_largest_true(lambda t: cdf(t) < u, u.shape, lo, hi), 1.0)
-    out = np.where(u > 0.0, t, 0.0)
-    return out if out.ndim else float(out)
+    return np.where(u > 0.0, t, 0.0)
 
 
 class AlternativeFamily:
@@ -98,27 +98,26 @@ class OneSidedNormal(_NormalMean):
     the family is pure: its density tends to 0 at t = 1.
     """
 
+    @_elementwise
     def cdf(self, t):
         from scipy.special import ndtr, ndtri
 
-        t = np.asarray(t, dtype=float)
-        out = np.where(t <= 0.0, 0.0, np.where(t >= 1.0, 1.0, ndtr(self.mu + ndtri(np.clip(t, 1e-320, 1.0)))))
-        return out if out.ndim else float(out)
+        return np.where(t <= 0.0, 0.0, np.where(t >= 1.0, 1.0, ndtr(self.mu + ndtri(np.clip(t, 1e-320, 1.0)))))
 
     def pdf(self, t):
         from scipy.special import ndtri
 
         if self.mu == 0.0:  # uniform; the formula is 0 * inf at the endpoints
-            return _on_unit(t, np.ones_like)
-        return _on_unit(t, lambda t: np.exp(-self.mu * ndtri(t) - 0.5 * self.mu**2))
+            return _on_unit(np.ones_like, t)
+        return _on_unit(lambda t: np.exp(-self.mu * ndtri(t) - 0.5 * self.mu**2), t)
 
+    @_elementwise
     def ppf(self, u):
         from scipy.special import ndtr, ndtri
 
-        u = np.asarray(u, dtype=float)
         x = ndtri(u, out=np.empty_like(u))  # ndtr(ndtri(u) - mu) in one buffer
         x -= self.mu
-        return ndtr(x, out=x) if x.ndim else float(ndtr(x))
+        return ndtr(x, out=x)
 
 
 class TwoSidedNormal(_NormalMean):
@@ -130,29 +129,28 @@ class TwoSidedNormal(_NormalMean):
     the mixture weight is only partially identifiable.
     """
 
+    @_elementwise
     def cdf(self, t):
         from scipy.special import ndtr, ndtri
 
-        t = np.asarray(t, dtype=float)
-        tc = np.clip(t, 1e-320, 1.0)
-        c = -ndtri(tc / 2.0)
+        c = -ndtri(np.clip(t, 1e-320, 1.0) / 2.0)
         out = ndtr(self.mu - c) + ndtr(-c - self.mu)
-        out = np.where(t <= 0.0, 0.0, np.where(t >= 1.0, 1.0, out))
-        return out if out.ndim else float(out)
+        return np.where(t <= 0.0, 0.0, np.where(t >= 1.0, 1.0, out))
 
     def pdf(self, t):
         from scipy.special import ndtri
 
         if self.mu == 0.0:  # uniform; the formula is 0 * inf at t = 0
-            return _on_unit(t, np.ones_like)
+            return _on_unit(np.ones_like, t)
 
         def f(t):
             # t / 2 underflows to 0 at the smallest subnormal; keep it positive
             c = -ndtri(np.where(t > 0.0, np.maximum(t / 2.0, 5e-324), t))
             return np.exp(-0.5 * self.mu**2) * np.cosh(self.mu * c)
 
-        return _on_unit(t, f)
+        return _on_unit(f, t)
 
+    @_elementwise
     def ppf(self, u):
         from scipy.special import ndtr, ndtri
 
@@ -160,7 +158,7 @@ class TwoSidedNormal(_NormalMean):
         # bisection within 2^12 patterns of t = 2 ndtr(-c) where cdf(lo) < u <= cdf(hi), else on [0, 1].
         # Of 200k uniform u per mu in 0.5-8, 3, 4 and 40 steps leave 158k, 37 and 37 rows to [0, 1] (5 keep
         # a step in hand); widths 2^10, 2^12 and 2^14 leave 137, 37 and 7, where the cdf is flat near u = 1.
-        u, mu, one = np.asarray(u, dtype=float), self.mu, np.float64(1.0).view(np.int64)
+        mu, one = self.mu, np.float64(1.0).view(np.int64)
         with np.errstate(all="ignore"):  # a NaN iterate fails the check
             c = np.maximum(mu - ndtri(u), 0.0)
             for _ in range(5):
@@ -169,8 +167,8 @@ class TwoSidedNormal(_NormalMean):
         lo, hi = (np.clip(bits + w, 0, one).view(np.float64) for w in (-(2**12), 2**12))
         ok = (self.cdf(lo) < u) & (self.cdf(hi) >= u)
         q = np.empty_like(u)  # the rows that fail their bracket bisect apart, so the others keep their few steps
-        q[ok], q[~ok] = _quantile(self.cdf, u[ok], lo[ok], hi[ok]), _quantile(self.cdf, u[~ok])
-        return q if q.ndim else float(q)
+        q[ok], q[~ok] = _quantile(self.cdf, u[ok], lo=lo[ok], hi=hi[ok]), _quantile(self.cdf, u[~ok])
+        return q
 
 
 class BetaPower(AlternativeFamily):
@@ -186,18 +184,17 @@ class BetaPower(AlternativeFamily):
         self.beta = float(beta)
         self.params = {"beta": self.beta}
 
+    @_elementwise
     def cdf(self, t):
-        out = np.clip(np.asarray(t, dtype=float), 0.0, 1.0) ** self.beta
-        return out if out.ndim else float(out)
+        return np.clip(t, 0.0, 1.0) ** self.beta
 
     def pdf(self, t):
         with np.errstate(divide="ignore"):  # density diverges at 0 for beta < 1
-            return _on_unit(t, lambda t: self.beta * t ** (self.beta - 1.0))
+            return _on_unit(lambda t: self.beta * t ** (self.beta - 1.0), t)
 
+    @_elementwise
     def ppf(self, u):
-        u = np.asarray(u, dtype=float)
-        out = u ** (1.0 / self.beta)
-        return out if out.ndim else float(out)
+        return u ** (1.0 / self.beta)
 
 
 class UserCdf(AlternativeFamily):

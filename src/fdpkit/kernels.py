@@ -25,6 +25,7 @@ import numpy as np
 
 from .estimation import _qhat, _require_open_unit
 from .model import MixtureModel, q_inverse
+from .stepfun import _elementwise
 
 __all__ = ["KernelSpec", "eval_kernel", "storey_population_q"]
 
@@ -73,19 +74,13 @@ def storey_population_q(model: MixtureModel, t0: float):
     t -> t (1 - G(t0)) / ((1 - t0) G(t))."""
     _require_open_unit("t0", t0)
     one_minus = (1.0 - model.cdf(t0)) / (1.0 - t0)
-
-    def q_st(t):
-        t = np.asarray(t, dtype=float)
-        out = _qhat(model.cdf(t), t, one_minus)
-        return out if out.ndim else float(out)
-
-    return q_st
+    return _elementwise(lambda t: _qhat(model.cdf(t), t, one_minus))
 
 
+@_elementwise
 def eval_kernel(spec: KernelSpec, s, t):
     """Evaluate the kernel at (s, t); broadcasts like numpy."""
     s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
     model = spec.model
     a = model.a
     kind = spec.kind
@@ -138,4 +133,4 @@ def eval_kernel(spec: KernelSpec, s, t):
             + (1.0 - Gt0) ** 2 * cst
         )
         out = s * t * bracket / ((1.0 - t0) ** 2 * Gs**2 * Gt**2)
-    return out if np.ndim(out) else float(out)
+    return out

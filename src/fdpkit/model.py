@@ -19,7 +19,7 @@ import numpy as np
 
 from .estimation import _qhat, _require_open_unit, _validated_pvalues
 from .families import AlternativeFamily, BetaPower, _largest_true, _on_unit
-from .stepfun import StepFunction
+from .stepfun import StepFunction, _elementwise
 
 __all__ = [
     "MixtureModel",
@@ -64,11 +64,11 @@ class MixtureModel:
                 raise ValueError("an alternative family is required when a > 0")
             object.__setattr__(self, "F", _UNIFORM)
 
+    @_elementwise
     def cdf(self, t):
         """Marginal CDF G(t): 0 below 0 and 1 above 1."""
-        t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
-        out = (1.0 - self.a) * t + self.a * self.F.cdf(t)
-        return out if out.ndim else float(out)
+        t = np.clip(t, 0.0, 1.0)
+        return (1.0 - self.a) * t + self.a * self.F.cdf(t)
 
     def pdf(self, t):
         """Marginal density g(t) = (1-a) + a f(t) on [0, 1] and 0 outside it;
@@ -77,7 +77,7 @@ class MixtureModel:
         if self.F.pdf is None:
             raise ValueError("alternative family has no density")
         a = self.a
-        return _on_unit(t, lambda t: (1.0 - a) + (a * np.asarray(self.F.pdf(t), dtype=float) if a > 0.0 else 0.0))
+        return _on_unit(lambda t: (1.0 - a) + (a * np.asarray(self.F.pdf(t), dtype=float) if a > 0.0 else 0.0), t)
 
     @property
     def has_density(self) -> bool:
@@ -186,26 +186,18 @@ def fnp_process(sample: LabeledSample) -> StepFunction:
 
 def q_map(model: MixtureModel):
     """Population positive false discovery rate t -> (1-a) t / G(t), with 0 at t=0."""
-
-    def q(t):
-        t = np.asarray(t, dtype=float)
-        out = _qhat(model.cdf(t), t, 1.0 - model.a)
-        return out if out.ndim else float(out)
-
-    return q
+    return _elementwise(lambda t: _qhat(model.cdf(t), t, 1.0 - model.a))
 
 
 def qtilde_map(model: MixtureModel):
     """Population false nondiscovery analogue t -> a (1 - F(t)) / (1 - G(t))."""
 
+    @_elementwise
     def qtilde(t):
-        t = np.asarray(t, dtype=float)
         g = model.cdf(t)
         if np.any(g >= 1.0):
             raise ValueError("undefined where G(t) = 1")
-        out = model.a * (1.0 - model.F.cdf(t)) / (1.0 - g)
-        out = np.asarray(out)
-        return out if out.ndim else float(out)
+        return model.a * (1.0 - model.F.cdf(t)) / (1.0 - g)
 
     return qtilde
 
@@ -229,15 +221,14 @@ def expected_fdp_fnp(model: MixtureModel, m: int, t: float) -> tuple[float, floa
     return float(efdp), float(efnp)
 
 
+@_elementwise
 def q_derivative(model: MixtureModel, t):
     """Derivative of the population ratio Q: (1-a)(G(t) - t g(t)) / G(t)^2."""
-    t = np.asarray(t, dtype=float)
     g = model.cdf(t)
-    gd = model.pdf(t)
-    out = (1.0 - model.a) * (g - t * gd) / g**2
-    return out if out.ndim else float(out)
+    return (1.0 - model.a) * (g - t * model.pdf(t)) / g**2
 
 
+@_elementwise
 def q_inverse(model: MixtureModel, u):
     """Largest t in [0, 1] with Q(t) <= u, elementwise, for the population
     ratio Q(t) = (1-a) t / G(t).  Requires 0 < u <= Q(1) = 1 - a.
@@ -245,12 +236,10 @@ def q_inverse(model: MixtureModel, u):
     Q is nondecreasing when G is concave (every built-in family), and the
     answer is then exact on the double grid.  A Q that falls anywhere on a
     fixed grid of [0, 1] raises ValueError instead of returning garbage."""
-    u = np.asarray(u, dtype=float)
     if not np.all((0.0 < u) & (u <= 1.0 - model.a)):
         raise ValueError("u outside the range of the population ratio")
     q = q_map(model)
     qg = q(np.sort(np.r_[np.geomspace(1e-12, 1.0, 601), np.linspace(0.0, 1.0, 1001)]))
     if np.any(np.diff(qg) < -1e-12 * qg[1:]):
         raise ValueError("population ratio Q decreases: G is not concave, so Q has no monotone inverse")
-    t = _largest_true(lambda t: q(t) <= u, u.shape)
-    return t if t.ndim else float(t)
+    return _largest_true(lambda t: q(t) <= u, u.shape)

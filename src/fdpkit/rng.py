@@ -23,7 +23,7 @@ import threading
 
 import numpy as np
 
-__all__ = ["stream", "uniform_open", "uniform_open_at"]
+__all__ = ["stream", "uniform_open"]
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:
@@ -78,12 +78,3 @@ def _in_parts(rows: int, part) -> None:
             t.join()
     if errors:
         raise errors[0]
-
-
-def uniform_open_at(seed: int, key: int, shape, offset: int = 0) -> np.ndarray:
-    """``uniform_open`` draws of ``shape`` from ``stream(seed, key)`` after its
-    first ``offset`` doubles, the rows cut into one part per CPU (see above)."""
-    u = np.empty(shape)
-    rows = u.reshape(-1, u.shape[-1])
-    _in_parts(len(rows), lambda lo, hi: _uniform_into(rows[lo:hi], seed, key, offset + lo * rows.shape[1]))
-    return u

@@ -22,6 +22,7 @@ from .families import TwoSidedNormal, UserCdf, make_family
 from .kernels import KernelSpec, eval_kernel
 from .model import LabeledSample, MixtureModel, expected_fdp_fnp, q_derivative, q_inverse, q_map, qtilde_map
 from .rng import _in_parts, _uniform_into, stream, uniform_open
+from .stepfun import _elementwise
 from .thresholds import _plugin, oracle_threshold, plugin_threshold, rate_ceiling_known_a
 
 __all__ = [
@@ -149,11 +150,7 @@ def purity_quantities(model: MixtureModel) -> PurityQuantities:
     if zeta <= 0.0:
         return PurityQuantities(zeta=zeta, a_lower=a_lower, f_lower=None)
 
-    def f_lower(t):
-        t = np.asarray(t, dtype=float)
-        out = (fam.cdf(t) - (1.0 - zeta) * t) / zeta
-        return out if out.ndim else float(out)
-
+    f_lower = _elementwise(lambda t: (fam.cdf(t) - (1.0 - zeta) * t) / zeta)
     return PurityQuantities(zeta=zeta, a_lower=a_lower, f_lower=f_lower)
 
 

@@ -1,18 +1,32 @@
 """Right-continuous step functions and piecewise-linear curves on [0, 1].
 
 These are the shared representations for empirical CDFs, false-discovery
-proportion paths, and confidence envelopes.
+proportion paths, and confidence envelopes.  ``_elementwise`` holds the one
+rule of every function of t in the package: scalars in give Python floats
+out, and arrays keep their shape.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 __all__ = ["StepFunction", "PiecewiseLinear"]
 
 
-def _as_float_array(x) -> np.ndarray:
-    return np.asarray(x, dtype=float)
+def _elementwise(f):
+    """``f`` with its last positional argument t read as a float array and a 0-d result as a float."""
+    @functools.wraps(f)
+    def rule(*args, **kwargs):
+        out = f(*args[:-1], np.asarray(args[-1], dtype=float), **kwargs)
+        return out if np.ndim(out) else float(out)
+    return rule
+
+
+def _require_unit(t) -> None:
+    if not np.all((t >= 0.0) & (t <= 1.0)):   # False for NaN too
+        raise ValueError("evaluation points must lie in [0, 1]")
 
 
 class StepFunction:
@@ -37,8 +51,8 @@ class StepFunction:
     __slots__ = ("knots", "values")
 
     def __init__(self, knots, values):
-        knots = _as_float_array(knots)
-        values = _as_float_array(values)
+        knots = np.asarray(knots, dtype=float)
+        values = np.asarray(values, dtype=float)
         if knots.ndim != 1 or values.ndim != 1 or knots.shape != values.shape:
             raise ValueError("knots and values must be 1-D arrays of equal length")
         if knots.size == 0:
@@ -58,27 +72,24 @@ class StepFunction:
         the output of ``np.unique``, prepending a 0-knot holding
         ``value_at_zero`` when xs does not start at 0.  Unsorted or repeated
         xs fail the constructor's "strictly increasing" check."""
-        xs = _as_float_array(xs)
-        ys = _as_float_array(ys)
+        xs = np.asarray(xs, dtype=float)
         if xs.size == 0 or xs[0] != 0.0:
             xs = np.r_[0.0, xs]
             ys = np.r_[float(value_at_zero), ys]
         return cls(xs, ys)
 
     def __call__(self, t):
-        return self._eval(t, "right")
+        return self._eval("right", t)
 
     def left(self, t):
         """Left limit at ``t``; at 0 this is the value at 0."""
-        return self._eval(t, "left")
+        return self._eval("left", t)
 
-    def _eval(self, t, side):
-        t = _as_float_array(t)
-        if not np.all((t >= 0.0) & (t <= 1.0)):   # False for NaN too
-            raise ValueError("evaluation points must lie in [0, 1]")
+    @_elementwise
+    def _eval(self, side, t):
+        _require_unit(t)
         # the value's index counts the knots past the first below t ("left") or up to t ("right")
-        out = self.values[np.searchsorted(self.knots[1:], t, side=side)]
-        return out if out.ndim else float(out)
+        return self.values[np.searchsorted(self.knots[1:], t, side=side)]
 
     def __eq__(self, other):
         if not isinstance(other, StepFunction):
@@ -100,8 +111,8 @@ class PiecewiseLinear:
     __slots__ = ("x", "y")
 
     def __init__(self, x, y):
-        x = _as_float_array(x)
-        y = _as_float_array(y)
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
         if x.ndim != 1 or x.shape != y.shape or x.size < 2:
             raise ValueError("need matching 1-D arrays with at least two nodes")
         if not np.all(x[1:] > x[:-1]):
@@ -111,8 +122,8 @@ class PiecewiseLinear:
         self.x = x
         self.y = y
 
+    @_elementwise
     def __call__(self, t):
-        t = _as_float_array(t)
         if not np.all((t >= self.x[0]) & (t <= self.x[-1])):
             raise ValueError("evaluation points outside the node range")
         out = np.asarray(np.interp(t, self.x, self.y))
@@ -124,7 +135,7 @@ class PiecewiseLinear:
             i = np.clip(np.searchsorted(self.x, tb, side="right") - 1, 0, self.x.size - 2)
             x0, y0, y1 = self.x[i], self.y[i], self.y[i + 1]
             out[bad] = y0 + (y1 - y0) * ((tb - x0) / (self.x[i + 1] - x0))
-        return out if out.ndim else float(out)
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, PiecewiseLinear):

@@ -168,8 +168,6 @@ def plugin_threshold(pvalues, ahat, alpha: float, variant: str = "plain") -> Thr
     p = _validated_pvalues(pvalues)
     _require_open_unit("alpha", alpha)
     a = _ahat_value(ahat)
-    if not 0.0 <= a <= 1.0:
-        raise ValueError("ahat must lie in [0, 1]")
     _normalize_variant(variant)
     diag = {"ahat": a, "variant": variant}
     a_method = getattr(ahat, "method", None)

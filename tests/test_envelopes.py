@@ -498,22 +498,6 @@ def test_thresholds_match_the_masked_reader():
             assert confidence_thresholds(env, c) == masked_thresholds(env, c)
 
 
-def traced_peak(call):
-    """Bytes tracemalloc sees ``call()`` allocate at its peak above what
-    was allocated before it, after a warm-up call."""
-    import tracemalloc
-
-    tracemalloc.start()
-    try:
-        call()
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        call()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 def distinct_pvalues():
     """2e5 distinct p-values, a fifth of them crowded towards 0."""
     g = np.random.default_rng(3)
@@ -525,7 +509,7 @@ def distinct_pvalues():
 @pytest.mark.parametrize("method, c, budget", [
     ("exact", None, 2), ("exact", 0.3, 2), ("asymptotic", 0.3, 1.5),
 ], ids=["exact-min-rate", "exact-ceiling", "band-ceiling"])
-def test_threshold_memory_budget(method, c, budget):
+def test_threshold_memory_budget(traced_memory, method, c, budget):
     # traced peak above the envelope, in input sizes, on distinct p-values:
     # a few spans of the bound and its temporaries, read a span of pieces at
     # a time.  Masking all pieces took 5.3 (exact) and the band's solve on
@@ -537,28 +521,18 @@ def test_threshold_memory_budget(method, c, budget):
     else:
         env = asymptotic_envelope(p, t_min=0.01, enforce_floor=False)
     assert confidence_thresholds(env, c).rejected > 0
-    assert traced_peak(lambda: confidence_thresholds(env, c)) <= budget * p.nbytes
+    assert traced_memory(lambda: confidence_thresholds(env, c))[1] <= budget * p.nbytes
 
 
-def test_exact_envelope_memory_budget():
+def test_exact_envelope_memory_budget(traced_memory):
     # in input sizes on distinct p-values: the result holds the ECDF's knots
     # and values and no array beside them, and the pairing check works a span
     # of knots at a time (5.0 held and 6.1 at the peak with three stored step
     # functions and whole-array gathers)
-    import tracemalloc
-
     p = distinct_pvalues()
     cs = exact_confidence_set(p, 0.05)
-    tracemalloc.start()
-    try:
-        exact_envelope(cs, p)
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        env = exact_envelope(cs, p)
-        held, peak = (x - base for x in tracemalloc.get_traced_memory())
-    finally:
-        tracemalloc.stop()
-    assert env.t_min == p.min()
+    held, peak = traced_memory(lambda: exact_envelope(cs, p))
+    assert exact_envelope(cs, p).t_min == p.min()
     assert held <= 2.25 * p.nbytes
     assert peak <= 3.5 * p.nbytes
 
@@ -1088,24 +1062,14 @@ class TestAsymptoticThresholds:
                     assert env.gamma_at(r.t) > c
 
 
-def test_confidence_set_memory_budget():
+def test_confidence_set_memory_budget(traced_memory):
     # in input sizes, on distinct p-values: the set holds p's sort and the
     # verdicts, 1.125 (2.125 with a copy of p beside them), and peaks with
     # the verdicts of one span of sizes.  Solving c_k for every size first
     # took 16.3 at the peak
-    import tracemalloc
-
     p = distinct_pvalues()
-    tracemalloc.start()
-    try:
-        exact_confidence_set(p, 0.05)
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        cs = exact_confidence_set(p, 0.05)
-        held, peak = (x - base for x in tracemalloc.get_traced_memory())
-    finally:
-        tracemalloc.stop()
-    assert cs.m0_interval[1] < p.size
+    held, peak = traced_memory(lambda: exact_confidence_set(p, 0.05))
+    assert exact_confidence_set(p, 0.05).m0_interval[1] < p.size
     assert held <= 1.25 * p.nbytes
     assert peak <= 7 * p.nbytes
 
@@ -1136,11 +1100,11 @@ def test_band_values_keep_the_out_of_place_bits():
 
 
 @pytest.mark.parametrize("with_g", [False, True], ids=["count", "band"])
-def test_band_values_memory_budget(with_g):
+def test_band_values_memory_budget(traced_memory, with_g):
     # traced peak in sizes of the result: itself and one temporary.  The
     # whole-array expressions held 3.0 (count) and 3.1 (band)
     g = np.random.default_rng(5)
     t, ghat = np.sort(g.random(200_000)), np.sort(np.round(g.random(200_000), 3))
     curve = _AsymptoticCurve.fit(0.6, t.size, 0.5, 0.05, 0.01, 2.0)
     gv = ghat if with_g else None
-    assert traced_peak(lambda: curve.values(t, gv)) <= 2.25 * t.nbytes
+    assert traced_memory(lambda: curve.values(t, gv))[1] <= 2.25 * t.nbytes

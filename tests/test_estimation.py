@@ -15,6 +15,7 @@ from fdpkit import (
     ecdf,
     kernel_a_consistent,
     kernel_density,
+    plugin_threshold,
     project_f,
     projection_objective,
     q_hat,
@@ -111,22 +112,6 @@ def rounded_screen(m, seed=7):
     u = rng.random(m)
     p = np.where(rng.random(m) < 0.1, ndtr(ndtri(u) - 3.0), u)
     return np.array(["%.6g" % v for v in p], dtype=float)
-
-
-def traced_peak(call, *args):
-    """Bytes tracemalloc sees ``call(*args)`` allocate at its peak above
-    what was allocated before it, after a warm-up on the first ten entries."""
-    import tracemalloc
-
-    tracemalloc.start()
-    try:
-        call(*(a[:10] for a in args))
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        call(*args)
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
 
 
 def astar_dense_grid(p, alpha, n=100_001):
@@ -335,7 +320,7 @@ class TestEcdf:
         (lambda p: astar_lower(ecdf(p, "floor"), 0.05), 2.125, 4),
         (lambda p: bh_threshold(p, 0.05), 1, 2.5),
     ], ids=["ecdf-plain", "ecdf-lcm", "astar", "astar-floor", "bh"])
-    def test_screen_memory_budget(self, call, sizes, spans):
+    def test_screen_memory_budget(self, traced_memory, call, sizes, spans):
         # traced peak above the input, at most ``sizes`` input sizes plus
         # ``spans`` spans of 8-byte entries (a span is a third of this m).
         # The ECDF sorts p into its knot buffer, moves the run starts to its
@@ -349,13 +334,14 @@ class TestEcdf:
         # the sorted copy and two spans of critical values and comparisons
         # (2.1 with every critical value at once)
         p = rounded_screen(200_000, seed=3)
-        assert traced_peak(call, p) <= sizes * p.nbytes + spans * 8 * _SPAN
+        assert traced_memory(lambda: call(p), lambda: call(p[:10]))[1] <= sizes * p.nbytes + spans * 8 * _SPAN
 
-    def test_majorant_memory_is_bounded_by_the_span(self):
+    def test_majorant_memory_is_bounded_by_the_span(self, traced_memory):
         # traced peak above its inputs on 346,617 points: 2.4 MB, as at
         # 96,308 or 714,014; over the whole input at once it took 12.5 MB
         xs, ys = lcm_points(rounded_screen(400_000, seed=3))
-        assert traced_peak(_concave_majorant, xs, ys) <= 3e6
+        peak = traced_memory(lambda: _concave_majorant(xs, ys), lambda: _concave_majorant(xs[:10], ys[:10]))[1]
+        assert peak <= 3e6
 
 
 class TestDkw:
@@ -554,13 +540,13 @@ class TestKernelA:
                 got = kernel_density(p, h)[1]
                 assert got.tobytes() == sorted_3m(p, bw).tobytes()
 
-    def test_density_memory_budget(self):
+    def test_density_memory_budget(self, traced_memory):
         # traced peak above the input, in input sizes: the reflected sample
         # and its two prefix sums take 9; sorting the 3m reflected points
         # took 15 (the sort's copy and the out-of-place splits)
         p = stream(82, 0).random(200_000)
         assert np.unique(p).size == p.size
-        assert traced_peak(kernel_density, p) <= 10 * p.nbytes
+        assert traced_memory(lambda: kernel_density(p), lambda: kernel_density(p[:10]))[1] <= 10 * p.nbytes
 
 
 class TestQHat:
@@ -875,6 +861,19 @@ class TestProjectF:
             project_f(ecdf(example1), 0.0)
         with pytest.raises(ValueError):
             project_f(ecdf(example1), -0.3)
+
+    @pytest.mark.parametrize("ahat", [np.nan, 1.5, -0.2])
+    def test_ahat_outside_the_unit_interval_is_refused(self, example1, ahat):
+        # the objective took any ahat (nan, 0.757 and 0.358 for these); it
+        # now shares the check of q_hat, plugin_threshold and project_f
+        g = ecdf(example1)
+        f = project_f(g, 0.5)
+        for call in (lambda: projection_objective(g, ahat, f), lambda: q_hat(example1, ahat),
+                     lambda: plugin_threshold(example1, ahat, 0.1)):
+            with pytest.raises(ValueError, match=r"ahat must lie in \[0, 1\]"):
+                call()
+        with pytest.raises(ValueError, match=r"ahat must lie in \(0, 1\]"):
+            project_f(g, 0.0)
 
     @pytest.mark.parametrize("seed,ahat", [(0, 0.5), (1, 0.5), (2, 0.8), (3, 1.0)])
     def test_m4_matches_discretized_brute_force(self, seed, ahat):

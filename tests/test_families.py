@@ -204,9 +204,9 @@ class TestTwoSidedQuantile:
     def brackets(self, monkeypatch):
         seen = []
 
-        def spy(cdf, u, lo=0.0, hi=1.0):
+        def spy(cdf, u, *, lo=0.0, hi=1.0):
             seen.append((np.asarray(u), np.asarray(lo), np.asarray(hi)))
-            return _quantile(cdf, u, lo, hi)
+            return _quantile(cdf, u, lo=lo, hi=hi)
 
         monkeypatch.setattr(families, "_quantile", spy)
         return seen
@@ -250,7 +250,7 @@ class TestTwoSidedQuantile:
         ok = np.isin(u, u_in)
         LO, HI = np.zeros(u.size), np.ones(u.size)
         LO[ok], HI[ok] = lo, hi
-        np.testing.assert_array_equal(t, _quantile(cdf, u, LO, HI))
+        np.testing.assert_array_equal(t, _quantile(cdf, u, lo=LO, hi=HI))
 
     def test_draws_of_the_achievable_oracle_target(self, brackets):
         # 500 alternative draws like the target's: every row is bracketed

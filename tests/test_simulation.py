@@ -20,7 +20,7 @@ import fdpkit
 from fdpkit.estimation import dkw_epsilon
 from fdpkit.families import UserCdf, make_family
 from fdpkit.model import LabeledSample, MixtureModel, fdp_process, fnp_process
-from fdpkit.rng import stream, uniform_open, uniform_open_at
+from fdpkit.rng import _in_parts, _uniform_into, stream, uniform_open
 from fdpkit import model as model_module
 from fdpkit import simulation
 from fdpkit.simulation import (
@@ -201,7 +201,9 @@ class TestDraw:
         self._cpus(monkeypatch, k)
         for shape in self.SHAPES:
             want = uniform_open(stream(8, 3), offset + shape[0] * shape[1])[offset:].reshape(shape)
-            np.testing.assert_array_equal(uniform_open_at(8, 3, shape, offset), want)
+            got = np.empty(shape)
+            _in_parts(shape[0], lambda lo, hi: _uniform_into(got[lo:hi], 8, 3, offset + lo * shape[1]))
+            np.testing.assert_array_equal(got, want)
 
     @staticmethod
     def _spy_ppf(monkeypatch, model, fail=None):
