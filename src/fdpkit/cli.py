@@ -152,13 +152,15 @@ def _envelope_grid(env) -> np.ndarray:
 
 def _write_envelope_csv(path: str, env) -> None:
     grid = _envelope_grid(env)
+    curves = [dataclasses.replace(env.gamma_bar, kind=kind) for kind in ("gamma", "v", "j")]
     with open(path, "w") as fh:
         fh.write("t,gamma_bar,v,count_bound\n")
         for s in range(0, grid.size, _SPAN):     # a span of rows at a time, so no column is held whole
             ts = grid[s:s + _SPAN]
-            # Python floats, whose repr re-ingests exactly
-            cols = [np.asarray(f(ts), dtype=float).tolist() for f in (env.gamma_bar, env.v_fn, env.count_bound_at)]
+            # Ghat read once for the three columns; Python floats, whose repr re-ingests exactly
+            cols = [curve.values(ts, g).tolist() for g in [env.ghat(ts)] for curve in curves]
             fh.writelines(f"{a!r},{b!r},{c!r},{d!r}\n" for a, b, c, d in zip(ts.tolist(), *cols))
+            del cols     # before the next span's are built
 
 
 def read_envelope_csv(path: str) -> dict:

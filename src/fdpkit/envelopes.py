@@ -14,8 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .estimation import _SPAN, EcdfEstimate, _require_open_unit, _validated_pvalues, ecdf
-from .stepfun import _elementwise, _require_unit
+from .estimation import _SPAN, EcdfEstimate, _OverGhat, _is_integer, _require_open_unit, _validated_pvalues, ecdf
 from .thresholds import ThresholdResult, _last_crossing
 
 __all__ = [
@@ -78,9 +77,9 @@ def _sup_quantile(alpha_half, t_floor) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class _AsymptoticCurve:
-    """The count path V(t) = (1 - a0) t + delta sqrt(t / m), m V (``kind``
-    "j") or, given ``ghat``, the band t -> min(V(t) / Ghat(t), 1); all are
+class _AsymptoticCurve(_OverGhat):
+    """The band t -> min(V(t) / Ghat(t), 1) ("gamma"), or the count path
+    V(t) = (1 - a0) t + delta sqrt(t / m) ("v") or m V ("j"); all are
     undefined (NaN) below the floor t_min.  ``fit`` may take a column of
     Ghat(t0), one row per sample, for ``values`` on those rows."""
 
@@ -88,8 +87,8 @@ class _AsymptoticCurve:
     delta: float
     m: int
     t_min: float
-    ghat: object = None
-    kind: str = "v"
+    ghat: EcdfEstimate | None = None
+    kind: str = "gamma"
 
     @classmethod
     def fit(cls, ghat_t0, m, t0, alpha, t_min, w):
@@ -101,24 +100,19 @@ class _AsymptoticCurve:
         tail_term = np.sqrt(2.0) / (1.0 - t0) * np.sqrt(np.log(4.0 / alpha))
         return cls(one_minus_a0, np.maximum(2.0 * one_minus_a0 * w, tail_term), m, t_min)
 
-    @_elementwise
-    def __call__(self, t):
-        _require_unit(t)
-        g = None if self.ghat is None else np.asarray(self.ghat(t), dtype=float)
-        return np.where(t < self.t_min, np.nan, self.values(t, g))
-
-    def values(self, t, g=None):
-        """V (or m V) at t, or with Ghat(t) = ``g``, the band, at t at or above
-        the floor; in place, so it holds about one temporary of the result's size."""
+    def values(self, t, g):
+        """The curve at t where Ghat(t) = ``g``, which only the band reads; in
+        place, so it holds about one temporary of the result's size."""
         out = np.asarray(self.delta * np.sqrt(t / self.m))
         out += self.one_minus_a0 * t
         if self.kind == "j":
             out *= self.m
-        elif g is not None:
+        elif self.kind == "gamma":
             pos = g > 0.0
             np.divide(out, g, out=out, where=pos)     # V / 0 reads inf, also where V is 0
             np.copyto(out, np.inf, where=~pos)
             np.minimum(out, 1.0, out=out)
+        np.copyto(out, np.nan, where=t < self.t_min)
         return out
 
     def crossing(self, c, g, start):
@@ -137,7 +131,7 @@ class _AsymptoticCurve:
 
 
 @dataclass(frozen=True)
-class _ExactCurve:
+class _ExactCurve(_OverGhat):
     """The exact envelope, a closed form of the plain ECDF Ghat: with
     R = rint(m Ghat) rejections (exact for m < 2^51) and m - k_max the lower
     confidence bound on the alternatives, the count bound is
@@ -148,13 +142,6 @@ class _ExactCurve:
     k_max: int
     ghat: EcdfEstimate
     kind: str = "gamma"
-
-    @_elementwise
-    def __call__(self, t, *, ghat=None):
-        return self.values(t, np.asarray((ghat or self.ghat)(t)))     # Ghat checks t
-
-    def left(self, t):
-        return self(t, ghat=self.ghat.left)
 
     def values(self, t, g):
         """The curve where Ghat = g; t does not enter."""
@@ -171,22 +158,27 @@ class _ExactCurve:
 
 @dataclass(frozen=True)
 class EnvelopeResult:
-    """A level-(1 - level) upper confidence path for the FDP process.
+    """A level-(1 - level) upper confidence path for the FDP process: one
+    curve over ``ghat``, the plain ECDF, read three ways.  ``gamma_bar`` is
+    the bound on the FDP at t, ``v_fn`` the per-observation bound on the
+    false discoveries and ``count_bound_at`` m times it, their count.
+    Thresholds read Ghat's pieces and counts, so no copy of p is kept.
+    ``t_min`` is the band's t_min, or the exact envelope's least p-value;
+    ``meta`` holds data only."""
 
-    ``gamma_bar`` maps t to the bound; ``v_fn`` maps t to the matching
-    per-observation bound on the fraction of false discoveries, so
-    ``m * v_fn(t)`` bounds their count, read by ``count_bound_at`` from the
-    curve ``meta["j_fn"]``.  All are curves over ``ghat``, the plain ECDF,
-    whose pieces and counts thresholds read, so no copy of p is kept.
-    ``t_min`` is the band's t_min, or the exact envelope's least p-value."""
-
-    gamma_bar: object
+    gamma_bar: _AsymptoticCurve | _ExactCurve
     level: float
     method: str
     t_min: float
-    v_fn: object
-    ghat: EcdfEstimate
     meta: dict = field(default_factory=dict)
+
+    @property
+    def ghat(self) -> EcdfEstimate:
+        return self.gamma_bar.ghat
+
+    @property
+    def v_fn(self):
+        return replace(self.gamma_bar, kind="v")
 
     def gamma_at(self, t):
         return self.gamma_bar(t)
@@ -195,7 +187,7 @@ class EnvelopeResult:
         return self.v_fn(t)
 
     def count_bound_at(self, t):
-        return self.meta["j_fn"](t)
+        return replace(self.gamma_bar, kind="j")(t)
 
 
 def asymptotic_envelope(
@@ -253,26 +245,17 @@ def asymptotic_envelope(
         raise ValueError(f"w must be positive and finite, got {w!r}")
     else:
         w_se, w_source = None, "given"
-    count = _AsymptoticCurve.fit(float(ghat(t0)), m, t0, alpha, float(t_min), float(w))
-    return EnvelopeResult(
-        gamma_bar=replace(count, ghat=ghat),
-        level=alpha,
-        method="asymptotic",
-        t_min=float(t_min),
-        v_fn=count,
-        ghat=ghat,
-        meta={
-            "m": m,
-            "j_fn": replace(count, kind="j"),
-            "t0": t0,
-            "one_minus_a0": count.one_minus_a0,
-            "w": float(w),
-            "w_se": w_se,
-            "w_source": w_source,
-            "delta": float(count.delta),
-            "floor": float(floor),
-        },
-    )
+    band = replace(_AsymptoticCurve.fit(float(ghat(t0)), m, t0, alpha, float(t_min), float(w)), ghat=ghat)
+    return EnvelopeResult(gamma_bar=band, level=alpha, method="asymptotic", t_min=band.t_min, meta={
+        "m": m,
+        "t0": t0,
+        "one_minus_a0": band.one_minus_a0,
+        "w": float(w),
+        "w_se": w_se,
+        "w_source": w_source,
+        "delta": float(band.delta),
+        "floor": float(floor),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +277,8 @@ def uniformity_critical_value(k: int, alpha: float) -> float:
     ``exact_confidence_set`` bit for bit.  The result is within 3.9e-16
     relative of mpmath roots for alpha from 5e-324 to 1 - 1e-12 and k up
     to 1e6."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    if not _is_integer(k) or k < 0:
+        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
     _require_open_unit("alpha", alpha)
     return float(_critical_values(np.array([k]), alpha)[0])
 
@@ -526,10 +509,8 @@ def exact_envelope(confset: ExactConfidenceSet, pvalues) -> EnvelopeResult:
     if ps.size != m or not all(runs_match(a) for a in range(first, knots.size, _SPAN)):
         raise ValueError("confidence set was built from different p-values")
     lo = float(knots[first]) if knots[first] > 0.0 else 0.0     # no -0.0
-    curve = _ExactCurve(m, confset.m0_interval[1], ghat)
-    return EnvelopeResult(gamma_bar=curve, level=confset.alpha, method="exact", t_min=lo,
-                          v_fn=replace(curve, kind="v"), ghat=ghat,
-                          meta={"m": m, "j_fn": replace(curve, kind="j"), "domain": (lo, 1.0)})
+    return EnvelopeResult(gamma_bar=_ExactCurve(m, confset.m0_interval[1], ghat), level=confset.alpha,
+                          method="exact", t_min=lo, meta={"m": m, "domain": (lo, 1.0)})
 
 
 def m10_envelope(env: EnvelopeResult, m: int):

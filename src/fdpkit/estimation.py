@@ -54,6 +54,11 @@ def _require_open_unit(name: str, value: float) -> None:
         raise ValueError(f"{name} must lie in (0, 1)")
 
 
+def _is_integer(x) -> bool:
+    """A Python or NumPy integer, but not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True, eq=False)
 class EcdfEstimate:
     """Empirical CDF with an optional correction.
@@ -389,18 +394,27 @@ def _ahat_value(ahat) -> float:
     return a
 
 
+class _OverGhat:
+    """A function of t, ``values(t, g)`` at g = Ghat(t) or, for ``left``, Ghat's left limit; Ghat checks t."""
+
+    @_elementwise
+    def __call__(self, t):
+        return self.values(t, np.asarray(self.ghat(t)))
+
+    @_elementwise
+    def left(self, t):
+        return self.values(t, np.asarray(self.ghat.left(t)))
+
+
 @dataclass(frozen=True)
-class QHat:
+class QHat(_OverGhat):
     """Estimated positive-FDR map t -> (1 - ahat) t / Ghat(t), 0 at t = 0."""
 
     ghat: EcdfEstimate
     ahat: float
 
-    @_elementwise
-    def __call__(self, t):
-        g = np.asarray(self.ghat(t), dtype=float)
-        bad = (t > 0.0) & (g <= 0.0)
-        if np.any(bad):
+    def values(self, t, g):
+        if np.any((t > 0.0) & (g <= 0.0)):
             raise ValueError("estimated CDF is 0 at a positive evaluation point")
         return _qhat(g, t, 1.0 - self.ahat)
 

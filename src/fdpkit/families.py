@@ -186,7 +186,8 @@ class BetaPower(AlternativeFamily):
 
     @_elementwise
     def cdf(self, t):
-        return np.clip(t, 0.0, 1.0) ** self.beta
+        # clipped into an array, even 0-d: NumPy rounds a scalar's ** 0.5 through pow, an array's through sqrt
+        return np.clip(t, 0.0, 1.0, out=np.empty_like(t)) ** self.beta
 
     def pdf(self, t):
         with np.errstate(divide="ignore"):  # density diverges at 0 for beta < 1

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import __version__
 from .envelopes import _AsymptoticCurve, _second_order_check, brownian_sup_quantile
-from .estimation import _astar_rows, _qhat, _require_open_unit, _storey, ecdf, kernel_a_consistent, project_f
+from .estimation import (_astar_rows, _is_integer, _qhat, _require_open_unit, _storey, ecdf, kernel_a_consistent,
+                         project_f)
 from .families import TwoSidedNormal, UserCdf, make_family
 from .kernels import KernelSpec, eval_kernel
 from .model import LabeledSample, MixtureModel, expected_fdp_fnp, q_derivative, q_inverse, q_map, qtilde_map
@@ -58,8 +59,12 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
-        """Each field `d` holds, cast to the field's type; the rest keep their defaults."""
+        """Each field `d` holds, cast to the field's type; the rest keep their
+        defaults.  An integer field refuses a bool or any other non-integer."""
         types = get_type_hints(cls)
+        for k in types:
+            if types[k] is int and k in d and not _is_integer(d[k]):
+                raise ValueError(f"{k} must be an integer, got {d[k]!r}")
         return cls(**{k: types[k](d[k]) for k in types if k in d})
 
     def model(self) -> MixtureModel:
@@ -459,7 +464,7 @@ def _asymptotic_coverage(kind, scen=_standard(1000), *, alpha=0.05, t0=0.5, t_mi
         if kind == "fdp":
             truth, bound = np.where(r > 0, n0 / np.maximum(r, 1), 0.0), curve.values(t, r / m)
         else:
-            truth, bound = n0, replace(curve, kind="j").values(t)
+            truth, bound = n0, replace(curve, kind="j").values(t, None)
         checked = (np.diff(t, axis=-1, append=2.0) > 0.0) & (t >= t_min)
         return np.all(truth <= bound + 1e-12, axis=-1, where=checked)
 
@@ -570,7 +575,7 @@ def run_validation(config: dict, target: str) -> dict:
         )
     if "reps" in config:
         reps = config["reps"]
-        if isinstance(reps, bool) or not isinstance(reps, (int, np.integer)) or reps < 2:
+        if not _is_integer(reps) or reps < 2:
             raise ValueError(f"reps must be an integer >= 2, got {reps!r}")
     default = scen_param.default.to_dict()
     if config.get("family", default["family"]) != default["family"]:

@@ -24,11 +24,6 @@ def _elementwise(f):
     return rule
 
 
-def _require_unit(t) -> None:
-    if not np.all((t >= 0.0) & (t <= 1.0)):   # False for NaN too
-        raise ValueError("evaluation points must lie in [0, 1]")
-
-
 class StepFunction:
     """Piecewise-constant, right-continuous function on [0, 1].
 
@@ -87,7 +82,8 @@ class StepFunction:
 
     @_elementwise
     def _eval(self, side, t):
-        _require_unit(t)
+        if not np.all((t >= 0.0) & (t <= 1.0)):   # False for NaN too
+            raise ValueError("evaluation points must lie in [0, 1]")
         # the value's index counts the knots past the first below t ("left") or up to t ("right")
         return self.values[np.searchsorted(self.knots[1:], t, side=side)]
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimation import (_SPAN, _ahat_value, _bandwidth, _normalize_variant, _require_open_unit,
+from .estimation import (_SPAN, _ahat_value, _bandwidth, _is_integer, _normalize_variant, _require_open_unit,
                          _validated_pvalues, ecdf, kernel_density)
 from .kernels import KernelSpec, eval_kernel
 from .model import MixtureModel, q_inverse, q_map
@@ -69,7 +69,7 @@ def simple_thresholds(
             raise ValueError("fixed rule needs t in [0, 1]")
         thr = float(t)
     elif kind == "first-r":
-        if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or not 0 <= r <= m:
+        if not _is_integer(r) or not 0 <= r <= m:
             raise ValueError(f"first-r rule needs an integer r in {{0, ..., m}}, got {r!r}")
         if r == 0:
             return ThresholdResult(t=0.0, rejected=0, method=kind, alpha=alpha, inclusive=False)

@@ -9,6 +9,7 @@ critical values against the closed-form order-statistic law.
 import importlib.util
 import itertools
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -253,6 +254,10 @@ class TestUniformityTest:
     def test_validation(self):
         with pytest.raises(ValueError):
             uniformity_critical_value(-1, 0.05)
+        for k in (2.5, 3.0, True, False):     # True read as size 1 gave -inf
+            with pytest.raises(ValueError, match=f"k must be a nonnegative integer, got {k!r}"):
+                uniformity_critical_value(k, 0.05)
+        assert uniformity_critical_value(np.int64(5), 0.05) == uniformity_critical_value(5, 0.05)
         with pytest.raises(ValueError):
             uniformity_critical_value(5, 1.0)
         with pytest.raises(ValueError):
@@ -465,7 +470,7 @@ class TestExactEnvelope:
                 lead = [] if distinct[0] == 0.0 else [0.0]
                 knots = env.ghat.base.knots
                 np.testing.assert_array_equal(knots, np.r_[lead, distinct])
-                for f, want in ((env.gamma_bar, j / r), (env.v_fn, j / m), (env.meta["j_fn"], j)):
+                for f, want in ((env.gamma_bar, j / r), (env.v_fn, j / m), (env.count_bound_at, j)):
                     np.testing.assert_array_equal(f(knots), np.r_[lead, want])
 
     def test_count_mismatch_rejected(self, example1):
@@ -1074,15 +1079,15 @@ def test_confidence_set_memory_budget(traced_memory):
     assert peak <= 7 * p.nbytes
 
 
-def band_values_out_of_place(curve, t, g=None):
+def band_values_out_of_place(curve, t, g):
     """``_AsymptoticCurve.values`` as whole-array expressions: the oracle
     for its in-place form."""
     out = curve.one_minus_a0 * t + curve.delta * np.sqrt(t / curve.m)
-    if g is not None:
+    if curve.kind == "gamma":
         with np.errstate(invalid="ignore", divide="ignore"):
             out = np.where(g > 0.0, out / np.where(g > 0.0, g, 1.0), np.inf)
         out = np.minimum(out, 1.0)
-    return out
+    return np.where(t < curve.t_min, np.nan, out)
 
 
 def test_band_values_keep_the_out_of_place_bits():
@@ -1093,18 +1098,19 @@ def test_band_values_keep_the_out_of_place_bits():
     ghat = np.r_[0.0, 0.0, 0.001, 0.0, np.sort(np.round(g.random(300), 2)), 1.0]
     curves = [_AsymptoticCurve.fit(v, 1000, 0.5, 0.05, 0.01, 2.0) for v in (0.3, 1.0)]
     curves.append(_AsymptoticCurve.fit(np.array([[0.1], [0.6], [1.0]]), 1000, 0.5, 0.05, 0.01, 2.0))
-    for curve, gv in itertools.product(curves, (None, ghat, ghat[::-1])):
+    # the count path V (kind "v") reads no g
+    for curve, (kind, gv) in itertools.product(curves, (("v", ghat), ("gamma", ghat), ("gamma", ghat[::-1]))):
+        curve = replace(curve, kind=kind)
         got = curve.values(t, gv)
         want = band_values_out_of_place(curve, t, gv)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("with_g", [False, True], ids=["count", "band"])
-def test_band_values_memory_budget(traced_memory, with_g):
+@pytest.mark.parametrize("kind", ["v", "gamma"], ids=["count", "band"])
+def test_band_values_memory_budget(traced_memory, kind):
     # traced peak in sizes of the result: itself and one temporary.  The
     # whole-array expressions held 3.0 (count) and 3.1 (band)
     g = np.random.default_rng(5)
     t, ghat = np.sort(g.random(200_000)), np.sort(np.round(g.random(200_000), 3))
-    curve = _AsymptoticCurve.fit(0.6, t.size, 0.5, 0.05, 0.01, 2.0)
-    gv = ghat if with_g else None
-    assert traced_memory(lambda: curve.values(t, gv))[1] <= 2.25 * t.nbytes
+    curve = replace(_AsymptoticCurve.fit(0.6, t.size, 0.5, 0.05, 0.01, 2.0), kind=kind)
+    assert traced_memory(lambda: curve.values(t, ghat))[1] <= 2.25 * t.nbytes

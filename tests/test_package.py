@@ -76,7 +76,7 @@ def _functions_of_t():
     for env in (_ASYMPTOTIC, _EXACT):
         yield f"{env.method}.gamma_bar", env.gamma_bar, 1, "raise"
         yield f"{env.method}.v_fn", env.v_fn, 1, "raise"
-        yield f"{env.method}.j_fn", env.meta["j_fn"], 1, "raise"
+        yield f"{env.method}.count_bound_at", env.count_bound_at, 1, "raise"
     yield "exact.gamma_bar.left", _EXACT.gamma_bar.left, 1, "raise"
 
 

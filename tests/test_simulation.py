@@ -709,6 +709,18 @@ class TestValidationHarness:
             with pytest.raises(ValueError, match="reps must be an integer >= 2"):
                 run_validation({"reps": reps, "m": 60}, name)
 
+    @pytest.mark.parametrize("key, value", [("m", 50.9), ("m", 50.0), ("m", True), ("m", "50"),
+                                            ("seed", 2.7), ("seed", False), ("seed", None)])
+    def test_scenario_integers_are_not_truncated(self, key, value):
+        # int() would run m = 50.9 at m = 50 and echo the truncated value
+        with pytest.raises(ValueError, match=f"{key} must be an integer, got {value!r}"):
+            run_validation({key: value, "reps": 20}, "label-set-coverage")
+
+    def test_numpy_integer_scenario_keys_run(self):
+        r = run_validation({"m": np.int64(50), "seed": np.int32(2), "reps": 20}, "label-set-coverage")
+        assert (r["scenario"]["m"], r["scenario"]["seed"]) == (50, 2)
+        assert r == run_validation({"m": 50, "seed": 2, "reps": 20}, "label-set-coverage")
+
     def test_two_reps_run(self):
         assert run_validation({"reps": 2, "m": 60}, "projection-bound")["reps"] == 2
 
