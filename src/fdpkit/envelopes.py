@@ -14,7 +14,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .estimation import _SPAN, EcdfEstimate, _OverGhat, _is_integer, _require_open_unit, _validated_pvalues, ecdf
+from .estimation import _SPAN, EcdfEstimate, _OverGhat, _require_count, _require_open_unit, _validated_pvalues, ecdf
+from .stepfun import StepFunction, _elementwise
 from .thresholds import ThresholdResult, _last_crossing
 
 __all__ = [
@@ -99,6 +100,10 @@ class _AsymptoticCurve(_OverGhat):
         one_minus_a0 = (1.0 - ghat_t0) / (1.0 - t0)
         tail_term = np.sqrt(2.0) / (1.0 - t0) * np.sqrt(np.log(4.0 / alpha))
         return cls(one_minus_a0, np.maximum(2.0 * one_minus_a0 * w, tail_term), m, t_min)
+
+    @_elementwise
+    def __call__(self, t):     # the count path reads no Ghat, so a one-step function only checks its t
+        return self.values(t, np.asarray((self.ghat if self.kind == "gamma" else StepFunction([0.0], [0.0]))(t)))
 
     def values(self, t, g):
         """The curve at t where Ghat(t) = ``g``, which only the band reads; in
@@ -225,7 +230,7 @@ def asymptotic_envelope(
     if t_min is None:
         if not enforce_floor:
             raise ValueError("an explicit t_min is required when the floor check is disabled")
-        if not 0.0 < floor < 1.0:     # 0 at m = 1, at least 1 for 2 <= m <= 5500
+        if not 0.0 < floor < 1.0:     # 0 at m = 1, at least 1 for 5 <= m <= 5500
             raise ValueError(
                 f"the small-t floor (log m)^4 / m = {float(floor)!r} is not in (0, 1) at m={m}, "
                 "so no valid evaluation window exists; pass an explicit t_min in (0, 1), "
@@ -277,8 +282,7 @@ def uniformity_critical_value(k: int, alpha: float) -> float:
     ``exact_confidence_set`` bit for bit.  The result is within 3.9e-16
     relative of mpmath roots for alpha from 5e-324 to 1 - 1e-12 and k up
     to 1e6."""
-    if not _is_integer(k) or k < 0:
-        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
+    _require_count("k", k, 0)
     _require_open_unit("alpha", alpha)
     return float(_critical_values(np.array([k]), alpha)[0])
 

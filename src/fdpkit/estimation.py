@@ -59,6 +59,12 @@ def _is_integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _require_count(name: str, value, least: int):
+    if not _is_integer(value) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class EcdfEstimate:
     """Empirical CDF with an optional correction.
@@ -219,8 +225,7 @@ def ecdf(pvalues, variant: str = "plain") -> EcdfEstimate:
 def dkw_epsilon(m: int, alpha: float) -> float:
     """Half-width of the uniform empirical-CDF confidence band,
     sqrt(log(2/alpha) / (2 m))."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    _require_count("m", m, 1)
     if not 0.0 < alpha <= 2.0:
         raise ValueError("alpha must lie in (0, 2]")
     return float(np.sqrt(np.log(2.0 / alpha) / (2.0 * m)))

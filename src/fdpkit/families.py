@@ -12,6 +12,7 @@ from functools import partial
 
 import numpy as np
 
+from .estimation import _require_count
 from .stepfun import _elementwise
 
 __all__ = [
@@ -80,10 +81,10 @@ class _NormalMean(AlternativeFamily):
     observations, so standardized shift ``mu = sqrt(n) * theta``."""
 
     def __init__(self, theta: float, n: int = 1):
-        if theta < 0 or n < 1:
-            raise ValueError("need theta >= 0 and n >= 1")
+        if theta < 0:
+            raise ValueError("need theta >= 0")
         self.theta = float(theta)
-        self.n = int(n)
+        self.n = int(_require_count("n", n, 1))
         self.mu = np.sqrt(self.n) * self.theta
         self.params = {"theta": self.theta, "n": self.n}
 

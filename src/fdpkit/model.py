@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import _qhat, _require_open_unit, _validated_pvalues
+from .estimation import _qhat, _require_count, _require_open_unit, _validated_pvalues
 from .families import AlternativeFamily, BetaPower, _largest_true, _on_unit
 from .stepfun import StepFunction, _elementwise
 
@@ -209,8 +209,7 @@ def expected_fdp_fnp(model: MixtureModel, m: int, t: float) -> tuple[float, floa
     The second factor in each is the probability the denominator count is
     positive.  At G(t) = 1 the FNP mean is 0 (no non-rejections possible).
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    _require_count("m", m, 1)
     _require_open_unit("t", t)
     g = model.cdf(t)
     efdp = q_map(model)(t) * (1.0 - (1.0 - g) ** m)

@@ -23,12 +23,15 @@ import threading
 
 import numpy as np
 
+from .estimation import _require_count
+
 __all__ = ["stream", "uniform_open"]
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:
-    """Return the generator for the substream identified by ``(seed, *path)``."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
+    """Return the generator for the substream identified by ``(seed, *path)``, integers >= 0."""
+    ss = np.random.SeedSequence(entropy=int(_require_count("seed", seed, 0)),
+                                spawn_key=tuple(int(_require_count("key", p, 0)) for p in path))
     return np.random.Generator(np.random.Philox(ss))
 
 

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import __version__
 from .envelopes import _AsymptoticCurve, _second_order_check, brownian_sup_quantile
-from .estimation import (_astar_rows, _is_integer, _qhat, _require_open_unit, _storey, ecdf, kernel_a_consistent,
-                         project_f)
+from .estimation import (_astar_rows, _is_integer, _qhat, _require_count, _require_open_unit, _storey, ecdf,
+                         kernel_a_consistent, project_f)
 from .families import TwoSidedNormal, UserCdf, make_family
 from .kernels import KernelSpec, eval_kernel
 from .model import LabeledSample, MixtureModel, expected_fdp_fnp, q_derivative, q_inverse, q_map, qtilde_map
@@ -49,8 +49,7 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("m must be at least 1")
+        _require_count("m", self.m, 1)
         if not 0.0 <= self.a <= 1.0:
             raise ValueError("a must lie in [0, 1]")
 
@@ -59,13 +58,8 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
-        """Each field `d` holds, cast to the field's type; the rest keep their
-        defaults.  An integer field refuses a bool or any other non-integer."""
-        types = get_type_hints(cls)
-        for k in types:
-            if types[k] is int and k in d and not _is_integer(d[k]):
-                raise ValueError(f"{k} must be an integer, got {d[k]!r}")
-        return cls(**{k: types[k](d[k]) for k in types if k in d})
+        """Each field `d` holds, read by `_as_type_of` (m, seed: integers; a: a number, no bool); others default."""
+        return cls(**{k: _as_type_of(k, kind, d[k]) for k, kind in get_type_hints(cls).items() if k in d})
 
     def model(self) -> MixtureModel:
         if self.a == 0.0:
@@ -109,7 +103,7 @@ def _to_alternatives(model: MixtureModel, p, lab):
 def generate_sample(config: ScenarioConfig, rep_index: int) -> LabeledSample:
     """Draw one labeled sample; reproducible per (seed, rep_index) and
     independent across rep indices."""
-    p, lab = _draw(config, config.model(), range(rep_index, rep_index + 1), None)
+    p, lab = _draw(config, config.model(), range(_require_count("rep_index", rep_index, 0), rep_index + 1), None)
     return LabeledSample(pvalues=p[0], labels=lab[0].astype(np.int8))
 
 
@@ -538,9 +532,13 @@ VALIDATION_TARGETS = {
 }
 
 
-def _as_type_of(default, value):
-    """A config value read as the type of the setting's default; a tuple setting as a tuple of floats."""
-    return tuple(map(float, value)) if isinstance(default, tuple) else type(default)(value)
+def _as_type_of(name: str, kind: type, value):
+    """A config value as ``kind``: an int from an integer, a float also from a float, neither from a bool or str."""
+    if kind is tuple:
+        return tuple(_as_type_of(f"{name}[{i}]", float, v) for i, v in enumerate(value))
+    if kind in (int, float) and not (_is_integer(value) or kind is float and isinstance(value, (float, np.floating))):
+        raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    return kind(value)
 
 
 def run_validation(config: dict, target: str) -> dict:
@@ -549,14 +547,14 @@ def run_validation(config: dict, target: str) -> dict:
 
     Every target accepts the scenario keys ``m``, ``a``, ``family``,
     ``params`` and ``seed`` plus its own settings (see the README table).
-    Each scenario key given replaces the default scenario's, but a
-    ``family`` other than the default's takes ``params`` from the config
-    alone, ``{}`` if it gives none.  A scalar setting is converted to the
-    type of its default, and a tuple setting to a tuple of floats.  Any
-    other key is an error, raised before anything is sampled: ``reps``, for
-    one, is refused by ``qinv-kernel-identity``, which draws no samples.  So
-    is a family parameter that is missing or not taken, and an ``alpha``,
-    ``t0`` or ``t_min`` outside (0, 1).
+    Each scenario key given replaces the default scenario's, but a ``family``
+    other than the default's takes ``params`` from the config alone, ``{}`` if it
+    gives none.  A setting takes its default's type, a tuple as floats; an integer
+    key (m, seed, reps, a family's n) takes only an integer, no key a bool, a
+    number key no string.  Any other key is an error, raised before anything is
+    sampled: ``reps``, for one, is refused by ``qinv-kernel-identity``, which
+    draws no samples.  So is a family parameter that is missing or not taken, and
+    an ``alpha``, ``t0`` or ``t_min`` outside (0, 1).
 
     The report holds every resolved setting, what the target measured, the
     resolved ``scenario``, the ``target`` name and the package ``version``.
@@ -573,15 +571,12 @@ def run_validation(config: dict, target: str) -> dict:
         raise ValueError(
             f"validation target {target!r} takes no key {', '.join(map(repr, unknown))}; it accepts {accepted}"
         )
-    if "reps" in config:
-        reps = config["reps"]
-        if not _is_integer(reps) or reps < 2:
-            raise ValueError(f"reps must be an integer >= 2, got {reps!r}")
+    _require_count("reps", config.get("reps", 2), 2)
     default = scen_param.default.to_dict()
     if config.get("family", default["family"]) != default["family"]:
         del default["params"]  # another family brings its own params, else none
     scen = ScenarioConfig.from_dict({**default, **{k: config[k] for k in _SCENARIO_KEYS if k in config}})
-    settings = {k: _as_type_of(d, config[k]) if k in config else d for k, d in defaults.items()}
+    settings = {k: _as_type_of(k, type(d), config[k]) if k in config else d for k, d in defaults.items()}
     for k in ("alpha", "t0", "t_min"):
         if k in settings:
             _require_open_unit(k, settings[k])

@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimation import (_SPAN, _ahat_value, _bandwidth, _is_integer, _normalize_variant, _require_open_unit,
-                         _validated_pvalues, ecdf, kernel_density)
+from .estimation import (_SPAN, _ahat_value, _bandwidth, _is_integer, _normalize_variant, _require_count,
+                         _require_open_unit, _validated_pvalues, ecdf, kernel_density)
 from .kernels import KernelSpec, eval_kernel
 from .model import MixtureModel, q_inverse, q_map
 
@@ -254,8 +254,7 @@ def rate_ceiling_known_a(model: MixtureModel, m: int, c: float, alpha: float) ->
     scaled by the slope of its mean."""
     from scipy.special import ndtri
 
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    _require_count("m", m, 1)
     _require_open_unit("c", c)
     _require_open_unit("alpha", alpha)
     a = model.a

@@ -32,7 +32,7 @@ from fdpkit.envelopes import (
     uniformity_critical_value,
     uniformity_test_second_order,
 )
-from fdpkit.estimation import ecdf
+from fdpkit.estimation import EcdfEstimate, ecdf
 from fdpkit.model import fdp_process
 from fdpkit.rng import stream, uniform_open
 from fdpkit.simulation import ScenarioConfig, _blocks, generate_sample
@@ -255,7 +255,7 @@ class TestUniformityTest:
         with pytest.raises(ValueError):
             uniformity_critical_value(-1, 0.05)
         for k in (2.5, 3.0, True, False):     # True read as size 1 gave -inf
-            with pytest.raises(ValueError, match=f"k must be a nonnegative integer, got {k!r}"):
+            with pytest.raises(ValueError, match=f"k must be an integer >= 0, got {k!r}"):
                 uniformity_critical_value(k, 0.05)
         assert uniformity_critical_value(np.int64(5), 0.05) == uniformity_critical_value(5, 0.05)
         with pytest.raises(ValueError):
@@ -845,6 +845,18 @@ class TestAsymptoticEnvelope:
                 with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
                     evaluate(t)
 
+    def test_count_path_reads_no_ghat(self, monkeypatch, asym_env):
+        # V(t) = (1 - a0) t + delta sqrt(t / m) is a function of t alone: only the band's gamma reads Ghat
+        calls, ghat_eval = [], EcdfEstimate._eval
+        monkeypatch.setattr(EcdfEstimate, "_eval", lambda self, *args: calls.append(self) or ghat_eval(self, *args))
+        ts = np.linspace(0.0, 1.0, 101)
+        for kind, evaluate in (("v", asym_env.v_fn), ("j", asym_env.count_bound_at)):
+            want = replace(asym_env.gamma_bar, kind=kind).values(ts, None)
+            assert np.asarray(evaluate(ts)).tobytes() == want.tobytes() and evaluate(0.3) == want[30]
+        assert calls == []
+        asym_env.gamma_at(0.3)
+        assert calls == [asym_env.ghat]
+
     def test_count_bound_is_m_times_the_count_path(self, asym_sample, asym_env):
         # bit for bit, NaN below t_min included, as an array and as a float
         m = asym_sample.size
@@ -896,6 +908,8 @@ class TestAsymptoticEnvelope:
         with pytest.raises(ValueError, match="small-t floor") as below:
             asymptotic_envelope(p, t_min=np.float64(0.001))
         assert "= 2.2769" in str(window.value)
+        with pytest.raises(ValueError, match=r"= 1\.34\d* is not in \(0, 1\) at m=5"):   # the first m with no window
+            asymptotic_envelope(np.linspace(0.1, 0.9, 5))
         for err in (window, below):
             assert "np.float64" not in str(err.value)
         with pytest.raises(ValueError, match="explicit t_min"):
@@ -912,10 +926,12 @@ class TestAsymptoticEnvelope:
 
     def test_floor_default_when_attainable(self):
         g = stream(916)
-        p = np.clip(g.random(200_000), 1e-12, 1.0)
-        env = asymptotic_envelope(p)
-        want = np.log(200_000) ** 4 / 200_000
-        assert env.t_min == pytest.approx(want, rel=1e-12)
+        # the floor is below 1 at m = 2, 3 and 4 too (0.115, 0.486, 0.923), so the band has a window there
+        for m in (200_000, 2, 3, 4):
+            p = np.clip(g.random(m), 1e-12, 1.0)
+            env = asymptotic_envelope(p)
+            want = np.log(m) ** 4 / m
+            assert env.t_min == pytest.approx(want, rel=1e-12)
 
     def test_parameter_validation(self, asym_sample):
         with pytest.raises(ValueError):

@@ -11,15 +11,17 @@ import os
 import re
 import threading
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
 import fdpkit
+from fdpkit.envelopes import uniformity_critical_value
 from fdpkit.estimation import dkw_epsilon
-from fdpkit.families import UserCdf, make_family
-from fdpkit.model import LabeledSample, MixtureModel, fdp_process, fnp_process
+from fdpkit.families import OneSidedNormal, TwoSidedNormal, UserCdf, make_family
+from fdpkit.model import LabeledSample, MixtureModel, expected_fdp_fnp, fdp_process, fnp_process
 from fdpkit.rng import _in_parts, _uniform_into, stream, uniform_open
 from fdpkit import model as model_module
 from fdpkit import simulation
@@ -36,6 +38,7 @@ from fdpkit.simulation import (
     pvalue_density_two_sided_normal,
     run_validation,
 )
+from fdpkit.thresholds import rate_ceiling_known_a
 
 
 class TestScenarioConfig:
@@ -474,6 +477,48 @@ def test_no_sampling_stops_every_draw(monkeypatch, a):
                  lambda: generate_sample(cfg, 0)):
         with pytest.raises(TypeError, match="not callable"):
             draw()
+
+
+# one count rule: each integer argument, with a working value, and what it gives
+_MODEL = MixtureModel(0.25, make_family("one-sided-normal", {"theta": 3.0}))
+_SCEN = ScenarioConfig(20, 0.25, "one-sided-normal", {"theta": 3.0})
+COUNTS = [
+    ("dkw_epsilon", "m", 50, lambda v: dkw_epsilon(v, 0.05)),
+    ("expected_fdp_fnp", "m", 50, lambda v: expected_fdp_fnp(_MODEL, v, 0.05)),
+    ("rate_ceiling_known_a", "m", 500, lambda v: rate_ceiling_known_a(_MODEL, v, 0.05, 0.05)),
+    ("ScenarioConfig", "m", 50, lambda v: ScenarioConfig(v, 0.25)),
+    ("OneSidedNormal", "n", 3, lambda v: OneSidedNormal(1.0, v).cdf(0.1)),
+    ("TwoSidedNormal", "n", 3, lambda v: TwoSidedNormal(1.0, v).cdf(0.1)),
+    ("pvalue_density_two_sided_normal", "n", 3, lambda v: pvalue_density_two_sided_normal(1.0, v, 0.1)),
+    ("uniformity_critical_value", "k", 5, lambda v: uniformity_critical_value(v, 0.05)),
+    ("stream-seed", "seed", 7, lambda v: stream(v).random(3).tolist()),
+    ("stream-key", "key", 7, lambda v: stream(1, 2, v).random(3).tolist()),
+    ("generate_sample", "rep_index", 2, lambda v: generate_sample(_SCEN, v).pvalues.tolist()),
+    ("scenario-seed", "seed", 2, lambda v: generate_sample(replace(_SCEN, seed=v), 0).pvalues.tolist()),
+]
+
+
+@pytest.mark.parametrize("name, good, call", [pytest.param(*c[1:], id=c[0]) for c in COUNTS])
+def test_every_count_takes_only_an_integer(name, good, call):
+    # no truncation (2.5 ran as 2), no bool (True ran as 1), no string; NumPy integers are integers
+    for bad in (2.5, 2.0, True, "3"):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= \d, got {re.escape(repr(bad))}$"):
+            call(bad)
+    assert call(np.int64(good)) == call(good)
+
+
+@pytest.mark.parametrize("target, config, key", [
+    pytest.param("label-set-coverage", {"a": True}, "a", id="a"),
+    pytest.param("label-set-coverage", {"gate": True}, "gate", id="gate"),
+    pytest.param("label-set-coverage", {"alpha": "0.1"}, "alpha", id="alpha"),
+    pytest.param("fdp-kernel", {"points": [0.1, True, 0.3]}, r"points\[1\]", id="points"),
+    pytest.param("label-set-coverage", {"family": "two-sided-normal", "params": {"theta": 3.0, "n": 2.5}}, "n", id="n"),
+])
+def test_config_numbers_take_no_bool_or_string(monkeypatch, target, config, key):
+    # a float key took True as 1.0 and "0.1" as 0.1; a family's n = 2.5 ran at n = 2
+    no_sampling(monkeypatch)
+    with pytest.raises(ValueError, match=rf"^{key} must be an? (integer|number)"):
+        run_validation({**config, "reps": 20}, target)
 
 
 # the targets that run the library's Storey, Qhat and plug-in cores, with
