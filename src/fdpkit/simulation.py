@@ -67,17 +67,18 @@ class ScenarioConfig:
         return MixtureModel(self.a, make_family(self.family, self.params))
 
 
-def _draw(config: ScenarioConfig, model: MixtureModel, key: int | range, shape):
-    """(pvalues, labels) of the given shape from the stream (seed, key):
-    labels first, then uniforms, then the alternative quantile function on the
-    labelled ones; each CPU's part of a block's rows draws all three on its
-    own thread, rep-keyed rows are drawn on this one (see `fdpkit.rng`)."""
+def _draw(config: ScenarioConfig, model: MixtureModel, key: int | range, shape, out=None):
+    """(pvalues, labels) of the given shape, or in the C-contiguous pair ``out``
+    (labels all False at a = 0), from the stream (seed, key): labels first,
+    then uniforms, then the alternative quantile function on the labelled
+    ones; each CPU's part of a block's rows draws all three on its own
+    thread, rep-keyed rows are drawn on this one (see `fdpkit.rng`)."""
     if isinstance(key, range):  # one row per key i: m label uniforms, then m p-values, from the stream (seed, i)
         u = np.stack([uniform_open(stream(config.seed, i), (2, config.m)) for i in key], axis=1)
         lab, p = u[0] < config.a, u[1]
         _to_alternatives(model, p, lab)
     else:
-        p, lab = np.empty(shape), np.zeros(shape, dtype=bool)
+        p, lab = out or (np.empty(shape), np.zeros(shape, dtype=bool))
         rows, labs = p.reshape(-1, p.shape[-1]), lab.reshape(-1, p.shape[-1])
 
         def part(lo, hi):  # the label uniforms go through the p-value rows
@@ -119,11 +120,17 @@ def _blocks(config: ScenarioConfig, model: MixtureModel, reps: int, block: int |
     """Yield (pvalues, labels) matrices of up to `block` rows, rows being
     independent replications.  Streams are keyed by block index, so a row
     depends on the block size (and through it on m and reps) and is not the
-    sample `generate_sample` draws for the same index (`_rep_blocks`'s are)."""
+    sample `generate_sample` draws for the same index (`_rep_blocks`'s are).
+    Each block is the leading rows of one buffer pair that the next block
+    overwrites: a caller reduces it within its loop step, copies what it
+    keeps, and writes nothing into the labels."""
     if block is None:
         block = max(1, min(reps, 1_000_000 // config.m))
+    shape = (min(block, reps), config.m)
+    p, lab = np.empty(shape), np.zeros(shape, dtype=bool)
     for idx, done in enumerate(range(0, reps, block)):
-        yield _draw(config, model, idx, (min(block, reps - done), config.m))
+        n = min(block, reps - done)
+        yield _draw(config, model, idx, None, out=(p[:n], lab[:n]))
 
 
 @dataclass(frozen=True)
@@ -533,11 +540,16 @@ VALIDATION_TARGETS = {
 
 
 def _as_type_of(name: str, kind: type, value):
-    """A config value as ``kind``: an int from an integer, a float also from a float, neither from a bool or str."""
+    """A config value as ``kind``: an int from an integer, a float also from a float, neither from a bool or str;
+    a tuple of floats from a list or tuple, a dict from a dict."""
     if kind is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{name} must be a list of numbers, got {value!r}")
         return tuple(_as_type_of(f"{name}[{i}]", float, v) for i, v in enumerate(value))
     if kind in (int, float) and not (_is_integer(value) or kind is float and isinstance(value, (float, np.floating))):
         raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    if kind is dict and not isinstance(value, dict):
+        raise ValueError(f"{name} must be a dict, got {value!r}")
     return kind(value)
 
 
@@ -549,12 +561,13 @@ def run_validation(config: dict, target: str) -> dict:
     ``params`` and ``seed`` plus its own settings (see the README table).
     Each scenario key given replaces the default scenario's, but a ``family``
     other than the default's takes ``params`` from the config alone, ``{}`` if it
-    gives none.  A setting takes its default's type, a tuple as floats; an integer
-    key (m, seed, reps, a family's n) takes only an integer, no key a bool, a
-    number key no string.  Any other key is an error, raised before anything is
-    sampled: ``reps``, for one, is refused by ``qinv-kernel-identity``, which
-    draws no samples.  So is a family parameter that is missing or not taken, and
-    an ``alpha``, ``t0`` or ``t_min`` outside (0, 1).
+    gives none.  A setting takes its default's type, a tuple from a list of
+    floats; an integer key (m, seed, reps, a family's n) takes only an integer,
+    no key a bool, a number key no string, and ``params`` only a dict.  Any
+    other key is an error, raised before anything is sampled: ``reps``, for
+    one, is refused by ``qinv-kernel-identity``, which draws no samples.  So
+    is a family parameter that is missing or not taken, and an ``alpha``,
+    ``t0`` or ``t_min`` outside (0, 1).
 
     The report holds every resolved setting, what the target measured, the
     resolved ``scenario``, the ``target`` name and the package ``version``.

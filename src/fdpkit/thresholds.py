@@ -90,6 +90,20 @@ def _step_up(p: np.ndarray, level: float | np.ndarray) -> tuple[np.ndarray, np.n
     and t = p_(r) (0 when r = 0)."""
     ps = np.sort(p, axis=-1)
     m = ps.shape[-1]
+    # at a level per row each value has its own critical value: short rows go in groups of at most a span of values
+    if np.ndim(level) and m < _SPAN < ps.size:
+        rows, lv, g = ps.reshape(-1, m), np.reshape(level, -1), _SPAN // m
+        r = np.concatenate([_last_feasible(rows[i:i + g], lv[i:i + g]) for i in range(0, len(rows), g)])
+        r = r.reshape(np.shape(level))
+    else:
+        r = _last_feasible(ps, level)
+    t = np.take_along_axis(ps, np.expand_dims(r - 1, -1), axis=-1)[..., 0]
+    return ps, r, np.where(r > 0, t, 0.0)
+
+
+def _last_feasible(ps: np.ndarray, level: float | np.ndarray) -> np.ndarray:
+    """``_step_up``'s r along the last axis of the sorted ``ps``."""
+    m = ps.shape[-1]
     # compared a span of ranks at a time from i = m down, so the first hit is the last feasible i;
     # one level scales in place.  Divided in place: `a * b / m` makes NumPy check whether it may
     # reuse the product's buffer, and its first check allocates a 46 kB thread-local block that could
@@ -105,8 +119,7 @@ def _step_up(p: np.ndarray, level: float | np.ndarray) -> tuple[np.ndarray, np.n
         r = got if hi == m else np.where(r > 0, r, got)
         if lo == 0 or r.all():
             break
-    t = np.take_along_axis(ps, np.expand_dims(r - 1, -1), axis=-1)[..., 0]
-    return ps, r, np.where(r > 0, t, 0.0)
+    return r
 
 
 def _plugin(p: np.ndarray, one_minus, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -283,6 +283,40 @@ class TestDraw:
         assert threading.active_count() == threads
         assert len({thread for thread, _ in calls}) == 2  # the other part ran to its end
 
+    @pytest.mark.parametrize("a", [0.0, 0.25], ids=["pure-null", "one-sided"])
+    def test_blocks_are_drawn_into_one_buffer(self, a):
+        # 7 rows in blocks of 3 end in a short block of 1; each block holds a
+        # fresh draw of its key, even after the last one was scribbled over
+        cfg = ScenarioConfig(50, a, "one-sided-normal", {"theta": 3.0}, seed=4)
+        model = cfg.model()
+        first = None
+        for key, (p, lab) in enumerate(_blocks(cfg, model, 7, block=3)):
+            want_p, want_lab = _draw(cfg, model, key, (min(3, 7 - 3 * key), cfg.m))
+            assert p.tobytes() == want_p.tobytes() and lab.tobytes() == want_lab.tobytes()
+            first = p if first is None else first
+            assert p.flags.c_contiguous and np.shares_memory(p, first)
+            p.sort(axis=1)  # as a caller may, within its loop step
+            p[:, ::2] = np.nan
+        assert key == 2
+
+    def test_block_memory_budget(self, monkeypatch, traced_memory):
+        # in block sizes: a bare loop holds one block and the draw's scratch,
+        # and plugin-estimated-a adds the sorted copy and a span of critical
+        # values (2.57 and 3.25 when each block was a fresh array and the
+        # step-up compared a whole block at once); one CPU, so the scratch of
+        # the parts drawn at once does not depend on the machine
+        self._cpus(monkeypatch, 1)
+        scen = simulation._standard(5000)  # blocks of 200 rows; 650 rows end in a short block
+        size = 200 * scen.m * 8
+        model = scen.model()
+
+        def loop():
+            for _ in _blocks(scen, model, 650):
+                pass
+
+        assert traced_memory(loop)[1] <= 1.5 * size
+        assert traced_memory(lambda: run_validation({"reps": 650}, "plugin-estimated-a"))[1] <= 2.3 * size
+
 
 class TestUniformOpen:
     @pytest.mark.parametrize("size", [None, 1000, (40, 25)])
@@ -519,6 +553,20 @@ def test_config_numbers_take_no_bool_or_string(monkeypatch, target, config, key)
     no_sampling(monkeypatch)
     with pytest.raises(ValueError, match=rf"^{key} must be an? (integer|number)"):
         run_validation({**config, "reps": 20}, target)
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"points": 0.1}, "points must be a list of numbers, got 0.1"),
+    ({"points": "0.1"}, "points must be a list of numbers, got '0.1'"),
+    ({"points": {"s": 0.1}}, "points must be a list of numbers, got {'s': 0.1}"),
+    ({"params": True}, "params must be a dict, got True"),
+    ({"params": [["theta", 3.0]]}, "params must be a dict, got [['theta', 3.0]]"),
+])
+def test_config_lists_and_params_take_only_their_own_kind(monkeypatch, config, message):
+    # a float for a tuple key and a bool for params raised a bare TypeError that named no key
+    no_sampling(monkeypatch)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_validation({**config, "reps": 20}, "fdp-kernel")
 
 
 # the targets that run the library's Storey, Qhat and plug-in cores, with

@@ -158,12 +158,17 @@ class TestSameBits:
         for level in (0.05, 0.5, 1e-300, np.inf):
             assert_same_bits(_step_up(sample, level), step_up_whole(sample, level))
 
-    @pytest.mark.parametrize("shape", [(3, 1), (4, 1000), (3, _SPAN - 1), (3, _SPAN + 1), (3, 2 * _SPAN + 3)])
+    # with one level per row and m below a span, groups of rows that hold at
+    # most a span of values: 40 rows of 5000 and 27 of _SPAN // 13 in groups of
+    # 13 rows, the last one short
+    @pytest.mark.parametrize("shape", [(3, 1), (4, 1000), (40, 5000), (27, _SPAN // 13), (3, _SPAN - 1),
+                                       (3, _SPAN + 1), (3, 2 * _SPAN + 3)])
     def test_step_up_rows(self, shape):
         rng = np.random.default_rng(shape[1])
         p = np.round(rng.random(shape) ** 3, 3)
         p[0] = rng.choice([-0.0, 5e-324, 1.0], shape[1])
-        for level in (0.05, np.array([0.05, np.inf, 1e-9, 0.5][:shape[0]]), np.full(shape[0], np.inf)):
+        p[1::5] = 0.5 + p[1::5] / 2  # r = 0 below a level of 1
+        for level in (0.05, np.resize([0.05, np.inf, 1e-9, 0.5], shape[0]), np.full(shape[0], np.inf)):
             assert_same_bits(_step_up(p, level), step_up_whole(p, level))
 
     @pytest.mark.parametrize("shape", [(2, 5), (3, _SPAN + 1), (2, 2 * _SPAN + 3)])
