@@ -422,7 +422,7 @@ def _plugin_target(estimated, scen=_standard(5000), *, reps=2000, alpha=0.05, t0
     total = 0.0
     for p, lab in _blocks(scen, model, reps):
         one_minus = 1.0 - (_storey(p, t0)[2] if estimated else scen.a)
-        total += float(_rates(p, lab, _plugin(p, one_minus, alpha)[2])[0].sum())
+        total += float(_rates(p, lab, _plugin(p, one_minus, alpha))[0].sum())
     mean = total / reps
     ok = mean <= alpha + tol if estimated else abs(mean - alpha) <= tol
     return {"passed": bool(ok), "mean_fdp": float(mean)}

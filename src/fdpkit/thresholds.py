@@ -84,51 +84,51 @@ def simple_thresholds(
     )
 
 
-def _step_up(p: np.ndarray, level: float | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Along the last axis of ``p``, at one level per row: the sorted
-    p-values, r = max{i : p_(i) <= level i / m} (0 when the set is empty)
-    and t = p_(r) (0 when r = 0)."""
-    ps = np.sort(p, axis=-1)
-    m = ps.shape[-1]
-    # at a level per row each value has its own critical value: short rows go in groups of at most a span of values
-    if np.ndim(level) and m < _SPAN < ps.size:
-        rows, lv, g = ps.reshape(-1, m), np.reshape(level, -1), _SPAN // m
-        r = np.concatenate([_last_feasible(rows[i:i + g], lv[i:i + g]) for i in range(0, len(rows), g)])
-        r = r.reshape(np.shape(level))
-    else:
-        r = _last_feasible(ps, level)
-    t = np.take_along_axis(ps, np.expand_dims(r - 1, -1), axis=-1)[..., 0]
-    return ps, r, np.where(r > 0, t, 0.0)
+def _step_up(p: np.ndarray, level: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Along the last axis of ``p``, at one level per row: r = max{i : p_(i) <= level i / m}
+    (0 when the set is empty) and t = p_(r) (0 when r = 0), sorted and read in groups of rows
+    that hold at most a span of values (one row at a time from m = ``_SPAN`` up)."""
+    m = p.shape[-1]
+    rows, lv, g = p.reshape(-1, m), np.broadcast_to(level, p.shape[:-1]).reshape(-1), max(_SPAN // m, 1)
+    r, t = [], []
+    for i in range(0, len(rows), g):
+        ps = np.sort(rows[i:i + g], axis=-1)
+        r.append(_last_feasible(m, lambda lo, hi: _at_or_below(ps, lv[i:i + g], lo, hi)))
+        t.append(np.where(r[-1] > 0, ps[np.arange(len(ps)), r[-1] - 1], 0.0))
+    return np.concatenate(r).reshape(p.shape[:-1]), np.concatenate(t).reshape(p.shape[:-1])
 
 
-def _last_feasible(ps: np.ndarray, level: float | np.ndarray) -> np.ndarray:
-    """``_step_up``'s r along the last axis of the sorted ``ps``."""
-    m = ps.shape[-1]
-    # compared a span of ranks at a time from i = m down, so the first hit is the last feasible i;
-    # one level scales in place.  Divided in place: `a * b / m` makes NumPy check whether it may
-    # reuse the product's buffer, and its first check allocates a 46 kB thread-local block that could
-    # pin glibc's heap above a validation run's 8 MB blocks (peak RSS 93-103 MB instead of 90 in
-    # about half the runs, x86-64 glibc 2.36)
-    for hi in range(m, 0, -_SPAN):
+def _at_or_below(ps: np.ndarray, level: float | np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The step-up rule's pieces lo..hi-1 of the sorted ``ps`` at one level per row: piece i
+    starts at p_(i+1) and is feasible when p_(i+1) <= level (i + 1) / m."""
+    # Divided in place: `a * b / m` makes NumPy check whether it may reuse the product's buffer, and its
+    # first check allocates a 46 kB thread-local block that could pin glibc's heap above a validation
+    # run's 8 MB blocks (peak RSS 93-103 MB instead of 90 in about half the runs, x86-64 glibc 2.36)
+    crit = np.multiply(np.expand_dims(level, -1), np.arange(lo + 1, hi + 1, dtype=float))
+    crit /= ps.shape[-1]
+    return ps[..., lo:hi] <= crit
+
+
+def _last_feasible(n: int, feasible) -> np.ndarray:
+    """Per row of the masks ``feasible(lo, hi)``, which say which of pieces
+    lo..hi-1 are feasible: 1 + the last feasible piece, 0 when none is.  Read
+    a span of pieces at a time from the top, until every row has an answer."""
+    r = 0
+    for hi in range(n, 0, -_SPAN):
         lo = max(hi - _SPAN, 0)
-        crit = np.arange(hi, lo, -1, dtype=float)
-        crit = np.multiply(np.expand_dims(level, -1), crit, out=None if np.ndim(level) else crit)
-        crit /= m
-        down = ps[..., lo:hi][..., ::-1] <= crit
-        got = np.where(down.any(axis=-1), hi - down.argmax(axis=-1), 0)
-        r = got if hi == m else np.where(r > 0, r, got)
+        down = feasible(lo, hi)[..., ::-1]
+        r = np.where(r > 0, r, np.where(down.any(axis=-1), hi - down.argmax(axis=-1), 0))
         if lo == 0 or r.all():
             break
     return r
 
 
-def _plugin(p: np.ndarray, one_minus, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The plug-in rule on the p-values along the last axis of ``p``, at one
-    1 - ahat per row: ``_step_up`` at level alpha / (1 - ahat), with t = 1
-    (every p-value rejected) where 1 - ahat <= alpha."""
+def _plugin(p: np.ndarray, one_minus, alpha: float) -> np.ndarray:
+    """The plug-in rule's t on the p-values along the last axis of ``p``, at
+    one 1 - ahat per row: ``_step_up`` at level alpha / (1 - ahat), with
+    t = 1 (every p-value rejected) where 1 - ahat <= alpha."""
     whole = one_minus <= alpha
-    ps, r, t = _step_up(p, np.where(whole, np.inf, alpha / np.where(whole, 1.0, one_minus)))
-    return ps, r, np.where(whole, 1.0, t)
+    return np.where(whole, 1.0, _step_up(p, np.where(whole, np.inf, alpha / np.where(whole, 1.0, one_minus)))[1])
 
 
 def bh_threshold(pvalues, alpha: float) -> ThresholdResult:
@@ -136,7 +136,7 @@ def bh_threshold(pvalues, alpha: float) -> ThresholdResult:
     i* = max{i : p_(i) <= alpha i / m}, none when the set is empty."""
     p = _validated_pvalues(pvalues)
     _require_open_unit("alpha", alpha)
-    _, istar, t = _step_up(p, alpha)
+    istar, t = _step_up(p, alpha)
     return ThresholdResult(t=float(t), rejected=int(istar), method="bh", alpha=alpha)
 
 
@@ -175,8 +175,9 @@ def plugin_threshold(pvalues, ahat, alpha: float, variant: str = "plain") -> Thr
     starting at t, with value v = rejected / m, until it crosses alpha at
     alpha v / (1 - ahat) or the piece ends at the next p-value (or 1).  A
     hull segment y = s t + c is crossed at t* = alpha c / (1 - ahat - alpha s).
-    Both are read like every data-driven threshold: the last piece feasible
-    at its start decides, with the crossing kept inside that piece.
+    Both come from ``_last_crossing``, the reader every data-driven threshold
+    shares: the last piece feasible at its start decides, with the crossing
+    kept inside that piece.
     """
     p = _validated_pvalues(pvalues)
     _require_open_unit("alpha", alpha)
@@ -188,17 +189,17 @@ def plugin_threshold(pvalues, ahat, alpha: float, variant: str = "plain") -> Thr
         diag["ahat_method"] = a_method
     m = p.size
     one_minus = 1.0 - a
-    if variant == "lcm" and one_minus > alpha:
+    if one_minus <= alpha:
+        t, sup, rejected = 1.0, 1.0, m   # the map tops out at 1 - ahat: every p-value is rejected
+    elif variant == "lcm":
         t = sup = _lcm_sup(ecdf(p, variant), one_minus, alpha)
         rejected = _count_rejected(p, t)
     else:
-        # r ends a run of tied p-values, so it counts the p-values <= t; the
-        # crossing is at least t, which the step-up comparison found feasible
-        ps, r, t = _plugin(p, one_minus, alpha)
-        rejected, t = int(r), float(t)
-        nxt = float(ps[rejected]) if rejected < m else 1.0
-        # where 1 - ahat <= alpha the map tops out at 1 - ahat: t = sup = 1
-        sup = min(nxt, max(t, alpha * (rejected / m) / one_minus)) if one_minus > alpha else 1.0
+        # the step-up rule's piece i decides; r = i + 1 ends a run of ties, so it counts the p-values <= t
+        ps = np.sort(p)
+        i, sup, _ = _last_crossing(m, lambda lo, hi: _at_or_below(ps, alpha / one_minus, lo, hi), lambda k: (
+            ps[k], ps[k + 1] if k + 1 < m else 1.0, alpha * ((k + 1) / m) / one_minus))
+        rejected, t = (0, 0.0) if i is None else (i + 1, float(ps[i]))
     diag["sup_exact"] = sup
     return ThresholdResult(
         t=t, rejected=rejected, method="plugin", alpha=alpha, diagnostics=diag
@@ -214,14 +215,12 @@ def _last_crossing(n, feasible, piece) -> tuple[int | None, float, bool]:
     inside [start, end] (inf reads the end).  ``inclusive`` is False when t is
     the open end of a piece other than the last one, a supremum not attained.
     (None, 0.0, False) when no piece is feasible."""
-    for hi in range(n, 0, -_SPAN):
-        ok = feasible(max(hi - _SPAN, 0), hi)
-        if ok.any():
-            i = hi - 1 - int(np.argmax(ok[::-1]))
-            start, end, cross = map(float, piece(i))
-            t = min(max(cross, start), end)
-            return i, t, t < end or i == n - 1
-    return None, 0.0, False
+    r = int(_last_feasible(n, feasible))
+    if not r:
+        return None, 0.0, False
+    start, end, cross = map(float, piece(r - 1))
+    t = min(max(cross, start), end)
+    return r - 1, t, t < end or r == n
 
 
 def _lcm_sup(ghat, one_minus: float, alpha: float) -> float:

@@ -41,7 +41,7 @@ def step_up_whole(p, level):
     down = ps[..., ::-1] <= crit
     r = np.where(down.any(axis=-1), m - down.argmax(axis=-1), 0)
     t = np.take_along_axis(ps, np.expand_dims(r - 1, -1), axis=-1)[..., 0]
-    return ps, r, np.where(r > 0, t, 0.0)
+    return r, np.where(r > 0, t, 0.0)
 
 
 def astar_whole(t, g, eps):

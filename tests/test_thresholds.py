@@ -17,6 +17,7 @@ from fdpkit.rng import stream
 from fdpkit.simulation import purity_quantities
 from fdpkit.thresholds import (
     _last_crossing,
+    _last_feasible,
     _plugin,
     _step_up,
     bayes_classifier_threshold,
@@ -145,16 +146,16 @@ class TestStepUpRule:
         p[3] = 1.0
         levels = np.array([0.05, 0.05, 0.2, 0.3, np.inf, 1.5, 0.01])
         for rows, lv in ((p, levels), (p[1:2], levels[1:2])):
-            ps, r, t = _step_up(rows, lv)
-            assert ps.shape == rows.shape and r.shape == t.shape == (rows.shape[0],)
+            r, t = _step_up(rows, lv)
+            assert r.shape == t.shape == (rows.shape[0],)
             for row, level, ri, ti in zip(rows, lv, r, t):
                 want_t, want_r = naive_step_up(row, level)
                 assert (ri, ti) == (want_r, want_t)
                 if level < 1.0:
                     one = bh_threshold(row, level)
                     assert (ri, ti) == (one.rejected, one.t)
-        assert r.dtype.kind == "i" and np.array_equal(ps, np.sort(p[1:2], axis=1))
-        assert (_step_up(p, levels)[1][[0, 3, 4]] == [0, 0, 30]).all()
+        assert r.dtype.kind == "i"
+        assert (_step_up(p, levels)[0][[0, 3, 4]] == [0, 0, 30]).all()
 
 
 class TestOracleThreshold:
@@ -261,8 +262,8 @@ class TestPluginThreshold:
         p[pick] = atoms[g.integers(0, atoms.size, pick.sum())]
         alpha = 0.05
         ahat = np.r_[0.0, 0.95, 0.96, 1.0, storey_a0(p[4]).value, g.uniform(0.0, 1.0, 55)]
-        ps, r, t = _plugin(p, 1.0 - ahat, alpha)
-        assert np.array_equal(ps, np.sort(p, axis=1))
+        t = _plugin(p, 1.0 - ahat, alpha)
+        r = np.count_nonzero(p <= t[:, None], axis=1)   # t ends a run of ties, so r counts the p-values <= t
         for i, row in enumerate(p):
             for variant in ("plain", "floor"):
                 one = plugin_threshold(row, ahat[i], alpha, variant)
@@ -369,6 +370,27 @@ class TestPluginThreshold:
         assert got == (_SPAN - 1, _SPAN - 0.5, True)
         assert [type(x) for x in got] == [int, float, bool]
         assert asked == [(_SPAN + 5, n), (5, _SPAN + 5)]
+
+    def test_last_feasible_reads_rows_until_each_has_an_answer(self):
+        # rows: no piece feasible, feasible only in the top span, feasible
+        # only in the lower spans; r is 1 + the last feasible piece, 0 for none
+        n = 2 * _SPAN + 5
+        ok = np.zeros((3, n), bool)
+        ok[1, [_SPAN + 7, n - 2]] = True
+        ok[2, [3, 10]] = True
+        asked = []
+
+        def read(rows):
+            asked.clear()
+            return _last_feasible(n, lambda lo, hi: asked.append((lo, hi)) or ok[rows, lo:hi])
+
+        assert read([0, 1, 2]).tolist() == [0, n - 1, 11]
+        assert asked == [(_SPAN + 5, n), (5, _SPAN + 5), (0, 5)]
+        # it stops at the first span where every row has an answer
+        assert read([1, 2]).tolist() == [n - 1, 11]
+        assert asked == [(_SPAN + 5, n), (5, _SPAN + 5)]
+        assert read([1]).tolist() == [n - 1]
+        assert asked == [(_SPAN + 5, n)]
 
     def test_validation(self, example1):
         with pytest.raises(ValueError):
