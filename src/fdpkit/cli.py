@@ -74,7 +74,8 @@ class RunSpec:
 def ingest(path: str, format: str = "lines") -> np.ndarray:
     """Read p-values from a file: one float per nonblank line, or the first
     column of a CSV whose header row is always skipped.  A leading UTF-8
-    byte-order mark, as spreadsheet exports write, is dropped."""
+    byte-order mark, as spreadsheet exports write, is dropped.  A -0 is read
+    as 0, so no output says -0; library calls take the values as given."""
     if format not in ("lines", "csv"):
         raise ValueError(f"unknown input format: {format!r}")
     csv = {"delimiter": ",", "usecols": 0, "skiprows": 1} if format == "csv" else {}
@@ -83,12 +84,11 @@ def ingest(path: str, format: str = "lines") -> np.ndarray:
             warnings.simplefilter("error")  # an empty file only warns
             p = np.loadtxt(path, dtype=float, comments=None, ndmin=2, encoding="utf-8-sig", **csv)
     except (OSError, ValueError, Warning):
-        pass
-    else:
-        # ndmin=2 keeps a one-line file "0.1 0.2" as one row of two columns
-        if p.shape[0] > 0 and p.shape[1] == 1:
-            return p[:, 0]
-    return _ingest_lines(path, format)
+        p = np.empty((0, 0))
+    # ndmin=2 keeps a one-line file "0.1 0.2" as one row of two columns
+    p = p[:, 0] if p.shape[0] > 0 and p.shape[1] == 1 else _ingest_lines(path, format)
+    p += 0.0   # -0.0 + 0.0 is +0.0, and x + 0.0 is x for every other double
+    return p
 
 
 def _ingest_lines(path: str, format: str) -> np.ndarray:

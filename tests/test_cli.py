@@ -126,6 +126,7 @@ class TestIngest:
             assert str(got.value) == str(exc)
         else:
             got = ingest(str(f), fmt)
+            want += 0.0   # where ingest writes a -0 as 0
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
@@ -138,6 +139,22 @@ class TestThresholdCommand:
         assert rec["t"] == pytest.approx(0.0095)
         assert rec["rejected"] == 4
         assert rec["method"] == "bh"
+
+    def test_negative_zero_is_read_as_zero(self, capsys, tmp_path):
+        # a p-value written -0 came out as a threshold of -0 (and the a*
+        # bound's argmax at -0); both readers now give +0
+        lines, csv = tmp_path / "p.txt", tmp_path / "p.csv"
+        lines.write_text("-0\n0.5\n0.7\n0.9\n")
+        csv.write_text("p\n-0,\n0.5,1,2\n0.7\n0.9\n")   # ragged, so read line by line
+        for path, fmt in ((lines, "lines"), (csv, "csv")):
+            assert ingest(str(path), fmt).tobytes() == np.array([0.0, 0.5, 0.7, 0.9]).tobytes()
+        for method in ("bh", "plugin"):
+            rc, out, _ = run_cli(capsys, "threshold", "--method", method, "--input", str(lines))
+            assert rc == 0 and parse_text(out)["t"] == "0"
+            rc, out, _ = run_cli(capsys, "threshold", "--method", method, "--input", str(lines), "--json")
+            assert '"t": 0.0,' in out and json.loads(out)["rejected"] == 1
+        rc, out, _ = run_cli(capsys, "estimate", "--method", "astar", "--alpha", "0.9", "--input", str(lines), "--json")
+        assert '"diag_argmax_t": 0.0,' in out
 
     def test_text_format_ten_significant_digits(self, capsys, pfile):
         rc, out, _ = run_cli(capsys, "threshold", "--input", pfile)

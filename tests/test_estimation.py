@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fdpkit import estimation
 from fdpkit import (
     MixtureModel,
     astar_lower,
@@ -112,6 +113,16 @@ def rounded_screen(m, seed=7):
     u = rng.random(m)
     p = np.where(rng.random(m) < 0.1, ndtr(ndtri(u) - 3.0), u)
     return np.array(["%.6g" % v for v in p], dtype=float)
+
+
+@pytest.fixture
+def merged(monkeypatch):
+    """The sizes of the point sets ``_concave_majorant``'s divide and
+    conquer is given, call by call."""
+    seen = []
+    levels = estimation._levels
+    monkeypatch.setattr(estimation, "_levels", lambda x, *rest: seen.append(x.size) or levels(x, *rest))
+    return seen
 
 
 def astar_dense_grid(p, alpha, n=100_001):
@@ -249,7 +260,8 @@ class TestEcdf:
     def test_lcm_across_spans_matches_the_scan(self, curve):
         # past two span boundaries and into a partial span, where the levels
         # below the span run apart and the rest over the spans' survivors;
-        # on the squares every point is a vertex, so all of them get there
+        # on the squares every point is a vertex, so all of them get there,
+        # while the sieve leaves 3% of the rounded screen's points
         n = 2 * _SPAN + _SPAN // 3
         p = ((np.arange(n) + 0.5) / n) ** 2 if curve == "squares" else rounded_screen(3 * _SPAN, seed=5)
         xs, ys = (a[:n] for a in lcm_points(p))
@@ -257,6 +269,40 @@ class TestEcdf:
         hx, hy = hull_by_monotone_chain(xs, ys)
         np.testing.assert_array_equal(hull.x, hx)
         np.testing.assert_array_equal(hull.y, hy)
+
+    @pytest.mark.parametrize("case", ["under-a-chord", "over-a-chord", "dyadic-run", "subnormal-gaps", "atoms",
+                                      "n255", "n256", "n257"])
+    def test_sieve_keeps_the_scan_bits(self, merged, case):
+        # inputs past the sieve's threshold (and at it) whose vertices sit
+        # near its 1e-12 tolerance, on long exactly collinear runs, across
+        # gaps whose slope overflows, or at atoms at 0 and 1
+        k = np.arange(1025) / 1024
+        xs, ys = k, np.minimum(3 * k, 0.6875 + k / 4)      # dyadic: chords from 0 to 0.25 to 1, all exact
+        if case in ("under-a-chord", "over-a-chord"):
+            ys = ys.copy()
+            ys[[100, 600]] += 1e-13 if case == "over-a-chord" else -1e-13
+        elif case == "subnormal-gaps":
+            xs, ys = lcm_points(np.r_[5e-324 * np.arange(1, 300), np.random.default_rng(4).random(400) ** 2])
+        elif case == "atoms":
+            xs, ys = lcm_points(np.r_[np.zeros(40), np.round(np.random.default_rng(4).random(600) ** 3, 4), np.ones(25)])
+        elif case.startswith("n"):
+            xs, ys = (a[:int(case[1:])] for a in lcm_points(rounded_screen(2000, seed=2)))
+        hull = _concave_majorant(xs, ys)
+        hx, hy = hull_by_monotone_chain(xs, ys)
+        assert hull.x.tobytes() == np.array(hx).tobytes() and hull.y.tobytes() == np.array(hy).tobytes()
+        if case in ("under-a-chord", "over-a-chord", "dyadic-run"):
+            lifted = [100 / 1024, 600 / 1024] if case == "over-a-chord" else []
+            assert hull.x.tolist() == sorted([0.0, 0.25, 1.0, *lifted])
+        assert (len(merged) > 1) == (xs.size > 4 * estimation._SIEVE)   # the sieve's own majorant came first
+
+    def test_sieve_leaves_few_points_to_merge(self, merged):
+        # the divide and conquer sees 3.3-3.8% of a rounded screen's 183k
+        # ECDF points at seeds 3, 5 and 7 (1% at m = 1e6), not all of them
+        xs, ys = lcm_points(rounded_screen(3 * _SPAN, seed=5))
+        hull = _concave_majorant(xs, ys)
+        assert xs.size > 2.5 * _SPAN and sum(merged) <= 0.04 * xs.size
+        hx, hy = hull_by_monotone_chain(xs, ys)
+        assert hull.x.tobytes() == np.array(hx).tobytes() and hull.y.tobytes() == np.array(hy).tobytes()
 
     def test_lcm_is_concave_majorant(self):
         rng = np.random.default_rng(11)
@@ -315,7 +361,7 @@ class TestEcdf:
 
     @pytest.mark.parametrize("call, sizes, spans", [
         (lambda p: ecdf(p), 2.125, 2),
-        (lambda p: ecdf(p, "lcm"), 2, 5),
+        (lambda p: ecdf(p, "lcm"), 2.125, 2),
         (lambda p: astar_lower(ecdf(p), 0.05), 2.125, 4),
         (lambda p: astar_lower(ecdf(p, "floor"), 0.05), 2.125, 4),
         (lambda p: bh_threshold(p, 0.05), 1, 2.5),
@@ -327,21 +373,23 @@ class TestEcdf:
         # front a span at a time and shrinks it: two buffers of at most m
         # knots, the run-start mask and two spans of indices (3.8 input sizes
         # here when it held a sorted copy and the run starts' indices too).
-        # The majorant works in about 37 bytes an index of a span, over the
-        # two buffers; the a* bound reads them a span at a time, the floor
-        # variant's max(Ghat, t) too (3.8 when it took its objective, or that
-        # floor, at every knot at once).  The step-up rule holds
+        # The majorant sieves the two buffers a span at a time and merges
+        # the 3% it keeps, so it peaks below the ECDF (2 + 5 spans when it
+        # merged every point); the a* bound reads them a span at a time, the
+        # floor variant's max(Ghat, t) too (3.8 when it took its objective,
+        # or that floor, at every knot at once).  The step-up rule holds
         # the sorted copy and two spans of critical values and comparisons
         # (2.1 with every critical value at once)
         p = rounded_screen(200_000, seed=3)
         assert traced_memory(lambda: call(p), lambda: call(p[:10]))[1] <= sizes * p.nbytes + spans * 8 * _SPAN
 
     def test_majorant_memory_is_bounded_by_the_span(self, traced_memory):
-        # traced peak above its inputs on 346,617 points: 2.4 MB, as at
-        # 96,308 or 714,014; over the whole input at once it took 12.5 MB
+        # traced peak above its inputs on 346,617 points: 0.84 MB, a span of
+        # the sieve's evaluation and the points it keeps; 2.4 MB when it
+        # merged every point, and 12.5 MB over the whole input at once
         xs, ys = lcm_points(rounded_screen(400_000, seed=3))
         peak = traced_memory(lambda: _concave_majorant(xs, ys), lambda: _concave_majorant(xs[:10], ys[:10]))[1]
-        assert peak <= 3e6
+        assert peak <= 1e6
 
 
 class TestDkw:
